@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config/validation failure, 3 runtime failure.
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -17,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotFound, ParseError, TtpsimError, ValidationError
-from .fields import (EPS_GRAD_DEFAULT, create_provider, fd_verify_derivatives,
-                     lookup, register_builtin_providers)
+from .fields import (create_provider, fd_verify_derivatives, lookup,
+                     register_builtin_providers)
 from .fields.grid import load_grid
 from .integrate import IntegratorConfig, integrate_trajectory
 from .kinetics import TtpState, isobaric_normal
@@ -54,25 +55,6 @@ class ParticleConfig:
 
 
 @dataclass
-class IntegratorSettings:
-    t0: float = 0.0
-    dt: float = 1e-3
-    t_end: float = 1.0
-    method: str = "rk4_rodrigues"
-    renormalize_every: int = 0
-    project_tangency_every: int = 0
-    eps_grad: float = EPS_GRAD_DEFAULT
-    omega_route: str = "direct"
-
-    def build(self):
-        return IntegratorConfig(
-            dt=self.dt, t_end=self.t_end, method=self.method,
-            renormalize_every=self.renormalize_every,
-            project_tangency_every=self.project_tangency_every,
-            eps_grad=self.eps_grad, omega_route=self.omega_route)
-
-
-@dataclass
 class EnsembleConfig:
     count: int = 64
     sampling: str = "equispaced_circle"
@@ -90,7 +72,8 @@ class OutputConfig:
 class RunConfig:
     field_cfg: FieldConfig = field(default_factory=FieldConfig)
     particle: ParticleConfig = field(default_factory=ParticleConfig)
-    integrator: IntegratorSettings = field(default_factory=IntegratorSettings)
+    t0: float = 0.0
+    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
     ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
 
@@ -125,12 +108,12 @@ def print_config(cfg):
     out.append(f"project_initial = {_fmt(p.project_initial)}")
     i = cfg.integrator
     out += ["", "[integrator]",
-            f"t0 = {_fmt(i.t0)}", f"dt = {_fmt(i.dt)}", f"t_end = {_fmt(i.t_end)}",
+            f"t0 = {_fmt(cfg.t0)}", f"dt = {_fmt(i.dt)}", f"t_end = {_fmt(i.t_end)}",
             f"method = {i.method}",
             f"renormalize_every = {i.renormalize_every if i.renormalize_every else 'never'}",
             f"project_tangency_every = "
             f"{i.project_tangency_every if i.project_tangency_every else 'never'}",
-            f"eps_grad = {_fmt(i.eps_grad)}", f"omega_route = {i.omega_route}"]
+            f"eps_grad = {_fmt(i.eps_grad)}"]
     e = cfg.ensemble
     out += ["", "[ensemble]", f"count = {e.count}", f"sampling = {e.sampling}",
             f"seed = {e.seed}"]
@@ -145,9 +128,12 @@ _SECTIONS = ("field", "particle", "integrator", "ensemble", "output")
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        v = float(raw)
     except ValueError:
         raise ValidationError(f"key '{key}': expected a real number, got {raw!r}") from None
+    if not math.isfinite(v):
+        raise ValidationError(f"key '{key}': expected a finite real number, got {raw!r}")
+    return v
 
 
 def _parse_int(key, raw):
@@ -174,12 +160,15 @@ def _parse_vec3(key, raw):
 
 
 def _parse_count(key, raw):
-    if raw.strip().lower() == "never":
-        return 0
-    v = _parse_int(key, raw)
-    if v < 0:
-        raise ValidationError(f"key '{key}': must be >= 0 or 'never'")
-    return v
+    return 0 if raw.strip().lower() == "never" else _parse_int(key, raw)
+
+
+# [integrator] keys other than t0 -> parser; IntegratorConfig validates the values
+_INTEGRATOR_KEYS = {
+    "dt": _parse_float, "t_end": _parse_float, "eps_grad": _parse_float,
+    "method": lambda key, raw: raw,
+    "renormalize_every": _parse_count, "project_tangency_every": _parse_count,
+}
 
 
 def parse_config(path):
@@ -273,37 +262,13 @@ def parse_config(path):
 
     itg = sections.pop("integrator", {})
     if itg:
-        known = {"t0", "dt", "t_end", "method", "renormalize_every",
-                 "project_tangency_every", "eps_grad", "omega_route"}
         for k in itg:
-            if k not in known:
+            if k != "t0" and k not in _INTEGRATOR_KEYS:
                 raise ValidationError(f"key '{k}' not valid in [integrator]")
-        s = IntegratorSettings()
         if "t0" in itg:
-            s.t0 = _parse_float("t0", itg["t0"])
-        if "dt" in itg:
-            s.dt = _parse_float("dt", itg["dt"])
-            if s.dt <= 0.0:
-                raise ValidationError("dt must be positive")
-        if "t_end" in itg:
-            s.t_end = _parse_float("t_end", itg["t_end"])
-        if "method" in itg:
-            if itg["method"] not in ("rk4_rodrigues", "rk4_naive"):
-                raise ValidationError(f"key 'method': unknown value {itg['method']!r}")
-            s.method = itg["method"]
-        if "renormalize_every" in itg:
-            s.renormalize_every = _parse_count("renormalize_every", itg["renormalize_every"])
-        if "project_tangency_every" in itg:
-            s.project_tangency_every = _parse_count("project_tangency_every",
-                                                    itg["project_tangency_every"])
-        if "eps_grad" in itg:
-            s.eps_grad = _parse_float("eps_grad", itg["eps_grad"])
-        if "omega_route" in itg:
-            if itg["omega_route"] not in ("direct", "decomposed"):
-                raise ValidationError(f"key 'omega_route': unknown value "
-                                      f"{itg['omega_route']!r}")
-            s.omega_route = itg["omega_route"]
-        cfg.integrator = s
+            cfg.t0 = _parse_float("t0", itg.pop("t0"))
+        cfg.integrator = IntegratorConfig(
+            **{k: _INTEGRATOR_KEYS[k](k, v) for k, v in itg.items()})
 
     ens = sections.pop("ensemble", {})
     if ens:
@@ -362,7 +327,7 @@ def build_provider(cfg):
 def build_initial_state(cfg, provider):
     p = cfg.particle
     r0 = np.array(p.r0, dtype=float)
-    t0 = cfg.integrator.t0
+    t0 = cfg.t0
     if p.auto_tangent:
         b = isobaric_normal(provider.sample(r0, t0), cfg.integrator.eps_grad)
         if b is None:
@@ -433,7 +398,7 @@ def cmd_simulate(cfg, project_initial=False):
     provider = build_provider(cfg)
     state0 = build_initial_state(cfg, provider)
     traj = integrate_trajectory(
-        state0, provider, cfg.integrator.build(),
+        state0, provider, cfg.integrator,
         project_initial=project_initial or cfg.particle.project_initial)
     d = _outdir(cfg)
     write_trajectory_csv(traj, os.path.join(d, "trajectory.csv"))
@@ -462,11 +427,11 @@ def cmd_simulate(cfg, project_initial=False):
 def cmd_ensemble(cfg):
     provider = build_provider(cfg)
     e = cfg.ensemble
-    spec = EnsembleSpec(r0=np.array(cfg.particle.r0), t0=cfg.integrator.t0,
+    spec = EnsembleSpec(r0=np.array(cfg.particle.r0), t0=cfg.t0,
                         count=e.count, sampling=e.sampling, seed=e.seed,
                         beta=cfg.particle.beta)
     states = seed_tangent_circle(spec, provider, eps_grad=cfg.integrator.eps_grad)
-    _, history = evolve_ensemble(states, provider, cfg.integrator.build(),
+    _, history = evolve_ensemble(states, provider, cfg.integrator,
                                  stride=cfg.output.stride)
     d = _outdir(cfg)
     write_stats_csv(history, os.path.join(d, "stats.csv"))
@@ -483,7 +448,7 @@ def cmd_verify(cfg, points=100, seed=0):
     rep = verify_mod.omega_identity_sweep(provider, n_points=points, seed=seed,
                                           beta=cfg.particle.beta,
                                           eps_grad=cfg.integrator.eps_grad,
-                                          t=cfg.integrator.t0)
+                                          t=cfg.t0)
     parts.append(rep.to_text())
     _write_rows_csv(rep.csv_rows(), os.path.join(d, "omega_identity.csv"))
 
@@ -491,12 +456,12 @@ def cmd_verify(cfg, points=100, seed=0):
         canc = verify_mod.cancellation_check(provider, n_states=points, seed=seed,
                                              beta=cfg.particle.beta,
                                              eps_grad=cfg.integrator.eps_grad,
-                                             t=cfg.integrator.t0)
+                                             t=cfg.t0)
         parts.append(f"tangency cancellation residual (max over {points} states): "
                      f"{canc:.3e}")
         dmax, dmed, dn = verify_mod.reduced_divergence_report(
             provider, n_states=points, seed=seed, beta=cfg.particle.beta,
-            eps_grad=cfg.integrator.eps_grad, t=cfg.integrator.t0)
+            eps_grad=cfg.integrator.eps_grad, t=cfg.t0)
         parts.append(f"reduced-state RHS divergence over {dn} states "
                      f"(diagnostic, no threshold): max {dmax:.3e} median {dmed:.3e}")
     except TtpsimError as err:
@@ -533,15 +498,11 @@ def cmd_verify(cfg, points=100, seed=0):
 
 
 def cmd_fields(list_providers=False, check=None, h=1e-4, tol=1e-5):
-    register_builtin_providers()
     if check is None or list_providers:
-        names = ["uniform", "uniform_gradient", "rigid_rotation",
-                 "taylor_green", "lamb_oseen"]
         print("registered providers:")
-        for name in names:
-            descr = lookup(name)
+        for descr in register_builtin_providers():
             pars = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(descr.parameters.items()))
-            print(f"  {name:<18} time_dependent={str(descr.time_dependent).lower()} "
+            print(f"  {descr.name:<18} time_dependent={str(descr.time_dependent).lower()} "
                   f"params: {pars}")
         if check is None:
             return 0

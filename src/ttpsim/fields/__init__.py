@@ -55,12 +55,31 @@ class FluidSample:
     def check(self, rtol=1e-12):
         """Raise AssertionError if the sample violates its own invariants."""
         scale = max(float(np.max(np.abs(self.gradV))), 1e-300)
-        assert np.max(np.abs(self.xi - self.curl_from_gradV())) <= rtol * max(scale, 1.0), \
-            "xi inconsistent with gradV"
+        if not np.max(np.abs(self.xi - self.curl_from_gradV())) <= rtol * max(scale, 1.0):
+            raise AssertionError("xi inconsistent with gradV")
         h = self.hess_p1hat
         hscale = max(float(np.max(np.abs(h))), 1e-300)
-        assert np.max(np.abs(h - h.T)) <= rtol * max(hscale, 1.0), "Hessian not symmetric"
-        assert self.p1hat >= 0.0, "negative kinetic pressure"
+        if not np.max(np.abs(h - h.T)) <= rtol * max(hscale, 1.0):
+            raise AssertionError("Hessian not symmetric")
+        if not self.p1hat >= 0.0:
+            raise AssertionError("negative kinetic pressure")
+
+    def kinetic(self):
+        """The flat tuple of :meth:`FieldProvider.sample_kinetic`, as Python floats."""
+        (Vx, Vy, Vz), (gx, gy, gz) = self.V.tolist(), self.grad_p1hat.tolist()
+        (Hxx, Hxy, Hxz), (_, Hyy, Hyz), (_, _, Hzz) = self.hess_p1hat.tolist()
+        dgx, dgy, dgz = self.dt_grad_p1hat.tolist()
+        return (Vx, Vy, Vz, float(self.p1hat), gx, gy, gz,
+                Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, dgx, dgy, dgz)
+
+    @classmethod
+    def from_kinetic(cls, kin, gradV, xi):
+        """Sample from a flat kinetic tuple plus the velocity gradient and vorticity."""
+        (Vx, Vy, Vz, p1, gx, gy, gz,
+         Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, dgx, dgy, dgz) = kin
+        return cls(np.array((Vx, Vy, Vz)), gradV, xi, p1, np.array((gx, gy, gz)),
+                   np.array(((Hxx, Hxy, Hxz), (Hxy, Hyy, Hyz), (Hxz, Hyz, Hzz))),
+                   np.array((dgx, dgy, dgz)))
 
 
 @dataclass(slots=True)
@@ -100,11 +119,7 @@ class FieldProvider:
         hot loop calls this four times per step).  Must agree with
         :meth:`sample` to rounding.
         """
-        s = self.sample(np.asarray(r, dtype=float), t)
-        V, g, H, dg = s.V, s.grad_p1hat, s.hess_p1hat, s.dt_grad_p1hat
-        return (V[0], V[1], V[2], s.p1hat, g[0], g[1], g[2],
-                H[0, 0], H[0, 1], H[0, 2], H[1, 1], H[1, 2], H[2, 2],
-                dg[0], dg[1], dg[2])
+        return self.sample(np.asarray(r, dtype=float), t).kinetic()
 
     def params(self):
         return {}
@@ -136,51 +151,30 @@ class FieldProvider:
 
 # --- registry -------------------------------------------------------------
 
-_REGISTRY: dict = {}
+def _provider_class(name):
+    from .analytic import PROVIDERS  # analytic imports this module
 
-
-def register_provider(name, factory, descriptor_factory):
-    _REGISTRY[name] = (factory, descriptor_factory)
+    try:
+        return PROVIDERS[name]
+    except KeyError:
+        raise NotFound(f"no provider registered under name {name!r}") from None
 
 
 def register_builtin_providers():
-    """Populate the registry with the built-in analytic providers.
+    """Descriptors of the built-in analytic providers, in registry order."""
+    from .analytic import PROVIDERS
 
-    Idempotent.  Returns the descriptors in registry order.
-    """
-    from . import analytic
-
-    for cls in (
-        analytic.UniformField,
-        analytic.UniformGradientField,
-        analytic.RigidRotationField,
-        analytic.TaylorGreenField,
-        analytic.LambOseenField,
-    ):
-        register_provider(cls.name, cls, lambda c=cls: c().descriptor())
-    return [lookup(name) for name in _REGISTRY]
+    return [cls().descriptor() for cls in PROVIDERS.values()]
 
 
 def lookup(name):
     """Descriptor for a registered provider name.  Raises NotFound."""
-    if not _REGISTRY:
-        register_builtin_providers()
-    try:
-        _, descr = _REGISTRY[name]
-    except KeyError:
-        raise NotFound(f"no provider registered under name {name!r}") from None
-    return descr()
+    return _provider_class(name)().descriptor()
 
 
 def create_provider(name, **params):
     """Instantiate a registered provider with keyword parameters."""
-    if not _REGISTRY:
-        register_builtin_providers()
-    try:
-        factory, _ = _REGISTRY[name]
-    except KeyError:
-        raise NotFound(f"no provider registered under name {name!r}") from None
-    return factory(**params)
+    return _provider_class(name)(**params)
 
 
 # --- finite-difference derivative audit ------------------------------------

@@ -18,7 +18,23 @@ _Z3 = np.zeros(3)
 _Z33 = np.zeros((3, 3))
 
 
-class UniformField(FieldProvider):
+class _AnalyticField(FieldProvider):
+    """Provider whose fields all come from one scalar kernel, ``_fields``.
+
+    ``_fields(r, t, full)`` returns the flat tuple of :meth:`sample_kinetic`;
+    with ``full`` true it returns ``(that tuple, gradV, xi)``.  ``r`` is a
+    sequence of three floats.
+    """
+
+    def sample(self, r, t):
+        return FluidSample.from_kinetic(
+            *self._fields(np.asarray(r, dtype=float).tolist(), t, True))
+
+    def sample_kinetic(self, r, t):
+        return self._fields(r, t, False)
+
+
+class UniformField(_AnalyticField):
     """Constant velocity V0, constant pressure p0.
 
     The pressure gradient vanishes identically, so the isobaric normal is
@@ -38,17 +54,14 @@ class UniformField(FieldProvider):
     def params(self):
         return {"V0x": self.V0[0], "V0y": self.V0[1], "V0z": self.V0[2], "p0": self.p0}
 
-    def sample(self, r, t):
-        return FluidSample(self.V0.copy(), _Z33.copy(), _Z3.copy(), self.p0,
-                           _Z3.copy(), _Z33.copy(), _Z3.copy())
-
-    def sample_kinetic(self, r, t):
+    def _fields(self, r, t, full):
         V = self.V0
-        return (V[0], V[1], V[2], self.p0, 0.0, 0.0, 0.0,
-                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        kin = (V[0], V[1], V[2], self.p0, 0.0, 0.0, 0.0,
+               0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return (kin, _Z33.copy(), _Z3.copy()) if full else kin
 
 
-class UniformGradientField(FieldProvider):
+class UniformGradientField(_AnalyticField):
     """Constant velocity with a spatially linear pressure.
 
     p1hat = p0 + g . r, so grad p1hat is the constant vector g and both the
@@ -77,21 +90,16 @@ class UniformGradientField(FieldProvider):
         return {"V0x": self.V0[0], "V0y": self.V0[1], "V0z": self.V0[2],
                 "p0": self.p0, "gx": self.g[0], "gy": self.g[1], "gz": self.g[2]}
 
-    def sample(self, r, t):
-        self._require_inside(r)
-        p1 = self.p0 + float(self.g @ np.asarray(r, dtype=float))
-        return FluidSample(self.V0.copy(), _Z33.copy(), _Z3.copy(), p1,
-                           self.g.copy(), _Z33.copy(), _Z3.copy())
-
-    def sample_kinetic(self, r, t):
+    def _fields(self, r, t, full):
         self._require_inside(np.asarray(r, dtype=float))
         V, g = self.V0, self.g
         p1 = self.p0 + g[0] * r[0] + g[1] * r[1] + g[2] * r[2]
-        return (V[0], V[1], V[2], p1, g[0], g[1], g[2],
-                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        kin = (V[0], V[1], V[2], p1, g[0], g[1], g[2],
+               0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        return (kin, _Z33.copy(), _Z3.copy()) if full else kin
 
 
-class RigidRotationField(FieldProvider):
+class RigidRotationField(_AnalyticField):
     """Solid-body rotation about the z axis with an axisymmetric pressure.
 
     V = omega z_hat x r, p1hat = p0 + c (x^2 + y^2) / 2.  The vorticity is
@@ -116,26 +124,19 @@ class RigidRotationField(FieldProvider):
     def params(self):
         return {"omega": self.omega, "p0": self.p0, "c": self.c}
 
-    def sample(self, r, t):
-        x, y = float(r[0]), float(r[1])
-        om, c = self.omega, self.c
-        V = np.array((-om * y, om * x, 0.0))
-        gradV = np.array(((0.0, om, 0.0), (-om, 0.0, 0.0), (0.0, 0.0, 0.0)))
-        xi = np.array((0.0, 0.0, 2.0 * om))
-        p1 = self.p0 + 0.5 * c * (x * x + y * y)
-        gp = np.array((c * x, c * y, 0.0))
-        H = np.array(((c, 0.0, 0.0), (0.0, c, 0.0), (0.0, 0.0, 0.0)))
-        return FluidSample(V, gradV, xi, p1, gp, H, _Z3.copy())
-
-    def sample_kinetic(self, r, t):
+    def _fields(self, r, t, full):
         x, y = r[0], r[1]
         om, c = self.omega, self.c
         p1 = self.p0 + 0.5 * c * (x * x + y * y)
-        return (-om * y, om * x, 0.0, p1, c * x, c * y, 0.0,
-                c, 0.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0)
+        kin = (-om * y, om * x, 0.0, p1, c * x, c * y, 0.0,
+               c, 0.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0)
+        if not full:
+            return kin
+        gradV = np.array(((0.0, om, 0.0), (-om, 0.0, 0.0), (0.0, 0.0, 0.0)))
+        return kin, gradV, np.array((0.0, 0.0, 2.0 * om))
 
 
-class TaylorGreenField(FieldProvider):
+class TaylorGreenField(_AnalyticField):
     """Three-dimensional Taylor-Green vortex array, optionally decaying.
 
     V = A F(t) (sin kx cos ky cos kz, -cos kx sin ky cos kz, 0) with
@@ -166,45 +167,7 @@ class TaylorGreenField(FieldProvider):
     def params(self):
         return {"A": self.A, "k": self.k, "nu": self.nu, "p0": self.p0}
 
-    def sample(self, r, t):
-        A, k, nu = self.A, self.k, self.nu
-        x, y, z = float(r[0]), float(r[1]), float(r[2])
-        F = math.exp(-2.0 * nu * k * k * t) if nu > 0.0 else 1.0
-        F2 = F * F
-        sx, cx = math.sin(k * x), math.cos(k * x)
-        sy, cy = math.sin(k * y), math.cos(k * y)
-        sz, cz = math.sin(k * z), math.cos(k * z)
-        s2x, c2x = 2.0 * sx * cx, 1.0 - 2.0 * sx * sx
-        s2y, c2y = 2.0 * sy * cy, 1.0 - 2.0 * sy * sy
-        s2z, c2z = 2.0 * sz * cz, 1.0 - 2.0 * sz * sz
-
-        AF = A * F
-        V = np.array((AF * sx * cy * cz, -AF * cx * sy * cz, 0.0))
-        Ak = A * k * F
-        gradV = np.array((
-            (Ak * cx * cy * cz, Ak * sx * sy * cz, 0.0),
-            (-Ak * sx * sy * cz, -Ak * cx * cy * cz, 0.0),
-            (-Ak * sx * cy * sz, Ak * cx * sy * sz, 0.0),
-        ))
-        xi = np.array((-Ak * cx * sy * sz, -Ak * sx * cy * sz, 2.0 * Ak * sx * sy * cz))
-
-        w = A * A / 16.0 * F2
-        czz = c2z + 2.0
-        cxy = c2x + c2y
-        p1 = self.p0 + w * (czz * cxy - 2.0)
-        kw2 = 2.0 * k * w
-        gp = np.array((-kw2 * s2x * czz, -kw2 * s2y * czz, -kw2 * s2z * cxy))
-        kw4 = 4.0 * k * k * w
-        H = np.array((
-            (-kw4 * c2x * czz, 0.0, kw4 * s2x * s2z),
-            (0.0, -kw4 * c2y * czz, kw4 * s2y * s2z),
-            (kw4 * s2x * s2z, kw4 * s2y * s2z, -kw4 * c2z * cxy),
-        ))
-        lam = -4.0 * nu * k * k  # d/dt of F^2 divided by F^2
-        dtgp = lam * gp if nu > 0.0 else _Z3.copy()
-        return FluidSample(V, gradV, xi, p1, gp, H, dtgp)
-
-    def sample_kinetic(self, r, t):
+    def _fields(self, r, t, full):
         A, k, nu = self.A, self.k, self.nu
         x, y, z = r[0], r[1], r[2]
         F = math.exp(-2.0 * nu * k * k * t) if nu > 0.0 else 1.0
@@ -223,14 +186,24 @@ class TaylorGreenField(FieldProvider):
         kw2 = 2.0 * k * w
         gx, gy, gz = -kw2 * s2x * czz, -kw2 * s2y * czz, -kw2 * s2z * cxy
         kw4 = 4.0 * k * k * w
-        lam = -4.0 * nu * k * k
-        return (AF * sx * cy * cz, -AF * cx * sy * cz, 0.0, p1, gx, gy, gz,
-                -kw4 * c2x * czz, 0.0, kw4 * s2x * s2z,
-                -kw4 * c2y * czz, kw4 * s2y * s2z, -kw4 * c2z * cxy,
-                lam * gx, lam * gy, lam * gz)
+        lam = -4.0 * nu * k * k  # d/dt of F^2 divided by F^2
+        kin = (AF * sx * cy * cz, -AF * cx * sy * cz, 0.0, p1, gx, gy, gz,
+               -kw4 * c2x * czz, 0.0, kw4 * s2x * s2z,
+               -kw4 * c2y * czz, kw4 * s2y * s2z, -kw4 * c2z * cxy,
+               lam * gx, lam * gy, lam * gz)
+        if not full:
+            return kin
+        Ak = A * k * F
+        gradV = np.array((
+            (Ak * cx * cy * cz, Ak * sx * sy * cz, 0.0),
+            (-Ak * sx * sy * cz, -Ak * cx * cy * cz, 0.0),
+            (-Ak * sx * cy * sz, Ak * cx * sy * sz, 0.0),
+        ))
+        xi = np.array((-Ak * cx * sy * sz, -Ak * sx * cy * sz, 2.0 * Ak * sx * sy * cz))
+        return kin, gradV, xi
 
 
-class LambOseenField(FieldProvider):
+class LambOseenField(_AnalyticField):
     """Gaussian-core line vortex with a uniform axial velocity.
 
     V_phi(rho) = Gamma / (2 pi rho) (1 - exp(-rho^2 / rc^2)), V_z = W.
@@ -274,45 +247,32 @@ class LambOseenField(FieldProvider):
             dq = (-0.5 + sa * (1.0 / 3.0 - sa * 0.125)) / (a * a)
         return q, dq
 
-    def sample(self, r, t):
-        x, y = float(r[0]), float(r[1])
+    def _fields(self, r, t, full):
+        x, y = r[0], r[1]
         s = x * x + y * y
         G = self.Gamma / (2.0 * math.pi)
         q, dq = self._q(s)
+        a = self.rc * self.rc
+        E = math.exp(-s / a)
+        p1 = self.p0 - self.pa * E
+        w = 2.0 * self.pa * E / a
+        dw = -w / a  # dw/ds
         # V = G * q(s) * (-y, x, 0) + W z_hat
-        V = np.array((-G * q * y, G * q * x, self.W))
+        kin = (-G * q * y, G * q * x, self.W, p1, w * x, w * y, 0.0,
+               w + 2.0 * x * x * dw, 2.0 * x * y * dw, 0.0,
+               w + 2.0 * y * y * dw, 0.0, 0.0, 0.0, 0.0, 0.0)
+        if not full:
+            return kin
         dqx, dqy = 2.0 * x * dq, 2.0 * y * dq
         gradV = np.array((
             (-G * dqx * y, G * (q + dqx * x), 0.0),
             (-G * (q + dqy * y), G * dqy * x, 0.0),
             (0.0, 0.0, 0.0),
         ))
-        xi_z = G * (2.0 * q + dqx * x + dqy * y)
-        xi = np.array((0.0, 0.0, xi_z))
+        xi = np.array((0.0, 0.0, G * (2.0 * q + dqx * x + dqy * y)))
+        return kin, gradV, xi
 
-        a = self.rc * self.rc
-        E = math.exp(-s / a)
-        p1 = self.p0 - self.pa * E
-        w = 2.0 * self.pa * E / a
-        gp = np.array((w * x, w * y, 0.0))
-        dw = -w / a  # dw/ds
-        H = np.array((
-            (w + 2.0 * x * x * dw, 2.0 * x * y * dw, 0.0),
-            (2.0 * x * y * dw, w + 2.0 * y * y * dw, 0.0),
-            (0.0, 0.0, 0.0),
-        ))
-        return FluidSample(V, gradV, xi, p1, gp, H, _Z3.copy())
 
-    def sample_kinetic(self, r, t):
-        x, y = r[0], r[1]
-        s = x * x + y * y
-        G = self.Gamma / (2.0 * math.pi)
-        q, _ = self._q(s)
-        a = self.rc * self.rc
-        E = math.exp(-s / a)
-        p1 = self.p0 - self.pa * E
-        w = 2.0 * self.pa * E / a
-        dw = -w / a
-        return (-G * q * y, G * q * x, self.W, p1, w * x, w * y, 0.0,
-                w + 2.0 * x * x * dw, 2.0 * x * y * dw, 0.0,
-                w + 2.0 * y * y * dw, 0.0, 0.0, 0.0, 0.0, 0.0)
+PROVIDERS = {cls.name: cls for cls in (UniformField, UniformGradientField,
+                                       RigidRotationField, TaylorGreenField,
+                                       LambOseenField)}

@@ -283,6 +283,8 @@ def load_grid(path, interpolation="tricubic"):
     spacing = header(3, "spacing", 3, float)
     if any(n <= 0 for n in dims):
         raise ParseError("dims must be positive")
+    if not all(math.isfinite(v) for v in origin + spacing):
+        raise ParseError("origin and spacing must be finite")
     if any(d <= 0.0 for d in spacing):
         raise ParseError("spacing must be positive")
     if lines[4].split() != ["fields", "V", "p1hat"]:
@@ -296,6 +298,8 @@ def load_grid(path, interpolation="tricubic"):
         values = np.array(payload, dtype=float)
     except ValueError:
         raise ParseError("payload contains a non-numeric token") from None
+    if not np.all(np.isfinite(values)):
+        raise ParseError("payload contains a non-finite value")
     records = values.reshape(n, 4)
     # file order is x-fastest: reshape to (nz, ny, nx) then transpose
     V = records[:, 0:3].reshape(dims[2], dims[1], dims[0], 3).transpose(2, 1, 0, 3)

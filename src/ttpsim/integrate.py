@@ -39,15 +39,18 @@ class IntegratorConfig:
     renormalize_every: int = 0
     project_tangency_every: int = 0
     eps_grad: float = EPS_GRAD_DEFAULT
-    omega_route: str = "direct"
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "eps_grad"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ValidationError("dt must be positive")
         if self.method not in ("rk4_rodrigues", "rk4_naive"):
             raise ValidationError(f"unknown method {self.method!r}")
-        if self.omega_route not in ("direct", "decomposed"):
-            raise ValidationError(f"unknown omega_route {self.omega_route!r}")
+        for name in ("renormalize_every", "project_tangency_every"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0 (0 means never)")
 
 
 @dataclass(slots=True)
@@ -117,55 +120,12 @@ class Trajectory:
         )
 
 
-def _rotate_by_vector(n, theta):
-    """Exact rotation of n by the rotation vector theta (axis-angle)."""
-    angle = math.sqrt(theta[0] * theta[0] + theta[1] * theta[1] + theta[2] * theta[2])
-    if angle == 0.0:
-        return n.copy()
-    kx, ky, kz = theta[0] / angle, theta[1] / angle, theta[2] / angle
-    c, s = math.cos(angle), math.sin(angle)
-    nx, ny, nz = n[0], n[1], n[2]
-    dot = (kx * nx + ky * ny + kz * nz) * (1.0 - c)
-    out = np.array((
-        nx * c + (ky * nz - kz * ny) * s + kx * dot,
-        ny * c + (kz * nx - kx * nz) * s + ky * dot,
-        nz * c + (kx * ny - ky * nx) * s + kz * dot,
-    ))
-    # absorb last-ulp rounding so the norm never random-walks
-    out /= math.sqrt(out[0] * out[0] + out[1] * out[1] + out[2] * out[2])
-    return out
-
-
-def rotate_unit(n, omega, dt):
-    """Rotate unit vector n about omega/|omega| by angle |omega| dt.
-
-    omega = 0 returns n unchanged bit-exactly.  The result is renormalized,
-    so its norm is 1 to within one rounding.
-    """
-    return _rotate_by_vector(n, omega * dt)
-
-
-def _dexpinv(theta, w):
-    """Inverse differential of the rotation exponential, truncated at order 2.
-
-    dexpinv(theta, w) = w - 1/2 theta x w + 1/12 theta x (theta x w) + ...;
-    the omitted terms are O(|theta|^4), sufficient for a 4th-order method.
-    """
-    c1 = np.array((
-        theta[1] * w[2] - theta[2] * w[1],
-        theta[2] * w[0] - theta[0] * w[2],
-        theta[0] * w[1] - theta[1] * w[0],
-    ))
-    c2 = np.array((
-        theta[1] * c1[2] - theta[2] * c1[1],
-        theta[2] * c1[0] - theta[0] * c1[2],
-        theta[0] * c1[1] - theta[1] * c1[0],
-    ))
-    return w - 0.5 * c1 + (1.0 / 12.0) * c2
-
-
 def _rot_s(nx, ny, nz, tx, ty, tz):
-    """Scalar Rodrigues rotation of (nx, ny, nz) by rotation vector (tx, ty, tz)."""
+    """Rodrigues rotation of (nx, ny, nz) by the rotation vector (tx, ty, tz).
+
+    Exact axis-angle rotation; the result is renormalized to absorb
+    last-ulp rounding, so the norm never random-walks.
+    """
     angle = math.sqrt(tx * tx + ty * ty + tz * tz)
     if angle == 0.0:
         return nx, ny, nz
@@ -179,8 +139,21 @@ def _rot_s(nx, ny, nz, tx, ty, tz):
     return ox * inv, oy * inv, oz * inv
 
 
+def rotate_unit(n, omega, dt):
+    """Rotate unit vector n about omega/|omega| by angle |omega| dt.
+
+    omega = 0 returns n unchanged bit-exactly.  The result is renormalized,
+    so its norm is 1 to within one rounding.
+    """
+    return np.array(_rot_s(*n, *(omega * dt)))
+
+
 def _dexpinv_s(tx, ty, tz, wx, wy, wz):
-    """Scalar dexpinv, truncated at the quadratic term."""
+    """Inverse differential of the rotation exponential, truncated at order 2.
+
+    dexpinv(theta, w) = w - 1/2 theta x w + 1/12 theta x (theta x w) + ...;
+    the omitted terms are O(|theta|^4), sufficient for a 4th-order method.
+    """
     c1x = ty * wz - tz * wy
     c1y = tz * wx - tx * wz
     c1z = tx * wy - ty * wx
@@ -192,15 +165,11 @@ def _dexpinv_s(tx, ty, tz, wx, wy, wz):
             wz - 0.5 * c1z + c2z / 12.0)
 
 
-def _advance_rodrigues(provider, t, r, n, beta, dt, eps_grad, route, ev1):
+def _advance_rodrigues(provider, t, r, n, beta, dt, eps_grad, ev1):
     """One rk4_rodrigues step given the already-evaluated first stage.
 
-    Direct route: scalar arithmetic throughout (hot loop).  The decomposed
-    route goes through the full per-stage evaluation.
+    Scalar arithmetic throughout (hot loop).
     """
-    if route != "direct":
-        return _advance_rodrigues_generic(provider, t, r, n, beta, dt,
-                                          eps_grad, route, ev1)
     half = 0.5 * dt
     rx, ry, rz = float(r[0]), float(r[1]), float(r[2])
     nx, ny, nz = float(n[0]), float(n[1]), float(n[2])
@@ -241,30 +210,6 @@ def _advance_rodrigues(provider, t, r, n, beta, dt, eps_grad, route, ev1):
     return r_new, n_new
 
 
-def _advance_rodrigues_generic(provider, t, r, n, beta, dt, eps_grad, route, ev1):
-    half = 0.5 * dt
-    a1, w1 = ev1.dr_dt, ev1.omega
-
-    th2 = half * w1
-    e2 = rhs_terms(provider, t + half, r + half * a1, _rotate_by_vector(n, th2),
-                   beta, eps_grad, route)
-    a2, w2 = e2.dr_dt, _dexpinv(th2, e2.omega)
-
-    th3 = half * w2
-    e3 = rhs_terms(provider, t + half, r + half * a2, _rotate_by_vector(n, th3),
-                   beta, eps_grad, route)
-    a3, w3 = e3.dr_dt, _dexpinv(th3, e3.omega)
-
-    th4 = dt * w3
-    e4 = rhs_terms(provider, t + dt, r + dt * a3, _rotate_by_vector(n, th4),
-                   beta, eps_grad, route)
-    a4, w4 = e4.dr_dt, _dexpinv(th4, e4.omega)
-
-    r_new = r + (dt / 6.0) * (a1 + 2.0 * (a2 + a3) + a4)
-    theta = (dt / 6.0) * (w1 + 2.0 * (w2 + w3) + w4)
-    return r_new, _rotate_by_vector(n, theta)
-
-
 def _cross(a, b):
     return np.array((
         a[1] * b[2] - a[2] * b[1],
@@ -273,21 +218,21 @@ def _cross(a, b):
     ))
 
 
-def _advance_naive(provider, t, r, n, beta, dt, eps_grad, route, ev1):
+def _advance_naive(provider, t, r, n, beta, dt, eps_grad, ev1):
     """One classical vector RK4 step on (r, n); n norm not preserved."""
     half = 0.5 * dt
     a1 = ev1.dr_dt
     k1 = _cross(ev1.omega, n)
 
-    e2 = rhs_terms(provider, t + half, r + half * a1, n + half * k1, beta, eps_grad, route)
+    e2 = rhs_terms(provider, t + half, r + half * a1, n + half * k1, beta, eps_grad)
     a2 = e2.dr_dt
     k2 = _cross(e2.omega, n + half * k1)
 
-    e3 = rhs_terms(provider, t + half, r + half * a2, n + half * k2, beta, eps_grad, route)
+    e3 = rhs_terms(provider, t + half, r + half * a2, n + half * k2, beta, eps_grad)
     a3 = e3.dr_dt
     k3 = _cross(e3.omega, n + half * k2)
 
-    e4 = rhs_terms(provider, t + dt, r + dt * a3, n + dt * k3, beta, eps_grad, route)
+    e4 = rhs_terms(provider, t + dt, r + dt * a3, n + dt * k3, beta, eps_grad)
     a4 = e4.dr_dt
     k4 = _cross(e4.omega, n + dt * k3)
 
@@ -298,11 +243,10 @@ def _advance_naive(provider, t, r, n, beta, dt, eps_grad, route, ev1):
 
 def step(state, provider, config):
     """Advance one state by one step of the configured method."""
-    ev1 = rhs_terms(provider, state.t, state.r, state.n, state.beta,
-                    config.eps_grad, config.omega_route)
+    ev1 = rhs_terms(provider, state.t, state.r, state.n, state.beta, config.eps_grad)
     advance = _advance_rodrigues if config.method == "rk4_rodrigues" else _advance_naive
     r_new, n_new = advance(provider, state.t, state.r, state.n, state.beta,
-                           config.dt, config.eps_grad, config.omega_route, ev1)
+                           config.dt, config.eps_grad, ev1)
     return TtpState(t=state.t + config.dt, r=r_new, n=n_new, beta=state.beta)
 
 
@@ -336,8 +280,8 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
     if abs(nrm - 1.0) > 1e-9:
         raise ValidationError(f"|n0| = {nrm:.12g} is not a unit vector")
 
-    eps_grad, route = config.eps_grad, config.omega_route
-    ev = rhs_terms(provider, t0, r, n, beta, eps_grad, route)
+    eps_grad = config.eps_grad
+    ev = rhs_terms(provider, t0, r, n, beta, eps_grad)
     if ev.b is not None:
         ndb = float(n @ ev.b)
         if abs(ndb) > TANGENCY_TOL:
@@ -350,7 +294,7 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
                 raise InitialTangencyViolation(
                     "initial direction is parallel to the isobaric normal; "
                     "no tangential projection exists")
-            ev = rhs_terms(provider, t0, r, n, beta, eps_grad, route)
+            ev = rhs_terms(provider, t0, r, n, beta, eps_grad)
 
     traj = Trajectory(n_steps + 1)
     advance = _advance_rodrigues if config.method == "rk4_rodrigues" else _advance_naive
@@ -380,18 +324,17 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
         if k == n_steps:
             break
         try:
-            r_new, n_new = advance(provider, t, r, n, beta, config.dt,
-                                   eps_grad, route, ev)
+            r_new, n_new = advance(provider, t, r, n, beta, config.dt, eps_grad, ev)
             r, n = r_new, n_new
             if renorm and (k + 1) % renorm == 0:
                 n = n / math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
             t = t0 + (k + 1) * config.dt
-            ev = rhs_terms(provider, t, r, n, beta, eps_grad, route)
+            ev = rhs_terms(provider, t, r, n, beta, eps_grad)
             if reproject and (k + 1) % reproject == 0 and ev.b is not None:
                 proj = _project_tangent(n, ev.b)
                 if proj is not None:
                     n = proj
-                    ev = rhs_terms(provider, t, r, n, beta, eps_grad, route)
+                    ev = rhs_terms(provider, t, r, n, beta, eps_grad)
         except OutOfDomain as err:
             terminated = True
             reason = f"out_of_domain: {err}"

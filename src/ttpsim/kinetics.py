@@ -128,18 +128,13 @@ def omega_direct(sample, state, eps_grad=EPS_GRAD_DEFAULT):
     Since b x b = 0 the projection inside db/dt drops out and
     Omega = b x (dg/dt) / |g|; orthogonal to b by construction.
     """
-    g = sample.grad_p1hat
-    gn = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
-    if gn <= eps_grad:
-        raise DegenerateGradient(f"|grad p1hat| = {gn:g} <= {eps_grad:g}")
-    w = sample.V + (state.beta * thermal_velocity(sample)) * state.n
-    gdot = sample.dt_grad_p1hat + sample.hess_p1hat @ w
-    inv = 1.0 / (gn * gn)
-    return np.array((
-        (g[1] * gdot[2] - g[2] * gdot[1]) * inv,
-        (g[2] * gdot[0] - g[0] * gdot[2]) * inv,
-        (g[0] * gdot[1] - g[1] * gdot[0]) * inv,
-    ))
+    kin = sample.kinetic()
+    gx, gy, gz = kin[4:7]
+    g2 = gx * gx + gy * gy + gz * gz
+    if g2 <= eps_grad * eps_grad:
+        raise DegenerateGradient(f"|grad p1hat| = {math.sqrt(g2):g} <= {eps_grad:g}")
+    nx, ny, nz = state.n.tolist()
+    return np.array(_rates(kin, nx, ny, nz, state.beta, eps_grad)[3:])
 
 
 def omega_decomposed(sample, state, eps_grad=EPS_GRAD_DEFAULT):
@@ -189,51 +184,17 @@ def omega_decomposed(sample, state, eps_grad=EPS_GRAD_DEFAULT):
     )
 
 
-def rhs_terms(provider, t, r, n, beta, eps_grad=EPS_GRAD_DEFAULT, omega_route="direct"):
-    """Full right-hand-side evaluation at (t, r, n), with record quantities.
+def _rates(kin, nx, ny, nz, beta, eps_grad):
+    """Particle velocity V + u and rotation rate Omega from kinetic fields.
 
-    Applies the degenerate-gradient policy: when |grad p1hat| <= eps_grad
-    the rotation rate is zero (the direction freezes) and the evaluation is
-    flagged.
-    """
-    s = provider.sample(r, t)
-    p1 = s.p1hat
-    if p1 < 0.0:
-        raise NegativePressure(f"p1hat = {p1:g} < 0")
-    v_th = math.sqrt(2.0 * p1)
-    u = (beta * v_th) * n
-    V = s.V
-    w = V + u
-
-    g = s.grad_p1hat
-    g2 = g[0] * g[0] + g[1] * g[1] + g[2] * g[2]
-    if g2 <= eps_grad * eps_grad:
-        return RhsEval(s, None, v_th, u, w, np.zeros(3), True)
-
-    if omega_route == "direct":
-        gdot = s.dt_grad_p1hat + s.hess_p1hat @ w
-        inv = 1.0 / g2
-        omega = np.array((
-            (g[1] * gdot[2] - g[2] * gdot[1]) * inv,
-            (g[2] * gdot[0] - g[0] * gdot[2]) * inv,
-            (g[0] * gdot[1] - g[1] * gdot[0]) * inv,
-        ))
-    else:
-        state = TtpState(t=t, r=r, n=n, beta=beta)
-        omega = omega_decomposed(s, state, eps_grad).omega_decomposed
-    return RhsEval(s, g / math.sqrt(g2), v_th, u, w, omega, False)
-
-
-def stage_eval(provider, t, x, y, z, nx, ny, nz, beta, eps_grad):
-    """Scalar-only stage evaluation for the integrator's direct route.
-
-    Returns (ax, ay, az, ox, oy, oz): particle velocity V + u and rotation
-    rate (zero under the degenerate-gradient policy).  Allocation-free; the
-    hot loop calls this three times per step on top of the record
-    evaluation.
+    ``kin`` is the flat tuple of ``FieldProvider.sample_kinetic``.  Returns
+    (wx, wy, wz, ox, oy, oz) with Omega = g x (dt g + H (V + u)) / |g|^2,
+    which is zero under the degenerate-gradient policy.  The one place the
+    rotation rate is computed: the integrator stages, the record evaluation
+    and ``omega_direct`` all read it from here.
     """
     (Vx, Vy, Vz, p1, gx, gy, gz,
-     Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, dgx, dgy, dgz) = provider.sample_kinetic((x, y, z), t)
+     Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, dgx, dgy, dgz) = kin
     if p1 < 0.0:
         raise NegativePressure(f"p1hat = {p1:g} < 0")
     bu = beta * math.sqrt(2.0 * p1)
@@ -253,14 +214,44 @@ def stage_eval(provider, t, x, y, z, nx, ny, nz, beta, eps_grad):
             (gx * gdy - gy * gdx) * inv)
 
 
-def state_rhs(state, provider, eps_grad=EPS_GRAD_DEFAULT, omega_route="direct"):
+def rhs_terms(provider, t, r, n, beta, eps_grad=EPS_GRAD_DEFAULT):
+    """Full right-hand-side evaluation at (t, r, n), with record quantities.
+
+    Applies the degenerate-gradient policy: when |grad p1hat| <= eps_grad
+    the rotation rate is zero (the direction freezes) and the evaluation is
+    flagged.
+    """
+    s = provider.sample(r, t)
+    kin = s.kinetic()
+    nx, ny, nz = n.tolist()
+    wx, wy, wz, ox, oy, oz = _rates(kin, nx, ny, nz, beta, eps_grad)
+    v_th = math.sqrt(2.0 * kin[3])
+    gx, gy, gz = kin[4:7]
+    g2 = gx * gx + gy * gy + gz * gz
+    degenerate = g2 <= eps_grad * eps_grad
+    b = None if degenerate else s.grad_p1hat / math.sqrt(g2)
+    return RhsEval(s, b, v_th, (beta * v_th) * n, np.array((wx, wy, wz)),
+                   np.array((ox, oy, oz)), degenerate)
+
+
+def stage_eval(provider, t, x, y, z, nx, ny, nz, beta, eps_grad):
+    """Scalar-only stage evaluation for the integrator.
+
+    Returns (ax, ay, az, ox, oy, oz): particle velocity V + u and rotation
+    rate (zero under the degenerate-gradient policy).  Allocation-free; the
+    hot loop calls this three times per step on top of the record
+    evaluation.
+    """
+    return _rates(provider.sample_kinetic((x, y, z), t), nx, ny, nz, beta, eps_grad)
+
+
+def state_rhs(state, provider, eps_grad=EPS_GRAD_DEFAULT):
     """Time derivative of the reduced state.
 
     dr/dt = V + u and dn/dt = Omega x n.  Under the degenerate-gradient
     policy Omega = 0, so the direction is frozen there.
     """
-    ev = rhs_terms(provider, state.t, state.r, state.n, state.beta,
-                   eps_grad=eps_grad, omega_route=omega_route)
+    ev = rhs_terms(provider, state.t, state.r, state.n, state.beta, eps_grad=eps_grad)
     om, n = ev.omega, state.n
     dn_dt = np.array((
         om[1] * n[2] - om[2] * n[1],

@@ -197,6 +197,27 @@ def test_simulate_validation_exit2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("extra", [
+    "\n[integrator]\ndt = nan\n",
+    "\n[integrator]\nt_end = nan\n",
+    "\n[integrator]\ndt = inf\n",
+    "\n[integrator]\neps_grad = nan\n",
+    "\n[integrator]\nt0 = -inf\n",
+    "\n[particle]\nbeta = nan\n",
+    "\n[particle]\nr0 = 0 inf 0\n",
+    "\n[particle]\nn0 = 0 nan 1\n",
+    "p0 = nan\n",
+], ids=["dt_nan", "t_end_nan", "dt_inf", "eps_grad_nan", "t0_inf", "beta_nan",
+        "r0_inf", "n0_nan", "param_nan"])
+def test_non_finite_value_exit2(tmp_path, capsys, extra):
+    out = tmp_path / "out"
+    text = MINIMAL + extra + f"\n[output]\ndirectory = {out}\n"
+    rc = main(["simulate", _write(tmp_path, text)])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exit2(tmp_path):
     rc = main(["simulate", str(tmp_path / "nope.cfg")])
     assert rc == 2

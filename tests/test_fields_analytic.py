@@ -1,6 +1,9 @@
 """Analytic provider contracts: values, derivative consistency, registry."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -120,6 +123,30 @@ def test_rigid_rotation_velocity_and_curl(rigid):
     np.testing.assert_array_equal(s.V, (0.0, 1.0, 0.0))
     np.testing.assert_array_equal(s.xi, (0.0, 0.0, 2.0))
     s.check()
+
+
+_CHECK_VIOLATIONS = """
+import numpy as np
+from ttpsim import FluidSample
+z, Z = np.zeros(3), np.zeros((3, 3))
+bad = [FluidSample(z, Z, np.ones(3), 1.0, z, Z, z),                # xi != curl gradV
+       FluidSample(z, Z, z, 1.0, z, np.triu(np.ones((3, 3))), z),  # asymmetric Hessian
+       FluidSample(z, Z, z, -1.0, z, Z, z)]                        # negative pressure
+for s in bad:
+    try:
+        s.check()
+    except AssertionError:
+        continue
+    raise SystemExit("check() passed an invalid sample")
+"""
+
+
+def test_sample_check_raises_under_optimize():
+    # python -O strips assert statements; check() must not rely on them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-O", "-c", _CHECK_VIOLATIONS], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_lamb_oseen_smooth_through_axis(lamb_oseen):

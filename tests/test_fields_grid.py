@@ -158,6 +158,21 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError):
         load_grid(bad_fields)
 
+    for i, token in enumerate(("nan", "inf", "-inf")):
+        non_finite = tmp_path / f"e{i}.grid"
+        non_finite.write_text(
+            "TTPGRID 1\ndims 2 2 2\norigin 0 0 0\nspacing 1 1 1\nfields V p1hat\n"
+            + "0 0 0 1\n" * 7 + f"0 {token} 0 1\n")
+        with pytest.raises(ParseError, match="non-finite"):
+            load_grid(non_finite)
+
+    bad_spacing = tmp_path / "f.grid"
+    bad_spacing.write_text(
+        "TTPGRID 1\ndims 2 2 2\norigin 0 0 0\nspacing 1 nan 1\nfields V p1hat\n"
+        + "0 0 0 1\n" * 8)
+    with pytest.raises(ParseError, match="finite"):
+        load_grid(bad_spacing)
+
 
 def test_x_fastest_ordering(tmp_path):
     # hand-written 2x2x2 grid: p1hat = x + 10 y + 100 z at unit nodes

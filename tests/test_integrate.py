@@ -343,7 +343,11 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         IntegratorConfig(method="euler")
     with pytest.raises(ValidationError):
-        IntegratorConfig(omega_route="magic")
+        IntegratorConfig(renormalize_every=-1)
+    for bad in ({"dt": math.inf}, {"dt": math.nan}, {"t_end": math.nan},
+                {"t_end": math.inf}, {"eps_grad": math.nan}):
+        with pytest.raises(ValidationError, match="finite"):
+            IntegratorConfig(**bad)
 
 
 def test_records_expose_fields(rigid):

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ttpsim import (DegenerateGradient, FluidSample, NegativePressure,
-                    RigidRotationField, TaylorGreenField, TtpState,
+from ttpsim import (EPS_GRAD_DEFAULT, DegenerateGradient, FluidSample, GridField,
+                    NegativePressure, RigidRotationField, TaylorGreenField, TtpState,
                     UniformGradientField, isobaric_normal, isobaric_normal_rate,
                     omega_decomposed, omega_direct, relative_velocity, state_rhs,
                     thermal_velocity)
+from ttpsim.kinetics import rhs_terms, stage_eval
 
-from conftest import interior_points
+from conftest import all_builtin_providers, interior_points
 
 
 def _sample_with(grad, p1=1.0, V=(0, 0, 0), hess=None, xi=(0, 0, 0),
@@ -276,3 +277,37 @@ def test_state_rhs_orthogonality(taylor_green):
         st = _state(n, beta=0.9, r=r)
         d = state_rhs(st, taylor_green)
         assert abs(d.dn_dt @ n) <= 1e-12 * max(np.linalg.norm(d.dn_dt), 1e-300)
+
+
+def _taylor_green_grid():
+    tg = TaylorGreenField()
+    ax = np.linspace(0.0, 2.0 * math.pi, 9)
+    V = np.empty((9, 9, 9, 3))
+    p1 = np.empty((9, 9, 9))
+    for idx in np.ndindex(9, 9, 9):
+        s = tg.sample(ax[list(idx)], 0.0)
+        V[idx], p1[idx] = s.V, s.p1hat
+    return GridField.from_axes(ax, ax, ax, V, p1)
+
+
+@pytest.mark.parametrize("provider", all_builtin_providers() + [_taylor_green_grid()],
+                         ids=lambda p: p.name)
+def test_omega_sites_bit_identical(provider):
+    # the record evaluation, the integrator stage and omega_direct share one kernel
+    rng = np.random.default_rng(41)
+    t = 0.25
+    for r in interior_points(provider, 40, seed=41):
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        beta = rng.uniform(0.2, 1.5)
+        ev = rhs_terms(provider, t, r, n, beta)
+        st = stage_eval(provider, t, *r.tolist(), *n.tolist(), beta, EPS_GRAD_DEFAULT)
+        s = provider.sample(r, t)
+        if ev.degenerate:
+            assert tuple(ev.omega) == st[3:] == (0.0, 0.0, 0.0)
+            with pytest.raises(DegenerateGradient):
+                omega_direct(s, _state(n, beta=beta, r=r, t=t))
+            continue
+        om = omega_direct(s, _state(n, beta=beta, r=r, t=t))
+        assert tuple(ev.omega) == st[3:] == tuple(om)
+        assert tuple(ev.dr_dt) == st[:3]
