@@ -116,7 +116,7 @@ class FieldProvider:
         Hzz, dgx, dgy, dgz) where g is grad_p1hat, H its Hessian and dg its
         time derivative.  The default derives from :meth:`sample`; analytic
         providers override with allocation-free scalar math (the integrator
-        hot loop calls this four times per step).  Must agree with
+        hot loop calls this three times per step).  Must agree with
         :meth:`sample` to rounding.
         """
         return self.sample(np.asarray(r, dtype=float), t).kinetic()
