@@ -27,7 +27,8 @@ print(f"thermal speed v_th(R)     = {v_th:.6f}")
 print(f"angular rate (predicted)  = {theta_dot:.6f}")
 print(f"axial climb rate          = {gamma * beta * v_th:.6f}")
 
-cfg = IntegratorConfig(dt=1e-3, t_end=2.0 * math.pi / theta_dot)  # one turn
+dt = 1e-3
+cfg = IntegratorConfig(dt=dt, t_end=dt * round(2.0 * math.pi / theta_dot / dt))  # one turn
 traj = integrate_trajectory(state0, prov, cfg)
 oracle = trajectory_oracle(prov, state0)
 r_exact, n_exact = oracle(traj.t[-1])

@@ -21,7 +21,7 @@ from .errors import NotFound, ParseError, TtpsimError, ValidationError
 from .fields import (create_provider, fd_verify_derivatives, lookup,
                      register_builtin_providers)
 from .fields.grid import load_grid
-from .integrate import IntegratorConfig, integrate_trajectory
+from .integrate import IntegratorConfig, integrate_trajectory, step_count
 from .kinetics import TtpState, isobaric_normal
 from .ensemble import (EnsembleSpec, evolve_ensemble, seed_tangent_circle,
                        tangent_frame)
@@ -269,6 +269,7 @@ def parse_config(path):
             cfg.t0 = _parse_float("t0", itg.pop("t0"))
         cfg.integrator = IntegratorConfig(
             **{k: _INTEGRATOR_KEYS[k](k, v) for k, v in itg.items()})
+    step_count(cfg.t0, cfg.integrator.t_end, cfg.integrator.dt)  # whole steps, else exit 2
 
     ens = sections.pop("ensemble", {})
     if ens:

@@ -35,7 +35,7 @@ class _AnalyticField(FieldProvider):
 
 
 class UniformField(_AnalyticField):
-    """Constant velocity V0, constant pressure p0.
+    """Constant velocity V0 = (V0x, V0y, V0z), constant pressure p0.
 
     The pressure gradient vanishes identically, so the isobaric normal is
     degenerate everywhere; particles translate in straight lines with a
@@ -45,10 +45,10 @@ class UniformField(_AnalyticField):
     name = "uniform"
     time_dependent = False
 
-    def __init__(self, V0=(1.0, 0.0, 0.0), p0=0.5):
+    def __init__(self, V0x=1.0, V0y=0.0, V0z=0.0, p0=0.5):
         if p0 < 0.0:
             raise ValidationError("p0 must be >= 0")
-        self.V0 = np.asarray(V0, dtype=float)
+        self.V0 = np.array((V0x, V0y, V0z), dtype=float)
         self.p0 = float(p0)
 
     def params(self):
@@ -64,18 +64,19 @@ class UniformField(_AnalyticField):
 class UniformGradientField(_AnalyticField):
     """Constant velocity with a spatially linear pressure.
 
-    p1hat = p0 + g . r, so grad p1hat is the constant vector g and both the
-    Hessian and the time derivative vanish.  The domain is clipped to the box
-    where p1hat stays positive.
+    V = (V0x, V0y, V0z) and p1hat = p0 + g . r with g = (gx, gy, gz), so
+    grad p1hat is the constant vector g and both the Hessian and the time
+    derivative vanish.  The domain is clipped to the box where p1hat stays
+    positive.
     """
 
     name = "uniform_gradient"
     time_dependent = False
 
-    def __init__(self, V0=(1.0, 0.0, 0.0), p0=2.0, g=(0.0, 0.0, 1.0)):
-        self.V0 = np.asarray(V0, dtype=float)
+    def __init__(self, V0x=1.0, V0y=0.0, V0z=0.0, p0=2.0, gx=0.0, gy=0.0, gz=1.0):
+        self.V0 = np.array((V0x, V0y, V0z), dtype=float)
         self.p0 = float(p0)
-        self.g = np.asarray(g, dtype=float)
+        self.g = np.array((gx, gy, gz), dtype=float)
         gnorm = float(np.linalg.norm(self.g))
         if gnorm <= 0.0:
             raise ValidationError("g must be a nonzero vector")

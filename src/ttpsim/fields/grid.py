@@ -2,9 +2,11 @@
 
 Interpolation is tensor-product cubic Hermite with nodal derivatives
 estimated by second-order finite differences (tricubic, C1 across cell
-faces), or optionally trilinear.  All derivatives returned by ``sample``
-are exact derivatives of the interpolant.  Grids are steady, so
-``dt_grad_p1hat`` is identically zero.
+faces), or optionally trilinear.  The nodal data of the four scalars are
+stacked in one array at construction, and one contraction kernel serves
+both ``sample`` and ``sample_kinetic``.  All derivatives returned are exact
+derivatives of the interpolant.  Grids are steady, so ``dt_grad_p1hat`` is
+identically zero.
 
 File format (text, version 1)::
 
@@ -23,8 +25,6 @@ import numpy as np
 from ..errors import NegativePressure, NonUniformSpacing, ParseError, ValidationError
 from . import FieldProvider, FluidSample
 
-_Z3 = np.zeros(3)
-
 
 def _fd_axis(F, axis, h):
     """Second-order nodal derivative estimates along one axis."""
@@ -37,62 +37,51 @@ def _fd_axis(F, axis, h):
     return D
 
 
-def _hermite_basis(s):
-    """Cubic Hermite basis (value0, slope0, value1, slope1) and derivatives."""
+def _cubic_basis(s, h):
+    """Cubic Hermite basis (value0, slope0, value1, slope1) on a cell of width h.
+
+    Flat rows: the basis values, then their first and then their second
+    derivatives in the physical coordinate; slopes are taken as pre-scaled
+    by h.
+    """
     s2 = s * s
     s3 = s2 * s
-    b = np.array((2.0 * s3 - 3.0 * s2 + 1.0, s3 - 2.0 * s2 + s,
-                  -2.0 * s3 + 3.0 * s2, s3 - s2))
-    db = np.array((6.0 * s2 - 6.0 * s, 3.0 * s2 - 4.0 * s + 1.0,
-                   -6.0 * s2 + 6.0 * s, 3.0 * s2 - 2.0 * s))
-    d2b = np.array((12.0 * s - 6.0, 6.0 * s - 4.0, -12.0 * s + 6.0, 6.0 * s - 2.0))
-    return b, db, d2b
+    hh = h * h
+    return (2.0 * s3 - 3.0 * s2 + 1.0, s3 - 2.0 * s2 + s, -2.0 * s3 + 3.0 * s2, s3 - s2,
+            (6.0 * s2 - 6.0 * s) / h, (3.0 * s2 - 4.0 * s + 1.0) / h,
+            (-6.0 * s2 + 6.0 * s) / h, (3.0 * s2 - 2.0 * s) / h,
+            (12.0 * s - 6.0) / hh, (6.0 * s - 4.0) / hh,
+            (-12.0 * s + 6.0) / hh, (6.0 * s - 2.0) / hh)
 
 
-class _HermiteData:
-    """The eight nodal arrays (f and its mixed derivatives) for one scalar."""
-
-    __slots__ = ("F", "Fx", "Fy", "Fz", "Fxy", "Fxz", "Fyz", "Fxyz")
-
-    def __init__(self, F, spacing):
-        dx, dy, dz = spacing
-        self.F = F
-        self.Fx = _fd_axis(F, 0, dx)
-        self.Fy = _fd_axis(F, 1, dy)
-        self.Fz = _fd_axis(F, 2, dz)
-        self.Fxy = _fd_axis(self.Fx, 1, dy)
-        self.Fxz = _fd_axis(self.Fx, 2, dz)
-        self.Fyz = _fd_axis(self.Fy, 2, dz)
-        self.Fxyz = _fd_axis(self.Fxy, 2, dz)
-
-    def cell_tensor(self, i, j, k, spacing):
-        """4x4x4 Hermite data tensor for the cell at node (i, j, k).
-
-        Index p (and q, r) runs over (value@0, slope@0, value@1, slope@1)
-        along one axis; slopes are pre-scaled by the cell width so the basis
-        works on the unit cube.
-        """
-        dx, dy, dz = spacing
-        C = np.empty((4, 4, 4))
-        sl = (slice(i, i + 2), slice(j, j + 2), slice(k, k + 2))
-        pieces = {
-            (0, 0, 0): self.F, (1, 0, 0): self.Fx, (0, 1, 0): self.Fy,
-            (0, 0, 1): self.Fz, (1, 1, 0): self.Fxy, (1, 0, 1): self.Fxz,
-            (0, 1, 1): self.Fyz, (1, 1, 1): self.Fxyz,
-        }
-        for (ax, ay, az), arr in pieces.items():
-            scale = (dx if ax else 1.0) * (dy if ay else 1.0) * (dz if az else 1.0)
-            block = arr[sl] * scale
-            # corner offset c maps to basis index 2*c + deriv flag
-            for ci in range(2):
-                for cj in range(2):
-                    for ck in range(2):
-                        C[2 * ci + ax, 2 * cj + ay, 2 * ck + az] = block[ci, cj, ck]
-        return C
+def _linear_basis(s, h):
+    """Linear basis (value0, value1), with the same three rows as _cubic_basis."""
+    return 1.0 - s, s, -1.0 / h, 1.0 / h, 0.0, 0.0
 
 
-def _contract(C, bx, by, bz):
-    return float(bx @ (C @ bz) @ by)
+def _hermite_nodes(V, p1hat, spacing):
+    """Stacked nodal data ``D[scalar, ax, ay, az, i, j, k]`` for tricubic cells.
+
+    Scalars are (Vx, Vy, Vz, p1hat).  Slot (ax, ay, az) holds the mixed
+    derivative d^(ax+ay+az) F / dx^ax dy^ay dz^az, estimated by second-order
+    differences and scaled by dx^ax dy^ay dz^az, so the basis works on the
+    unit cube.  Each slot is one contiguous block.
+    """
+    dx, dy, dz = spacing
+    D = np.empty((4, 2, 2, 2) + p1hat.shape)
+    for c, F in enumerate((V[..., 0], V[..., 1], V[..., 2], p1hat)):
+        Fx = _fd_axis(F, 0, dx)
+        Fy = _fd_axis(F, 1, dy)
+        Fxy = _fd_axis(Fx, 1, dy)
+        D[c, 0, 0, 0] = F
+        np.multiply(Fx, dx, out=D[c, 1, 0, 0])
+        np.multiply(Fy, dy, out=D[c, 0, 1, 0])
+        np.multiply(_fd_axis(F, 2, dz), dz, out=D[c, 0, 0, 1])
+        np.multiply(Fxy, dx * dy, out=D[c, 1, 1, 0])
+        np.multiply(_fd_axis(Fx, 2, dz), dx * dz, out=D[c, 1, 0, 1])
+        np.multiply(_fd_axis(Fy, 2, dz), dy * dz, out=D[c, 0, 1, 1])
+        np.multiply(_fd_axis(Fxy, 2, dz), dx * dy * dz, out=D[c, 1, 1, 1])
+    return D
 
 
 class GridField(FieldProvider):
@@ -137,11 +126,17 @@ class GridField(FieldProvider):
         hi = self.origin + (self.dims - 1) * self.spacing
         self.domain_bounds = (self.origin.copy(), hi)
         self.reference_box = self.domain_bounds
-        self._V = V
-        self._p1 = p1hat
         if interpolation == "tricubic":
-            self._data = [_HermiteData(V[..., c], self.spacing) for c in range(3)]
-            self._data.append(_HermiteData(p1hat, self.spacing))
+            self._nodes = _hermite_nodes(V, p1hat, self.spacing)
+            self._basis = _cubic_basis
+        else:
+            nodes = np.concatenate((np.moveaxis(V, 3, 0), p1hat[None]))
+            self._nodes = nodes[:, None, None, None]  # values only, no slope slots
+            self._basis = _linear_basis
+        self._width = 2 * self._nodes.shape[1]  # basis functions per axis
+        self._origin = tuple(self.origin.tolist())
+        self._step = tuple(self.spacing.tolist())
+        self._top = tuple(float(n - 1) for n in p1hat.shape)
 
     @classmethod
     def from_axes(cls, x, y, z, V, p1hat, interpolation="tricubic", rtol=1e-9):
@@ -165,98 +160,63 @@ class GridField(FieldProvider):
         return {"nx": int(self.dims[0]), "ny": int(self.dims[1]), "nz": int(self.dims[2])}
 
     def _locate(self, r):
-        rel = (np.asarray(r, dtype=float) - self.origin) / self.spacing
-        n = self.dims
-        if np.any(rel < 0.0) or np.any(rel > n - 1):
-            self._require_inside(r)
-            rel = np.clip(rel, 0.0, n - 1.0)  # hairline rounding at the faces
-        idx = np.minimum(rel.astype(int), n - 2)
-        frac = rel - idx
-        return idx, frac
+        """Cell index and offset in [0, 1] along each axis for the point r."""
+        ox, oy, oz = self._origin
+        hx, hy, hz = self._step
+        tx, ty, tz = self._top
+        qx, qy, qz = (r[0] - ox) / hx, (r[1] - oy) / hy, (r[2] - oz) / hz
+        if not (0.0 <= qx <= tx and 0.0 <= qy <= ty and 0.0 <= qz <= tz):
+            self._require_inside(np.asarray(r, dtype=float))  # NaN is outside too
+            # hairline rounding at the faces
+            qx, qy, qz = min(max(qx, 0.0), tx), min(max(qy, 0.0), ty), min(max(qz, 0.0), tz)
+        i = min(int(qx), int(tx) - 1)
+        j = min(int(qy), int(ty) - 1)
+        k = min(int(qz), int(tz) - 1)
+        return (i, j, k), (qx - i, qy - j, qz - k)
+
+    def _fields(self, r, full):
+        """The one interpolation kernel behind ``sample`` and ``sample_kinetic``.
+
+        Contracts the cell's slice of the stacked nodal data against the
+        (value, d/dx, d^2/dx^2) basis rows of each axis, giving
+        ``T[scalar][x order][y order][z order]``.  Returns the flat kinetic
+        tuple, or with ``full`` true ``(that tuple, gradV, xi)``.
+        """
+        (i, j, k), (fx, fy, fz) = self._locate(r)
+        w = self._width
+        # rows (s, p, q), columns r; along each axis the index is 2 * corner +
+        # slope flag (tricubic) or the corner (trilinear)
+        C = self._nodes[..., i:i + 2, j:j + 2, k:k + 2].transpose(
+            0, 4, 1, 5, 2, 6, 3).reshape(4 * w * w, w)
+        dx, dy, dz = self._step
+        B = np.array((*self._basis(fx, dx), *self._basis(fy, dy),
+                      *self._basis(fz, dz))).reshape(3, 3, w)  # [axis, order, p]
+        C = B[1] @ (C @ B[2].T).reshape(4, w, w, 3)  # [s, p, y order, z order]
+        X, Y, Z, P = (B[0] @ C.reshape(4, w, 9)).reshape(4, 3, 3, 3).tolist()
+        p1 = P[0][0][0]
+        if p1 < 0.0:
+            raise NegativePressure(
+                f"interpolated p1hat = {p1:g} < 0 at {tuple(float(c) for c in r)}")
+        kin = (X[0][0][0], Y[0][0][0], Z[0][0][0], p1,
+               P[1][0][0], P[0][1][0], P[0][0][1],
+               P[2][0][0], P[1][1][0], P[1][0][1], P[0][2][0], P[0][1][1], P[0][0][2],
+               0.0, 0.0, 0.0)
+        if not full:
+            return kin
+        gradV = np.array([[F[1][0][0] for F in (X, Y, Z)],
+                          [F[0][1][0] for F in (X, Y, Z)],
+                          [F[0][0][1] for F in (X, Y, Z)]])
+        xi = np.array((gradV[1, 2] - gradV[2, 1],
+                       gradV[2, 0] - gradV[0, 2],
+                       gradV[0, 1] - gradV[1, 0]))
+        return kin, gradV, xi
 
     def sample(self, r, t):
-        idx, frac = self._locate(r)
-        if self.interpolation == "tricubic":
-            s = self._sample_tricubic(idx, frac)
-        else:
-            s = self._sample_trilinear(idx, frac)
-        if s.p1hat < 0.0:
-            raise NegativePressure(
-                f"interpolated p1hat = {s.p1hat:g} < 0 at {tuple(float(c) for c in r)}")
-        return s
+        return FluidSample.from_kinetic(
+            *self._fields(np.asarray(r, dtype=float).tolist(), True))
 
-    def _sample_tricubic(self, idx, frac):
-        i, j, k = (int(v) for v in idx)
-        dx, dy, dz = self.spacing
-        bx, dbx, d2bx = _hermite_basis(frac[0])
-        by, dby, d2by = _hermite_basis(frac[1])
-        bz, dbz, d2bz = _hermite_basis(frac[2])
-        dbx = dbx / dx
-        dby = dby / dy
-        dbz = dbz / dz
-        d2bx = d2bx / (dx * dx)
-        d2by = d2by / (dy * dy)
-        d2bz = d2bz / (dz * dz)
-
-        V = np.empty(3)
-        gradV = np.empty((3, 3))
-        for c in range(3):
-            C = self._data[c].cell_tensor(i, j, k, self.spacing)
-            V[c] = _contract(C, bx, by, bz)
-            gradV[0, c] = _contract(C, dbx, by, bz)
-            gradV[1, c] = _contract(C, bx, dby, bz)
-            gradV[2, c] = _contract(C, bx, by, dbz)
-        C = self._data[3].cell_tensor(i, j, k, self.spacing)
-        p1 = _contract(C, bx, by, bz)
-        gp = np.array((_contract(C, dbx, by, bz),
-                       _contract(C, bx, dby, bz),
-                       _contract(C, bx, by, dbz)))
-        H = np.empty((3, 3))
-        H[0, 0] = _contract(C, d2bx, by, bz)
-        H[1, 1] = _contract(C, bx, d2by, bz)
-        H[2, 2] = _contract(C, bx, by, d2bz)
-        H[0, 1] = H[1, 0] = _contract(C, dbx, dby, bz)
-        H[0, 2] = H[2, 0] = _contract(C, dbx, by, dbz)
-        H[1, 2] = H[2, 1] = _contract(C, bx, dby, dbz)
-        xi = np.array((gradV[1, 2] - gradV[2, 1],
-                       gradV[2, 0] - gradV[0, 2],
-                       gradV[0, 1] - gradV[1, 0]))
-        return FluidSample(V, gradV, xi, p1, gp, H, _Z3.copy())
-
-    def _sample_trilinear(self, idx, frac):
-        i, j, k = (int(v) for v in idx)
-        dx, dy, dz = self.spacing
-        fx, fy, fz = frac
-        bx = np.array((1.0 - fx, fx))
-        by = np.array((1.0 - fy, fy))
-        bz = np.array((1.0 - fz, fz))
-        dbx = np.array((-1.0, 1.0)) / dx
-        dby = np.array((-1.0, 1.0)) / dy
-        dbz = np.array((-1.0, 1.0)) / dz
-
-        def ev(A, ux, uy, uz):
-            block = A[i:i + 2, j:j + 2, k:k + 2]
-            return float(ux @ (block @ uz) @ uy)
-
-        V = np.empty(3)
-        gradV = np.empty((3, 3))
-        for c in range(3):
-            A = self._V[..., c]
-            V[c] = ev(A, bx, by, bz)
-            gradV[0, c] = ev(A, dbx, by, bz)
-            gradV[1, c] = ev(A, bx, dby, bz)
-            gradV[2, c] = ev(A, bx, by, dbz)
-        A = self._p1
-        p1 = ev(A, bx, by, bz)
-        gp = np.array((ev(A, dbx, by, bz), ev(A, bx, dby, bz), ev(A, bx, by, dbz)))
-        H = np.zeros((3, 3))
-        H[0, 1] = H[1, 0] = ev(A, dbx, dby, bz)
-        H[0, 2] = H[2, 0] = ev(A, dbx, by, dbz)
-        H[1, 2] = H[2, 1] = ev(A, bx, dby, dbz)
-        xi = np.array((gradV[1, 2] - gradV[2, 1],
-                       gradV[2, 0] - gradV[0, 2],
-                       gradV[0, 1] - gradV[1, 0]))
-        return FluidSample(V, gradV, xi, p1, gp, H, _Z3.copy())
+    def sample_kinetic(self, r, t):
+        return self._fields(r, False)
 
 
 def load_grid(path, interpolation="tricubic"):

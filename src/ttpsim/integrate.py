@@ -46,11 +46,31 @@ class IntegratorConfig:
                 raise ValidationError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ValidationError("dt must be positive")
+        if self.eps_grad < 0.0:
+            raise ValidationError("eps_grad must be >= 0")
         if self.method not in ("rk4_rodrigues", "rk4_naive"):
             raise ValidationError(f"unknown method {self.method!r}")
         for name in ("renormalize_every", "project_tangency_every"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0 (0 means never)")
+
+
+def step_count(t0, t_end, dt):
+    """Number of steps of size dt from t0 to t_end.
+
+    The horizon must be a whole number of steps, to 1e-9 relative: order
+    studies compare runs that end at the same time, and a run must never end
+    silently short of t_end.
+    """
+    if t_end <= t0:
+        raise ValidationError("t_end must exceed the initial time")
+    q = (t_end - t0) / dt
+    n = round(q) if math.isfinite(q) else 0
+    if n < 1 or abs(q - n) > 1e-9 * n:
+        raise ValidationError(
+            f"t_end - t0 = {t_end - t0!r} is not a whole number of steps dt = {dt!r} "
+            f"({q:.12g} steps)")
+    return n
 
 
 @dataclass(slots=True)
@@ -269,9 +289,7 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
     Domain exit ends the trajectory early with a recorded reason.
     """
     t0 = float(state0.t)
-    if config.t_end <= t0:
-        raise ValidationError("t_end must exceed the initial time")
-    n_steps = max(1, int(round((config.t_end - t0) / config.dt)))
+    n_steps = step_count(t0, config.t_end, config.dt)
 
     beta = float(state0.beta)
     r = np.array(state0.r, dtype=float)

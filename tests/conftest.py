@@ -7,12 +7,13 @@ from ttpsim import (LambOseenField, RigidRotationField, TaylorGreenField,
 
 @pytest.fixture
 def uniform():
-    return UniformField(V0=(1.0, 0.0, 0.0), p0=0.5)
+    return UniformField(V0x=1.0, V0y=0.0, V0z=0.0, p0=0.5)
 
 
 @pytest.fixture
 def uniform_gradient():
-    return UniformGradientField(V0=(0.7, -0.2, 0.1), p0=2.0, g=(0.0, 0.0, 1.0))
+    return UniformGradientField(V0x=0.7, V0y=-0.2, V0z=0.1, p0=2.0,
+                                gx=0.0, gy=0.0, gz=1.0)
 
 
 @pytest.fixture

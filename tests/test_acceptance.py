@@ -101,10 +101,11 @@ def test_c4_rigid_body_analogy_closed_form_orbit():
                       n=np.array((0.0, 1.0, 0.0)), beta=1.0)
         v_th = math.sqrt(2.0 * prov.p0 + prov.c * R * R)
         period = 2.0 * math.pi / (prov.omega + v_th / R)
+        t_end = 4e-3 * round(period / 4e-3)  # one orbit, whole steps at every dt
         oracle = trajectory_oracle(prov, st)
         errs = []
         for dt in (4e-3, 2e-3, 1e-3):
-            cfg = IntegratorConfig(dt=dt, t_end=period)
+            cfg = IntegratorConfig(dt=dt, t_end=t_end)
             traj = integrate_trajectory(st, prov, cfg)
             r_exact, _ = oracle(traj.t[-1])
             errs.append(float(np.linalg.norm(traj.r[-1] - r_exact)))

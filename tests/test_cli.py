@@ -218,6 +218,40 @@ def test_non_finite_value_exit2(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("integrator, message", [
+    ("dt = 0.3\nt_end = 1.0", "whole number of steps"),
+    ("dt = 0.3\nt_end = 0.1", "whole number of steps"),
+    ("dt = 1e-320\nt_end = 1.0", "whole number of steps"),
+    ("t0 = 1.0\nt_end = 1.0", "t_end must exceed"),
+    ("eps_grad = -1", "eps_grad must be >= 0"),
+], ids=["non_commensurate", "shorter_than_one_step", "step_count_overflow",
+        "empty_horizon", "negative_eps_grad"])
+def test_rejected_integrator_value_exit2(tmp_path, capsys, integrator, message):
+    out = tmp_path / "out"
+    text = MINIMAL + f"\n[integrator]\n{integrator}\n\n[output]\ndirectory = {out}\n"
+    rc = main(["simulate", _write(tmp_path, text)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, V0, p1hat", [
+    ("name = uniform\nV0x = 2.0\nV0z = -0.5\np0 = 0.7", (2.0, 0.0, -0.5), 0.7),
+    ("name = uniform_gradient\nV0y = 0.25\np0 = 3.0\ngx = 0.5\ngz = 0.0",
+     (1.0, 0.25, 0.0), 3.0 + 0.5 * 0.2),
+], ids=["uniform", "uniform_gradient"])
+def test_uniform_component_params_take_effect(tmp_path, capsys, field, V0, p1hat):
+    # the keys the descriptor advertises are the keys the constructor takes
+    out = tmp_path / "out"
+    text = (f"[field]\n{field}\n\n[particle]\nr0 = 0.2 0.1 0.0\nn0 = 0 1 0\n\n"
+            f"[integrator]\ndt = 0.01\nt_end = 0.1\n\n[output]\ndirectory = {out}\n")
+    assert main(["simulate", _write(tmp_path, text)]) == 0
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+    np.testing.assert_allclose(rows[:, 10:13] - rows[:, 7:10], np.tile(V0, (11, 1)),
+                               rtol=0, atol=1e-15)
+    assert rows[0, 14] == pytest.approx(p1hat, abs=1e-15)
+
+
 def test_simulate_missing_config_exit2(tmp_path):
     rc = main(["simulate", str(tmp_path / "nope.cfg")])
     assert rc == 2

@@ -208,7 +208,7 @@ def test_evolve_uniform_stats_constant(uniform):
 def test_evolve_excludes_domain_leavers(tmp_path):
     from ttpsim import load_grid, write_grid
     from ttpsim.fields.analytic import UniformGradientField
-    prov_src = UniformGradientField(V0=(1.0, 0, 0), p0=4.0, g=(0.0, 0.0, 1.0))
+    prov_src = UniformGradientField(V0x=1.0, p0=4.0, gz=1.0)
     write_grid(tmp_path / "g.grid", prov_src, (-1, -1, -1), (0.25, 0.25, 0.25),
                (9, 9, 9))
     grid = load_grid(tmp_path / "g.grid")

@@ -1,5 +1,7 @@
 """Grid file format and interpolated-provider contracts."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ def _write_sampled(tmp_path, provider, origin, spacing, dims, name="field.grid")
 
 
 def test_roundtrip_uniform_reproduces_values(tmp_path):
-    p = UniformField(V0=(1.25, -0.5, 2.0), p0=0.75)
+    p = UniformField(V0x=1.25, V0y=-0.5, V0z=2.0, p0=0.75)
     path = _write_sampled(tmp_path, p, (-1, -1, -1), (0.5, 0.5, 0.5), (5, 5, 5))
     g = load_grid(path)
     for r in [(-0.6, 0.3, 0.8), (0.0, 0.0, 0.0), (0.123, -0.456, 0.789)]:
@@ -97,6 +99,10 @@ def test_out_of_domain_raises(tmp_path):
     g = load_grid(path)
     with pytest.raises(OutOfDomain):
         g.sample(np.array((3.0, 0.5, 0.5)), 0.0)
+    with pytest.raises(OutOfDomain):
+        g.sample_kinetic((0.5, -0.1, 0.5), 0.0)
+    with pytest.raises(OutOfDomain):
+        g.sample(np.array((0.5, 0.5, np.nan)), 0.0)
     # boundary nodes are inside
     g.sample(np.array((2.0, 2.0, 2.0)), 0.0)
     g.sample(np.zeros(3), 0.0)
@@ -111,9 +117,12 @@ def test_negative_pressure_detected():
     p1[3] = 0.0
     p1[4] = 0.0
     g = GridField.from_axes(ax, ax, ax, V, p1)
+    r = (0.5 * (ax[3] + ax[4]), 0.5, 0.5)
     with pytest.raises(NegativePressure):
         # between the two zero planes the nodal slopes force an undershoot
-        g.sample(np.array((0.5 * (ax[3] + ax[4]), 0.5, 0.5)), 0.0)
+        g.sample(np.array(r), 0.0)
+    with pytest.raises(NegativePressure):
+        g.sample_kinetic(r, 0.0)
 
 
 def test_nonuniform_axis_rejected():
@@ -250,3 +259,105 @@ def test_grid_provider_descriptor(tmp_path):
     d = g.descriptor()
     assert d.time_dependent is False
     assert d.domain_bounds is not None
+
+
+# --- oracles for the interpolation kernel ------------------------------------
+
+def _poly(terms, r, order=(0, 0, 0)):
+    """d^order of sum(c x^a y^b z^e) at r, with terms [(c, (a, b, e)), ...]."""
+    total = 0.0
+    for c, powers in terms:
+        term = c
+        for x, p, k in zip(r, powers, order):
+            term = term * math.perm(p, k) * x ** (p - k) if k <= p else 0.0
+        total += term
+    return total
+
+
+# Degree <= 2 per coordinate: the second-order nodal slopes (and their
+# products) are exact, so the tricubic interpolant reproduces the field.
+# Degree <= 1 per coordinate: trilinear reproduces it, and its zero
+# diagonal Hessian is exact too.
+_ORACLE_FIELDS = {
+    "tricubic": (
+        [[(1.0, (1, 1, 0)), (0.5, (0, 0, 2)), (-0.3, (2, 1, 1))],
+         [(0.7, (0, 2, 1)), (-1.0, (1, 0, 0)), (0.2, (2, 2, 2))],
+         [(0.4, (2, 0, 1)), (-0.6, (1, 2, 0)), (0.9, (0, 0, 0))]],
+        [(3.0, (0, 0, 0)), (0.3, (2, 0, 0)), (-0.2, (1, 1, 0)), (0.1, (0, 2, 1)),
+         (0.05, (2, 2, 2)), (0.4, (0, 0, 1)), (-0.15, (1, 0, 2))]),
+    "trilinear": (
+        [[(1.0, (1, 1, 0)), (0.5, (0, 0, 1))],
+         [(-0.8, (1, 1, 1)), (0.3, (0, 1, 0))],
+         [(0.6, (1, 0, 1)), (-0.2, (0, 0, 0))]],
+        [(3.0, (0, 0, 0)), (0.4, (1, 1, 1)), (-0.3, (1, 0, 1)), (0.2, (0, 1, 0))]),
+}
+
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _oracle_grid(interpolation):
+    V_terms, p_terms = _ORACLE_FIELDS[interpolation]
+    origin, spacing, dims = (-1.0, -0.5, -1.2), (0.25, 0.2, 0.3), (9, 7, 8)
+    axes = [o + h * np.arange(n) for o, h, n in zip(origin, spacing, dims)]
+    X, Y, Z = np.meshgrid(*axes, indexing="ij")
+    V = np.stack([_poly(t, (X, Y, Z)) for t in V_terms], axis=-1)
+    p1 = _poly(p_terms, (X, Y, Z))
+    g = GridField(origin, spacing, V, p1, interpolation=interpolation)
+    lo, hi = g.domain_bounds
+    pts = lo + (hi - lo) * np.random.default_rng(13).random((25, 3))
+    return g, V_terms, p_terms, pts
+
+
+@pytest.mark.parametrize("interpolation", ["tricubic", "trilinear"])
+def test_interpolant_reproduces_polynomial_oracle(interpolation):
+    g, V_terms, p_terms, pts = _oracle_grid(interpolation)
+    for r in pts:
+        V = [_poly(t, r) for t in V_terms]
+        gradV = [[_poly(t, r, e) for t in V_terms] for e in _UNIT]
+        p1 = _poly(p_terms, r)
+        gp = [_poly(p_terms, r, e) for e in _UNIT]
+        H = [[_poly(p_terms, r, np.add(a, b)) for b in _UNIT] for a in _UNIT]
+        s = g.sample(r, 0.0)
+        np.testing.assert_allclose(s.V, V, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s.gradV, gradV, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s.xi, s.curl_from_gradV(), rtol=0, atol=0)
+        assert abs(s.p1hat - p1) <= 1e-12
+        np.testing.assert_allclose(s.grad_p1hat, gp, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(s.hess_p1hat, H, rtol=0, atol=1e-12)
+        kin = g.sample_kinetic(tuple(r.tolist()), 0.0)
+        expected = (*V, p1, *gp, H[0][0], H[0][1], H[0][2], H[1][1], H[1][2], H[2][2],
+                    0.0, 0.0, 0.0)
+        np.testing.assert_allclose(kin, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("interpolation", ["tricubic", "trilinear"])
+def test_sample_kinetic_bit_identical_to_sample(interpolation):
+    g, _, _, pts = _oracle_grid(interpolation)
+    for r in pts:
+        assert g.sample_kinetic(tuple(r.tolist()), 0.3) == g.sample(r, 0.3).kinetic()
+
+
+def test_tricubic_simulate_samples_once_per_record(tmp_path, monkeypatch):
+    # stage evaluations must take the sample_kinetic fast path: the full
+    # sample is called for the auto_tangent seed and once per record only
+    from ttpsim.cli import main
+
+    calls = {"sample": 0, "sample_kinetic": 0}
+    for name in calls:
+        orig = getattr(GridField, name)
+
+        def counted(self, r, t, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(self, r, t)
+
+        monkeypatch.setattr(GridField, name, counted)
+    n = 8
+    grid = _write_sampled(tmp_path, TaylorGreenField(), (0, 0, 0),
+                          (2 * np.pi / (n - 1),) * 3, (n, n, n))
+    steps = 12
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[field]\ngrid = {grid}\n\n[particle]\nr0 = 3.0 3.2 2.9\n"
+                   f"auto_tangent = true\nbeta = 0.5\n\n[integrator]\ndt = 0.02\n"
+                   f"t_end = {steps * 0.02!r}\n\n[output]\ndirectory = {tmp_path / 'out'}\n")
+    assert main(["simulate", str(cfg)]) == 0
+    assert calls == {"sample": steps + 2, "sample_kinetic": 3 * steps}

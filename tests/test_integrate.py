@@ -223,7 +223,7 @@ def test_initial_norm_validated(rigid):
 
 def test_domain_exit_terminates_early(tmp_path):
     from ttpsim import load_grid, write_grid
-    write_grid(tmp_path / "u.grid", UniformField(V0=(1.0, 0, 0), p0=0.5),
+    write_grid(tmp_path / "u.grid", UniformField(V0x=1.0, p0=0.5),
                (0, 0, 0), (0.25, 0.25, 0.25), (5, 5, 5))
     g = load_grid(tmp_path / "u.grid")
     st = _state((0, 0, 1.0), beta=0.0, r=(0.5, 0.5, 0.5))
@@ -344,6 +344,8 @@ def test_config_validation():
         IntegratorConfig(method="euler")
     with pytest.raises(ValidationError):
         IntegratorConfig(renormalize_every=-1)
+    with pytest.raises(ValidationError, match="eps_grad"):
+        IntegratorConfig(eps_grad=-1.0)
     for bad in ({"dt": math.inf}, {"dt": math.nan}, {"t_end": math.nan},
                 {"t_end": math.inf}, {"eps_grad": math.nan}):
         with pytest.raises(ValidationError, match="finite"):
@@ -359,3 +361,15 @@ def test_records_expose_fields(rigid):
     np.testing.assert_allclose(rec.v, rec.u + rigid.sample(st.r, 0.0).V, rtol=1e-15)
     assert not rec.degenerate
     assert len(traj[0:2]) == 2
+
+
+def test_horizon_must_be_whole_steps(rigid):
+    st = _state((0, 1, 0), r=(1.0, 0, 0))
+    with pytest.raises(ValidationError, match="whole number of steps"):
+        integrate_trajectory(st, rigid, IntegratorConfig(dt=0.3, t_end=1.0))
+    # rounding in (t_end - t0) / dt is no reason to reject
+    st = _state((0, 1, 0), r=(1.0, 0, 0), t=0.1)
+    traj = integrate_trajectory(st, rigid, IntegratorConfig(dt=0.01, t_end=0.6))
+    assert traj.summary.steps == 50
+    assert traj.t[-1] == pytest.approx(0.6, abs=1e-15)
+

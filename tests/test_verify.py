@@ -42,7 +42,7 @@ def test_cancellation_residual_tiny(provider):
 # --- identity sweep ------------------------------------------------------------
 
 def test_sweep_constant_gradient_exact():
-    prov = UniformGradientField(V0=(0.5, 0.2, -0.1), p0=2.0, g=(0.0, 0.0, 1.0))
+    prov = UniformGradientField(V0x=0.5, V0y=0.2, V0z=-0.1, p0=2.0, gz=1.0)
     rep = omega_identity_sweep(prov, n_points=50, seed=3, h=1e-5)
     # b constant in space and time: both routes and the fd estimate vanish
     assert rep.max_fd == 0.0 or rep.max_fd < 1e-12
@@ -122,7 +122,7 @@ def test_reduced_divergence_uniform_gradient_zero():
     # constant V, frozen b, v_th varying only along g but n . grad v_th is
     # the sole position term: divergence is n . g / v_th exactly; check FD
     from ttpsim import reduced_divergence_report
-    prov = UniformGradientField(V0=(0.4, 0.1, 0.0), p0=2.0, g=(0.0, 0.0, 1.0))
+    prov = UniformGradientField(V0x=0.4, V0y=0.1, V0z=0.0, p0=2.0, gz=1.0)
     dmax, dmed, n = reduced_divergence_report(prov, n_states=20, seed=3, beta=1.0)
     # |div| = |n_z| / v_th <= 1/sqrt(2 p_min) = 1 for this box
     assert dmax <= 1.0 + 1e-6
@@ -177,7 +177,8 @@ def test_convergence_rigid_rotation_order():
     prov = RigidRotationField(omega=1.0, p0=0.5, c=1.0)
     st = _state((0, 1, 0), beta=1.0, r=(1.0, 0, 0))
     period = 2.0 * math.pi / (1.0 + math.sqrt(2.0))
-    study = convergence_study(prov, st, [4e-3, 2e-3, 1e-3], t_end=period)
+    t_end = 4e-3 * round(period / 4e-3)  # one orbit, whole steps at every dt
+    study = convergence_study(prov, st, [4e-3, 2e-3, 1e-3], t_end=t_end)
     assert study.order >= 3.8
 
 
