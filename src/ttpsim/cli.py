@@ -5,7 +5,8 @@ Config format: flat sections ``[field] [particle] [integrator] [ensemble]
 or keys are errors.  All numeric output uses 17 significant digits so
 round-tripping is exact for 64-bit floats.
 
-Exit codes: 0 success, 2 config/validation failure, 3 runtime failure.
+Exit codes: 0 success, 2 config, flag, validation or file failure, 3 runtime
+failure.
 """
 
 import argparse
@@ -20,10 +21,10 @@ import numpy as np
 from .errors import NotFound, ParseError, TtpsimError, ValidationError
 from .fields import (create_provider, fd_verify_derivatives, lookup,
                      register_builtin_providers)
-from .fields.grid import load_grid
+from .fields.grid import interpolation_min_nodes, load_grid
 from .integrate import IntegratorConfig, integrate_trajectory, step_count
 from .kinetics import TtpState, isobaric_normal
-from .ensemble import (EnsembleSpec, evolve_ensemble, seed_tangent_circle,
+from .ensemble import (EnsembleSpec, check_stride, evolve_ensemble, seed_tangent_circle,
                        tangent_frame)
 from . import verify as verify_mod
 
@@ -36,46 +37,78 @@ STATS_COLUMNS = ("t,n_effective,mean_vx,mean_vy,mean_vz,mean_ux,mean_uy,mean_uz,
 
 
 # --- run configuration -------------------------------------------------------
+#
+# Each section parses into one type that checks its own values when built:
+# FieldConfig, ParticleConfig, IntegratorConfig (plus RunConfig.t0),
+# EnsembleSpec and OutputConfig.
 
 @dataclass
 class FieldConfig:
+    """[field]: a registered provider and its parameters, or a grid file."""
+
     name: str = None
-    params: dict = field(default_factory=dict)
     grid: str = None
-    interpolation: str = "tricubic"
+    interpolation: str = None
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if (self.name is None) == (self.grid is None):
+            raise ValidationError("[field] needs exactly one of 'name' or 'grid'")
+        if self.grid is not None:
+            if self.params:
+                raise ValidationError(
+                    f"key '{sorted(self.params)[0]}' not valid for a gridded field")
+            if self.interpolation is None:
+                self.interpolation = "tricubic"
+            interpolation_min_nodes(self.interpolation)
+            return
+        if self.interpolation is not None:
+            raise ValidationError("key 'interpolation' only applies to gridded fields")
+        descr = lookup(self.name)  # NotFound for an unknown name
+        for k in self.params:
+            if k not in descr.parameters:
+                raise ValidationError(f"key '{k}' is not a parameter of provider '{self.name}'")
 
 
 @dataclass
 class ParticleConfig:
+    """[particle]: the seed state.  ``n0`` is None when seeded by auto_tangent."""
+
     r0: tuple = (0.0, 0.0, 0.0)
-    n0: tuple = (0.0, 1.0, 0.0)
-    auto_tangent: bool = False
+    n0: tuple = None
+    auto_tangent: bool = None  # None: the key was not given
     beta: float = 1.0
     project_initial: bool = False
 
-
-@dataclass
-class EnsembleConfig:
-    count: int = 64
-    sampling: str = "equispaced_circle"
-    seed: int = 0
+    def __post_init__(self):
+        if self.auto_tangent:
+            if self.n0 is not None:
+                raise ValidationError("give exactly one of 'n0' and 'auto_tangent'")
+        elif self.n0 is None:
+            self.n0 = (0.0, 1.0, 0.0)
+        elif not any(self.n0):
+            raise ValidationError("key 'n0': zero vector")
 
 
 @dataclass
 class OutputConfig:
+    """[output]: where files go, and the ensemble stats stride in steps."""
+
     directory: str = "."
     stride: int = 1
-    formats: tuple = ("csv",)
+
+    def __post_init__(self):
+        check_stride(self.stride)
 
 
 @dataclass
 class RunConfig:
-    field_cfg: FieldConfig = field(default_factory=FieldConfig)
-    particle: ParticleConfig = field(default_factory=ParticleConfig)
-    t0: float = 0.0
-    integrator: IntegratorConfig = field(default_factory=IntegratorConfig)
-    ensemble: EnsembleConfig = field(default_factory=EnsembleConfig)
-    output: OutputConfig = field(default_factory=OutputConfig)
+    field_cfg: FieldConfig
+    particle: ParticleConfig
+    t0: float
+    integrator: IntegratorConfig
+    ensemble: EnsembleSpec  # [ensemble] keys; r0 and beta from [particle], t0 from [integrator]
+    output: OutputConfig
 
 
 def _fmt(v):
@@ -88,42 +121,8 @@ def _fmt(v):
     return str(v)
 
 
-def print_config(cfg):
-    """Resolved config as parseable text (round-trips through parse loads)."""
-    out = ["[field]"]
-    if cfg.field_cfg.grid is not None:
-        out.append(f"grid = {cfg.field_cfg.grid}")
-        out.append(f"interpolation = {cfg.field_cfg.interpolation}")
-    else:
-        out.append(f"name = {cfg.field_cfg.name}")
-        for k in sorted(cfg.field_cfg.params):
-            out.append(f"{k} = {_fmt(cfg.field_cfg.params[k])}")
-    p = cfg.particle
-    out += ["", "[particle]", f"r0 = {_fmt(p.r0)}"]
-    if p.auto_tangent:
-        out.append("auto_tangent = true")
-    else:
-        out.append(f"n0 = {_fmt(p.n0)}")
-    out.append(f"beta = {_fmt(p.beta)}")
-    out.append(f"project_initial = {_fmt(p.project_initial)}")
-    i = cfg.integrator
-    out += ["", "[integrator]",
-            f"t0 = {_fmt(cfg.t0)}", f"dt = {_fmt(i.dt)}", f"t_end = {_fmt(i.t_end)}",
-            f"method = {i.method}",
-            f"renormalize_every = {i.renormalize_every if i.renormalize_every else 'never'}",
-            f"project_tangency_every = "
-            f"{i.project_tangency_every if i.project_tangency_every else 'never'}",
-            f"eps_grad = {_fmt(i.eps_grad)}"]
-    e = cfg.ensemble
-    out += ["", "[ensemble]", f"count = {e.count}", f"sampling = {e.sampling}",
-            f"seed = {e.seed}"]
-    o = cfg.output
-    out += ["", "[output]", f"directory = {o.directory}", f"stride = {o.stride}",
-            f"formats = {' '.join(o.formats)}"]
-    return "\n".join(out) + "\n"
-
-
-_SECTIONS = ("field", "particle", "integrator", "ensemble", "output")
+def _text(key, raw):
+    return raw
 
 
 def _parse_float(key, raw):
@@ -163,12 +162,39 @@ def _parse_count(key, raw):
     return 0 if raw.strip().lower() == "never" else _parse_int(key, raw)
 
 
-# [integrator] keys other than t0 -> parser; IntegratorConfig validates the values
-_INTEGRATOR_KEYS = {
-    "dt": _parse_float, "t_end": _parse_float, "eps_grad": _parse_float,
-    "method": lambda key, raw: raw,
-    "renormalize_every": _parse_count, "project_tangency_every": _parse_count,
+# section -> key -> parser, in print order.  Every run-config key is declared
+# here and nowhere else; [field] keys not listed are provider parameters.
+SCHEMA = {
+    "field": {"name": _text, "grid": _text, "interpolation": _text},
+    "particle": {"r0": _parse_vec3, "n0": _parse_vec3, "auto_tangent": _parse_bool,
+                 "beta": _parse_float, "project_initial": _parse_bool},
+    "integrator": {"t0": _parse_float, "dt": _parse_float, "t_end": _parse_float,
+                   "method": _text, "renormalize_every": _parse_count,
+                   "project_tangency_every": _parse_count, "eps_grad": _parse_float},
+    "ensemble": {"count": _parse_int, "sampling": _text, "seed": _parse_int},
+    "output": {"directory": _text, "stride": _parse_int},
 }
+
+
+def print_config(cfg):
+    """Resolved config as parseable text (round-trips through parse_config).
+
+    Keys whose value is None are left out; a count of 0 prints as ``never``.
+    """
+    owners = {"field": cfg.field_cfg, "particle": cfg.particle,
+              "integrator": cfg.integrator, "ensemble": cfg.ensemble, "output": cfg.output}
+    out = []
+    for section, keys in SCHEMA.items():
+        values = {k: cfg.t0 if k == "t0" else getattr(owners[section], k) for k in keys}
+        if section == "field":
+            values.update(sorted(cfg.field_cfg.params.items()))
+        out += ["", f"[{section}]"]
+        for k, v in values.items():
+            if keys.get(k) is _parse_count and v == 0:
+                v = "never"
+            if v is not None:
+                out.append(f"{k} = {_fmt(v)}")
+    return "\n".join(out[1:]) + "\n"
 
 
 def parse_config(path):
@@ -186,7 +212,7 @@ def parse_config(path):
             if not text.endswith("]"):
                 raise ParseError(f"line {lineno}: malformed section header {text!r}")
             name = text[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in SCHEMA:
                 raise ValidationError(f"line {lineno}: unknown section [{name}]")
             if name in sections:
                 raise ValidationError(f"line {lineno}: duplicate section [{name}]")
@@ -201,117 +227,21 @@ def parse_config(path):
         key, value = key.strip(), value.strip()
         if key in sections[current]:
             raise ValidationError(f"line {lineno}: duplicate key '{key}' in [{current}]")
-        sections[current][key] = value
+        parse = SCHEMA[current].get(key, _parse_float if current == "field" else None)
+        if parse is None:
+            raise ValidationError(f"line {lineno}: key '{key}' not valid in [{current}]")
+        sections[current][key] = parse(key, value)
 
-    cfg = RunConfig()
-
-    fld = sections.pop("field", {})
-    if fld:
-        name = fld.pop("name", None)
-        grid = fld.pop("grid", None)
-        interp = fld.pop("interpolation", None)
-        if (name is None) == (grid is None):
-            raise ValidationError("[field] needs exactly one of 'name' or 'grid'")
-        if grid is not None:
-            if interp is not None and interp not in ("tricubic", "trilinear"):
-                raise ValidationError(f"key 'interpolation': unknown value {interp!r}")
-            if fld:
-                extra = sorted(fld)[0]
-                raise ValidationError(f"key '{extra}' not valid for a gridded field")
-            cfg.field_cfg = FieldConfig(grid=grid, interpolation=interp or "tricubic")
-        else:
-            if interp is not None:
-                raise ValidationError("key 'interpolation' only applies to gridded fields")
-            try:
-                descr = lookup(name)
-            except NotFound:
-                raise ValidationError(f"unknown field provider {name!r}") from None
-            params = {}
-            for k, v in fld.items():
-                if k not in descr.parameters:
-                    raise ValidationError(
-                        f"key '{k}' is not a parameter of provider '{name}'")
-                params[k] = _parse_float(k, v)
-            cfg.field_cfg = FieldConfig(name=name, params=params)
-
-    par = sections.pop("particle", {})
-    if par:
-        known = {"r0", "n0", "auto_tangent", "beta", "project_initial"}
-        for k in par:
-            if k not in known:
-                raise ValidationError(f"key '{k}' not valid in [particle]")
-        has_n0 = "n0" in par
-        auto = _parse_bool("auto_tangent", par["auto_tangent"]) if "auto_tangent" in par else False
-        if has_n0 and auto:
-            raise ValidationError("give exactly one of 'n0' and 'auto_tangent'")
-        p = ParticleConfig()
-        if "r0" in par:
-            p.r0 = _parse_vec3("r0", par["r0"])
-        if has_n0:
-            p.n0 = _parse_vec3("n0", par["n0"])
-            if all(c == 0.0 for c in p.n0):
-                raise ValidationError("key 'n0': zero vector")
-        p.auto_tangent = auto
-        if auto:
-            p.n0 = None
-        if "beta" in par:
-            p.beta = _parse_float("beta", par["beta"])
-        if "project_initial" in par:
-            p.project_initial = _parse_bool("project_initial", par["project_initial"])
-        cfg.particle = p
-
-    itg = sections.pop("integrator", {})
-    if itg:
-        for k in itg:
-            if k != "t0" and k not in _INTEGRATOR_KEYS:
-                raise ValidationError(f"key '{k}' not valid in [integrator]")
-        if "t0" in itg:
-            cfg.t0 = _parse_float("t0", itg.pop("t0"))
-        cfg.integrator = IntegratorConfig(
-            **{k: _INTEGRATOR_KEYS[k](k, v) for k, v in itg.items()})
-    step_count(cfg.t0, cfg.integrator.t_end, cfg.integrator.dt)  # whole steps, else exit 2
-
-    ens = sections.pop("ensemble", {})
-    if ens:
-        known = {"count", "sampling", "seed"}
-        for k in ens:
-            if k not in known:
-                raise ValidationError(f"key '{k}' not valid in [ensemble]")
-        e = EnsembleConfig()
-        if "count" in ens:
-            e.count = _parse_int("count", ens["count"])
-            if e.count < 1:
-                raise ValidationError("key 'count': must be >= 1")
-        if "sampling" in ens:
-            if ens["sampling"] not in ("equispaced_circle", "random_circle"):
-                raise ValidationError(f"key 'sampling': unknown value {ens['sampling']!r}")
-            e.sampling = ens["sampling"]
-        if "seed" in ens:
-            e.seed = _parse_int("seed", ens["seed"])
-        cfg.ensemble = e
-
-    out = sections.pop("output", {})
-    if out:
-        known = {"directory", "stride", "formats"}
-        for k in out:
-            if k not in known:
-                raise ValidationError(f"key '{k}' not valid in [output]")
-        o = OutputConfig()
-        if "directory" in out:
-            o.directory = out["directory"]
-        if "stride" in out:
-            o.stride = _parse_int("stride", out["stride"])
-            if o.stride < 1:
-                raise ValidationError("key 'stride': must be >= 1")
-        if "formats" in out:
-            fmts = tuple(out["formats"].split())
-            for f in fmts:
-                if f != "csv":
-                    raise ValidationError(f"key 'formats': unsupported format {f!r}")
-            o.formats = fmts
-        cfg.output = o
-
-    return cfg
+    fld, par, itg, ens, out = (sections.get(name, {}) for name in SCHEMA)
+    params = {k: fld.pop(k) for k in list(fld) if k not in SCHEMA["field"]}
+    field_cfg = FieldConfig(params=params, **fld)
+    particle = ParticleConfig(**par)
+    t0 = itg.pop("t0", 0.0)
+    integrator = IntegratorConfig(**itg)
+    step_count(t0, integrator.t_end, integrator.dt)  # whole steps, else exit 2
+    ensemble = EnsembleSpec(r0=particle.r0, t0=t0, beta=particle.beta, **ens)
+    return RunConfig(field_cfg=field_cfg, particle=particle, t0=t0, integrator=integrator,
+                     ensemble=ensemble, output=OutputConfig(**out))
 
 
 # --- runtime assembly ---------------------------------------------------------
@@ -320,8 +250,6 @@ def build_provider(cfg):
     fc = cfg.field_cfg
     if fc.grid is not None:
         return load_grid(fc.grid, interpolation=fc.interpolation)
-    if fc.name is None:
-        raise ValidationError("config has no [field] section")
     return create_provider(fc.name, **fc.params)
 
 
@@ -395,12 +323,11 @@ def _outdir(cfg):
     return d
 
 
-def cmd_simulate(cfg, project_initial=False):
+def cmd_simulate(cfg):
     provider = build_provider(cfg)
     state0 = build_initial_state(cfg, provider)
-    traj = integrate_trajectory(
-        state0, provider, cfg.integrator,
-        project_initial=project_initial or cfg.particle.project_initial)
+    traj = integrate_trajectory(state0, provider, cfg.integrator,
+                                project_initial=cfg.particle.project_initial)
     d = _outdir(cfg)
     write_trajectory_csv(traj, os.path.join(d, "trajectory.csv"))
     s = traj.summary
@@ -427,16 +354,12 @@ def cmd_simulate(cfg, project_initial=False):
 
 def cmd_ensemble(cfg):
     provider = build_provider(cfg)
-    e = cfg.ensemble
-    spec = EnsembleSpec(r0=np.array(cfg.particle.r0), t0=cfg.t0,
-                        count=e.count, sampling=e.sampling, seed=e.seed,
-                        beta=cfg.particle.beta)
-    states = seed_tangent_circle(spec, provider, eps_grad=cfg.integrator.eps_grad)
+    states = seed_tangent_circle(cfg.ensemble, provider, eps_grad=cfg.integrator.eps_grad)
     _, history = evolve_ensemble(states, provider, cfg.integrator,
                                  stride=cfg.output.stride)
     d = _outdir(cfg)
     write_stats_csv(history, os.path.join(d, "stats.csv"))
-    print(f"ensemble: {e.count} particles, {len(history)} output times, "
+    print(f"ensemble: {cfg.ensemble.count} particles, {len(history)} output times, "
           f"final n_effective = {int(history.n_effective[-1])}")
     return 0
 
@@ -527,6 +450,17 @@ def cmd_fields(list_providers=False, check=None, h=1e-4, tol=1e-5):
     return 0
 
 
+def _flag(convert, ok, rule):
+    """argparse type: ``convert`` the text, then require ``ok(value)``."""
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="ttpsim",
@@ -536,8 +470,6 @@ def main(argv=None):
     p_sim = sub.add_parser("simulate", help="integrate one trajectory")
     p_sim.add_argument("config")
     p_sim.add_argument("--print-config", action="store_true")
-    p_sim.add_argument("--project-initial", action="store_true",
-                       help="project the seed direction onto the tangent plane")
 
     p_ens = sub.add_parser("ensemble", help="evolve an ensemble and emit stats")
     p_ens.add_argument("config")
@@ -546,14 +478,16 @@ def main(argv=None):
     p_ver = sub.add_parser("verify", help="run verification sweeps and studies")
     p_ver.add_argument("config")
     p_ver.add_argument("--print-config", action="store_true")
-    p_ver.add_argument("--points", type=int, default=100)
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--points", type=_flag(int, lambda v: v >= 1, ">= 1"), default=100)
+    p_ver.add_argument("--seed", type=_flag(int, lambda v: v >= 0, ">= 0"), default=0)
 
     p_fld = sub.add_parser("fields", help="list providers / audit derivatives")
     p_fld.add_argument("--list", action="store_true", dest="list_providers")
     p_fld.add_argument("--check", metavar="NAME")
-    p_fld.add_argument("--h", type=float, default=1e-4)
-    p_fld.add_argument("--tol", type=float, default=1e-5)
+    p_fld.add_argument("--h", default=1e-4,
+                       type=_flag(float, lambda v: 0 < v < math.inf, "finite and > 0"))
+    p_fld.add_argument("--tol", default=1e-5,
+                       type=_flag(float, lambda v: 0 <= v < math.inf, "finite and >= 0"))
 
     args = parser.parse_args(argv)
 
@@ -566,15 +500,12 @@ def main(argv=None):
             print(print_config(cfg), end="")
             return 0
         if args.command == "simulate":
-            return cmd_simulate(cfg, project_initial=args.project_initial)
+            return cmd_simulate(cfg)
         if args.command == "ensemble":
             return cmd_ensemble(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, points=args.points, seed=args.seed)
-    except (ParseError, ValidationError, NotFound) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (ParseError, ValidationError, NotFound, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TtpsimError as err:

@@ -21,9 +21,12 @@ from .kinetics import TtpState, isobaric_normal, relative_velocity
 
 @dataclass(slots=True)
 class EnsembleSpec:
-    """Seeding recipe for a tangent-circle ensemble at one point."""
+    """Seeding recipe for a tangent-circle ensemble at one point.
 
-    r0: np.ndarray
+    ``r0`` is kept as given (any 3-sequence); seeding converts it.
+    """
+
+    r0: tuple
     t0: float = 0.0
     count: int = 64
     sampling: str = "equispaced_circle"
@@ -31,11 +34,12 @@ class EnsembleSpec:
     beta: float = 1.0
 
     def __post_init__(self):
-        self.r0 = np.asarray(self.r0, dtype=float)
         if self.count < 1:
             raise ValidationError("count must be >= 1")
         if self.sampling not in ("equispaced_circle", "random_circle"):
             raise ValidationError(f"unknown sampling {self.sampling!r}")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(slots=True)
@@ -68,7 +72,8 @@ def seed_tangent_circle(spec, provider, eps_grad=EPS_GRAD_DEFAULT):
     frame; random sampling draws i.i.d. uniform angles from the seeded
     generator, so a fixed seed reproduces the ensemble bit-identically.
     """
-    s = provider.sample(spec.r0, spec.t0)
+    r0 = np.asarray(spec.r0, dtype=float)
+    s = provider.sample(r0, spec.t0)
     b = isobaric_normal(s, eps_grad)
     if b is None:
         raise DegenerateGradient("pressure gradient degenerate at the seed point")
@@ -81,7 +86,7 @@ def seed_tangent_circle(spec, provider, eps_grad=EPS_GRAD_DEFAULT):
     states = []
     for a in angles:
         n = math.cos(a) * e1 + math.sin(a) * e2
-        states.append(TtpState(t=spec.t0, r=spec.r0.copy(), n=n, beta=spec.beta))
+        states.append(TtpState(t=spec.t0, r=r0.copy(), n=n, beta=spec.beta))
     return states
 
 
@@ -129,6 +134,12 @@ class EnsembleHistory:
                              cov_u=self.cov_u[i], n_effective=int(self.n_effective[i]))
 
 
+def check_stride(stride):
+    """Reject a stats output stride below one step."""
+    if stride < 1:
+        raise ValidationError("stride must be >= 1")
+
+
 def evolve_ensemble(states, provider, config, stride=1):
     """Advance each particle independently; compute stats every ``stride`` steps.
 
@@ -141,8 +152,7 @@ def evolve_ensemble(states, provider, config, stride=1):
     """
     if len(states) == 0:
         raise EmptyEnsemble("no particles to evolve")
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
+    check_stride(stride)
     trajectories = [integrate_trajectory(st, provider, config) for st in states]
     n_steps = max(len(tr) for tr in trajectories) - 1
     out_idx = list(range(0, n_steps + 1, stride))

@@ -84,6 +84,13 @@ def _hermite_nodes(V, p1hat, spacing):
     return D
 
 
+def interpolation_min_nodes(interpolation):
+    """Nodes per axis an interpolation needs; rejects an unknown name."""
+    if interpolation not in ("tricubic", "trilinear"):
+        raise ValidationError(f"unknown interpolation {interpolation!r}")
+    return 4 if interpolation == "tricubic" else 2
+
+
 class GridField(FieldProvider):
     """Field provider backed by a uniform rectilinear grid.
 
@@ -115,9 +122,7 @@ class GridField(FieldProvider):
         if np.any(self.spacing <= 0.0):
             raise ValidationError("spacing must be positive")
         self.dims = np.array(p1hat.shape)
-        min_nodes = 4 if interpolation == "tricubic" else 2
-        if interpolation not in ("tricubic", "trilinear"):
-            raise ValidationError(f"unknown interpolation {interpolation!r}")
+        min_nodes = interpolation_min_nodes(interpolation)
         if np.any(self.dims < min_nodes):
             raise ValidationError(
                 f"{interpolation} interpolation needs at least {min_nodes} nodes per axis")
@@ -222,12 +227,12 @@ class GridField(FieldProvider):
 def load_grid(path, interpolation="tricubic"):
     """Parse a TTPGRID file into a :class:`GridField`."""
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
-    lines = text.splitlines()
-    if len(lines) < 6:
+        lines = [fh.readline() for _ in range(5)]
+        tokens = fh.read().split()  # the payload, split once
+    if not lines[4]:
         raise ParseError("grid file truncated: header incomplete")
     if lines[0].strip() != "TTPGRID 1":
-        raise ParseError(f"bad magic line {lines[0]!r}, expected 'TTPGRID 1'")
+        raise ParseError(f"bad magic line {lines[0].rstrip()!r}, expected 'TTPGRID 1'")
 
     def header(line_no, keyword, count, conv):
         parts = lines[line_no].split()
@@ -248,16 +253,16 @@ def load_grid(path, interpolation="tricubic"):
     if any(d <= 0.0 for d in spacing):
         raise ParseError("spacing must be positive")
     if lines[4].split() != ["fields", "V", "p1hat"]:
-        raise ParseError(f"line 5: expected 'fields V p1hat', got {lines[4]!r}")
+        raise ParseError(f"line 5: expected 'fields V p1hat', got {lines[4].rstrip()!r}")
 
-    payload = "\n".join(lines[5:]).split()
     n = dims[0] * dims[1] * dims[2]
-    if len(payload) != 4 * n:
-        raise ParseError(f"value count mismatch: expected {4 * n} reals, found {len(payload)}")
+    if len(tokens) != 4 * n:
+        raise ParseError(f"value count mismatch: expected {4 * n} reals, found {len(tokens)}")
     try:
-        values = np.array(payload, dtype=float)
+        values = np.array(tokens, dtype=float)
     except ValueError:
         raise ParseError("payload contains a non-numeric token") from None
+    del tokens  # free the strings before the nodal arrays are built
     if not np.all(np.isfinite(values)):
         raise ParseError("payload contains a non-finite value")
     records = values.reshape(n, 4)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InitialTangencyViolation, OutOfDomain, ValidationError
+from .errors import InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError
 from .fields import EPS_GRAD_DEFAULT
 from .kinetics import TtpState, rhs_terms, stage_eval
 
@@ -286,7 +286,8 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
     The initial direction must satisfy the tangency constraint |n . b| <=
     1e-8 at the seed point (vacuous where b is degenerate); pass
     ``project_initial=True`` to project and renormalize instead of raising.
-    Domain exit ends the trajectory early with a recorded reason.
+    Domain exit or a negative interpolated pressure after the seed point
+    ends the trajectory early with a recorded reason.
     """
     t0 = float(state0.t)
     n_steps = step_count(t0, config.t_end, config.dt)
@@ -353,9 +354,10 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
                 if proj is not None:
                     n = proj
                     ev = rhs_terms(provider, t, r, n, beta, eps_grad)
-        except OutOfDomain as err:
+        except (OutOfDomain, NegativePressure) as err:
             terminated = True
-            reason = f"out_of_domain: {err}"
+            kind = "out_of_domain" if isinstance(err, OutOfDomain) else "negative_pressure"
+            reason = f"{kind}: {err}"
             traj._truncate(k + 1)
             break
         k += 1

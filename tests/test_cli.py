@@ -140,6 +140,54 @@ def test_print_config_roundtrip_auto_tangent(tmp_path):
     assert cfg == cfg2
 
 
+EVERY_KEY = """
+[field]
+{field}
+
+[particle]
+r0 = 0.25 -0.5 0.75
+{direction}
+beta = 0.375
+project_initial = true
+
+[integrator]
+t0 = 0.125
+dt = 0.0625
+t_end = 1.125
+method = rk4_naive
+renormalize_every = 3
+project_tangency_every = 7
+eps_grad = 1e-12
+
+[ensemble]
+count = 9
+sampling = random_circle
+seed = 11
+
+[output]
+directory = {out}
+stride = 4
+"""
+
+
+@pytest.mark.parametrize("field, direction", [
+    ("name = lamb_oseen\nGamma = 2.5\nW = 0.25\np0 = 3.5\npa = 0.125\nrc = 1.5",
+     "n0 = 0.6 0 0.8"),
+    ("grid = some/where.grid\ninterpolation = trilinear", "auto_tangent = true"),
+], ids=["provider_n0", "grid_auto_tangent"])
+def test_print_config_roundtrip_every_key(tmp_path, field, direction):
+    # every key set away from its default is echoed once and parses back equal
+    src = EVERY_KEY.format(field=field, direction=direction, out=tmp_path / "o")
+    cfg = parse_config(_write(tmp_path, src))
+    echoed = print_config(cfg)
+    assert parse_config(_write(tmp_path, echoed, name="echo.cfg")) == cfg
+
+    def keys(text):
+        return sorted(line.split("=")[0].strip() for line in text.splitlines() if "=" in line)
+
+    assert keys(echoed) == keys(src)
+
+
 def test_seventeen_digit_roundtrip(tmp_path):
     dt = 1.0 / 3.0
     text = MINIMAL + f"\n[integrator]\ndt = {dt:.17g}\nt_end = 1\n"
@@ -252,6 +300,47 @@ def test_uniform_component_params_take_effect(tmp_path, capsys, field, V0, p1hat
     assert rows[0, 14] == pytest.approx(p1hat, abs=1e-15)
 
 
+@pytest.mark.parametrize("argv, ensemble", [
+    (["verify", "{cfg}", "--seed", "-1"], ""),
+    (["verify", "{cfg}", "--points", "-5"], ""),
+    (["verify", "{cfg}", "--points", "0"], ""),
+    (["fields", "--check", "taylor_green", "--h", "0"], ""),
+    (["fields", "--check", "taylor_green", "--h", "nan"], ""),
+    (["fields", "--check", "taylor_green", "--tol", "nan"], ""),
+    (["ensemble", "{cfg}"], "\n[ensemble]\nsampling = random_circle\nseed = -1\n"),
+], ids=["verify_seed_negative", "verify_points_negative", "verify_points_zero",
+        "fields_h_zero", "fields_h_nan", "fields_tol_nan", "ensemble_seed_negative"])
+def test_bad_flag_or_seed_exit2(tmp_path, capsys, argv, ensemble):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, RIGID_SIM.format(out=out) + ensemble)
+    try:
+        code = main([a.format(cfg=cfg) for a in argv])
+    except SystemExit as stop:  # argparse rejects a bad flag value
+        code = stop.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "must be" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8",
+                                  "output_is_a_file"])
+def test_file_error_exit2(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    path = tmp_path / "run.cfg"
+    if case == "config_is_directory":
+        path.mkdir()
+    elif case == "config_not_utf8":
+        path.write_bytes(RIGID_SIM.format(out=out).encode() + b"# caf\xe9\n")
+    else:
+        out.write_text("not a directory\n")
+        path.write_text(RIGID_SIM.format(out=out))
+    assert main(["simulate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists() or out.read_text() == "not a directory\n"
+
+
 def test_simulate_missing_config_exit2(tmp_path):
     rc = main(["simulate", str(tmp_path / "nope.cfg")])
     assert rc == 2
@@ -262,7 +351,8 @@ def test_simulate_initial_tangency_exit3(tmp_path, capsys):
     rc = main(["simulate", _write(tmp_path, text)])
     assert rc == 3
     assert "tangen" in capsys.readouterr().err
-    rc = main(["simulate", _write(tmp_path, text), "--project-initial"])
+    text = text.replace("beta = 1.0", "beta = 1.0\nproject_initial = true")
+    rc = main(["simulate", _write(tmp_path, text)])
     assert rc == 0
 
 
@@ -356,3 +446,28 @@ def test_fields_check_taylor_green(capsys):
 def test_fields_check_unknown_exit2(capsys):
     rc = main(["fields", "--check", "nonexistent"])
     assert rc == 2
+
+
+# --- benchmark contract ----------------------------------------------------------------
+
+def test_benchmark_binding_sites_resolve(monkeypatch):
+    # the benchmark patches these attributes from outside; a refactor that
+    # drops one must fail here, not only in a traced benchmark run
+    import importlib
+    import importlib.util
+    import pathlib
+
+    bench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    monkeypatch.syspath_prepend(str(bench))
+
+    def load(name):
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", bench / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+
+    sites = [site[:2] for site in load("tracer").BINDING_SITES]
+    sites += [site for roles in load("job").PHASES.values() for site in roles.values()]
+    missing = [f"{mod}.{attr}" for mod, attr in sites
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing

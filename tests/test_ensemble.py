@@ -80,6 +80,8 @@ def test_spec_validation():
         _spec((0, 0, 0), count=0)
     with pytest.raises(ValidationError):
         _spec((0, 0, 0), sampling="grid")
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        _spec((0, 0, 0), sampling="random_circle", seed=-1)
 
 
 # --- statistics at the seed time ------------------------------------------------------

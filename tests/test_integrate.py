@@ -235,6 +235,30 @@ def test_domain_exit_terminates_early(tmp_path):
     assert traj.r[-1][0] <= 1.0
 
 
+def test_negative_pressure_mid_run_terminates_early():
+    # the tricubic interpolant of a narrow pressure ridge overshoots below
+    # zero on its upstream flank (near x = 0.2885); the run keeps what it has
+    from ttpsim import GridField, NegativePressure
+    x = np.linspace(0.0, 1.0, 12)
+    X, Y, _ = np.meshgrid(x, x, x, indexing="ij")
+    V = np.zeros(X.shape + (3,))
+    V[..., 0] = 1.0
+    p1 = 1e-3 + np.exp(-((X - 0.5) / 0.06) ** 2) + 0.01 * Y
+    g = GridField.from_axes(x, x, x, V, p1)
+    cfg = IntegratorConfig(dt=1e-3, t_end=0.8)
+    traj = integrate_trajectory(_state((0, 0, 1.0), beta=0.01, r=(0.1, 0.5, 0.5)), g, cfg,
+                                project_initial=True)
+    assert traj.summary.terminated_early
+    assert traj.summary.termination_reason.startswith("negative_pressure: ")
+    assert 1 < len(traj) < 801
+    assert traj.summary.steps == len(traj) - 1
+    assert np.all(traj.p1hat >= 0.0) and np.all(np.isfinite(traj.r))
+    assert 0.25 < traj.r[-1][0] < 0.2885
+    with pytest.raises(NegativePressure):  # at the seed point it is still an error
+        integrate_trajectory(_state((0, 0, 1.0), beta=0.01, r=(0.2885, 0.5, 0.5)), g, cfg,
+                             project_initial=True)
+
+
 class _SwirlField(FieldProvider):
     """Test-only field whose isobaric normal varies in all three directions.
 
