@@ -19,8 +19,7 @@ from .fields.grid import GridField, load_grid, write_grid
 from .kinetics import (OmegaBreakdown, StateDerivative, TtpState, isobaric_normal,
                        isobaric_normal_rate, omega_decomposed, omega_direct,
                        relative_velocity, state_rhs, thermal_velocity)
-from .integrate import (IntegratorConfig, InvariantSummary, Trajectory,
-                        TrajectoryRecord, integrate_trajectory, rotate_unit, step)
+from .integrate import IntegratorConfig, InvariantSummary, Trajectory, integrate_trajectory
 from .ensemble import (EnsembleHistory, EnsembleSpec, EnsembleStats, ensemble_stats,
                        evolve_ensemble, seed_tangent_circle, tangent_frame)
 from .verify import (OmegaIdentityReport, OrderStudy, cancellation_check,

@@ -22,7 +22,7 @@ from .errors import NotFound, ParseError, TtpsimError, ValidationError
 from .fields import (create_provider, fd_verify_derivatives, lookup,
                      register_builtin_providers)
 from .fields.grid import interpolation_min_nodes, load_grid
-from .integrate import IntegratorConfig, integrate_trajectory, step_count
+from .integrate import TRAJECTORY_COLUMNS, IntegratorConfig, integrate_trajectory, step_count
 from .kinetics import TtpState, isobaric_normal
 from .ensemble import (EnsembleSpec, check_stride, evolve_ensemble, seed_tangent_circle,
                        tangent_frame)
@@ -30,8 +30,6 @@ from . import verify as verify_mod
 
 _G = ".17g"
 
-TRAJECTORY_COLUMNS = ("t,rx,ry,rz,nx,ny,nz,ux,uy,uz,vx,vy,vz,vth,p1hat,"
-                      "bx,by,bz,n_dot_b,norm_err,degenerate_flag")
 STATS_COLUMNS = ("t,n_effective,mean_vx,mean_vy,mean_vz,mean_ux,mean_uy,mean_uz,"
                  "cov_uxx,cov_uxy,cov_uxz,cov_uyy,cov_uyz,cov_uzz")
 
@@ -199,8 +197,11 @@ def print_config(cfg):
 
 def parse_config(path):
     """Parse and validate a run configuration file (strict mode)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ParseError.undecodable(path, "utf-8") from None
 
     sections = {}
     current = None
@@ -272,21 +273,8 @@ def build_initial_state(cfg, provider):
 # --- CSV serialization ---------------------------------------------------------
 
 def write_trajectory_csv(traj, path):
-    m = len(traj)
-    table = np.empty((m, 21))
-    table[:, 0] = traj.t
-    table[:, 1:4] = traj.r
-    table[:, 4:7] = traj.n
-    table[:, 7:10] = traj.u
-    table[:, 10:13] = traj.v
-    table[:, 13] = traj.v_th
-    table[:, 14] = traj.p1hat
-    table[:, 15:18] = traj.b
-    table[:, 18] = traj.n_dot_b
-    table[:, 19] = traj.norm_err
-    table[:, 20] = traj.degenerate
-    fmt = ["%.17g"] * 20 + ["%d"]
-    np.savetxt(path, table, fmt=fmt, delimiter=",",
+    fmt = ["%.17g"] * (traj.table.shape[1] - 1) + ["%d"]  # the last column is a flag
+    np.savetxt(path, traj.table, fmt=fmt, delimiter=",",
                header=TRAJECTORY_COLUMNS, comments="")
 
 
@@ -324,11 +312,11 @@ def _outdir(cfg):
 
 
 def cmd_simulate(cfg):
+    d = _outdir(cfg)
     provider = build_provider(cfg)
     state0 = build_initial_state(cfg, provider)
     traj = integrate_trajectory(state0, provider, cfg.integrator,
                                 project_initial=cfg.particle.project_initial)
-    d = _outdir(cfg)
     write_trajectory_csv(traj, os.path.join(d, "trajectory.csv"))
     s = traj.summary
     summary = {
@@ -342,7 +330,7 @@ def cmd_simulate(cfg):
         "final_position": [float(v) for v in traj.r[-1]],
     }
     with open(os.path.join(d, "summary.json"), "w", encoding="ascii") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(f"simulate: {s.steps} steps, max | |n|-1 | = {s.max_norm_err:.3e}, "
           f"max |n.b| = {s.max_abs_n_dot_b:.3e}, "
@@ -353,11 +341,11 @@ def cmd_simulate(cfg):
 
 
 def cmd_ensemble(cfg):
+    d = _outdir(cfg)
     provider = build_provider(cfg)
     states = seed_tangent_circle(cfg.ensemble, provider, eps_grad=cfg.integrator.eps_grad)
     _, history = evolve_ensemble(states, provider, cfg.integrator,
                                  stride=cfg.output.stride)
-    d = _outdir(cfg)
     write_stats_csv(history, os.path.join(d, "stats.csv"))
     print(f"ensemble: {cfg.ensemble.count} particles, {len(history)} output times, "
           f"final n_effective = {int(history.n_effective[-1])}")
@@ -505,7 +493,7 @@ def main(argv=None):
             return cmd_ensemble(cfg)
         if args.command == "verify":
             return cmd_verify(cfg, points=args.points, seed=args.seed)
-    except (ParseError, ValidationError, NotFound, OSError, UnicodeDecodeError) as err:
+    except (ParseError, ValidationError, NotFound, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except TtpsimError as err:

@@ -40,6 +40,18 @@ class NoOracle(TtpsimError):
 class ParseError(TtpsimError):
     """Malformed config or grid file."""
 
+    @classmethod
+    def undecodable(cls, path, encoding):
+        """The error for a file that is not ``encoding`` text, naming its first bad byte."""
+        with open(path, "rb") as fh:
+            data = fh.read()  # a text stream's decode offset counts from its chunk
+        try:
+            data.decode(encoding)
+        except UnicodeDecodeError as err:
+            return cls(f"{path}: byte 0x{data[err.start]:02x} at offset {err.start} "
+                       f"is not {encoding} text")
+        return cls(f"{path}: not {encoding} text")
+
 
 class ValidationError(TtpsimError):
     """Structurally valid input with an invalid value."""

@@ -226,9 +226,12 @@ class GridField(FieldProvider):
 
 def load_grid(path, interpolation="tricubic"):
     """Parse a TTPGRID file into a :class:`GridField`."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [fh.readline() for _ in range(5)]
-        tokens = fh.read().split()  # the payload, split once
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [fh.readline() for _ in range(5)]
+            tokens = fh.read().split()  # the payload, split once
+    except UnicodeDecodeError:
+        raise ParseError.undecodable(path, "ascii") from None
     if not lines[4]:
         raise ParseError("grid file truncated: header incomplete")
     if lines[0].strip() != "TTPGRID 1":

@@ -24,12 +24,11 @@ finite residual that is reported, never asserted; see ``omega_decomposed``.
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DegenerateGradient, NegativePressure
-from .fields import EPS_GRAD_DEFAULT, FluidSample
+from .fields import EPS_GRAD_DEFAULT
 
 
 @dataclass(slots=True)
@@ -66,18 +65,6 @@ class OmegaBreakdown:
     term_vorticity: np.ndarray
     term_pressure_velocity: np.ndarray
     residual: float
-
-
-class RhsEval(NamedTuple):
-    """One full right-hand-side evaluation at a state (integrator fast path)."""
-
-    sample: FluidSample
-    b: Optional[np.ndarray]      # None when the gradient is degenerate
-    v_th: float
-    u: np.ndarray
-    dr_dt: np.ndarray
-    omega: np.ndarray            # zero when degenerate (frozen-direction policy)
-    degenerate: bool
 
 
 def thermal_velocity(sample):
@@ -215,23 +202,25 @@ def _rates(kin, nx, ny, nz, beta, eps_grad):
 
 
 def rhs_terms(provider, t, r, n, beta, eps_grad=EPS_GRAD_DEFAULT):
-    """Full right-hand-side evaluation at (t, r, n), with record quantities.
+    """Record evaluation at (t, r, n): one ``provider.sample``, flat floats.
 
-    Applies the degenerate-gradient policy: when |grad p1hat| <= eps_grad
-    the rotation rate is zero (the direction freezes) and the evaluation is
-    flagged.
+    ``n`` is a float triple.  Returns (wx, wy, wz, ox, oy, oz, v_th, p1hat,
+    bx, by, bz, degenerate): the rates of :func:`stage_eval`, the thermal
+    speed, the pressure, the unit isobaric normal and the degenerate flag.
+    Applies the degenerate-gradient policy: when |grad p1hat| <= eps_grad the
+    rotation rate and b are zero (the direction freezes) and the flag is 1.0,
+    else 0.0.
     """
-    s = provider.sample(r, t)
-    kin = s.kinetic()
-    nx, ny, nz = n.tolist()
-    wx, wy, wz, ox, oy, oz = _rates(kin, nx, ny, nz, beta, eps_grad)
-    v_th = math.sqrt(2.0 * kin[3])
-    gx, gy, gz = kin[4:7]
+    kin = provider.sample(r, t).kinetic()
+    nx, ny, nz = n
+    rates = _rates(kin, nx, ny, nz, beta, eps_grad)
+    p1, gx, gy, gz = kin[3:7]
+    v_th = math.sqrt(2.0 * p1)
     g2 = gx * gx + gy * gy + gz * gz
-    degenerate = g2 <= eps_grad * eps_grad
-    b = None if degenerate else s.grad_p1hat / math.sqrt(g2)
-    return RhsEval(s, b, v_th, (beta * v_th) * n, np.array((wx, wy, wz)),
-                   np.array((ox, oy, oz)), degenerate)
+    if g2 <= eps_grad * eps_grad:
+        return rates + (v_th, p1, 0.0, 0.0, 0.0, 1.0)
+    gn = math.sqrt(g2)
+    return rates + (v_th, p1, gx / gn, gy / gn, gz / gn, 0.0)
 
 
 def stage_eval(provider, t, x, y, z, nx, ny, nz, beta, eps_grad):
@@ -251,11 +240,9 @@ def state_rhs(state, provider, eps_grad=EPS_GRAD_DEFAULT):
     dr/dt = V + u and dn/dt = Omega x n.  Under the degenerate-gradient
     policy Omega = 0, so the direction is frozen there.
     """
-    ev = rhs_terms(provider, state.t, state.r, state.n, state.beta, eps_grad=eps_grad)
-    om, n = ev.omega, state.n
-    dn_dt = np.array((
-        om[1] * n[2] - om[2] * n[1],
-        om[2] * n[0] - om[0] * n[2],
-        om[0] * n[1] - om[1] * n[0],
-    ))
-    return StateDerivative(dr_dt=ev.dr_dt, dn_dt=dn_dt)
+    nx, ny, nz = n = state.n.tolist()
+    wx, wy, wz, ox, oy, oz = rhs_terms(provider, state.t, state.r, n, state.beta,
+                                       eps_grad=eps_grad)[:6]
+    return StateDerivative(dr_dt=np.array((wx, wy, wz)),
+                           dn_dt=np.array((oy * nz - oz * ny, oz * nx - ox * nz,
+                                           ox * ny - oy * nx)))

@@ -326,7 +326,13 @@ def test_bad_flag_or_seed_exit2(tmp_path, capsys, argv, ensemble):
 
 @pytest.mark.parametrize("case", ["config_is_directory", "config_not_utf8",
                                   "output_is_a_file"])
-def test_file_error_exit2(tmp_path, capsys, case):
+def test_file_error_exit2(tmp_path, capsys, monkeypatch, case):
+    import ttpsim.cli
+
+    def no_integration(*args, **kwargs):
+        raise AssertionError("integrated before the file error was reported")
+
+    monkeypatch.setattr(ttpsim.cli, "integrate_trajectory", no_integration)
     out = tmp_path / "out"
     path = tmp_path / "run.cfg"
     if case == "config_is_directory":
@@ -339,6 +345,56 @@ def test_file_error_exit2(tmp_path, capsys, case):
     assert main(["simulate", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists() or out.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("kind", ["config", "grid"])
+def test_undecodable_file_exit2_names_it(tmp_path, capsys, kind):
+    if kind == "config":
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"[field]\nname = uniform # caf\xe9\n")
+        offset = 28
+    else:
+        from ttpsim import UniformField, write_grid
+        path = tmp_path / "u.grid"
+        write_grid(path, UniformField(), (0, 0, 0), (0.5, 0.5, 0.5), (2, 2, 2))
+        text = path.read_bytes()
+        offset = len(text)
+        path.write_bytes(text + b"\xe9\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[field]\ngrid = {path}\n\n[integrator]\ndt = 0.1\nt_end = 0.1\n"
+                       f"\n[output]\ndirectory = {tmp_path / 'o'}\n")
+    assert main(["simulate", str(tmp_path / "run.cfg")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert f"byte 0xe9 at offset {offset}" in err
+
+
+@pytest.mark.parametrize("field, particle, integrator, final_time", [
+    # far too large a step: the state overflows to nan at t = 235
+    ("rigid_rotation", "r0 = 1 0 0.2\nn0 = 0 0.6 0.8\nbeta = 5", "dt = 5\nt_end = 2000", 230.0),
+    # rk4_naive lets |n| grow; at t = 23 the state is finite but |n|^2 overflows
+    ("taylor_green", "r0 = 1 2 3\nauto_tangent = true",
+     "dt = 1\nt_end = 400\nmethod = rk4_naive", 22.0),
+], ids=["state_nan", "record_overflow"])
+def test_simulate_non_finite_state_terminates_early(tmp_path, capsys, field, particle,
+                                                    integrator, final_time):
+    # the run stops with a reason instead of writing nan or inf rows
+    out = tmp_path / "out"
+    text = (f"[field]\nname = {field}\n\n[particle]\n{particle}\n\n"
+            f"[integrator]\n{integrator}\n\n[output]\ndirectory = {out}\n")
+    assert main(["simulate", _write(tmp_path, text)]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+    assert summary["terminated_early"] is True
+    assert summary["termination_reason"].startswith("non_finite_state: ")
+    assert summary["final_time"] == final_time
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert len(lines) == 1 + summary["steps"] + 1
+    assert not any("nan" in line or "inf" in line for line in lines[1:])
+    assert "terminated early (non_finite_state: " in capsys.readouterr().out
 
 
 def test_simulate_missing_config_exit2(tmp_path):

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ttpsim import (FieldProvider, InitialTangencyViolation, IntegratorConfig,
-                    RigidRotationField, TaylorGreenField, TtpState, UniformField,
-                    ValidationError, integrate_trajectory, rotate_unit, step,
-                    trajectory_oracle)
+from ttpsim import (EPS_GRAD_DEFAULT, FieldProvider, InitialTangencyViolation,
+                    IntegratorConfig, RigidRotationField, TaylorGreenField, TtpState,
+                    UniformField, ValidationError, integrate_trajectory, trajectory_oracle)
+from ttpsim.integrate import _rot_s
+from ttpsim.kinetics import stage_eval
 
 
 def _state(n, beta=1.0, r=(0, 0, 0), t=0.0):
@@ -16,22 +17,27 @@ def _state(n, beta=1.0, r=(0, 0, 0), t=0.0):
                     beta=beta)
 
 
-# --- rotate_unit -------------------------------------------------------------
+# --- Rodrigues rotation ------------------------------------------------------
+
+def _rotate(n, omega, dt):
+    """n rotated about omega by the angle |omega| dt, as the stepper does it."""
+    return _rot_s(*n, *(np.asarray(omega, dtype=float) * dt))
+
 
 def test_rotate_half_turn():
-    n = rotate_unit(np.array((1.0, 0, 0)), np.array((0, 0, math.pi)), 1.0)
+    n = _rotate((1.0, 0, 0), (0, 0, math.pi), 1.0)
     np.testing.assert_allclose(n, (-1.0, 0.0, 0.0), atol=1e-14)
 
 
 def test_rotate_zero_is_bit_exact():
-    n0 = np.array((0.6, 0.8, 0.0))
-    n = rotate_unit(n0, np.zeros(3), 0.5)
-    assert np.array_equal(n, n0)
-    assert n is not n0  # fresh array, input untouched
+    # the triple is immutable, so returning the input itself cannot alias it
+    n0 = (0.6, 0.8, 0.0)
+    n = _rotate(n0, np.zeros(3), 0.5)
+    assert n == n0
 
 
 def test_rotate_quarter_turn():
-    n = rotate_unit(np.array((1.0, 0, 0)), np.array((0, 0, 1.0)), math.pi / 2)
+    n = _rotate((1.0, 0, 0), (0, 0, 1.0), math.pi / 2)
     np.testing.assert_allclose(n, (0.0, 1.0, 0.0), atol=1e-14)
 
 
@@ -41,20 +47,21 @@ def test_rotate_norm_preserved_random():
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
         om = rng.normal(size=3) * 10.0
-        out = rotate_unit(n, om, rng.uniform(0, 2))
+        out = _rotate(n.tolist(), om, rng.uniform(0, 2))
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
 
 
 # --- single step -------------------------------------------------------------
 
 def test_step_constant_rhs_exact(uniform):
-    cfg = IntegratorConfig(dt=0.1, t_end=1.0)
+    cfg = IntegratorConfig(dt=0.1, t_end=0.1)
     st = _state((0, 1, 0), beta=1.0, r=(0, 0, 0))
-    out = step(st, uniform, cfg)
+    traj = integrate_trajectory(st, uniform, cfg)
+    assert traj.summary.steps == 1
     # V0 = (1,0,0), v_th = 1, u = (0,1,0): constant RHS, RK4 exact
-    np.testing.assert_array_equal(out.r, (0.1, 0.1, 0.0))
-    np.testing.assert_array_equal(out.n, (0.0, 1.0, 0.0))
-    assert out.t == 0.1
+    np.testing.assert_array_equal(traj.r[-1], (0.1, 0.1, 0.0))
+    np.testing.assert_array_equal(traj.n[-1], (0.0, 1.0, 0.0))
+    assert traj.t[-1] == 0.1
 
 
 def test_step_beta_zero_matches_passive_tracer(taylor_green):
@@ -70,9 +77,12 @@ def test_step_beta_zero_matches_passive_tracer(taylor_green):
     k4 = rhs(r + dt * k3)
     r_ref = r + dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4)
 
-    st = _state((0, 0, 1.0), beta=0.0, r=r)
-    out = step(st, taylor_green, IntegratorConfig(dt=dt, t_end=1.0))
-    np.testing.assert_allclose(out.r, r_ref, rtol=0, atol=1e-14)
+    from ttpsim import isobaric_normal, tangent_frame
+    e1, _ = tangent_frame(isobaric_normal(taylor_green.sample(r, 0.0)))
+    st = _state(e1, beta=0.0, r=r)
+    traj = integrate_trajectory(st, taylor_green, IntegratorConfig(dt=dt, t_end=dt))
+    assert traj.summary.steps == 1
+    np.testing.assert_allclose(traj.r[-1], r_ref, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])
@@ -313,7 +323,10 @@ def test_fourth_order_with_rotating_axis():
     def final(dt):
         traj = integrate_trajectory(st, prov, IntegratorConfig(dt=dt, t_end=2.0))
         # confirm the rotation axis really turns over the run (~20 degrees)
-        axes = traj.omega / np.linalg.norm(traj.omega, axis=1)[:, None]
+        omega = np.array([stage_eval(prov, t, *r, *n, 0.8, EPS_GRAD_DEFAULT)[3:]
+                          for t, r, n in zip(traj.t.tolist(), traj.r.tolist(),
+                                             traj.n.tolist())])
+        axes = omega / np.linalg.norm(omega, axis=1)[:, None]
         assert float(np.min(axes @ axes[0])) < 0.95
         return traj.r[-1], traj.n[-1]
 
@@ -379,12 +392,14 @@ def test_config_validation():
 def test_records_expose_fields(rigid):
     st = _state((0, 1, 0), beta=1.0, r=(1.0, 0, 0))
     traj = integrate_trajectory(st, rigid, IntegratorConfig(dt=1e-2, t_end=0.1))
-    rec = traj[0]
-    assert rec.t == 0.0
-    assert abs(np.linalg.norm(rec.u) - rec.v_th * st.beta) < 1e-14
-    np.testing.assert_allclose(rec.v, rec.u + rigid.sample(st.r, 0.0).V, rtol=1e-15)
-    assert not rec.degenerate
-    assert len(traj[0:2]) == 2
+    assert traj.t[0] == 0.0
+    assert abs(np.linalg.norm(traj.u[0]) - traj.v_th[0] * st.beta) < 1e-14
+    np.testing.assert_allclose(traj.v[0], traj.u[0] + rigid.sample(st.r, 0.0).V, rtol=1e-15)
+    assert not traj.degenerate[0]
+    # the named columns are read-only views of the one table, not stored copies
+    assert traj.table.shape == (11, 21)
+    assert np.shares_memory(traj.r, traj.table) and not traj.r.flags.writeable
+    assert set(vars(traj)) == {"table", "summary"}
 
 
 def test_horizon_must_be_whole_steps(rigid):
