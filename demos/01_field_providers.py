@@ -7,6 +7,9 @@ value samples only, so a typo in any analytic derivative shows up
 immediately.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from ttpsim import (create_provider, fd_verify_derivatives, load_grid,
@@ -37,9 +40,11 @@ for name in ("rigid_rotation", "taylor_green", "lamb_oseen"):
 
 print("\n=== gridded provider round trip ===")
 rigid = create_provider("rigid_rotation")
-write_grid("/tmp/rigid.grid", rigid, origin=(-2, -2, -2),
-           spacing=(0.125, 0.125, 0.125), dims=(33, 33, 33))
-grid = load_grid("/tmp/rigid.grid")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "rigid.grid")
+    write_grid(path, rigid, origin=(-2, -2, -2), spacing=(0.125, 0.125, 0.125),
+               dims=(33, 33, 33))
+    grid = load_grid(path)
 probe = np.array((1.0, 0.0, 0.0))
 sg = grid.sample(probe, 0.0)
 sa = rigid.sample(probe, 0.0)

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,16 +22,14 @@ from .errors import NotFound, ParseError, TtpsimError, ValidationError
 from .fields import (create_provider, fd_verify_derivatives, lookup,
                      register_builtin_providers)
 from .fields.grid import interpolation_min_nodes, load_grid
-from .integrate import TRAJECTORY_COLUMNS, IntegratorConfig, integrate_trajectory, step_count
+from .integrate import IntegratorConfig, Trajectory, integrate_trajectory, step_count
 from .kinetics import TtpState, isobaric_normal
-from .ensemble import (EnsembleSpec, check_stride, evolve_ensemble, seed_tangent_circle,
-                       tangent_frame)
+from .ensemble import (EnsembleHistory, EnsembleSpec, check_stride, evolve_ensemble,
+                       seed_tangent_circle, tangent_frame)
 from . import verify as verify_mod
 
-_G = ".17g"
-
-STATS_COLUMNS = ("t,n_effective,mean_vx,mean_vy,mean_vz,mean_ux,mean_uy,mean_uz,"
-                 "cov_uxx,cov_uxy,cov_uxz,cov_uyy,cov_uyz,cov_uzz")
+TRAJECTORY_COLUMNS = Trajectory.COLUMNS
+STATS_COLUMNS = EnsembleHistory.COLUMNS
 
 
 # --- run configuration -------------------------------------------------------
@@ -113,7 +111,7 @@ def _fmt(v):
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return format(v, _G)
+        return format(v, ".17g")
     if isinstance(v, (tuple, list)):
         return " ".join(_fmt(x) for x in v)
     return str(v)
@@ -272,35 +270,18 @@ def build_initial_state(cfg, provider):
 
 # --- CSV serialization ---------------------------------------------------------
 
+def _write_csv(path, header, table, flag_columns=()):
+    """Write ``table`` under ``header``: 17 significant digits, integers in flag columns."""
+    fmt = ["%d" if j in flag_columns else "%.17g" for j in range(table.shape[1])]
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
+
+
 def write_trajectory_csv(traj, path):
-    fmt = ["%.17g"] * (traj.table.shape[1] - 1) + ["%d"]  # the last column is a flag
-    np.savetxt(path, traj.table, fmt=fmt, delimiter=",",
-               header=TRAJECTORY_COLUMNS, comments="")
+    _write_csv(path, traj.COLUMNS, traj.table, traj.FLAG_COLUMNS)
 
 
 def write_stats_csv(history, path):
-    m = len(history)
-    table = np.empty((m, 14))
-    table[:, 0] = history.t
-    table[:, 1] = history.n_effective
-    table[:, 2:5] = history.mean_v
-    table[:, 5:8] = history.mean_u
-    c = history.cov_u
-    table[:, 8] = c[:, 0, 0]
-    table[:, 9] = c[:, 0, 1]
-    table[:, 10] = c[:, 0, 2]
-    table[:, 11] = c[:, 1, 1]
-    table[:, 12] = c[:, 1, 2]
-    table[:, 13] = c[:, 2, 2]
-    fmt = ["%.17g", "%d"] + ["%.17g"] * 12
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=STATS_COLUMNS, comments="")
-
-
-def _write_rows_csv(rows, path):
-    with open(path, "w", encoding="ascii") as fh:
-        for row in rows:
-            fh.write(",".join(format(v, _G) if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
+    _write_csv(path, history.COLUMNS, history.table, history.FLAG_COLUMNS)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -319,16 +300,8 @@ def cmd_simulate(cfg):
                                 project_initial=cfg.particle.project_initial)
     write_trajectory_csv(traj, os.path.join(d, "trajectory.csv"))
     s = traj.summary
-    summary = {
-        "steps": s.steps,
-        "max_norm_err": s.max_norm_err,
-        "max_abs_n_dot_b": s.max_abs_n_dot_b,
-        "degenerate_steps": s.degenerate_steps,
-        "terminated_early": s.terminated_early,
-        "termination_reason": s.termination_reason,
-        "final_time": float(traj.t[-1]),
-        "final_position": [float(v) for v in traj.r[-1]],
-    }
+    summary = asdict(s) | {"final_time": float(traj.t[-1]),
+                           "final_position": traj.r[-1].tolist()}
     with open(os.path.join(d, "summary.json"), "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
@@ -362,7 +335,7 @@ def cmd_verify(cfg, points=100, seed=0):
                                           eps_grad=cfg.integrator.eps_grad,
                                           t=cfg.t0)
     parts.append(rep.to_text())
-    _write_rows_csv(rep.csv_rows(), os.path.join(d, "omega_identity.csv"))
+    _write_csv(os.path.join(d, "omega_identity.csv"), rep.COLUMNS, rep.table)
 
     try:
         canc = verify_mod.cancellation_check(provider, n_states=points, seed=seed,
@@ -388,7 +361,8 @@ def cmd_verify(cfg, points=100, seed=0):
             method=cfg.integrator.method, eps_grad=cfg.integrator.eps_grad,
             project_initial=cfg.particle.project_initial)
         parts.append(drift.to_text())
-        _write_rows_csv(drift.csv_rows(), os.path.join(d, "tangency_drift.csv"))
+        _write_csv(os.path.join(d, "tangency_drift.csv"), f"dt,{drift.kind}",
+                   np.column_stack((drift.steps, drift.values)))
     except TtpsimError as err:
         parts.append(f"tangency drift study skipped: {err}")
 
@@ -398,7 +372,8 @@ def cmd_verify(cfg, points=100, seed=0):
             provider, state0, dts, cfg.integrator.t_end,
             method=cfg.integrator.method, eps_grad=cfg.integrator.eps_grad)
         parts.append(conv.to_text())
-        _write_rows_csv(conv.csv_rows(), os.path.join(d, "convergence.csv"))
+        _write_csv(os.path.join(d, "convergence.csv"), f"dt,{conv.kind}",
+                   np.column_stack((conv.steps, conv.values)))
     except TtpsimError as err:
         parts.append(f"convergence study skipped: {err}")
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateGradient, EmptyEnsemble, ValidationError
 from .fields import EPS_GRAD_DEFAULT
-from .integrate import integrate_trajectory
+from .integrate import Table, Trajectory, integrate_trajectory
 from .kinetics import TtpState, isobaric_normal, relative_velocity
 
 
@@ -115,23 +115,26 @@ def _moments(Vv, U):
     return EnsembleStats(mean_v=mean_v, mean_u=mean_u, cov_u=cov, n_effective=len(U))
 
 
-class EnsembleHistory:
-    """Stats time series over an evolving ensemble."""
+class EnsembleHistory(Table):
+    """Stats time series over an evolving ensemble of ``count`` seeded particles.
 
-    def __init__(self, t, n_effective, excluded, mean_v, mean_u, cov_u):
-        self.t = t
-        self.n_effective = n_effective
-        self.excluded = excluded
-        self.mean_v = mean_v
-        self.mean_u = mean_u
-        self.cov_u = cov_u
+    ``table`` holds one row per output time in COLUMNS order.  ``cov_u``
+    holds the upper triangle of the covariance, row by row: xx, xy, xz, yy,
+    yz, zz.  ``excluded`` counts the particles dropped before each time.
+    """
 
-    def __len__(self):
-        return len(self.t)
+    LAYOUT = (("t", "t"), ("n_effective", "n_effective"),
+              ("mean_v", "mean_vx,mean_vy,mean_vz"), ("mean_u", "mean_ux,mean_uy,mean_uz"),
+              ("cov_u", "cov_uxx,cov_uxy,cov_uxz,cov_uyy,cov_uyz,cov_uzz"))
+    FLAGS = ("n_effective",)
 
-    def stats(self, i):
-        return EnsembleStats(mean_v=self.mean_v[i], mean_u=self.mean_u[i],
-                             cov_u=self.cov_u[i], n_effective=int(self.n_effective[i]))
+    def __init__(self, table, count):
+        super().__init__(table)
+        self.count = count
+
+    @property
+    def excluded(self):
+        return self.count - self.n_effective
 
 
 def check_stride(stride):
@@ -159,24 +162,15 @@ def evolve_ensemble(states, provider, config, stride=1):
     if out_idx[-1] != n_steps:
         out_idx.append(n_steps)
 
-    total = len(states)
-    t_out = np.empty(len(out_idx))
-    n_eff = np.empty(len(out_idx), dtype=int)
-    excl = np.empty(len(out_idx), dtype=int)
-    mean_v = np.empty((len(out_idx), 3))
-    mean_u = np.empty((len(out_idx), 3))
-    cov_u = np.empty((len(out_idx), 3, 3))
+    table = np.empty((len(out_idx), EnsembleHistory.WIDTH))
+    t, v, u = (Trajectory.INDEX[name] for name in ("t", "v", "u"))
+    upper = np.triu_indices(3)
     for j, idx in enumerate(out_idx):
         alive = [tr for tr in trajectories if len(tr) > idx]
         if not alive:
             raise EmptyEnsemble(f"no surviving particles at output step {idx}")
-        t_out[j] = alive[0].t[idx]
-        Vv = np.array([tr.v[idx] for tr in alive])
-        U = np.array([tr.u[idx] for tr in alive])
-        m = _moments(Vv, U)
-        n_eff[j] = m.n_effective
-        excl[j] = total - m.n_effective
-        mean_v[j] = m.mean_v
-        mean_u[j] = m.mean_u
-        cov_u[j] = m.cov_u
-    return trajectories, EnsembleHistory(t_out, n_eff, excl, mean_v, mean_u, cov_u)
+        rows = np.array([tr.table[idx] for tr in alive])
+        # contiguous (N, 3) operands keep the summation order of _moments
+        m = _moments(np.ascontiguousarray(rows[:, v]), np.ascontiguousarray(rows[:, u]))
+        table[j] = (rows[0, t], m.n_effective, *m.mean_v, *m.mean_u, *m.cov_u[upper])
+    return trajectories, EnsembleHistory(table, len(states))

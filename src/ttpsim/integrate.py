@@ -83,29 +83,44 @@ class InvariantSummary:
     termination_reason: str = ""
 
 
-# Each entry is a Trajectory column name and its CSV header fields.  The table
-# layout, the CSV header and the named column views all come from this list.
-_LAYOUT = (("t", "t"), ("r", "rx,ry,rz"), ("n", "nx,ny,nz"), ("u", "ux,uy,uz"),
-           ("v", "vx,vy,vz"), ("v_th", "vth"), ("p1hat", "p1hat"), ("b", "bx,by,bz"),
-           ("n_dot_b", "n_dot_b"), ("norm_err", "norm_err"),
-           ("degenerate", "degenerate_flag"))
-TRAJECTORY_COLUMNS = ",".join(fields for _, fields in _LAYOUT)
+class Table:
+    """Rows of floats whose columns are declared once, in the subclass's LAYOUT.
+
+    Each LAYOUT entry is a column name and its CSV header fields; FLAGS names
+    the integer-valued columns.  A subclass gets ``COLUMNS`` (the CSV header),
+    ``WIDTH``, ``FLAG_COLUMNS`` (the flag columns' indices) and, for each name, a
+    read-only view of ``table``: one column, or ``(m, w)`` for w header fields.
+    """
+
+    LAYOUT = ()
+    FLAGS = ()
+
+    def __init_subclass__(cls):
+        cls.INDEX, i = {}, 0
+        for name, fields in cls.LAYOUT:
+            w = fields.count(",") + 1
+            cls.INDEX[name] = i if w == 1 else slice(i, i + w)
+            i += w
+        cls.WIDTH = i
+        cls.COLUMNS = ",".join(fields for _, fields in cls.LAYOUT)
+        cls.FLAG_COLUMNS = tuple(cls.INDEX[name] for name in cls.FLAGS)
+
+    def __init__(self, table):
+        self.table = table
+
+    def __len__(self):
+        return len(self.table)
+
+    def __getattr__(self, name):
+        if name not in self.INDEX:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        view = self.table[:, self.INDEX[name]]
+        view.flags.writeable = False
+        return view
 
 
-def _column_map():
-    cols, i = {}, 0
-    for name, fields in _LAYOUT:
-        w = fields.count(",") + 1
-        cols[name] = i if w == 1 else slice(i, i + w)
-        i += w
-    return cols
-
-
-_COLUMN = _column_map()
-
-
-class Trajectory:
-    """Recorded states: ``table`` holds one row per record in TRAJECTORY_COLUMNS order.
+class Trajectory(Table):
+    """Recorded states: ``table`` holds one row per record in COLUMNS order.
 
     ``t, r, n, u, v, v_th, p1hat, b, n_dot_b, norm_err`` and ``degenerate``
     (1.0 where the gradient is degenerate, else 0.0) are read-only views of
@@ -113,19 +128,12 @@ class Trajectory:
     are zero.
     """
 
-    def __init__(self, table, summary=None):
-        self.table = table
-        self.summary = summary
-
-    def __len__(self):
-        return len(self.table)
-
-    def __getattr__(self, name):
-        if name not in _COLUMN:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        view = self.table[:, _COLUMN[name]]
-        view.flags.writeable = False
-        return view
+    LAYOUT = (("t", "t"), ("r", "rx,ry,rz"), ("n", "nx,ny,nz"), ("u", "ux,uy,uz"),
+              ("v", "vx,vy,vz"), ("v_th", "vth"), ("p1hat", "p1hat"), ("b", "bx,by,bz"),
+              ("n_dot_b", "n_dot_b"), ("norm_err", "norm_err"),
+              ("degenerate", "degenerate_flag"))
+    FLAGS = ("degenerate",)
+    summary = None  # the InvariantSummary, set once the run ends
 
 
 def _rot_s(nx, ny, nz, tx, ty, tz):
@@ -267,7 +275,7 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
                     "no tangential projection exists")
             ev = rhs_terms(provider, t0, r, n, beta, eps_grad)
 
-    table = np.empty((n_steps + 1, len(TRAJECTORY_COLUMNS.split(","))))
+    table = np.empty((n_steps + 1, Trajectory.WIDTH))
     advance = _advance_rodrigues if config.method == "rk4_rodrigues" else _advance_naive
     reproject = config.project_tangency_every
     reason = ""
@@ -288,7 +296,11 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
         if k > n_steps:
             break
         try:
-            r, n = advance(provider, t, r, n, beta, config.dt, eps_grad, ev[:6])
+            try:
+                r, n = advance(provider, t, r, n, beta, config.dt, eps_grad, ev[:6])
+            except (ValueError, OverflowError) as err:  # a stage value overflowed in math
+                reason = f"non_finite_state: the step from r = {r}, n = {n}, t = {t!r} ({err})"
+                break
             if config.renormalize_every and k % config.renormalize_every == 0:
                 nrm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
                 n = tuple(x / nrm for x in n)
@@ -307,9 +319,10 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
             reason = f"{kind}: {err}"
             break
 
-    traj = Trajectory(table[:k])
+    # a run that stopped early copies its rows, so the unused rows can be freed
+    traj = Trajectory(table if k > n_steps else table[:k].copy())
     # np.vecdot rounds like a per-row n @ b; the golden outputs pin these bytes
-    ndb = traj.table[:, _COLUMN["n_dot_b"]]
+    ndb = traj.table[:, Trajectory.INDEX["n_dot_b"]]
     ndb[:] = np.vecdot(traj.n, traj.b)
     ndb[traj.degenerate != 0.0] = 0.0
     traj.summary = InvariantSummary(

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields import EPS_GRAD_DEFAULT
 from .fields.analytic import RigidRotationField, UniformField
-from .integrate import IntegratorConfig, integrate_trajectory
+from .integrate import IntegratorConfig, Table, integrate_trajectory
 from .kinetics import (TtpState, isobaric_normal, isobaric_normal_rate,
                        omega_decomposed, omega_direct, relative_velocity,
                        state_rhs, thermal_velocity)
@@ -92,9 +92,18 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0,
     return worst
 
 
-@dataclass(slots=True)
-class OmegaIdentityReport:
-    """Residuals of the rotation-rate identity over a random point sweep."""
+@dataclass
+class OmegaIdentityReport(Table):
+    """Residuals of the rotation-rate identity over a random point sweep.
+
+    ``table`` holds one row per evaluated point: the point, then
+    ``res_fd`` = |omega_direct - b x (fd db/dt)| / |omega_direct|, the
+    route-split residual |omega_direct - omega_decomposed| and that residual
+    relative to |omega_direct|.
+    """
+
+    LAYOUT = (("points", "x,y,z"), ("res_fd", "res_fd"), ("res_split_abs", "res_split_abs"),
+              ("res_split_rel", "res_split_rel"))
 
     provider_name: str
     h: float
@@ -102,10 +111,7 @@ class OmegaIdentityReport:
     seed: int
     requested: int
     skipped: int
-    points: np.ndarray
-    res_fd: np.ndarray          # |omega_direct - b x (fd db/dt)| / |omega_direct|
-    res_split_abs: np.ndarray   # |omega_direct - omega_decomposed|
-    res_split_rel: np.ndarray
+    table: np.ndarray
 
     @property
     def max_fd(self):
@@ -138,14 +144,6 @@ class OmegaIdentityReport:
             "  pass threshold.",
         ])
 
-    def csv_rows(self):
-        head = ["x", "y", "z", "res_fd", "res_split_abs", "res_split_rel"]
-        rows = [head]
-        for p, a, b2, c in zip(self.points, self.res_fd, self.res_split_abs,
-                               self.res_split_rel):
-            rows.append([p[0], p[1], p[2], a, b2, c])
-        return rows
-
 
 def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5,
                          eps_grad=EPS_GRAD_DEFAULT, t=0.0, g_min=1e-3):
@@ -159,7 +157,7 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5,
     """
     rng = np.random.default_rng(seed)
     pts = _random_interior_points(provider, n_points, rng)
-    keep, rfd, rsa, rsr = [], [], [], []
+    rows = []
     skipped = 0
     for p in pts:
         s = provider.sample(p, t)
@@ -184,19 +182,15 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5,
         bdot_fd = (bp - bm) / (2.0 * h)
         om_fd = np.cross(b, bdot_fd)
         om = omega_direct(s, st, eps_grad)
-        rfd.append(float(np.linalg.norm(om - om_fd)) / max(float(np.linalg.norm(om)), _TINY))
+        res_fd = float(np.linalg.norm(om - om_fd)) / max(float(np.linalg.norm(om)), _TINY)
 
         br = omega_decomposed(s, st, eps_grad)
-        rsa.append(br.residual)
-        rsr.append(br.residual / max(float(np.linalg.norm(br.omega_direct)), _TINY))
-        keep.append(p)
+        rows.append((*p, res_fd, br.residual,
+                     br.residual / max(float(np.linalg.norm(br.omega_direct)), _TINY)))
     return OmegaIdentityReport(
         provider_name=provider.name, h=h, beta=beta, seed=seed,
         requested=n_points, skipped=skipped,
-        points=np.array(keep) if keep else np.zeros((0, 3)),
-        res_fd=np.array(rfd), res_split_abs=np.array(rsa),
-        res_split_rel=np.array(rsr),
-    )
+        table=np.array(rows, dtype=float).reshape(-1, OmegaIdentityReport.WIDTH))
 
 
 def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0,
@@ -260,11 +254,6 @@ class OrderStudy:
         if self.note:
             lines.append(f"  {self.note}")
         return "\n".join(lines)
-
-    def csv_rows(self):
-        rows = [["dt", self.kind]]
-        rows.extend([dt, v] for dt, v in zip(self.steps, self.values))
-        return rows
 
 
 def tangency_drift_study(provider, state0, dt_list, t_end, method="rk4_rodrigues",

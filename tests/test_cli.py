@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from ttpsim import ParseError, ValidationError
+from ttpsim import ParseError, RigidRotationField, ValidationError, omega_identity_sweep
 from ttpsim.cli import (STATS_COLUMNS, TRAJECTORY_COLUMNS, main, parse_config,
                         print_config)
 
@@ -375,7 +375,10 @@ def test_undecodable_file_exit2_names_it(tmp_path, capsys, kind):
     # rk4_naive lets |n| grow; at t = 23 the state is finite but |n|^2 overflows
     ("taylor_green", "r0 = 1 2 3\nauto_tangent = true",
      "dt = 1\nt_end = 400\nmethod = rk4_naive", 22.0),
-], ids=["state_nan", "record_overflow"])
+    # the step from t = 6 takes math.sin of an overflowed stage position
+    ("taylor_green", "r0 = 2.1 3.3 1.7\nauto_tangent = true",
+     "dt = 2\nt_end = 800\nmethod = rk4_naive", 6.0),
+], ids=["state_nan", "record_overflow", "stage_overflow"])
 def test_simulate_non_finite_state_terminates_early(tmp_path, capsys, field, particle,
                                                     integrator, final_time):
     # the run stops with a reason instead of writing nan or inf rows
@@ -440,6 +443,19 @@ def test_trajectory_csv_numeric_roundtrip(tmp_path):
 
 # --- ensemble ----------------------------------------------------------------------
 
+def test_stats_csv_numeric_roundtrip(tmp_path, taylor_green):
+    from ttpsim import EnsembleSpec, IntegratorConfig, evolve_ensemble, seed_tangent_circle
+    from ttpsim.cli import write_stats_csv
+    spec = EnsembleSpec(r0=(2.1, 3.3, 1.7), count=16, beta=0.5)
+    states = seed_tangent_circle(spec, taylor_green)
+    _, hist = evolve_ensemble(states, taylor_green, IntegratorConfig(dt=0.01, t_end=0.1),
+                              stride=5)
+    path = tmp_path / "stats.csv"
+    write_stats_csv(hist, path)
+    assert path.read_text().splitlines()[0] == STATS_COLUMNS
+    assert np.array_equal(np.loadtxt(path, delimiter=",", skiprows=1), hist.table)
+
+
 def test_ensemble_stats_csv(tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(["ensemble", _write(tmp_path, TG_ENSEMBLE.format(out=out))])
@@ -473,9 +489,26 @@ def test_verify_emits_reports(tmp_path, capsys):
     assert "rotation-rate identity sweep" in report
     assert "tangency drift" in report
     assert "position error" in report
-    assert (out / "omega_identity.csv").exists()
     assert (out / "tangency_drift.csv").exists()
     assert (out / "convergence.csv").exists()
+    lines = (out / "omega_identity.csv").read_text().splitlines()
+    assert lines[0] == "x,y,z,res_fd,res_split_abs,res_split_rel"
+    rep = omega_identity_sweep(RigidRotationField(omega=1.0, p0=0.5, c=1.0), n_points=40,
+                               beta=1.0)
+    assert len(rep) > 0
+    assert len(lines) == len(rep) + 1
+
+
+def test_verify_all_points_skipped_writes_header_only(tmp_path, capsys):
+    # the uniform field's pressure gradient is degenerate everywhere
+    out = tmp_path / "out"
+    text = ("[field]\nname = uniform\n\n[integrator]\ndt = 0.01\nt_end = 0.4\n\n"
+            f"[output]\ndirectory = {out}\n")
+    assert main(["verify", _write(tmp_path, text), "--points", "10"]) == 0
+    assert "points evaluated 0 / 10 (skipped 10 degenerate)" in (
+        out / "verify_report.txt").read_text()
+    assert (out / "omega_identity.csv").read_text() == (
+        "x,y,z,res_fd,res_split_abs,res_split_rel\n")
 
 
 # --- fields -------------------------------------------------------------------------------

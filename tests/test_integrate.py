@@ -243,6 +243,9 @@ def test_domain_exit_terminates_early(tmp_path):
     assert "out_of_domain" in traj.summary.termination_reason
     assert len(traj) < 101
     assert traj.r[-1][0] <= 1.0
+    # the early stop copies its rows; no view keeps the 101-row table alive
+    assert traj.table.base is None
+    assert traj.table.nbytes == len(traj) * 21 * 8
 
 
 def test_negative_pressure_mid_run_terminates_early():
