@@ -99,6 +99,15 @@ def test_sweep_deterministic_under_fixed_seed():
     assert np.array_equal(r1.points, r2.points)
 
 
+def test_sweep_csv_rows_shape():
+    prov = TaylorGreenField(A=1.0, k=1.0, nu=0.0, p0=1.0)
+    rep = omega_identity_sweep(prov, n_points=20, seed=6, h=1e-5)
+    assert rep.COLUMNS.split(",") == ["x", "y", "z", "res_fd", "res_split_abs",
+                                      "res_split_rel"]
+    assert rep.table.shape == (len(rep.res_fd), rep.WIDTH)
+    assert len(rep.res_fd) > 0
+
+
 # --- reduced RHS divergence diagnostic ----------------------------------------
 
 def test_reduced_divergence_reported(taylor_green):
