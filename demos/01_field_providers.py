@@ -13,12 +13,13 @@ import tempfile
 import numpy as np
 
 from ttpsim import (create_provider, fd_verify_derivatives, load_grid,
-                    register_builtin_providers, write_grid)
+                    provider_parameters, write_grid)
+from ttpsim.fields.analytic import PROVIDERS
 
-print("=== registry ===")
-for d in register_builtin_providers():
-    print(f"  {d.name:<18} time_dependent={d.time_dependent} "
-          f"params={sorted(d.parameters)}")
+print("=== registry (parameters are constructor keywords) ===")
+for name, cls in PROVIDERS.items():
+    print(f"  {name:<18} time_dependent={cls.time_dependent} "
+          f"params={provider_parameters(name)}")
 
 print("\n=== sampling the decaying Taylor-Green field ===")
 tg = create_provider("taylor_green", A=1.0, k=1.0, nu=0.3, p0=1.0)

@@ -10,9 +10,8 @@ and the rotation-rate pseudo-vector driving the direction's evolution.
 from .errors import (DegenerateGradient, EmptyEnsemble, InitialTangencyViolation,
                      NegativePressure, NoOracle, NonUniformSpacing, NotFound,
                      OutOfDomain, ParseError, TtpsimError, ValidationError)
-from .fields import (EPS_GRAD_DEFAULT, DerivativeResiduals, FieldProvider,
-                     FieldProviderDescriptor, FluidSample, create_provider,
-                     fd_verify_derivatives, lookup, register_builtin_providers)
+from .fields import (EPS_GRAD_DEFAULT, DerivativeResiduals, FieldProvider, FluidSample,
+                     create_provider, fd_verify_derivatives, provider_parameters)
 from .fields.analytic import (LambOseenField, RigidRotationField, TaylorGreenField,
                               UniformField, UniformGradientField)
 from .fields.grid import GridField, load_grid, write_grid

@@ -19,8 +19,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NotFound, ParseError, TtpsimError, ValidationError
-from .fields import (create_provider, fd_verify_derivatives, lookup,
-                     register_builtin_providers)
+from .fields import create_provider, fd_verify_derivatives, provider_parameters
+from .fields.analytic import PROVIDERS
 from .fields.grid import interpolation_min_nodes, load_grid
 from .integrate import IntegratorConfig, Trajectory, integrate_trajectory, step_count
 from .kinetics import TtpState, isobaric_normal
@@ -60,9 +60,9 @@ class FieldConfig:
             return
         if self.interpolation is not None:
             raise ValidationError("key 'interpolation' only applies to gridded fields")
-        descr = lookup(self.name)  # NotFound for an unknown name
+        parameters = provider_parameters(self.name)  # NotFound for an unknown name
         for k in self.params:
-            if k not in descr.parameters:
+            if k not in parameters:
                 raise ValidationError(f"key '{k}' is not a parameter of provider '{self.name}'")
 
 
@@ -387,9 +387,10 @@ def cmd_verify(cfg, points=100, seed=0):
 def cmd_fields(list_providers=False, check=None, h=1e-4, tol=1e-5):
     if check is None or list_providers:
         print("registered providers:")
-        for descr in register_builtin_providers():
-            pars = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(descr.parameters.items()))
-            print(f"  {descr.name:<18} time_dependent={str(descr.time_dependent).lower()} "
+        for name, cls in PROVIDERS.items():  # each at its default parameters
+            pars = " ".join(f"{k}={_fmt(v)}"
+                            for k, v in sorted(provider_parameters(name).items()))
+            print(f"  {name:<18} time_dependent={str(cls.time_dependent).lower()} "
                   f"params: {pars}")
         if check is None:
             return 0

@@ -3,12 +3,15 @@
 A field provider evaluates, at any admissible (r, t), the full set of local
 fluid data the particle kinetics consume: velocity and its gradient,
 vorticity, the normalized kinetic pressure p1hat (units length^2/time^2)
-and its gradient, Hessian and time-differentiated gradient.  Providers are
-immutable after construction and ``sample`` is a pure function, so instances
+and its gradient, Hessian and time-differentiated gradient.  Each provider
+writes that math once, in one kernel ``_fields``; :class:`FieldProvider`
+builds ``sample`` and ``sample_kinetic`` on top of it.  Providers are
+immutable after construction and the kernel is a pure function, so instances
 may be shared freely across threads.
 """
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,23 +85,16 @@ class FluidSample:
                    np.array((dgx, dgy, dgz)))
 
 
-@dataclass(slots=True)
-class FieldProviderDescriptor:
-    """Registry entry describing one provider family."""
-
-    name: str
-    parameters: dict = field(default_factory=dict)
-    time_dependent: bool = False
-    domain_bounds: object = None  # None means unbounded, else (lo, hi) arrays
-
-
 class FieldProvider:
     """Base class for field providers.
 
     Subclasses set ``name``, ``time_dependent``, ``domain_bounds`` (None for
-    unbounded, else a ``(lo, hi)`` pair of (3,) arrays) and implement
-    ``sample``.  ``reference_box`` is a finite box used by verification
-    sweeps to draw sample points when the domain itself is unbounded.
+    unbounded, else a ``(lo, hi)`` pair of (3,) arrays) and implement one
+    kernel, :meth:`_fields`; ``sample`` and ``sample_kinetic`` are defined
+    here on top of it.  ``reference_box`` is a finite box used by
+    verification sweeps to draw sample points when the domain itself is
+    unbounded.  A provider's parameters are its constructor's keyword
+    arguments (see :func:`provider_parameters`).
     """
 
     name = "provider"
@@ -106,31 +102,30 @@ class FieldProvider:
     domain_bounds = None
     reference_box = (np.array((-1.0, -1.0, -1.0)), np.array((1.0, 1.0, 1.0)))
 
-    def sample(self, r, t):
+    def _fields(self, r, t, full):
+        """The provider's one field kernel.
+
+        ``r`` is a sequence of three floats.  Returns the flat tuple of
+        :meth:`sample_kinetic`; with ``full`` true it returns ``(that tuple,
+        gradV, xi)`` with gradV a (3, 3) and xi a (3,) array.
+        """
         raise NotImplementedError
+
+    def sample(self, r, t):
+        """All local fluid data at (r, t) as a :class:`FluidSample`."""
+        return FluidSample.from_kinetic(
+            *self._fields(np.asarray(r, dtype=float).tolist(), t, True))
 
     def sample_kinetic(self, r, t):
         """Flat scalar tuple of the fields the trajectory stepper consumes.
 
         Returns (Vx, Vy, Vz, p1hat, gx, gy, gz, Hxx, Hxy, Hxz, Hyy, Hyz,
         Hzz, dgx, dgy, dgz) where g is grad_p1hat, H its Hessian and dg its
-        time derivative.  The default derives from :meth:`sample`; analytic
-        providers override with allocation-free scalar math (the integrator
-        hot loop calls this three times per step).  Must agree with
-        :meth:`sample` to rounding.
+        time derivative.  ``r`` is a sequence of three floats; no
+        :class:`FluidSample` is built (the integrator hot loop calls this
+        three times per step).
         """
-        return self.sample(np.asarray(r, dtype=float), t).kinetic()
-
-    def params(self):
-        return {}
-
-    def descriptor(self):
-        return FieldProviderDescriptor(
-            name=self.name,
-            parameters=dict(self.params()),
-            time_dependent=self.time_dependent,
-            domain_bounds=self.domain_bounds,
-        )
+        return self._fields(r, t, False)
 
     def contains(self, r, margin=0.0):
         """True if r lies inside the domain (shrunk by margin on each side)."""
@@ -160,16 +155,10 @@ def _provider_class(name):
         raise NotFound(f"no provider registered under name {name!r}") from None
 
 
-def register_builtin_providers():
-    """Descriptors of the built-in analytic providers, in registry order."""
-    from .analytic import PROVIDERS
-
-    return [cls().descriptor() for cls in PROVIDERS.values()]
-
-
-def lookup(name):
-    """Descriptor for a registered provider name.  Raises NotFound."""
-    return _provider_class(name)().descriptor()
+def provider_parameters(name):
+    """Parameter names and defaults of a registered provider.  Raises NotFound."""
+    return {p.name: p.default
+            for p in inspect.signature(_provider_class(name)).parameters.values()}
 
 
 def create_provider(name, **params):

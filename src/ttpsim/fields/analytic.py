@@ -12,29 +12,13 @@ import math
 import numpy as np
 
 from ..errors import ValidationError
-from . import FieldProvider, FluidSample
+from . import FieldProvider
 
 _Z3 = np.zeros(3)
 _Z33 = np.zeros((3, 3))
 
 
-class _AnalyticField(FieldProvider):
-    """Provider whose fields all come from one scalar kernel, ``_fields``.
-
-    ``_fields(r, t, full)`` returns the flat tuple of :meth:`sample_kinetic`;
-    with ``full`` true it returns ``(that tuple, gradV, xi)``.  ``r`` is a
-    sequence of three floats.
-    """
-
-    def sample(self, r, t):
-        return FluidSample.from_kinetic(
-            *self._fields(np.asarray(r, dtype=float).tolist(), t, True))
-
-    def sample_kinetic(self, r, t):
-        return self._fields(r, t, False)
-
-
-class UniformField(_AnalyticField):
+class UniformField(FieldProvider):
     """Constant velocity V0 = (V0x, V0y, V0z), constant pressure p0.
 
     The pressure gradient vanishes identically, so the isobaric normal is
@@ -43,16 +27,12 @@ class UniformField(_AnalyticField):
     """
 
     name = "uniform"
-    time_dependent = False
 
     def __init__(self, V0x=1.0, V0y=0.0, V0z=0.0, p0=0.5):
         if p0 < 0.0:
             raise ValidationError("p0 must be >= 0")
         self.V0 = np.array((V0x, V0y, V0z), dtype=float)
         self.p0 = float(p0)
-
-    def params(self):
-        return {"V0x": self.V0[0], "V0y": self.V0[1], "V0z": self.V0[2], "p0": self.p0}
 
     def _fields(self, r, t, full):
         V = self.V0
@@ -61,7 +41,7 @@ class UniformField(_AnalyticField):
         return (kin, _Z33.copy(), _Z3.copy()) if full else kin
 
 
-class UniformGradientField(_AnalyticField):
+class UniformGradientField(FieldProvider):
     """Constant velocity with a spatially linear pressure.
 
     V = (V0x, V0y, V0z) and p1hat = p0 + g . r with g = (gx, gy, gz), so
@@ -71,7 +51,6 @@ class UniformGradientField(_AnalyticField):
     """
 
     name = "uniform_gradient"
-    time_dependent = False
 
     def __init__(self, V0x=1.0, V0y=0.0, V0z=0.0, p0=2.0, gx=0.0, gy=0.0, gz=1.0):
         self.V0 = np.array((V0x, V0y, V0z), dtype=float)
@@ -87,10 +66,6 @@ class UniformGradientField(_AnalyticField):
         self.domain_bounds = (np.full(3, -L), np.full(3, L))
         self.reference_box = self.domain_bounds
 
-    def params(self):
-        return {"V0x": self.V0[0], "V0y": self.V0[1], "V0z": self.V0[2],
-                "p0": self.p0, "gx": self.g[0], "gy": self.g[1], "gz": self.g[2]}
-
     def _fields(self, r, t, full):
         self._require_inside(np.asarray(r, dtype=float))
         V, g = self.V0, self.g
@@ -100,7 +75,7 @@ class UniformGradientField(_AnalyticField):
         return (kin, _Z33.copy(), _Z3.copy()) if full else kin
 
 
-class RigidRotationField(_AnalyticField):
+class RigidRotationField(FieldProvider):
     """Solid-body rotation about the z axis with an axisymmetric pressure.
 
     V = omega z_hat x r, p1hat = p0 + c (x^2 + y^2) / 2.  The vorticity is
@@ -110,7 +85,6 @@ class RigidRotationField(_AnalyticField):
     """
 
     name = "rigid_rotation"
-    time_dependent = False
     reference_box = (np.array((-2.0, -2.0, -1.0)), np.array((2.0, 2.0, 1.0)))
 
     def __init__(self, omega=1.0, p0=0.5, c=1.0):
@@ -121,9 +95,6 @@ class RigidRotationField(_AnalyticField):
         self.omega = float(omega)
         self.p0 = float(p0)
         self.c = float(c)
-
-    def params(self):
-        return {"omega": self.omega, "p0": self.p0, "c": self.c}
 
     def _fields(self, r, t, full):
         x, y = r[0], r[1]
@@ -137,7 +108,7 @@ class RigidRotationField(_AnalyticField):
         return kin, gradV, np.array((0.0, 0.0, 2.0 * om))
 
 
-class TaylorGreenField(_AnalyticField):
+class TaylorGreenField(FieldProvider):
     """Three-dimensional Taylor-Green vortex array, optionally decaying.
 
     V = A F(t) (sin kx cos ky cos kz, -cos kx sin ky cos kz, 0) with
@@ -148,7 +119,6 @@ class TaylorGreenField(_AnalyticField):
     """
 
     name = "taylor_green"
-    time_dependent = True
 
     def __init__(self, A=1.0, k=1.0, nu=0.0, p0=1.0):
         if k <= 0.0:
@@ -164,9 +134,6 @@ class TaylorGreenField(_AnalyticField):
         self.time_dependent = self.nu > 0.0
         L = 2.0 * math.pi / self.k
         self.reference_box = (np.zeros(3), np.full(3, L))
-
-    def params(self):
-        return {"A": self.A, "k": self.k, "nu": self.nu, "p0": self.p0}
 
     def _fields(self, r, t, full):
         A, k, nu = self.A, self.k, self.nu
@@ -204,7 +171,7 @@ class TaylorGreenField(_AnalyticField):
         return kin, gradV, xi
 
 
-class LambOseenField(_AnalyticField):
+class LambOseenField(FieldProvider):
     """Gaussian-core line vortex with a uniform axial velocity.
 
     V_phi(rho) = Gamma / (2 pi rho) (1 - exp(-rho^2 / rc^2)), V_z = W.
@@ -215,7 +182,6 @@ class LambOseenField(_AnalyticField):
     """
 
     name = "lamb_oseen"
-    time_dependent = False
 
     def __init__(self, Gamma=1.0, rc=1.0, W=0.5, p0=1.0, pa=0.5):
         if rc <= 0.0:
@@ -229,10 +195,6 @@ class LambOseenField(_AnalyticField):
         self.pa = float(pa)
         L = 2.0 * self.rc
         self.reference_box = (np.array((-L, -L, -L)), np.array((L, L, L)))
-
-    def params(self):
-        return {"Gamma": self.Gamma, "rc": self.rc, "W": self.W,
-                "p0": self.p0, "pa": self.pa}
 
     def _q(self, s):
         """(1 - exp(-s/rc^2)) / s and its derivative, smooth through s = 0."""

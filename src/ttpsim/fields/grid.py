@@ -3,10 +3,10 @@
 Interpolation is tensor-product cubic Hermite with nodal derivatives
 estimated by second-order finite differences (tricubic, C1 across cell
 faces), or optionally trilinear.  The nodal data of the four scalars are
-stacked in one array at construction, and one contraction kernel serves
-both ``sample`` and ``sample_kinetic``.  All derivatives returned are exact
-derivatives of the interpolant.  Grids are steady, so ``dt_grad_p1hat`` is
-identically zero.
+stacked in one array at construction, and one contraction kernel,
+``_fields``, serves both ``sample`` and ``sample_kinetic``.  All derivatives
+returned are exact derivatives of the interpolant.  Grids are steady, so
+``dt_grad_p1hat`` is identically zero.
 
 File format (text, version 1)::
 
@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from ..errors import NegativePressure, NonUniformSpacing, ParseError, ValidationError
-from . import FieldProvider, FluidSample
+from . import FieldProvider
 
 
 def _fd_axis(F, axis, h):
@@ -108,8 +108,6 @@ class GridField(FieldProvider):
         and discontinuous across faces; derivative audits flag this.
     """
 
-    time_dependent = False
-
     def __init__(self, origin, spacing, V, p1hat, interpolation="tricubic", name="grid"):
         V = np.asarray(V, dtype=float)
         p1hat = np.asarray(p1hat, dtype=float)
@@ -161,9 +159,6 @@ class GridField(FieldProvider):
         spacing = [a[1] for a in axes]
         return cls(origin, spacing, V, p1hat, interpolation=interpolation)
 
-    def params(self):
-        return {"nx": int(self.dims[0]), "ny": int(self.dims[1]), "nz": int(self.dims[2])}
-
     def _locate(self, r):
         """Cell index and offset in [0, 1] along each axis for the point r."""
         ox, oy, oz = self._origin
@@ -179,8 +174,8 @@ class GridField(FieldProvider):
         k = min(int(qz), int(tz) - 1)
         return (i, j, k), (qx - i, qy - j, qz - k)
 
-    def _fields(self, r, full):
-        """The one interpolation kernel behind ``sample`` and ``sample_kinetic``.
+    def _fields(self, r, t, full):
+        """The one interpolation kernel; grids are steady, so ``t`` is unused.
 
         Contracts the cell's slice of the stacked nodal data against the
         (value, d/dx, d^2/dx^2) basis rows of each axis, giving
@@ -215,13 +210,6 @@ class GridField(FieldProvider):
                        gradV[2, 0] - gradV[0, 2],
                        gradV[0, 1] - gradV[1, 0]))
         return kin, gradV, xi
-
-    def sample(self, r, t):
-        return FluidSample.from_kinetic(
-            *self._fields(np.asarray(r, dtype=float).tolist(), True))
-
-    def sample_kinetic(self, r, t):
-        return self._fields(r, False)
 
 
 def load_grid(path, interpolation="tricubic"):
@@ -290,6 +278,6 @@ def write_grid(path, provider, origin, spacing, dims, t=0.0):
             for j in range(ny):
                 for i in range(nx):
                     r = origin + spacing * np.array((i, j, k), dtype=float)
-                    s = provider.sample(r, t)
-                    fh.write(" ".join(format(v, ".17g")
-                                      for v in (s.V[0], s.V[1], s.V[2], s.p1hat)) + "\n")
+                    fh.write(" ".join(format(v, ".17g")  # Vx Vy Vz p1hat
+                                      for v in provider.sample_kinetic(r.tolist(), t)[:4])
+                             + "\n")

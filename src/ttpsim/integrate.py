@@ -230,12 +230,15 @@ def _advance_naive(provider, t, r, n, beta, dt, eps_grad, k1):
 def _project_tangent(n, b):
     """The triple n projected onto the plane orthogonal to the unit b, renormalized.
 
-    Returns None when n is parallel to b (no tangential component left).
+    Returns None when n is parallel to b (no tangential component left), or
+    when the tangential part's squared norm overflows; the caller then keeps
+    n, whose record is not finite.
     """
     n, b = np.array(n), np.array(b)
     m = n - (n @ b) * b
-    nm = math.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2])
-    return None if nm < 1e-12 else tuple((m / nm).tolist())
+    mx, my, mz = m.tolist()
+    nm = math.sqrt(mx * mx + my * my + mz * mz)
+    return None if not 1e-12 <= nm < math.inf else tuple((m / nm).tolist())
 
 
 def integrate_trajectory(state0, provider, config, project_initial=False):
@@ -303,7 +306,8 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
                 break
             if config.renormalize_every and k % config.renormalize_every == 0:
                 nrm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
-                n = tuple(x / nrm for x in n)
+                if nrm < math.inf:  # else |n|^2 overflowed: keep n, whose record is not finite
+                    n = tuple(x / nrm for x in n)
             t = t0 + k * config.dt
             if not all(map(math.isfinite, r + n)):
                 reason = f"non_finite_state: r = {r}, n = {n} at t = {t!r}"

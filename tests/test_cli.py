@@ -289,7 +289,7 @@ def test_rejected_integrator_value_exit2(tmp_path, capsys, integrator, message):
      (1.0, 0.25, 0.0), 3.0 + 0.5 * 0.2),
 ], ids=["uniform", "uniform_gradient"])
 def test_uniform_component_params_take_effect(tmp_path, capsys, field, V0, p1hat):
-    # the keys the descriptor advertises are the keys the constructor takes
+    # the keys the registry advertises are the keys the constructor takes
     out = tmp_path / "out"
     text = (f"[field]\n{field}\n\n[particle]\nr0 = 0.2 0.1 0.0\nn0 = 0 1 0\n\n"
             f"[integrator]\ndt = 0.01\nt_end = 0.1\n\n[output]\ndirectory = {out}\n")
@@ -378,7 +378,14 @@ def test_undecodable_file_exit2_names_it(tmp_path, capsys, kind):
     # the step from t = 6 takes math.sin of an overflowed stage position
     ("taylor_green", "r0 = 2.1 3.3 1.7\nauto_tangent = true",
      "dt = 2\nt_end = 800\nmethod = rk4_naive", 6.0),
-], ids=["state_nan", "record_overflow", "stage_overflow"])
+    # |n| reaches 2e172 after the step from t = 4; its square overflows at renormalization
+    ("taylor_green", "r0 = 2.1 3.3 1.7\nauto_tangent = true",
+     "dt = 4\nt_end = 800\nmethod = rk4_naive\nrenormalize_every = 2", 4.0),
+    # the same run projected onto the tangent plane instead: the projection's norm overflows
+    ("taylor_green", "r0 = 2.1 3.3 1.7\nauto_tangent = true",
+     "dt = 4\nt_end = 800\nmethod = rk4_naive\nproject_tangency_every = 2", 4.0),
+], ids=["state_nan", "record_overflow", "stage_overflow", "renormalize_overflow",
+        "projection_overflow"])
 def test_simulate_non_finite_state_terminates_early(tmp_path, capsys, field, particle,
                                                     integrator, final_time):
     # the run stops with a reason instead of writing nan or inf rows
@@ -516,9 +523,14 @@ def test_verify_all_points_skipped_writes_header_only(tmp_path, capsys):
 def test_fields_list(capsys):
     rc = main(["fields", "--list"])
     assert rc == 0
-    out = capsys.readouterr().out
-    for name in ("uniform", "rigid_rotation", "taylor_green", "lamb_oseen"):
-        assert name in out
+    assert capsys.readouterr().out == (
+        "registered providers:\n"
+        "  uniform            time_dependent=false params: V0x=1 V0y=0 V0z=0 p0=0.5\n"
+        "  uniform_gradient   time_dependent=false params: "
+        "V0x=1 V0y=0 V0z=0 gx=0 gy=0 gz=1 p0=2\n"
+        "  rigid_rotation     time_dependent=false params: c=1 omega=1 p0=0.5\n"
+        "  taylor_green       time_dependent=false params: A=1 k=1 nu=0 p0=1\n"
+        "  lamb_oseen         time_dependent=false params: Gamma=1 W=0.5 p0=1 pa=0.5 rc=1\n")
 
 
 def test_fields_check_taylor_green(capsys):

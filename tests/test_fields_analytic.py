@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from ttpsim import (NotFound, TaylorGreenField, ValidationError, create_provider,
-                    fd_verify_derivatives, lookup, register_builtin_providers)
+from ttpsim import (NotFound, TaylorGreenField, UniformField, ValidationError,
+                    create_provider, fd_verify_derivatives, provider_parameters)
+from ttpsim.fields.analytic import PROVIDERS
 
 from conftest import all_builtin_providers, interior_points, smooth_nonlinear_providers
 
@@ -248,24 +249,28 @@ def test_fd_verify_second_order_decay(provider):
 # --- registry --------------------------------------------------------------------
 
 def test_registry_builtins_present():
-    descrs = register_builtin_providers()
-    names = {d.name for d in descrs}
-    assert {"uniform", "rigid_rotation", "taylor_green", "lamb_oseen"} <= names
+    assert {"uniform", "rigid_rotation", "taylor_green", "lamb_oseen"} <= set(PROVIDERS)
+    for name, cls in PROVIDERS.items():
+        assert cls.name == name
 
 
 def test_registry_uniform_descriptor():
-    d = lookup("uniform")
-    assert d.time_dependent is False
+    assert provider_parameters("uniform") == {"V0x": 1.0, "V0y": 0.0, "V0z": 0.0, "p0": 0.5}
+    assert UniformField.time_dependent is False
+    assert create_provider("uniform").time_dependent is False
 
 
 def test_registry_taylor_green_parameters():
-    d = lookup("taylor_green")
-    assert {"A", "k", "nu"} <= set(d.parameters)
+    assert {"A", "k", "nu"} <= set(provider_parameters("taylor_green"))
+    assert create_provider("taylor_green").time_dependent is False  # nu = 0
+    assert create_provider("taylor_green", nu=0.1).time_dependent is True
 
 
 def test_registry_unknown_name():
     with pytest.raises(NotFound):
-        lookup("nonexistent")
+        provider_parameters("nonexistent")
+    with pytest.raises(NotFound):
+        create_provider("nonexistent")
 
 
 def test_create_provider_with_params():

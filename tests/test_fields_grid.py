@@ -33,12 +33,11 @@ class _LinearVelocity(UniformField):
 
     name = "linear_velocity"
 
-    def sample(self, r, t):
-        s = super().sample(r, t)
-        s.V = np.array((float(r[0]), 0.0, 0.0))
-        s.gradV = np.zeros((3, 3))
-        s.gradV[0, 0] = 1.0
-        return s
+    def _fields(self, r, t, full):
+        kin = (float(r[0]), 0.0, 0.0) + super()._fields(r, t, False)[3:]
+        gradV = np.zeros((3, 3))
+        gradV[0, 0] = 1.0
+        return (kin, gradV, np.zeros(3)) if full else kin
 
 
 @pytest.mark.parametrize("interpolation", ["tricubic", "trilinear"])
@@ -254,11 +253,14 @@ def test_concurrent_sampling_consistent(tmp_path):
 
 def test_grid_provider_descriptor(tmp_path):
     p = UniformField()
-    path = _write_sampled(tmp_path, p, (0, 0, 0), (1, 1, 1), (4, 4, 4))
+    path = _write_sampled(tmp_path, p, (0, 0, 0), (1, 1, 1), (4, 4, 5))
     g = load_grid(path)
-    d = g.descriptor()
-    assert d.time_dependent is False
-    assert d.domain_bounds is not None
+    assert g.name == "grid"
+    assert g.time_dependent is False
+    assert g.dims.tolist() == [4, 4, 5]
+    lo, hi = g.domain_bounds
+    np.testing.assert_array_equal(lo, (0.0, 0.0, 0.0))
+    np.testing.assert_array_equal(hi, (3.0, 3.0, 4.0))
 
 
 # --- oracles for the interpolation kernel ------------------------------------

@@ -288,28 +288,27 @@ class _SwirlField(FieldProvider):
         self.p0 = 2.0
         self.a = 1.0
 
-    def sample(self, r, t):
+    def _fields(self, r, t, full):
         import math as m
         x, y, z = float(r[0]), float(r[1]), float(r[2])
         sx, cx = m.sin(x), m.cos(x)
         sy, cy = m.sin(y), m.cos(y)
         sz, cz = m.sin(z), m.cos(z)
-        V = np.array((0.3 * (sz + cy), 0.3 * (sx + cz), 0.3 * (sy + cx)))
+        a = self.a
+        kin = (0.3 * (sz + cy), 0.3 * (sx + cz), 0.3 * (sy + cx), self.p0 + a * sx * sy * sz,
+               a * cx * sy * sz, a * sx * cy * sz, a * sx * sy * cz,
+               -a * sx * sy * sz, a * cx * cy * sz, a * cx * sy * cz,
+               -a * sx * sy * sz, a * sx * cy * cz, -a * sx * sy * sz,
+               0.0, 0.0, 0.0)
+        if not full:
+            return kin
         gradV = 0.3 * np.array((
             (0.0, cx, -sx),
             (-sy, 0.0, cy),
             (cz, -sz, 0.0),
         ))
         xi = np.array((0.3 * (cy + sz), 0.3 * (cz + sx), 0.3 * (cx + sy)))
-        p1 = self.p0 + self.a * sx * sy * sz
-        gp = self.a * np.array((cx * sy * sz, sx * cy * sz, sx * sy * cz))
-        H = self.a * np.array((
-            (-sx * sy * sz, cx * cy * sz, cx * sy * cz),
-            (cx * cy * sz, -sx * sy * sz, sx * cy * cz),
-            (cx * sy * cz, sx * cy * cz, -sx * sy * sz),
-        ))
-        from ttpsim import FluidSample
-        return FluidSample(V, gradV, xi, p1, gp, H, np.zeros(3))
+        return kin, gradV, xi
 
 
 def test_fourth_order_with_rotating_axis():

@@ -2,7 +2,8 @@
 
 Each example draws an analytic provider and its parameters, a seed point in
 its reference box, a direction tangent to the isobaric surface there,
-``beta``, ``dt`` (up to 30, far past stability) and the method.  Whatever
+``beta``, ``dt`` (up to 30, far past stability), the method and the
+renormalization and tangency-projection periods.  Whatever
 the run does, it must either cover its horizon or stop with a recorded
 reason, and every record it keeps must be finite and consistent.
 """
@@ -72,7 +73,9 @@ def _runs(draw):
                      beta=draw(st.just(0.0) | _real(1e-3, 3)))
     dt = draw(_real(1e-3, 30))
     config = IntegratorConfig(dt=dt, t_end=dt * draw(st.integers(1, 40)),
-                              method=draw(st.sampled_from(("rk4_rodrigues", "rk4_naive"))))
+                              method=draw(st.sampled_from(("rk4_rodrigues", "rk4_naive"))),
+                              renormalize_every=draw(st.integers(0, 4)),
+                              project_tangency_every=draw(st.integers(0, 4)))
     return provider, state, config
 
 
@@ -91,6 +94,7 @@ def test_run_covers_horizon_or_records_reason(run):
         assert s.steps == n_steps
     assert len(traj) == s.steps + 1
     assert np.all(np.isfinite(traj.table))
+    assert np.all(np.any(traj.n != 0.0, axis=1))  # no direction silently zeroed
     json.dumps(asdict(s), allow_nan=False)
 
     # each record's relative velocity is beta v_th along its direction
@@ -98,5 +102,5 @@ def test_run_covers_horizon_or_records_reason(run):
     if config.method == "rk4_rodrigues":
         # the direction stays a unit vector, so |u| = beta v_th on every record
         assert np.max(traj.norm_err) <= 1e-15
-        np.testing.assert_allclose(np.linalg.norm(traj.u, axis=1), state.beta * traj.v_th,
-                                   rtol=4e-15, atol=0)
+        speed = np.hypot(np.hypot(traj.u[:, 0], traj.u[:, 1]), traj.u[:, 2])  # no overflow
+        np.testing.assert_allclose(speed, state.beta * traj.v_th, rtol=4e-15, atol=0)
