@@ -10,12 +10,12 @@ and the rotation-rate pseudo-vector driving the direction's evolution.
 from .errors import (DegenerateGradient, EmptyEnsemble, InitialTangencyViolation,
                      NegativePressure, NoOracle, NonUniformSpacing, NotFound,
                      OutOfDomain, ParseError, TtpsimError, ValidationError)
-from .fields import (EPS_GRAD_DEFAULT, DerivativeResiduals, FieldProvider, FluidSample,
-                     create_provider, fd_verify_derivatives, provider_parameters)
+from .fields import (DerivativeResiduals, FieldProvider, FluidSample, create_provider,
+                     fd_verify_derivatives, provider_parameters)
 from .fields.analytic import (LambOseenField, RigidRotationField, TaylorGreenField,
                               UniformField, UniformGradientField)
 from .fields.grid import GridField, load_grid, write_grid
-from .kinetics import (OmegaBreakdown, StateDerivative, TtpState, isobaric_normal,
+from .kinetics import (EPS_GRAD, OmegaBreakdown, StateDerivative, TtpState, isobaric_normal,
                        isobaric_normal_rate, omega_decomposed, omega_direct,
                        relative_velocity, state_rhs, thermal_velocity)
 from .integrate import IntegratorConfig, InvariantSummary, Trajectory, integrate_trajectory

@@ -82,8 +82,9 @@ class ParticleConfig:
                 raise ValidationError("give exactly one of 'n0' and 'auto_tangent'")
         elif self.n0 is None:
             self.n0 = (0.0, 1.0, 0.0)
-        elif not any(self.n0):
-            raise ValidationError("key 'n0': zero vector")
+        elif not 0.0 < (nrm := float(np.linalg.norm(self.n0))) < math.inf:
+            raise ValidationError(f"key 'n0': norm {nrm:g} is not in (0, inf), "
+                                  "so it cannot be normalized")
 
 
 @dataclass
@@ -166,7 +167,7 @@ SCHEMA = {
                  "beta": _parse_float, "project_initial": _parse_bool},
     "integrator": {"t0": _parse_float, "dt": _parse_float, "t_end": _parse_float,
                    "method": _text, "renormalize_every": _parse_count,
-                   "project_tangency_every": _parse_count, "eps_grad": _parse_float},
+                   "project_tangency_every": _parse_count},
     "ensemble": {"count": _parse_int, "sampling": _text, "seed": _parse_int},
     "output": {"directory": _text, "stride": _parse_int},
 }
@@ -257,7 +258,7 @@ def build_initial_state(cfg, provider):
     r0 = np.array(p.r0, dtype=float)
     t0 = cfg.t0
     if p.auto_tangent:
-        b = isobaric_normal(provider.sample(r0, t0), cfg.integrator.eps_grad)
+        b = isobaric_normal(provider.sample(r0, t0))
         if b is None:
             raise TtpsimError("auto_tangent seed impossible: pressure gradient "
                               "degenerate at r0")
@@ -316,7 +317,7 @@ def cmd_simulate(cfg):
 def cmd_ensemble(cfg):
     d = _outdir(cfg)
     provider = build_provider(cfg)
-    states = seed_tangent_circle(cfg.ensemble, provider, eps_grad=cfg.integrator.eps_grad)
+    states = seed_tangent_circle(cfg.ensemble, provider)
     _, history = evolve_ensemble(states, provider, cfg.integrator,
                                  stride=cfg.output.stride)
     write_stats_csv(history, os.path.join(d, "stats.csv"))
@@ -331,22 +332,17 @@ def cmd_verify(cfg, points=100, seed=0):
     parts = []
 
     rep = verify_mod.omega_identity_sweep(provider, n_points=points, seed=seed,
-                                          beta=cfg.particle.beta,
-                                          eps_grad=cfg.integrator.eps_grad,
-                                          t=cfg.t0)
+                                          beta=cfg.particle.beta, t=cfg.t0)
     parts.append(rep.to_text())
     _write_csv(os.path.join(d, "omega_identity.csv"), rep.COLUMNS, rep.table)
 
     try:
         canc = verify_mod.cancellation_check(provider, n_states=points, seed=seed,
-                                             beta=cfg.particle.beta,
-                                             eps_grad=cfg.integrator.eps_grad,
-                                             t=cfg.t0)
+                                             beta=cfg.particle.beta, t=cfg.t0)
         parts.append(f"tangency cancellation residual (max over {points} states): "
                      f"{canc:.3e}")
         dmax, dmed, dn = verify_mod.reduced_divergence_report(
-            provider, n_states=points, seed=seed, beta=cfg.particle.beta,
-            eps_grad=cfg.integrator.eps_grad, t=cfg.t0)
+            provider, n_states=points, seed=seed, beta=cfg.particle.beta, t=cfg.t0)
         parts.append(f"reduced-state RHS divergence over {dn} states "
                      f"(diagnostic, no threshold): max {dmax:.3e} median {dmed:.3e}")
     except TtpsimError as err:
@@ -358,8 +354,7 @@ def cmd_verify(cfg, points=100, seed=0):
         state0 = build_initial_state(cfg, provider)
         drift = verify_mod.tangency_drift_study(
             provider, state0, dts, cfg.integrator.t_end,
-            method=cfg.integrator.method, eps_grad=cfg.integrator.eps_grad,
-            project_initial=cfg.particle.project_initial)
+            method=cfg.integrator.method, project_initial=cfg.particle.project_initial)
         parts.append(drift.to_text())
         _write_csv(os.path.join(d, "tangency_drift.csv"), f"dt,{drift.kind}",
                    np.column_stack((drift.steps, drift.values)))
@@ -370,7 +365,7 @@ def cmd_verify(cfg, points=100, seed=0):
         state0 = build_initial_state(cfg, provider)
         conv = verify_mod.convergence_study(
             provider, state0, dts, cfg.integrator.t_end,
-            method=cfg.integrator.method, eps_grad=cfg.integrator.eps_grad)
+            method=cfg.integrator.method)
         parts.append(conv.to_text())
         _write_csv(os.path.join(d, "convergence.csv"), f"dt,{conv.kind}",
                    np.column_stack((conv.steps, conv.values)))
@@ -384,7 +379,7 @@ def cmd_verify(cfg, points=100, seed=0):
     return 0
 
 
-def cmd_fields(list_providers=False, check=None, h=1e-4, tol=1e-5):
+def cmd_fields(list_providers=False, check=None):
     if check is None or list_providers:
         print("registered providers:")
         for name, cls in PROVIDERS.items():  # each at its default parameters
@@ -395,6 +390,7 @@ def cmd_fields(list_providers=False, check=None, h=1e-4, tol=1e-5):
         if check is None:
             return 0
     provider = create_provider(check)
+    h, tol = 1e-4, 1e-5  # difference step and pass threshold of the audit
     lo, hi = provider.reference_box
     # generic fractions: symmetry points (box center, edges) can zero out
     # individual derivatives and make relative residuals meaningless
@@ -445,20 +441,17 @@ def main(argv=None):
     p_ver.add_argument("--points", type=_flag(int, lambda v: v >= 1, ">= 1"), default=100)
     p_ver.add_argument("--seed", type=_flag(int, lambda v: v >= 0, ">= 0"), default=0)
 
-    p_fld = sub.add_parser("fields", help="list providers / audit derivatives")
+    # no abbreviations: the removed --h must be an error, not a prefix of --help
+    p_fld = sub.add_parser("fields", help="list providers / audit derivatives",
+                           allow_abbrev=False)
     p_fld.add_argument("--list", action="store_true", dest="list_providers")
     p_fld.add_argument("--check", metavar="NAME")
-    p_fld.add_argument("--h", default=1e-4,
-                       type=_flag(float, lambda v: 0 < v < math.inf, "finite and > 0"))
-    p_fld.add_argument("--tol", default=1e-5,
-                       type=_flag(float, lambda v: 0 <= v < math.inf, "finite and >= 0"))
 
     args = parser.parse_args(argv)
 
     try:
         if args.command == "fields":
-            return cmd_fields(list_providers=args.list_providers, check=args.check,
-                              h=args.h, tol=args.tol)
+            return cmd_fields(list_providers=args.list_providers, check=args.check)
         cfg = parse_config(args.config)
         if args.print_config:
             print(print_config(cfg), end="")

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGradient, EmptyEnsemble, ValidationError
-from .fields import EPS_GRAD_DEFAULT
 from .integrate import Table, Trajectory, integrate_trajectory
 from .kinetics import TtpState, isobaric_normal, relative_velocity
 
@@ -65,7 +64,7 @@ def tangent_frame(b):
     return e1, e2
 
 
-def seed_tangent_circle(spec, provider, eps_grad=EPS_GRAD_DEFAULT):
+def seed_tangent_circle(spec, provider):
     """N unit directions in the plane orthogonal to b(r0, t0).
 
     Equispaced sampling uses angles 2 pi k / N in the deterministic tangent
@@ -74,7 +73,7 @@ def seed_tangent_circle(spec, provider, eps_grad=EPS_GRAD_DEFAULT):
     """
     r0 = np.asarray(spec.r0, dtype=float)
     s = provider.sample(r0, spec.t0)
-    b = isobaric_normal(s, eps_grad)
+    b = isobaric_normal(s)
     if b is None:
         raise DegenerateGradient("pressure gradient degenerate at the seed point")
     e1, e2 = tangent_frame(b)

@@ -17,8 +17,6 @@ import numpy as np
 
 from ..errors import NotFound, OutOfDomain
 
-EPS_GRAD_DEFAULT = 1e-10
-
 
 @dataclass(slots=True)
 class FluidSample:
@@ -55,8 +53,9 @@ class FluidSample:
         g = self.gradV
         return np.array((g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]))
 
-    def check(self, rtol=1e-12):
+    def check(self):
         """Raise AssertionError if the sample violates its own invariants."""
+        rtol = 1e-12
         scale = max(float(np.max(np.abs(self.gradV))), 1e-300)
         if not np.max(np.abs(self.xi - self.curl_from_gradV())) <= rtol * max(scale, 1.0):
             raise AssertionError("xi inconsistent with gradV")

@@ -108,7 +108,9 @@ class GridField(FieldProvider):
         and discontinuous across faces; derivative audits flag this.
     """
 
-    def __init__(self, origin, spacing, V, p1hat, interpolation="tricubic", name="grid"):
+    name = "grid"
+
+    def __init__(self, origin, spacing, V, p1hat, interpolation="tricubic"):
         V = np.asarray(V, dtype=float)
         p1hat = np.asarray(p1hat, dtype=float)
         if V.ndim != 4 or V.shape[3] != 3:
@@ -125,7 +127,6 @@ class GridField(FieldProvider):
             raise ValidationError(
                 f"{interpolation} interpolation needs at least {min_nodes} nodes per axis")
         self.interpolation = interpolation
-        self.name = name
         hi = self.origin + (self.dims - 1) * self.spacing
         self.domain_bounds = (self.origin.copy(), hi)
         self.reference_box = self.domain_bounds
@@ -142,8 +143,9 @@ class GridField(FieldProvider):
         self._top = tuple(float(n - 1) for n in p1hat.shape)
 
     @classmethod
-    def from_axes(cls, x, y, z, V, p1hat, interpolation="tricubic", rtol=1e-9):
-        """Build from explicit axis arrays; they must be uniformly spaced."""
+    def from_axes(cls, x, y, z, V, p1hat, interpolation="tricubic"):
+        """Build from explicit axis arrays; they must be uniformly spaced, to 1e-9 relative."""
+        rtol = 1e-9
         if np.asarray(V).shape[:3] != (len(x), len(y), len(z)):
             raise ValidationError("V grid shape must match axis lengths")
         axes = []

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError
-from .fields import EPS_GRAD_DEFAULT
 from .kinetics import rhs_terms, stage_eval
 
 TANGENCY_TOL = 1e-8
@@ -38,16 +37,13 @@ class IntegratorConfig:
     method: str = "rk4_rodrigues"
     renormalize_every: int = 0
     project_tangency_every: int = 0
-    eps_grad: float = EPS_GRAD_DEFAULT
 
     def __post_init__(self):
-        for name in ("dt", "t_end", "eps_grad"):
+        for name in ("dt", "t_end"):
             if not math.isfinite(getattr(self, name)):
                 raise ValidationError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ValidationError("dt must be positive")
-        if self.eps_grad < 0.0:
-            raise ValidationError("eps_grad must be >= 0")
         if self.method not in ("rk4_rodrigues", "rk4_naive"):
             raise ValidationError(f"unknown method {self.method!r}")
         for name in ("renormalize_every", "project_tangency_every"):
@@ -172,7 +168,7 @@ def _dexpinv_s(tx, ty, tz, wx, wy, wz):
             wz - 0.5 * c1z + c2z / 12.0)
 
 
-def _advance_rodrigues(provider, t, r, n, beta, dt, eps_grad, k1):
+def _advance_rodrigues(provider, t, r, n, beta, dt, k1):
     """One rk4_rodrigues step from the float triples (r, n).
 
     ``k1`` holds the rates (ax, ay, az, ox, oy, oz) at the step's start, as
@@ -187,7 +183,7 @@ def _advance_rodrigues(provider, t, r, n, beta, dt, eps_grad, k1):
         tx, ty, tz = c * wx, c * wy, c * wz
         mx, my, mz = _rot_s(nx, ny, nz, tx, ty, tz)
         ax, ay, az, ox, oy, oz = stage_eval(provider, t + c, rx + c * ax, ry + c * ay,
-                                            rz + c * az, mx, my, mz, beta, eps_grad)
+                                            rz + c * az, mx, my, mz, beta)
         wx, wy, wz = _dexpinv_s(tx, ty, tz, ox, oy, oz)
         stages.append((ax, ay, az, wx, wy, wz))
     ((a2x, a2y, a2z, w2x, w2y, w2z), (a3x, a3y, a3z, w3x, w3y, w3z),
@@ -204,7 +200,7 @@ def _advance_rodrigues(provider, t, r, n, beta, dt, eps_grad, k1):
     return r_new, n_new
 
 
-def _advance_naive(provider, t, r, n, beta, dt, eps_grad, k1):
+def _advance_naive(provider, t, r, n, beta, dt, k1):
     """One classical vector RK4 step on (r, n); the norm of n is not preserved.
 
     Same arguments and result as :func:`_advance_rodrigues`.  Each stage
@@ -221,7 +217,7 @@ def _advance_naive(provider, t, r, n, beta, dt, eps_grad, k1):
             break
         m = tuple(x + c * k for x, k in zip(n, dn[-1]))
         rates = stage_eval(provider, t + c, r[0] + c * ax, r[1] + c * ay, r[2] + c * az,
-                           *m, beta, eps_grad)
+                           *m, beta)
     sixth = dt / 6.0
     return (tuple(x + sixth * (a + 2.0 * (b + c) + d) for x, a, b, c, d in zip(r, *dr)),
             tuple(x + sixth * (a + 2.0 * (b + c) + d) for x, a, b, c, d in zip(n, *dn)))
@@ -249,21 +245,29 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
     ``project_initial=True`` to project and renormalize instead of raising.
     Domain exit, a negative interpolated pressure, or a state or record that
     is not finite, after the seed point ends the trajectory early with a
-    recorded reason.  The loop runs on Python floats, one table row per record.
+    recorded reason.  A seed that is not finite, or a horizon whose record table
+    cannot be allocated, raises ValidationError before any step.  The loop runs
+    on Python floats, one table row per record.
     """
     t0 = float(state0.t)
     n_steps = step_count(t0, config.t_end, config.dt)
+    try:
+        table = np.empty((n_steps + 1, Trajectory.WIDTH))
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
+        raise ValidationError(f"cannot allocate the table of {n_steps + 1} records; "
+                              "shorten the horizon or lengthen dt") from None
 
     beta = float(state0.beta)
     r = tuple(np.asarray(state0.r, dtype=float).tolist())
     n0 = np.array(state0.n, dtype=float)
-    nrm = float(np.linalg.norm(n0))
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValidationError(f"|n0| = {nrm:.12g} is not a unit vector")
     n = tuple(n0.tolist())
+    if not all(map(math.isfinite, r + n)):
+        raise ValidationError(f"seed state r = {r}, n = {n} is not finite")
+    nrm = float(np.linalg.norm(n0))
+    if not abs(nrm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
+        raise ValidationError(f"|n0| = {nrm:.12g} is not a unit vector")
 
-    eps_grad = config.eps_grad
-    ev = rhs_terms(provider, t0, r, n, beta, eps_grad)
+    ev = rhs_terms(provider, t0, r, n, beta)
     if not ev[11]:  # not degenerate; ev[8:11] is b
         ndb = float(n0 @ np.array(ev[8:11]))
         if abs(ndb) > TANGENCY_TOL:
@@ -276,9 +280,8 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
                 raise InitialTangencyViolation(
                     "initial direction is parallel to the isobaric normal; "
                     "no tangential projection exists")
-            ev = rhs_terms(provider, t0, r, n, beta, eps_grad)
+            ev = rhs_terms(provider, t0, r, n, beta)
 
-    table = np.empty((n_steps + 1, Trajectory.WIDTH))
     advance = _advance_rodrigues if config.method == "rk4_rodrigues" else _advance_naive
     reproject = config.project_tangency_every
     reason = ""
@@ -300,7 +303,7 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
             break
         try:
             try:
-                r, n = advance(provider, t, r, n, beta, config.dt, eps_grad, ev[:6])
+                r, n = advance(provider, t, r, n, beta, config.dt, ev[:6])
             except (ValueError, OverflowError) as err:  # a stage value overflowed in math
                 reason = f"non_finite_state: the step from r = {r}, n = {n}, t = {t!r} ({err})"
                 break
@@ -312,12 +315,12 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
             if not all(map(math.isfinite, r + n)):
                 reason = f"non_finite_state: r = {r}, n = {n} at t = {t!r}"
                 break
-            ev = rhs_terms(provider, t, r, n, beta, eps_grad)
+            ev = rhs_terms(provider, t, r, n, beta)
             if reproject and k % reproject == 0 and not ev[11]:  # not degenerate
                 proj = _project_tangent(n, ev[8:11])  # b
                 if proj is not None:
                     n = proj
-                    ev = rhs_terms(provider, t, r, n, beta, eps_grad)
+                    ev = rhs_terms(provider, t, r, n, beta)
         except (OutOfDomain, NegativePressure) as err:
             kind = "out_of_domain" if isinstance(err, OutOfDomain) else "negative_pressure"
             reason = f"{kind}: {err}"

@@ -28,7 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGradient, NegativePressure
-from .fields import EPS_GRAD_DEFAULT
+
+# |grad p1hat| at or below this is degenerate: b, and so tangency, is undefined there
+EPS_GRAD = 1e-10
+_EPS_GRAD2 = EPS_GRAD * EPS_GRAD  # compared against |grad p1hat|^2
 
 
 @dataclass(slots=True)
@@ -75,15 +78,15 @@ def thermal_velocity(sample):
     return math.sqrt(2.0 * p1)
 
 
-def isobaric_normal(sample, eps_grad=EPS_GRAD_DEFAULT):
+def isobaric_normal(sample):
     """Unit normal of the local isobaric surface, or None when degenerate.
 
-    Degeneracy (|grad p1hat| <= eps_grad) is a value, not an error: the
+    Degeneracy (|grad p1hat| <= EPS_GRAD) is a value, not an error: the
     tangency constraint imposes nothing there.
     """
     g = sample.grad_p1hat
     gn = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
-    if gn <= eps_grad:
+    if gn <= EPS_GRAD:
         return None
     return g / gn
 
@@ -93,7 +96,7 @@ def relative_velocity(state, sample):
     return (state.beta * thermal_velocity(sample)) * state.n
 
 
-def isobaric_normal_rate(sample, state, eps_grad=EPS_GRAD_DEFAULT):
+def isobaric_normal_rate(sample, state):
     """db/dt along the particle path, projected orthogonal to b.
 
     With g = grad p1hat, H its Hessian and w = V + u the particle velocity,
@@ -101,15 +104,15 @@ def isobaric_normal_rate(sample, state, eps_grad=EPS_GRAD_DEFAULT):
     """
     g = sample.grad_p1hat
     gn = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
-    if gn <= eps_grad:
-        raise DegenerateGradient(f"|grad p1hat| = {gn:g} <= {eps_grad:g}")
+    if gn <= EPS_GRAD:
+        raise DegenerateGradient(f"|grad p1hat| = {gn:g} <= {EPS_GRAD:g}")
     b = g / gn
     w = sample.V + relative_velocity(state, sample)
     gdot = sample.dt_grad_p1hat + sample.hess_p1hat @ w
     return (gdot - (b @ gdot) * b) / gn
 
 
-def omega_direct(sample, state, eps_grad=EPS_GRAD_DEFAULT):
+def omega_direct(sample, state):
     """Rotation-rate pseudo-vector Omega = b x (db/dt).
 
     Since b x b = 0 the projection inside db/dt drops out and
@@ -118,13 +121,13 @@ def omega_direct(sample, state, eps_grad=EPS_GRAD_DEFAULT):
     kin = sample.kinetic()
     gx, gy, gz = kin[4:7]
     g2 = gx * gx + gy * gy + gz * gz
-    if g2 <= eps_grad * eps_grad:
-        raise DegenerateGradient(f"|grad p1hat| = {math.sqrt(g2):g} <= {eps_grad:g}")
+    if g2 <= _EPS_GRAD2:
+        raise DegenerateGradient(f"|grad p1hat| = {math.sqrt(g2):g} <= {EPS_GRAD:g}")
     nx, ny, nz = state.n.tolist()
-    return np.array(_rates(kin, nx, ny, nz, state.beta, eps_grad)[3:])
+    return np.array(_rates(kin, nx, ny, nz, state.beta)[3:])
 
 
-def omega_decomposed(sample, state, eps_grad=EPS_GRAD_DEFAULT):
+def omega_decomposed(sample, state):
     """Term-by-term decomposition of Omega, evaluated literally.
 
     The terms are:
@@ -141,8 +144,8 @@ def omega_decomposed(sample, state, eps_grad=EPS_GRAD_DEFAULT):
     """
     g = sample.grad_p1hat
     gn = float(np.linalg.norm(g))
-    if gn <= eps_grad:
-        raise DegenerateGradient(f"|grad p1hat| = {gn:g} <= {eps_grad:g}")
+    if gn <= EPS_GRAD:
+        raise DegenerateGradient(f"|grad p1hat| = {gn:g} <= {EPS_GRAD:g}")
     b = g / gn
     V = sample.V
     H = sample.hess_p1hat
@@ -160,7 +163,7 @@ def omega_decomposed(sample, state, eps_grad=EPS_GRAD_DEFAULT):
     term_pv = (np.cross(b, grad_gV) - np.cross(b, g_dot_nabla_V)) / gn
 
     total = term_convective + term_vorticity + term_pv
-    direct = omega_direct(sample, state, eps_grad)
+    direct = omega_direct(sample, state)
     return OmegaBreakdown(
         omega_direct=direct,
         omega_decomposed=total,
@@ -171,7 +174,7 @@ def omega_decomposed(sample, state, eps_grad=EPS_GRAD_DEFAULT):
     )
 
 
-def _rates(kin, nx, ny, nz, beta, eps_grad):
+def _rates(kin, nx, ny, nz, beta):
     """Particle velocity V + u and rotation rate Omega from kinetic fields.
 
     ``kin`` is the flat tuple of ``FieldProvider.sample_kinetic``.  Returns
@@ -189,7 +192,7 @@ def _rates(kin, nx, ny, nz, beta, eps_grad):
     wy = Vy + bu * ny
     wz = Vz + bu * nz
     g2 = gx * gx + gy * gy + gz * gz
-    if g2 <= eps_grad * eps_grad:
+    if g2 <= _EPS_GRAD2:
         return wx, wy, wz, 0.0, 0.0, 0.0
     gdx = dgx + Hxx * wx + Hxy * wy + Hxz * wz
     gdy = dgy + Hxy * wx + Hyy * wy + Hyz * wz
@@ -201,29 +204,29 @@ def _rates(kin, nx, ny, nz, beta, eps_grad):
             (gx * gdy - gy * gdx) * inv)
 
 
-def rhs_terms(provider, t, r, n, beta, eps_grad=EPS_GRAD_DEFAULT):
+def rhs_terms(provider, t, r, n, beta):
     """Record evaluation at (t, r, n): one ``provider.sample``, flat floats.
 
     ``n`` is a float triple.  Returns (wx, wy, wz, ox, oy, oz, v_th, p1hat,
     bx, by, bz, degenerate): the rates of :func:`stage_eval`, the thermal
     speed, the pressure, the unit isobaric normal and the degenerate flag.
-    Applies the degenerate-gradient policy: when |grad p1hat| <= eps_grad the
+    Applies the degenerate-gradient policy: when |grad p1hat| <= EPS_GRAD the
     rotation rate and b are zero (the direction freezes) and the flag is 1.0,
     else 0.0.
     """
     kin = provider.sample(r, t).kinetic()
     nx, ny, nz = n
-    rates = _rates(kin, nx, ny, nz, beta, eps_grad)
+    rates = _rates(kin, nx, ny, nz, beta)
     p1, gx, gy, gz = kin[3:7]
     v_th = math.sqrt(2.0 * p1)
     g2 = gx * gx + gy * gy + gz * gz
-    if g2 <= eps_grad * eps_grad:
+    if g2 <= _EPS_GRAD2:
         return rates + (v_th, p1, 0.0, 0.0, 0.0, 1.0)
     gn = math.sqrt(g2)
     return rates + (v_th, p1, gx / gn, gy / gn, gz / gn, 0.0)
 
 
-def stage_eval(provider, t, x, y, z, nx, ny, nz, beta, eps_grad):
+def stage_eval(provider, t, x, y, z, nx, ny, nz, beta):
     """Scalar-only stage evaluation for the integrator.
 
     Returns (ax, ay, az, ox, oy, oz): particle velocity V + u and rotation
@@ -231,18 +234,17 @@ def stage_eval(provider, t, x, y, z, nx, ny, nz, beta, eps_grad):
     hot loop calls this three times per step on top of the record
     evaluation.
     """
-    return _rates(provider.sample_kinetic((x, y, z), t), nx, ny, nz, beta, eps_grad)
+    return _rates(provider.sample_kinetic((x, y, z), t), nx, ny, nz, beta)
 
 
-def state_rhs(state, provider, eps_grad=EPS_GRAD_DEFAULT):
+def state_rhs(state, provider):
     """Time derivative of the reduced state.
 
     dr/dt = V + u and dn/dt = Omega x n.  Under the degenerate-gradient
     policy Omega = 0, so the direction is frozen there.
     """
     nx, ny, nz = n = state.n.tolist()
-    wx, wy, wz, ox, oy, oz = rhs_terms(provider, state.t, state.r, n, state.beta,
-                                       eps_grad=eps_grad)[:6]
+    wx, wy, wz, ox, oy, oz = rhs_terms(provider, state.t, state.r, n, state.beta)[:6]
     return StateDerivative(dr_dt=np.array((wx, wy, wz)),
                            dn_dt=np.array((oy * nz - oz * ny, oz * nx - ox * nz,
                                            ox * ny - oy * nx)))

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGradient, NoOracle, ValidationError
-from .fields import EPS_GRAD_DEFAULT
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import IntegratorConfig, Table, integrate_trajectory
-from .kinetics import (TtpState, isobaric_normal, isobaric_normal_rate,
+from .kinetics import (EPS_GRAD, TtpState, isobaric_normal, isobaric_normal_rate,
                        omega_decomposed, omega_direct, relative_velocity,
                        state_rhs, thermal_velocity)
 from .ensemble import tangent_frame
@@ -40,8 +39,9 @@ def fit_order(steps, errors):
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
 
 
-def _random_interior_points(provider, count, rng, shrink=0.02):
+def _random_interior_points(provider, count, rng):
     lo, hi = provider.reference_box
+    shrink = 0.02
     span = hi - lo
     return lo + span * (shrink + (1.0 - 2.0 * shrink) * rng.random((count, 3)))
 
@@ -53,8 +53,7 @@ def _random_unit(rng):
 
 # --- pointwise identity checks ---------------------------------------------
 
-def cancellation_check(provider, n_states=1000, seed=0, beta=1.0,
-                       eps_grad=EPS_GRAD_DEFAULT, t=0.0):
+def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     """Max relative residual of (Omega x n) . b + n . db/dt over random states.
 
     The two terms cancel exactly in real arithmetic for any unit n, which is
@@ -70,13 +69,13 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0,
     evaluated = 0
     for p in pts:
         s = provider.sample(p, t)
-        b = isobaric_normal(s, eps_grad)
+        b = isobaric_normal(s)
         if b is None:
             continue
         n = _random_unit(rng)
         st = TtpState(t=t, r=p, n=n, beta=beta)
-        om = omega_direct(s, st, eps_grad)
-        bdot = isobaric_normal_rate(s, st, eps_grad)
+        om = omega_direct(s, st)
+        bdot = isobaric_normal_rate(s, st)
         omxn = np.cross(om, n)
         t1 = float(omxn @ b)
         t2 = float(n @ bdot)
@@ -145,8 +144,8 @@ class OmegaIdentityReport(Table):
         ])
 
 
-def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5,
-                         eps_grad=EPS_GRAD_DEFAULT, t=0.0, g_min=1e-3):
+def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0,
+                         g_min=1e-3):
     """Compare the direct rotation rate against a path finite difference.
 
     At each kept point the isobaric normal is evaluated at (r +/- h w,
@@ -162,10 +161,10 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5,
     for p in pts:
         s = provider.sample(p, t)
         g = s.grad_p1hat
-        if float(np.linalg.norm(g)) <= max(g_min, eps_grad):
+        if float(np.linalg.norm(g)) <= max(g_min, EPS_GRAD):
             skipped += 1
             continue
-        b = isobaric_normal(s, eps_grad)
+        b = isobaric_normal(s)
         e1, e2 = tangent_frame(b)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         n = math.cos(phi) * e1 + math.sin(phi) * e2
@@ -174,17 +173,17 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5,
 
         sp = provider.sample(p + h * w, t + h)
         sm = provider.sample(p - h * w, t - h)
-        bp = isobaric_normal(sp, eps_grad)
-        bm = isobaric_normal(sm, eps_grad)
+        bp = isobaric_normal(sp)
+        bm = isobaric_normal(sm)
         if bp is None or bm is None:
             skipped += 1
             continue
         bdot_fd = (bp - bm) / (2.0 * h)
         om_fd = np.cross(b, bdot_fd)
-        om = omega_direct(s, st, eps_grad)
+        om = omega_direct(s, st)
         res_fd = float(np.linalg.norm(om - om_fd)) / max(float(np.linalg.norm(om)), _TINY)
 
-        br = omega_decomposed(s, st, eps_grad)
+        br = omega_decomposed(s, st)
         rows.append((*p, res_fd, br.residual,
                      br.residual / max(float(np.linalg.norm(br.omega_direct)), _TINY)))
     return OmegaIdentityReport(
@@ -193,8 +192,7 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5,
         table=np.array(rows, dtype=float).reshape(-1, OmegaIdentityReport.WIDTH))
 
 
-def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0,
-                              eps_grad=EPS_GRAD_DEFAULT, t=0.0, h=1e-6):
+def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     """Divergence of the reduced right-hand side over random states.
 
     The six-dimensional vector field (dr/dt, dn/dt) on (r, n) space has no
@@ -202,27 +200,24 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0,
     differences in each coordinate) is emitted as a diagnostic.  Returns
     (max |div|, median |div|, states evaluated).
     """
+    h = 1e-6
     rng = np.random.default_rng(seed)
     pts = _random_interior_points(provider, n_states, rng)
     divs = []
     for p in pts:
         s = provider.sample(p, t)
-        if isobaric_normal(s, eps_grad) is None:
+        if isobaric_normal(s) is None:
             continue
         n = _random_unit(rng)
         div = 0.0
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
-            dp = state_rhs(TtpState(t=t, r=p + e, n=n, beta=beta), provider,
-                           eps_grad)
-            dm = state_rhs(TtpState(t=t, r=p - e, n=n, beta=beta), provider,
-                           eps_grad)
+            dp = state_rhs(TtpState(t=t, r=p + e, n=n, beta=beta), provider)
+            dm = state_rhs(TtpState(t=t, r=p - e, n=n, beta=beta), provider)
             div += (dp.dr_dt[i] - dm.dr_dt[i]) / (2.0 * h)
-            np_ = state_rhs(TtpState(t=t, r=p, n=n + e, beta=beta), provider,
-                            eps_grad)
-            nm = state_rhs(TtpState(t=t, r=p, n=n - e, beta=beta), provider,
-                           eps_grad)
+            np_ = state_rhs(TtpState(t=t, r=p, n=n + e, beta=beta), provider)
+            nm = state_rhs(TtpState(t=t, r=p, n=n - e, beta=beta), provider)
             div += (np_.dn_dt[i] - nm.dn_dt[i]) / (2.0 * h)
         divs.append(abs(div))
     if not divs:
@@ -257,13 +252,12 @@ class OrderStudy:
 
 
 def tangency_drift_study(provider, state0, dt_list, t_end, method="rk4_rodrigues",
-                         eps_grad=EPS_GRAD_DEFAULT, renormalize_every=0,
-                         project_initial=False):
+                         renormalize_every=0, project_initial=False):
     """Max |n . b| over a run, for each step size; expected order ~4."""
     drifts = []
     for dt in dt_list:
         cfg = IntegratorConfig(dt=dt, t_end=t_end, method=method,
-                               eps_grad=eps_grad, renormalize_every=renormalize_every)
+                               renormalize_every=renormalize_every)
         traj = integrate_trajectory(state0, provider, cfg,
                                     project_initial=project_initial)
         drifts.append(traj.summary.max_abs_n_dot_b)
@@ -271,15 +265,14 @@ def tangency_drift_study(provider, state0, dt_list, t_end, method="rk4_rodrigues
                       order=fit_order(dt_list, drifts))
 
 
-def convergence_study(provider, state0, dt_list, t_end, method="rk4_rodrigues",
-                      eps_grad=EPS_GRAD_DEFAULT):
+def convergence_study(provider, state0, dt_list, t_end, method="rk4_rodrigues"):
     """Global position error against the closed-form trajectory oracle."""
     if len(dt_list) < 3:
         raise ValidationError("need at least 3 step sizes to fit an order")
     oracle = trajectory_oracle(provider, state0)
     errs = []
     for dt in dt_list:
-        cfg = IntegratorConfig(dt=dt, t_end=t_end, method=method, eps_grad=eps_grad)
+        cfg = IntegratorConfig(dt=dt, t_end=t_end, method=method)
         traj = integrate_trajectory(state0, provider, cfg)
         r_exact, _ = oracle(traj.t[-1])
         errs.append(float(np.linalg.norm(traj.r[-1] - r_exact)))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ttpsim import ParseError, RigidRotationField, ValidationError, omega_identity_sweep
-from ttpsim.cli import (STATS_COLUMNS, TRAJECTORY_COLUMNS, main, parse_config,
+from ttpsim.cli import (SCHEMA, STATS_COLUMNS, TRAJECTORY_COLUMNS, main, parse_config,
                         print_config)
 
 MINIMAL = """
@@ -157,7 +157,6 @@ t_end = 1.125
 method = rk4_naive
 renormalize_every = 3
 project_tangency_every = 7
-eps_grad = 1e-12
 
 [ensemble]
 count = 9
@@ -170,11 +169,16 @@ stride = 4
 """
 
 
-@pytest.mark.parametrize("field, direction", [
-    ("name = lamb_oseen\nGamma = 2.5\nW = 0.25\np0 = 3.5\npa = 0.125\nrc = 1.5",
-     "n0 = 0.6 0 0.8"),
-    ("grid = some/where.grid\ninterpolation = trilinear", "auto_tangent = true"),
-], ids=["provider_n0", "grid_auto_tangent"])
+EVERY_KEY_CASES = {
+    "provider_n0": ("name = lamb_oseen\nGamma = 2.5\nW = 0.25\np0 = 3.5\npa = 0.125\nrc = 1.5",
+                    "n0 = 0.6 0 0.8"),
+    "grid_auto_tangent": ("grid = some/where.grid\ninterpolation = trilinear",
+                          "auto_tangent = true"),
+}
+
+
+@pytest.mark.parametrize("field, direction", list(EVERY_KEY_CASES.values()),
+                         ids=list(EVERY_KEY_CASES))
 def test_print_config_roundtrip_every_key(tmp_path, field, direction):
     # every key set away from its default is echoed once and parses back equal
     src = EVERY_KEY.format(field=field, direction=direction, out=tmp_path / "o")
@@ -186,6 +190,19 @@ def test_print_config_roundtrip_every_key(tmp_path, field, direction):
         return sorted(line.split("=")[0].strip() for line in text.splitlines() if "=" in line)
 
     assert keys(echoed) == keys(src)
+
+
+def test_every_schema_key_has_roundtrip_coverage():
+    # a key added to cli.SCHEMA must also be set in one EVERY_KEY_CASES source
+    covered = set()
+    for field, direction in EVERY_KEY_CASES.values():
+        section = None
+        for line in EVERY_KEY.format(field=field, direction=direction, out="o").splitlines():
+            if line.startswith("["):
+                section = line.strip("[]")
+            elif "=" in line:
+                covered.add((section, line.split("=")[0].strip()))
+    assert {(s, k) for s, keys in SCHEMA.items() for k in keys} <= covered
 
 
 def test_seventeen_digit_roundtrip(tmp_path):
@@ -249,13 +266,12 @@ def test_simulate_validation_exit2(tmp_path, capsys):
     "\n[integrator]\ndt = nan\n",
     "\n[integrator]\nt_end = nan\n",
     "\n[integrator]\ndt = inf\n",
-    "\n[integrator]\neps_grad = nan\n",
     "\n[integrator]\nt0 = -inf\n",
     "\n[particle]\nbeta = nan\n",
     "\n[particle]\nr0 = 0 inf 0\n",
     "\n[particle]\nn0 = 0 nan 1\n",
     "p0 = nan\n",
-], ids=["dt_nan", "t_end_nan", "dt_inf", "eps_grad_nan", "t0_inf", "beta_nan",
+], ids=["dt_nan", "t_end_nan", "dt_inf", "t0_inf", "beta_nan",
         "r0_inf", "n0_nan", "param_nan"])
 def test_non_finite_value_exit2(tmp_path, capsys, extra):
     out = tmp_path / "out"
@@ -271,9 +287,8 @@ def test_non_finite_value_exit2(tmp_path, capsys, extra):
     ("dt = 0.3\nt_end = 0.1", "whole number of steps"),
     ("dt = 1e-320\nt_end = 1.0", "whole number of steps"),
     ("t0 = 1.0\nt_end = 1.0", "t_end must exceed"),
-    ("eps_grad = -1", "eps_grad must be >= 0"),
 ], ids=["non_commensurate", "shorter_than_one_step", "step_count_overflow",
-        "empty_horizon", "negative_eps_grad"])
+        "empty_horizon"])
 def test_rejected_integrator_value_exit2(tmp_path, capsys, integrator, message):
     out = tmp_path / "out"
     text = MINIMAL + f"\n[integrator]\n{integrator}\n\n[output]\ndirectory = {out}\n"
@@ -281,6 +296,45 @@ def test_rejected_integrator_value_exit2(tmp_path, capsys, integrator, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key", [
+    ("integrator", "eps_grad"), ("integrator", "omega_route"), ("output", "formats"),
+])
+def test_removed_key_exit2(tmp_path, capsys, section, key):
+    # removed settings are unknown keys, not silently ignored ones
+    out = tmp_path / "out"
+    text = f"[field]\nname = uniform\n\n[{section}]\n{key} = 1e-10\n"
+    if section != "output":
+        text += f"\n[output]\ndirectory = {out}\n"
+    assert main(["simulate", _write(tmp_path, text)]) == 2
+    assert f"line 5: key '{key}' not valid in [{section}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_n0_norm_underflow_exit2(tmp_path, capsys):
+    # |n0| underflows to 0, so normalizing it would give a nan/inf direction
+    out = tmp_path / "out"
+    text = RIGID_SIM.format(out=out).replace("n0 = 0 1 0", "n0 = 0 1e-200 0").replace(
+        "dt = 0.001\nt_end = 0.5", "dt = 0.01\nt_end = 0.1")
+    assert main(["simulate", _write(tmp_path, text)]) == 2
+    assert "key 'n0': norm 0 is not in (0, inf)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unallocatable_horizon_exit2(tmp_path, capsys):
+    # 1e14 records of 21 floats (15 PiB) exceed any 64-bit address space
+    out = tmp_path / "out"
+    text = RIGID_SIM.format(out=out).replace("dt = 0.001\nt_end = 0.5",
+                                             "dt = 1e-10\nt_end = 10000")
+    assert main(["simulate", _write(tmp_path, text)]) == 2
+    assert "cannot allocate the table of 100000000000001 records" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+    # verify runs its pointwise checks and reports both order studies skipped
+    assert main(["verify", _write(tmp_path, text), "--points", "5"]) == 0
+    report = (out / "verify_report.txt").read_text()
+    assert "tangency drift study skipped: cannot allocate the table of" in report
+    assert "convergence study skipped: cannot allocate the table of" in report
 
 
 @pytest.mark.parametrize("field, V0, p1hat", [
@@ -304,12 +358,9 @@ def test_uniform_component_params_take_effect(tmp_path, capsys, field, V0, p1hat
     (["verify", "{cfg}", "--seed", "-1"], ""),
     (["verify", "{cfg}", "--points", "-5"], ""),
     (["verify", "{cfg}", "--points", "0"], ""),
-    (["fields", "--check", "taylor_green", "--h", "0"], ""),
-    (["fields", "--check", "taylor_green", "--h", "nan"], ""),
-    (["fields", "--check", "taylor_green", "--tol", "nan"], ""),
     (["ensemble", "{cfg}"], "\n[ensemble]\nsampling = random_circle\nseed = -1\n"),
 ], ids=["verify_seed_negative", "verify_points_negative", "verify_points_zero",
-        "fields_h_zero", "fields_h_nan", "fields_tol_nan", "ensemble_seed_negative"])
+        "ensemble_seed_negative"])
 def test_bad_flag_or_seed_exit2(tmp_path, capsys, argv, ensemble):
     out = tmp_path / "out"
     cfg = _write(tmp_path, RIGID_SIM.format(out=out) + ensemble)
@@ -547,6 +598,15 @@ def test_fields_check_taylor_green(capsys):
 def test_fields_check_unknown_exit2(capsys):
     rc = main(["fields", "--check", "nonexistent"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("flag", ["--h", "--tol"])
+def test_fields_check_has_no_step_or_tolerance_flag(capsys, flag):
+    # the audit runs at the fixed h = 1e-4 and tol = 1e-5
+    with pytest.raises(SystemExit) as stop:
+        main(["fields", "--check", "taylor_green", flag, "1e-4"])
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag} 1e-4" in capsys.readouterr().err
 
 
 # --- benchmark contract ----------------------------------------------------------------

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ttpsim import (EPS_GRAD_DEFAULT, FieldProvider, InitialTangencyViolation,
-                    IntegratorConfig, RigidRotationField, TaylorGreenField, TtpState,
-                    UniformField, ValidationError, integrate_trajectory, trajectory_oracle)
+from ttpsim import (FieldProvider, InitialTangencyViolation, IntegratorConfig,
+                    RigidRotationField, TaylorGreenField, TtpState, UniformField,
+                    ValidationError, integrate_trajectory, trajectory_oracle)
 from ttpsim.integrate import _rot_s
 from ttpsim.kinetics import stage_eval
 
@@ -231,6 +231,23 @@ def test_initial_norm_validated(rigid):
         integrate_trajectory(st, rigid, IntegratorConfig(dt=1e-3, t_end=0.1))
 
 
+@pytest.mark.parametrize("r, n", [
+    ((1.0, 0.0, 0.0), (math.nan, math.inf, math.nan)),  # n0 / |n0| with |n0| underflowed
+    ((1.0, 0.0, 0.0), (0.0, math.inf, 0.0)),
+    ((1.0, math.nan, 0.0), (0.0, 1.0, 0.0)),
+], ids=["n_nan", "n_inf", "r_nan"])
+def test_seed_state_must_be_finite(rigid, r, n):
+    with pytest.raises(ValidationError, match="is not finite"):
+        integrate_trajectory(_state(n, r=r), rigid, IntegratorConfig(dt=0.01, t_end=0.1))
+
+
+def test_unallocatable_record_table_is_validation_error(rigid):
+    # 1e14 steps pass step_count, but their table (15 PiB) cannot exist
+    st = _state((0, 1, 0), r=(1.0, 0, 0))
+    with pytest.raises(ValidationError, match="table of 100000000000001 records"):
+        integrate_trajectory(st, rigid, IntegratorConfig(dt=1e-10, t_end=1e4))
+
+
 def test_domain_exit_terminates_early(tmp_path):
     from ttpsim import load_grid, write_grid
     write_grid(tmp_path / "u.grid", UniformField(V0x=1.0, p0=0.5),
@@ -325,7 +342,7 @@ def test_fourth_order_with_rotating_axis():
     def final(dt):
         traj = integrate_trajectory(st, prov, IntegratorConfig(dt=dt, t_end=2.0))
         # confirm the rotation axis really turns over the run (~20 degrees)
-        omega = np.array([stage_eval(prov, t, *r, *n, 0.8, EPS_GRAD_DEFAULT)[3:]
+        omega = np.array([stage_eval(prov, t, *r, *n, 0.8)[3:]
                           for t, r, n in zip(traj.t.tolist(), traj.r.tolist(),
                                              traj.n.tolist())])
         axes = omega / np.linalg.norm(omega, axis=1)[:, None]
@@ -383,10 +400,8 @@ def test_config_validation():
         IntegratorConfig(method="euler")
     with pytest.raises(ValidationError):
         IntegratorConfig(renormalize_every=-1)
-    with pytest.raises(ValidationError, match="eps_grad"):
-        IntegratorConfig(eps_grad=-1.0)
     for bad in ({"dt": math.inf}, {"dt": math.nan}, {"t_end": math.nan},
-                {"t_end": math.inf}, {"eps_grad": math.nan}):
+                {"t_end": math.inf}):
         with pytest.raises(ValidationError, match="finite"):
             IntegratorConfig(**bad)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ttpsim import (EPS_GRAD_DEFAULT, DegenerateGradient, FluidSample, GridField,
+from ttpsim import (EPS_GRAD, DegenerateGradient, FluidSample, GridField,
                     NegativePressure, RigidRotationField, TaylorGreenField, TtpState,
                     UniformGradientField, isobaric_normal, isobaric_normal_rate,
                     omega_decomposed, omega_direct, relative_velocity, state_rhs,
@@ -48,8 +48,11 @@ def test_isobaric_normal_diagonal():
 
 
 def test_isobaric_normal_degenerate_is_value():
-    assert isobaric_normal(_sample_with((0.0, 0.0, 0.0)), eps_grad=1e-10) is None
-    assert isobaric_normal(_sample_with((1e-11, 0.0, 0.0)), eps_grad=1e-10) is None
+    assert isobaric_normal(_sample_with((0.0, 0.0, 0.0))) is None
+    assert isobaric_normal(_sample_with((1e-11, 0.0, 0.0))) is None
+    # the threshold is inclusive: |grad p1hat| <= EPS_GRAD is degenerate
+    assert isobaric_normal(_sample_with((EPS_GRAD, 0.0, 0.0))) is None
+    assert isobaric_normal(_sample_with((2.0 * EPS_GRAD, 0.0, 0.0))) is not None
 
 
 # --- thermal velocity and relative velocity ---------------------------------------
@@ -301,7 +304,7 @@ def test_omega_sites_bit_identical(provider):
         n /= np.linalg.norm(n)
         beta = rng.uniform(0.2, 1.5)
         ev = rhs_terms(provider, t, r, tuple(n.tolist()), beta)
-        st = stage_eval(provider, t, *r.tolist(), *n.tolist(), beta, EPS_GRAD_DEFAULT)
+        st = stage_eval(provider, t, *r.tolist(), *n.tolist(), beta)
         s = provider.sample(r, t)
         if ev[11]:  # degenerate
             assert ev[3:6] == st[3:] == (0.0, 0.0, 0.0)
