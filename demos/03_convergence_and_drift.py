@@ -24,11 +24,12 @@ dts = [4e-3, 2e-3, 1e-3]
 
 print("=== global position error vs the closed-form orbit ===")
 # one orbit, rounded so that every dt divides the horizon
-study = convergence_study(prov, state0, dts, t_end=dts[0] * round(period / dts[0]))
+orbit = IntegratorConfig(t_end=dts[0] * round(period / dts[0]))
+study = convergence_study(prov, state0, orbit, dts)
 print(study.to_text())
 
 print("\n=== tangency drift, rotation-based update ===")
-drift = tangency_drift_study(prov, state0, dts, t_end=2.0)
+drift = tangency_drift_study(prov, state0, IntegratorConfig(t_end=2.0), dts)
 print(drift.to_text())
 
 print("\n=== norm drift: naive vector RK4 vs rotation update ===")
@@ -45,7 +46,8 @@ r0 = np.array((2.1, 3.3, 1.7))
 e1, _ = tangent_frame(isobaric_normal(tg.sample(r0, 0.0)))
 tg_state = TtpState(t=0.0, r=r0, n=e1, beta=0.5)
 for method in ("rk4_rodrigues", "rk4_naive"):
-    study = tangency_drift_study(tg, tg_state, dts, t_end=1.0, method=method,
-                                 renormalize_every=1 if method == "rk4_naive" else 0)
+    cfg = IntegratorConfig(t_end=1.0, method=method,
+                           renormalize_every=1 if method == "rk4_naive" else 0)
+    study = tangency_drift_study(tg, tg_state, cfg, dts)
     print(f"  {method:<16} drift order {study.order:.2f}  "
           f"(drift at dt=1e-3: {study.values[-1]:.2e})")

@@ -15,9 +15,8 @@ from .fields import (DerivativeResiduals, FieldProvider, FluidSample, create_pro
 from .fields.analytic import (LambOseenField, RigidRotationField, TaylorGreenField,
                               UniformField, UniformGradientField)
 from .fields.grid import GridField, load_grid, write_grid
-from .kinetics import (EPS_GRAD, OmegaBreakdown, StateDerivative, TtpState, isobaric_normal,
-                       isobaric_normal_rate, omega_decomposed, omega_direct,
-                       relative_velocity, state_rhs, thermal_velocity)
+from .kinetics import (EPS_GRAD, OmegaBreakdown, TtpState, isobaric_normal, omega_decomposed,
+                       omega_direct, relative_velocity, state_rhs, thermal_velocity)
 from .integrate import IntegratorConfig, InvariantSummary, Trajectory, integrate_trajectory
 from .ensemble import (EnsembleHistory, EnsembleSpec, EnsembleStats, ensemble_stats,
                        evolve_ensemble, seed_tangent_circle, tangent_frame)

@@ -331,10 +331,13 @@ def cmd_verify(cfg, points=100, seed=0):
     d = _outdir(cfg)
     parts = []
 
-    rep = verify_mod.omega_identity_sweep(provider, n_points=points, seed=seed,
-                                          beta=cfg.particle.beta, t=cfg.t0)
-    parts.append(rep.to_text())
-    _write_csv(os.path.join(d, "omega_identity.csv"), rep.COLUMNS, rep.table)
+    try:
+        rep = verify_mod.omega_identity_sweep(provider, n_points=points, seed=seed,
+                                              beta=cfg.particle.beta, t=cfg.t0)
+        parts.append(rep.to_text())
+        _write_csv(os.path.join(d, "omega_identity.csv"), rep.COLUMNS, rep.table)
+    except TtpsimError as err:
+        parts.append(f"rotation-rate identity sweep skipped: {err}")
 
     try:
         canc = verify_mod.cancellation_check(provider, n_states=points, seed=seed,
@@ -353,8 +356,8 @@ def cmd_verify(cfg, points=100, seed=0):
     try:
         state0 = build_initial_state(cfg, provider)
         drift = verify_mod.tangency_drift_study(
-            provider, state0, dts, cfg.integrator.t_end,
-            method=cfg.integrator.method, project_initial=cfg.particle.project_initial)
+            provider, state0, cfg.integrator, dts,
+            project_initial=cfg.particle.project_initial)
         parts.append(drift.to_text())
         _write_csv(os.path.join(d, "tangency_drift.csv"), f"dt,{drift.kind}",
                    np.column_stack((drift.steps, drift.values)))
@@ -363,9 +366,7 @@ def cmd_verify(cfg, points=100, seed=0):
 
     try:
         state0 = build_initial_state(cfg, provider)
-        conv = verify_mod.convergence_study(
-            provider, state0, dts, cfg.integrator.t_end,
-            method=cfg.integrator.method)
+        conv = verify_mod.convergence_study(provider, state0, cfg.integrator, dts)
         parts.append(conv.to_text())
         _write_csv(os.path.join(d, "convergence.csv"), f"dt,{conv.kind}",
                    np.column_stack((conv.steps, conv.values)))

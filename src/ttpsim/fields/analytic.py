@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import OutOfDomain, ValidationError
 from . import FieldProvider
 
 _Z3 = np.zeros(3)
@@ -115,7 +115,8 @@ class TaylorGreenField(FieldProvider):
     F(t) = exp(-2 nu k^2 t); nu = 0 gives the steady variant.  The pressure
     is the classical cellular form shifted to positivity,
     p1hat = p0 + (A^2/16) [(cos 2kz + 2)(cos 2kx + cos 2ky) - 2] F(t)^2,
-    which requires p0 > A^2 / 2.
+    which requires p0 > A^2 / 2.  Sampling where F(t)^2 is not finite (t < 0
+    with a large nu) raises OutOfDomain.
     """
 
     name = "taylor_green"
@@ -138,8 +139,10 @@ class TaylorGreenField(FieldProvider):
     def _fields(self, r, t, full):
         A, k, nu = self.A, self.k, self.nu
         x, y, z = r[0], r[1], r[2]
-        F = math.exp(-2.0 * nu * k * k * t) if nu > 0.0 else 1.0
+        F = math.exp(min(-2.0 * nu * k * k * t, 709.0)) if nu > 0.0 else 1.0
         F2 = F * F
+        if not math.isfinite(F2):
+            raise OutOfDomain(f"Taylor-Green decay factor F(t)^2 is not finite at t = {t!r}")
         sx, cx = math.sin(k * x), math.cos(k * x)
         sy, cy = math.sin(k * y), math.cos(k * y)
         sz, cz = math.sin(k * z), math.cos(k * z)
@@ -179,6 +182,9 @@ class LambOseenField(FieldProvider):
     Gaussian well of depth pa on the same core scale,
     p1hat = p0 - pa exp(-rho^2 / rc^2), requiring 0 <= pa < p0; its gradient
     is radial and vanishes only on the axis (and asymptotically far away).
+    The profile's derivative divides by squares down to (1e-6 rc^2)^2, so rc
+    is limited to about [1.26e-78, 1.34e154], where rc^2 is finite and that
+    square is not zero.
     """
 
     name = "lamb_oseen"
@@ -186,6 +192,10 @@ class LambOseenField(FieldProvider):
     def __init__(self, Gamma=1.0, rc=1.0, W=0.5, p0=1.0, pa=0.5):
         if rc <= 0.0:
             raise ValidationError("rc must be > 0")
+        a = 1e-6 * (rc * rc)
+        if not (math.isfinite(a) and a * a > 0.0):
+            raise ValidationError(f"rc = {rc:g} is outside about [1.26e-78, 1.34e154], "
+                                  "where rc^2 and (1e-6 rc^2)^2 are finite and nonzero")
         if not 0.0 <= pa < p0:
             raise ValidationError("need 0 <= pa < p0 for positive pressure")
         self.Gamma = float(Gamma)

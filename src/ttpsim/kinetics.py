@@ -53,12 +53,6 @@ class TtpState:
 
 
 @dataclass(slots=True)
-class StateDerivative:
-    dr_dt: np.ndarray
-    dn_dt: np.ndarray
-
-
-@dataclass(slots=True)
 class OmegaBreakdown:
     """Omega by both routes plus the decomposition's individual terms."""
 
@@ -94,22 +88,6 @@ def isobaric_normal(sample):
 def relative_velocity(state, sample):
     """u = beta * v_th * n; |u| = beta * v_th by construction."""
     return (state.beta * thermal_velocity(sample)) * state.n
-
-
-def isobaric_normal_rate(sample, state):
-    """db/dt along the particle path, projected orthogonal to b.
-
-    With g = grad p1hat, H its Hessian and w = V + u the particle velocity,
-    dg/dt = dt_grad_p1hat + H w and db/dt = (1 - bb) dg/dt / |g|.
-    """
-    g = sample.grad_p1hat
-    gn = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
-    if gn <= EPS_GRAD:
-        raise DegenerateGradient(f"|grad p1hat| = {gn:g} <= {EPS_GRAD:g}")
-    b = g / gn
-    w = sample.V + relative_velocity(state, sample)
-    gdot = sample.dt_grad_p1hat + sample.hess_p1hat @ w
-    return (gdot - (b @ gdot) * b) / gn
 
 
 def omega_direct(sample, state):
@@ -238,13 +216,11 @@ def stage_eval(provider, t, x, y, z, nx, ny, nz, beta):
 
 
 def state_rhs(state, provider):
-    """Time derivative of the reduced state.
+    """Time derivative of the reduced state: the flat (6,) array (dr/dt, dn/dt).
 
     dr/dt = V + u and dn/dt = Omega x n.  Under the degenerate-gradient
     policy Omega = 0, so the direction is frozen there.
     """
     nx, ny, nz = n = state.n.tolist()
     wx, wy, wz, ox, oy, oz = rhs_terms(provider, state.t, state.r, n, state.beta)[:6]
-    return StateDerivative(dr_dt=np.array((wx, wy, wz)),
-                           dn_dt=np.array((oy * nz - oz * ny, oz * nx - ox * nz,
-                                           ox * ny - oy * nx)))
+    return np.array((wx, wy, wz, oy * nz - oz * ny, oz * nx - ox * nz, ox * ny - oy * nx))

@@ -15,16 +15,15 @@ never asserted; the term-by-term decomposition is a documented diagnostic.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
-from .integrate import IntegratorConfig, Table, integrate_trajectory
-from .kinetics import (EPS_GRAD, TtpState, isobaric_normal, isobaric_normal_rate,
-                       omega_decomposed, omega_direct, relative_velocity,
-                       state_rhs, thermal_velocity)
+from .integrate import Table, integrate_trajectory
+from .kinetics import (EPS_GRAD, TtpState, isobaric_normal, omega_decomposed, omega_direct,
+                       relative_velocity, state_rhs, thermal_velocity)
 from .ensemble import tangent_frame
 
 _TINY = 1e-300
@@ -46,9 +45,21 @@ def _random_interior_points(provider, count, rng):
     return lo + span * (shrink + (1.0 - 2.0 * shrink) * rng.random((count, 3)))
 
 
-def _random_unit(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v)
+def _random_states(provider, count, seed, beta, t):
+    """Yield (sample, b, state) with a random unit n at each random point whose
+    gradient is not degenerate; raise DegenerateGradient if there is none."""
+    rng = np.random.default_rng(seed)
+    kept = 0
+    for p in _random_interior_points(provider, count, rng):
+        s = provider.sample(p, t)
+        b = isobaric_normal(s)
+        if b is None:
+            continue
+        v = rng.normal(size=3)
+        kept += 1
+        yield s, b, TtpState(t=t, r=p, n=v / np.linalg.norm(v), beta=beta)
+    if kept == 0:
+        raise DegenerateGradient("no non-degenerate states found")
 
 
 # --- pointwise identity checks ---------------------------------------------
@@ -60,34 +71,24 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     what conserves the tangency constraint in continuous time.  Both are
     projections of the normal-rate vector (dg/dt)/|g| and round at that
     operand's scale even where the projections themselves are tiny, so the
-    residual is normalized by |Omega x n| + |db/dt| + |dg/dt|/|g|.  Points
-    with degenerate gradient are skipped.
+    residual is normalized by |Omega x n| + |db/dt| + |dg/dt|/|g|, where
+    dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|.  Points with
+    degenerate gradient are skipped.
     """
-    rng = np.random.default_rng(seed)
-    pts = _random_interior_points(provider, n_states, rng)
     worst = 0.0
-    evaluated = 0
-    for p in pts:
-        s = provider.sample(p, t)
-        b = isobaric_normal(s)
-        if b is None:
-            continue
-        n = _random_unit(rng)
-        st = TtpState(t=t, r=p, n=n, beta=beta)
-        om = omega_direct(s, st)
-        bdot = isobaric_normal_rate(s, st)
-        omxn = np.cross(om, n)
-        t1 = float(omxn @ b)
-        t2 = float(n @ bdot)
+    for s, b, st in _random_states(provider, n_states, seed, beta, t):
+        g = s.grad_p1hat
+        gn = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
         w = s.V + relative_velocity(st, s)
         gdot = s.dt_grad_p1hat + s.hess_p1hat @ w
-        rate_scale = float(np.linalg.norm(gdot)) / float(np.linalg.norm(s.grad_p1hat))
+        bdot = (gdot - (b @ gdot) * b) / gn
+        omxn = np.cross(omega_direct(s, st), st.n)
+        t1 = float(omxn @ b)
+        t2 = float(st.n @ bdot)
+        rate_scale = float(np.linalg.norm(gdot)) / float(np.linalg.norm(g))
         denom = max(float(np.linalg.norm(omxn)) + float(np.linalg.norm(bdot))
                     + rate_scale, _TINY)
         worst = max(worst, abs(t1 + t2) / denom)
-        evaluated += 1
-    if evaluated == 0:
-        raise DegenerateGradient("no non-degenerate states found")
     return worst
 
 
@@ -180,12 +181,10 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
             continue
         bdot_fd = (bp - bm) / (2.0 * h)
         om_fd = np.cross(b, bdot_fd)
-        om = omega_direct(s, st)
-        res_fd = float(np.linalg.norm(om - om_fd)) / max(float(np.linalg.norm(om)), _TINY)
-
         br = omega_decomposed(s, st)
-        rows.append((*p, res_fd, br.residual,
-                     br.residual / max(float(np.linalg.norm(br.omega_direct)), _TINY)))
+        om_norm = max(float(np.linalg.norm(br.omega_direct)), _TINY)
+        res_fd = float(np.linalg.norm(br.omega_direct - om_fd)) / om_norm
+        rows.append((*p, res_fd, br.residual, br.residual / om_norm))
     return OmegaIdentityReport(
         provider_name=provider.name, h=h, beta=beta, seed=seed,
         requested=n_points, skipped=skipped,
@@ -201,27 +200,20 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     (max |div|, median |div|, states evaluated).
     """
     h = 1e-6
-    rng = np.random.default_rng(seed)
-    pts = _random_interior_points(provider, n_states, rng)
     divs = []
-    for p in pts:
-        s = provider.sample(p, t)
-        if isobaric_normal(s) is None:
-            continue
-        n = _random_unit(rng)
+    for _, _, st in _random_states(provider, n_states, seed, beta, t):
+        p, n = st.r, st.n
         div = 0.0
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
             dp = state_rhs(TtpState(t=t, r=p + e, n=n, beta=beta), provider)
             dm = state_rhs(TtpState(t=t, r=p - e, n=n, beta=beta), provider)
-            div += (dp.dr_dt[i] - dm.dr_dt[i]) / (2.0 * h)
-            np_ = state_rhs(TtpState(t=t, r=p, n=n + e, beta=beta), provider)
-            nm = state_rhs(TtpState(t=t, r=p, n=n - e, beta=beta), provider)
-            div += (np_.dn_dt[i] - nm.dn_dt[i]) / (2.0 * h)
+            div += (dp[i] - dm[i]) / (2.0 * h)
+            dp = state_rhs(TtpState(t=t, r=p, n=n + e, beta=beta), provider)
+            dm = state_rhs(TtpState(t=t, r=p, n=n - e, beta=beta), provider)
+            div += (dp[3 + i] - dm[3 + i]) / (2.0 * h)
         divs.append(abs(div))
-    if not divs:
-        raise DegenerateGradient("no non-degenerate states found")
     divs = np.array(divs)
     return float(np.max(divs)), float(np.median(divs)), len(divs)
 
@@ -251,29 +243,25 @@ class OrderStudy:
         return "\n".join(lines)
 
 
-def tangency_drift_study(provider, state0, dt_list, t_end, method="rk4_rodrigues",
-                         renormalize_every=0, project_initial=False):
-    """Max |n . b| over a run, for each step size; expected order ~4."""
+def tangency_drift_study(provider, state0, config, dt_list, project_initial=False):
+    """Max |n . b| over a run of ``config`` at each step size; expected order ~4."""
     drifts = []
     for dt in dt_list:
-        cfg = IntegratorConfig(dt=dt, t_end=t_end, method=method,
-                               renormalize_every=renormalize_every)
-        traj = integrate_trajectory(state0, provider, cfg,
+        traj = integrate_trajectory(state0, provider, replace(config, dt=dt),
                                     project_initial=project_initial)
         drifts.append(traj.summary.max_abs_n_dot_b)
     return OrderStudy(kind="tangency drift", steps=list(dt_list), values=drifts,
                       order=fit_order(dt_list, drifts))
 
 
-def convergence_study(provider, state0, dt_list, t_end, method="rk4_rodrigues"):
-    """Global position error against the closed-form trajectory oracle."""
+def convergence_study(provider, state0, config, dt_list):
+    """Final position error of a run of ``config`` against the oracle, per step size."""
     if len(dt_list) < 3:
         raise ValidationError("need at least 3 step sizes to fit an order")
     oracle = trajectory_oracle(provider, state0)
     errs = []
     for dt in dt_list:
-        cfg = IntegratorConfig(dt=dt, t_end=t_end, method=method)
-        traj = integrate_trajectory(state0, provider, cfg)
+        traj = integrate_trajectory(state0, provider, replace(config, dt=dt))
         r_exact, _ = oracle(traj.t[-1])
         errs.append(float(np.linalg.norm(traj.r[-1] - r_exact)))
     note = ""

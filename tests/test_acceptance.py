@@ -87,7 +87,8 @@ def test_c3_tangency_conservation():
         prov = RigidRotationField(omega=1.0, p0=0.5, c=1.0)
         st = TtpState(t=0.0, r=np.array((1.0, 0.0, 0.0)),
                       n=np.array((0.0, 1.0, 0.0)), beta=1.0)
-        study = tangency_drift_study(prov, st, [4e-3, 2e-3, 1e-3], t_end=2.0)
+        study = tangency_drift_study(prov, st, IntegratorConfig(t_end=2.0),
+                                     [4e-3, 2e-3, 1e-3])
         assert 3.5 <= study.order <= 4.5, f"drift order {study.order:.2f}"
         info["detail"] = (f"max cancellation {worst:.2e}, "
                           f"drift order {study.order:.2f}")

@@ -2,13 +2,21 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ttpsim import ParseError, RigidRotationField, ValidationError, omega_identity_sweep
-from ttpsim.cli import (SCHEMA, STATS_COLUMNS, TRAJECTORY_COLUMNS, main, parse_config,
-                        print_config)
+from ttpsim import (ParseError, RigidRotationField, ValidationError, convergence_study,
+                    omega_identity_sweep, provider_parameters)
+from ttpsim.cli import (SCHEMA, STATS_COLUMNS, TRAJECTORY_COLUMNS, build_initial_state,
+                        build_provider, main, parse_config, print_config)
+from ttpsim.fields.analytic import PROVIDERS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 MINIMAL = """
 [field]
@@ -569,6 +577,117 @@ def test_verify_all_points_skipped_writes_header_only(tmp_path, capsys):
         "x,y,z,res_fd,res_split_abs,res_split_rel\n")
 
 
+def _golden_verify_config(tmp_path, integrator_keys):
+    text = (ROOT / "tests" / "golden" / "verify_rigid_rotation" / "run.cfg").read_text()
+    text = text.replace("t_end = 0.4\n", "t_end = 0.4\n" + integrator_keys)
+    return _write(tmp_path, text.format(out=tmp_path / "out"))
+
+
+def _csv_column(path):
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1]
+
+
+def test_verify_drift_study_runs_configured_projection(tmp_path, capsys):
+    # without re-projection the golden config drifts by 1.623e-06 at dt = 0.08
+    cfgp = _golden_verify_config(tmp_path, "project_tangency_every = 1\n")
+    assert main(["verify", cfgp, "--points", "50", "--seed", "3"]) == 0
+    drift = _csv_column(tmp_path / "out" / "tangency_drift.csv")
+    assert len(drift) == 3
+    assert np.all(drift <= 1e-15)
+
+
+def test_verify_convergence_study_runs_configured_method(tmp_path, capsys):
+    cfgp = _golden_verify_config(tmp_path, "method = rk4_naive\nrenormalize_every = 1\n")
+    assert main(["verify", cfgp, "--points", "50", "--seed", "3"]) == 0
+    cfg = parse_config(cfgp)
+    provider = build_provider(cfg)
+    state0 = build_initial_state(cfg, provider)
+    dts = [0.08, 0.04, 0.02]
+    study = convergence_study(provider, state0, cfg.integrator, dts)
+    got = _csv_column(tmp_path / "out" / "convergence.csv")
+    assert got.tolist() == study.values
+    # the renormalization is not a no-op here, so the comparison can tell
+    plain = convergence_study(provider, state0, replace(cfg.integrator, renormalize_every=0), dts)
+    assert plain.values != study.values
+
+
+# --- edge values: every config exits 0, 2 or 3 ---------------------------------------------
+
+EDGE_VALUES = (0.0, 1e-300, -1e-300, 1e-160, 1e160, 1e300, -1e300)
+EDGE_SEEDS = {"uniform": "r0 = 0 0 0\nn0 = 0 0 1",
+              "uniform_gradient": "r0 = 0.1 0.2 0.1\nauto_tangent = true",
+              "rigid_rotation": "r0 = 1.2 0.3 0.1\nauto_tangent = true",
+              "taylor_green": "r0 = 2.1 3.3 1.7\nauto_tangent = true",
+              "lamb_oseen": "r0 = 0.6 -0.3 0.1\nauto_tangent = true"}
+EDGE_COMMANDS = (["simulate"], ["ensemble"], ["verify", "--points", "20"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
+@pytest.mark.parametrize("provider", sorted(EDGE_SEEDS))
+def test_edge_value_sweep_exits_cleanly(tmp_path, capsys, provider):
+    # each parameter, and beta, set alone to an extreme value under every subcommand:
+    # no exception escapes, the exit code is 0, 2 or 3, and a failure says why.
+    # t_end is 8 steps so that verify's order studies (4, 2 and 1 dt) run too
+    bad = []
+    for key in [*provider_parameters(provider), "beta"]:
+        for value in EDGE_VALUES:
+            line = f"{key} = {value!r}\n"
+            text = (f"[field]\nname = {provider}\n{line if key != 'beta' else ''}"
+                    f"[particle]\n{EDGE_SEEDS[provider]}\n{line if key == 'beta' else ''}"
+                    "[integrator]\ndt = 0.01\nt_end = 0.08\n[ensemble]\ncount = 4\n"
+                    f"[output]\ndirectory = {tmp_path / 'out'}\n")
+            cfgp = _write(tmp_path, text)
+            for command in EDGE_COMMANDS:
+                try:
+                    code = main([command[0], cfgp, *command[1:]])
+                except Exception as exc:  # noqa: BLE001 - the sweep reports every escape
+                    bad.append(f"{key} = {value!r}, {command[0]}: {exc!r}")
+                    continue
+                err = capsys.readouterr().err
+                if code not in (0, 2, 3) or (code != 0 and "error:" not in err):
+                    bad.append(f"{key} = {value!r}, {command[0]}: exit {code} {err!r}")
+    assert not bad
+
+
+LAMB_OSEEN = ("[field]\nname = lamb_oseen\nrc = {rc}\n[particle]\nr0 = 0.6 -0.3 0.1\n"
+              "auto_tangent = true\n[integrator]\ndt = 0.01\nt_end = 0.1\n[ensemble]\n"
+              "count = 4\n[output]\ndirectory = {out}\n")
+
+
+@pytest.mark.parametrize("rc, command", [
+    ("1e-300", ["simulate"]), ("1e-300", ["ensemble"]), ("1e-300", ["verify"]),
+    ("1e-160", ["verify", "--points", "50"]), ("1e-100", ["verify", "--points", "50"]),
+])
+def test_lamb_oseen_tiny_core_exit2(tmp_path, capsys, rc, command):
+    # rc * rc, or the square the core profile's derivative divides by, underflows to 0
+    out = tmp_path / "out"
+    cfgp = _write(tmp_path, LAMB_OSEEN.format(rc=rc, out=out))
+    assert main([command[0], cfgp, *command[1:]]) == 2
+    assert f"error: rc = {float(rc):g} is outside" in capsys.readouterr().err
+
+
+def test_lamb_oseen_small_core_runs(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfgp = _write(tmp_path, LAMB_OSEEN.format(rc="1e-76", out=out))
+    assert main(["verify", cfgp, "--points", "50"]) == 0
+
+
+@pytest.mark.parametrize("nu", ["1e160", "1e300"])
+def test_taylor_green_huge_viscosity_verify_skips_identity_sweep(tmp_path, capsys, nu):
+    # the sweep samples at t0 - h, where the decay factor F^2 = exp(-4 nu k^2 t) overflows
+    out = tmp_path / "out"
+    text = (f"[field]\nname = taylor_green\nnu = {nu}\n[particle]\nr0 = 2.1 3.3 1.7\n"
+            "auto_tangent = true\n[integrator]\ndt = 0.01\nt_end = 0.08\n"
+            f"[output]\ndirectory = {out}\n")
+    assert main(["verify", _write(tmp_path, text), "--points", "20"]) == 0
+    report = (out / "verify_report.txt").read_text()
+    assert ("rotation-rate identity sweep skipped: Taylor-Green decay factor F(t)^2 is "
+            "not finite at t = -1e-05") in report
+    assert "tangency cancellation residual" in report
+    assert "tangency drift study:" in report
+    assert not (out / "omega_identity.csv").exists()
+
+
 # --- fields -------------------------------------------------------------------------------
 
 def test_fields_list(capsys):
@@ -632,3 +751,19 @@ def test_benchmark_binding_sites_resolve(monkeypatch):
     missing = [f"{mod}.{attr}" for mod, attr in sites
                if not hasattr(importlib.import_module(mod), attr)]
     assert not missing
+
+
+def test_benchmark_verify_self_check(tmp_path):
+    # the traced benchmark pins the call counts of the verify studies (12 state_rhs
+    # calls per divergence state, one omega_direct per omega_decomposed, ...);
+    # run its smallest traced verify job and require its self-check to pass
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "verify",
+         "--size", "tiny", "--seed", "7", "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    report, result = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
+    assert report["trace"]["self_check"]["mismatches"] == []
+    assert result["correct"] is True

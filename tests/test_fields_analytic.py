@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from ttpsim import (NotFound, TaylorGreenField, UniformField, ValidationError,
-                    create_provider, fd_verify_derivatives, provider_parameters)
+from ttpsim import (LambOseenField, NotFound, OutOfDomain, TaylorGreenField, UniformField,
+                    ValidationError, create_provider, fd_verify_derivatives,
+                    provider_parameters)
 from ttpsim.fields.analytic import PROVIDERS
 
 from conftest import all_builtin_providers, interior_points, smooth_nonlinear_providers
@@ -281,3 +282,28 @@ def test_create_provider_with_params():
 def test_provider_parameter_validation():
     with pytest.raises(ValidationError):
         TaylorGreenField(A=2.0, p0=1.0)  # p0 <= A^2/2
+
+
+@pytest.mark.parametrize("rc", [1e-300, 1e-160, 1e-100, 1.25e-78, 1.35e154, math.inf, math.nan])
+def test_lamb_oseen_core_radius_outside_representable_range(rc):
+    # rc^2 overflows, or (1e-6 rc^2)^2, which the profile's derivative divides by, underflows
+    with pytest.raises(ValidationError, match="outside about"):
+        LambOseenField(rc=rc)
+
+
+@pytest.mark.parametrize("rc", [1.26e-78, 1e-76, 1.34e154])
+def test_lamb_oseen_core_radius_range_ends_sample_without_error(rc):
+    # near the ends of the range the fields may overflow, but nothing divides by zero:
+    # points inside the core series, just outside it, and outside the core
+    prov = LambOseenField(rc=rc)
+    for s in (0.5e-6 * rc * rc, 1.01e-6 * rc * rc, 4.0 * rc * rc):
+        prov.sample((math.sqrt(s), 0.0, 0.0), 0.0)
+
+
+def test_taylor_green_decay_factor_overflow_is_out_of_domain():
+    prov = TaylorGreenField(nu=1e160)
+    prov.sample((1.0, 2.0, 3.0), 0.0)
+    with pytest.raises(OutOfDomain, match="F\\(t\\)\\^2 is not finite at t = -1e-05"):
+        prov.sample((1.0, 2.0, 3.0), -1e-5)
+    with pytest.raises(OutOfDomain):  # F itself overflows here
+        prov.sample_kinetic((1.0, 2.0, 3.0), -1e-100)

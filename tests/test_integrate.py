@@ -374,8 +374,7 @@ def test_matches_independent_adaptive_integrator():
     st = _state(e1, beta=0.8, r=r0)
 
     def rhs(t, y):
-        d = state_rhs(TtpState(t=t, r=y[:3], n=y[3:], beta=0.8), prov)
-        return np.concatenate((d.dr_dt, d.dn_dt))
+        return state_rhs(TtpState(t=t, r=y[:3], n=y[3:], beta=0.8), prov)
 
     sol = solve_ivp(rhs, (0.0, 2.0), np.concatenate((r0, e1)),
                     rtol=1e-11, atol=1e-12, dense_output=False)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ttpsim import (LambOseenField, NoOracle, RigidRotationField,
+from ttpsim import (IntegratorConfig, LambOseenField, NoOracle, RigidRotationField,
                     TaylorGreenField, TtpState, UniformField,
                     UniformGradientField, ValidationError, cancellation_check,
                     convergence_study, fit_order, omega_identity_sweep,
@@ -134,14 +134,14 @@ def test_reduced_divergence_uniform_gradient_zero():
 def test_drift_study_rigid_rotation_order():
     prov = RigidRotationField(omega=1.0, p0=0.5, c=1.0)
     st = _state((0, 1, 0), beta=1.0, r=(1.0, 0, 0))
-    study = tangency_drift_study(prov, st, [4e-3, 2e-3, 1e-3], t_end=2.0)
+    study = tangency_drift_study(prov, st, IntegratorConfig(t_end=2.0), [4e-3, 2e-3, 1e-3])
     assert 3.5 <= study.order <= 4.5
     assert len(study.values) == 3
 
 
 def test_drift_study_uniform_identically_zero(uniform):
     st = _state((0, 1, 0), beta=1.0, r=(0, 0, 0))
-    study = tangency_drift_study(uniform, st, [4e-3, 2e-3], t_end=0.5)
+    study = tangency_drift_study(uniform, st, IntegratorConfig(t_end=0.5), [4e-3, 2e-3])
     assert study.values == [0.0, 0.0]
     assert math.isnan(study.order)
     assert "n/a" in study.to_text()
@@ -156,8 +156,8 @@ def test_drift_study_naive_renormalized_still_fourth_order():
     b = isobaric_normal(prov.sample(r0, 0.0))
     e1, _ = tangent_frame(b)
     st = _state(e1, beta=0.5, r=r0)
-    study = tangency_drift_study(prov, st, [4e-3, 2e-3, 1e-3], t_end=1.0,
-                                 method="rk4_naive", renormalize_every=1)
+    cfg = IntegratorConfig(t_end=1.0, method="rk4_naive", renormalize_every=1)
+    study = tangency_drift_study(prov, st, cfg, [4e-3, 2e-3, 1e-3])
     assert 3.5 <= study.order <= 4.5
 
 
@@ -167,8 +167,8 @@ def test_drift_rigid_rotation_naive_protected_by_symmetry():
     # rotation to both and their relative angle is exact: drift at rounding
     prov = RigidRotationField(omega=1.0, p0=0.5, c=1.0)
     st = _state((0, 1, 0), beta=1.0, r=(1.0, 0, 0))
-    study = tangency_drift_study(prov, st, [4e-3], t_end=2.0,
-                                 method="rk4_naive", renormalize_every=1)
+    cfg = IntegratorConfig(t_end=2.0, method="rk4_naive", renormalize_every=1)
+    study = tangency_drift_study(prov, st, cfg, [4e-3])
     assert study.values[0] <= 1e-13
 
 
@@ -179,20 +179,20 @@ def test_convergence_rigid_rotation_order():
     st = _state((0, 1, 0), beta=1.0, r=(1.0, 0, 0))
     period = 2.0 * math.pi / (1.0 + math.sqrt(2.0))
     t_end = 4e-3 * round(period / 4e-3)  # one orbit, whole steps at every dt
-    study = convergence_study(prov, st, [4e-3, 2e-3, 1e-3], t_end=t_end)
+    study = convergence_study(prov, st, IntegratorConfig(t_end=t_end), [4e-3, 2e-3, 1e-3])
     assert study.order >= 3.8
 
 
 def test_convergence_uniform_rounding_floor(uniform):
     st = _state((0, 1, 0), beta=1.0, r=(0, 0, 0))
-    study = convergence_study(uniform, st, [4e-3, 2e-3, 1e-3], t_end=1.0)
+    study = convergence_study(uniform, st, IntegratorConfig(t_end=1.0), [4e-3, 2e-3, 1e-3])
     assert max(study.values) <= 1e-12
 
 
 def test_convergence_needs_three_points(uniform):
     st = _state((0, 1, 0), beta=1.0, r=(0, 0, 0))
     with pytest.raises(ValidationError):
-        convergence_study(uniform, st, [1e-3], t_end=1.0)
+        convergence_study(uniform, st, IntegratorConfig(t_end=1.0), [1e-3])
 
 
 # --- oracles -----------------------------------------------------------------------------
