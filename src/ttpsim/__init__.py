@@ -18,8 +18,8 @@ from .fields.grid import GridField, load_grid, write_grid
 from .kinetics import (EPS_GRAD, OmegaBreakdown, TtpState, isobaric_normal, omega_decomposed,
                        omega_direct, relative_velocity, state_rhs, thermal_velocity)
 from .integrate import IntegratorConfig, InvariantSummary, Trajectory, integrate_trajectory
-from .ensemble import (EnsembleHistory, EnsembleSpec, EnsembleStats, ensemble_stats,
-                       evolve_ensemble, seed_tangent_circle, tangent_frame)
+from .ensemble import (EnsembleHistory, EnsembleSpec, evolve_ensemble, seed_tangent_circle,
+                       tangent_frame)
 from .verify import (OmegaIdentityReport, OrderStudy, cancellation_check,
                      convergence_study, fit_order, omega_identity_sweep,
                      reduced_divergence_report, tangency_drift_study,

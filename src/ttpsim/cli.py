@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -318,11 +319,18 @@ def cmd_ensemble(cfg):
     d = _outdir(cfg)
     provider = build_provider(cfg)
     states = seed_tangent_circle(cfg.ensemble, provider)
-    _, history = evolve_ensemble(states, provider, cfg.integrator,
-                                 stride=cfg.output.stride)
+    trajectories, history = evolve_ensemble(states, provider, cfg.integrator,
+                                            stride=cfg.output.stride)
     write_stats_csv(history, os.path.join(d, "stats.csv"))
-    print(f"ensemble: {cfg.ensemble.count} particles, {len(history)} output times, "
-          f"final n_effective = {int(history.n_effective[-1])}")
+    final = f", final n_effective = {int(history.n_effective[-1])}" if len(history) else ""
+    print(f"ensemble: {cfg.ensemble.count} particles, {len(history)} output times{final}")
+    stopped = Counter(tr.summary.termination_reason.partition(":")[0]
+                      for tr in trajectories if tr.summary.terminated_early)
+    if stopped:
+        print("ensemble: particles stopped early: "
+              + ", ".join(f"{code} {n}" for code, n in sorted(stopped.items())))
+    if history.termination_reason:
+        print(f"ensemble: terminated early ({history.termination_reason})")
     return 0
 
 

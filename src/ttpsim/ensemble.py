@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGradient, EmptyEnsemble, ValidationError
-from .integrate import Table, Trajectory, integrate_trajectory
-from .kinetics import TtpState, isobaric_normal, relative_velocity
+from .integrate import Table, Trajectory, integrate_trajectory, step_count
+from .kinetics import TtpState, isobaric_normal
 
 
 @dataclass(slots=True)
@@ -39,16 +39,6 @@ class EnsembleSpec:
             raise ValidationError(f"unknown sampling {self.sampling!r}")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-
-
-@dataclass(slots=True)
-class EnsembleStats:
-    """Sample moments of particle velocity at one common time."""
-
-    mean_v: np.ndarray
-    mean_u: np.ndarray
-    cov_u: np.ndarray
-    n_effective: int
 
 
 def tangent_frame(b):
@@ -89,29 +79,14 @@ def seed_tangent_circle(spec, provider):
     return states
 
 
-def ensemble_stats(states, provider):
-    """Sample moments over an ensemble at a common time (population 1/N)."""
-    if len(states) == 0:
-        raise EmptyEnsemble("no particles to average")
-    t = states[0].t
-    if any(st.t != t for st in states):
-        raise ValidationError("ensemble_stats requires a common time")
-    U = np.empty((len(states), 3))
-    Vv = np.empty((len(states), 3))
-    for i, st in enumerate(states):
-        smp = provider.sample(st.r, st.t)
-        U[i] = relative_velocity(st, smp)
-        Vv[i] = smp.V + U[i]
-    return _moments(Vv, U)
-
-
 def _moments(Vv, U):
+    """mean_v, mean_u and the upper triangle of cov_u over (N, 3) rows (population 1/N)."""
     mean_v = Vv.mean(axis=0)
     mean_u = U.mean(axis=0)
     D = U - mean_u
     cov = D.T @ D / len(U)
     cov = 0.5 * (cov + cov.T)
-    return EnsembleStats(mean_v=mean_v, mean_u=mean_u, cov_u=cov, n_effective=len(U))
+    return (*mean_v, *mean_u, *cov[np.triu_indices(3)])
 
 
 class EnsembleHistory(Table):
@@ -120,6 +95,7 @@ class EnsembleHistory(Table):
     ``table`` holds one row per output time in COLUMNS order.  ``cov_u``
     holds the upper triangle of the covariance, row by row: xx, xy, xz, yy,
     yz, zz.  ``excluded`` counts the particles dropped before each time.
+    ``termination_reason`` says why the rows end before t_end, or is ``""``.
     """
 
     LAYOUT = (("t", "t"), ("n_effective", "n_effective"),
@@ -127,9 +103,10 @@ class EnsembleHistory(Table):
               ("cov_u", "cov_uxx,cov_uxy,cov_uxz,cov_uyy,cov_uyz,cov_uzz"))
     FLAGS = ("n_effective",)
 
-    def __init__(self, table, count):
+    def __init__(self, table, count, termination_reason=""):
         super().__init__(table)
         self.count = count
+        self.termination_reason = termination_reason
 
     @property
     def excluded(self):
@@ -145,31 +122,43 @@ def check_stride(stride):
 def evolve_ensemble(states, provider, config, stride=1):
     """Advance each particle independently; compute stats every ``stride`` steps.
 
-    Particles whose trajectories leave the domain early are excluded from
-    statistics at later output times and counted, so n_effective + excluded
-    equals the seeded count at every output time.  Raises EmptyEnsemble if
-    an output time has no survivors.
+    The states must share one time t0.  Output times are every ``stride``
+    steps from t0 and t_end itself.  Particles whose trajectories stop early
+    are excluded from statistics at later output times and counted, so
+    n_effective + excluded equals the seeded count at every output time.
+    The stats stop before the first output time that no particle reaches
+    (``no_survivors``) or whose moments are not finite (``non_finite_state``),
+    and the history records why.
 
     Returns (trajectories, EnsembleHistory).
     """
     if len(states) == 0:
         raise EmptyEnsemble("no particles to evolve")
+    t0 = float(states[0].t)
+    if any(st.t != t0 for st in states):
+        raise ValidationError("the ensemble's states must share one time")
     check_stride(stride)
+    n_steps = step_count(t0, config.t_end, config.dt)
     trajectories = [integrate_trajectory(st, provider, config) for st in states]
-    n_steps = max(len(tr) for tr in trajectories) - 1
     out_idx = list(range(0, n_steps + 1, stride))
     if out_idx[-1] != n_steps:
         out_idx.append(n_steps)
 
     table = np.empty((len(out_idx), EnsembleHistory.WIDTH))
     t, v, u = (Trajectory.INDEX[name] for name in ("t", "v", "u"))
-    upper = np.triu_indices(3)
-    for j, idx in enumerate(out_idx):
+    reason, j = "", 0
+    for idx in out_idx:
         alive = [tr for tr in trajectories if len(tr) > idx]
-        if not alive:
-            raise EmptyEnsemble(f"no surviving particles at output step {idx}")
+        if not alive:  # no row to read t from: compute it as integrate_trajectory does
+            reason = f"no_survivors: all particles stopped before t = {t0 + idx * config.dt!r}"
+            break
         rows = np.array([tr.table[idx] for tr in alive])
-        # contiguous (N, 3) operands keep the summation order of _moments
-        m = _moments(np.ascontiguousarray(rows[:, v]), np.ascontiguousarray(rows[:, u]))
-        table[j] = (rows[0, t], m.n_effective, *m.mean_v, *m.mean_u, *m.cov_u[upper])
-    return trajectories, EnsembleHistory(table, len(states))
+        # contiguous (N, 3) operands keep the summation order of the moments
+        row = (rows[0, t], len(alive), *_moments(np.ascontiguousarray(rows[:, v]),
+                                                np.ascontiguousarray(rows[:, u])))
+        if not all(map(math.isfinite, row)):
+            reason = f"non_finite_state: the moments at t = {float(rows[0, t])!r}"
+            break
+        table[j] = row
+        j += 1
+    return trajectories, EnsembleHistory(table[:j], len(states), reason)

@@ -276,10 +276,7 @@ def write_grid(path, provider, origin, spacing, dims, t=0.0):
         fh.write("origin " + " ".join(format(v, ".17g") for v in origin) + "\n")
         fh.write("spacing " + " ".join(format(v, ".17g") for v in spacing) + "\n")
         fh.write("fields V p1hat\n")
-        for k in range(nz):
-            for j in range(ny):
-                for i in range(nx):
-                    r = origin + spacing * np.array((i, j, k), dtype=float)
-                    fh.write(" ".join(format(v, ".17g")  # Vx Vy Vz p1hat
-                                      for v in provider.sample_kinetic(r.tolist(), t)[:4])
-                             + "\n")
+        index = np.indices((nz, ny, nx)).reshape(3, -1)[::-1].T  # rows (i, j, k), x fastest
+        nodes = origin + spacing * index.astype(float)
+        table = [provider.sample_kinetic(r, t)[:4] for r in nodes.tolist()]  # Vx Vy Vz p1hat
+        np.savetxt(fh, table, fmt="%.17g")

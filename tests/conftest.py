@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from ttpsim import (LambOseenField, RigidRotationField, TaylorGreenField,
-                    UniformField, UniformGradientField)
+from ttpsim import (IntegratorConfig, LambOseenField, RigidRotationField, TaylorGreenField,
+                    UniformField, UniformGradientField, evolve_ensemble)
 
 
 @pytest.fixture
@@ -54,3 +56,16 @@ def interior_points(provider, count, seed):
     rng = np.random.default_rng(seed)
     lo, hi = provider.reference_box
     return lo + (hi - lo) * (0.05 + 0.9 * rng.random((count, 3)))
+
+
+def seed_time_moments(states, provider, dt=1e-2):
+    """Row 0 of ``evolve_ensemble`` over one step, with the full 3x3 ``cov_u``.
+
+    The covariance is rebuilt from the row's upper triangle.
+    """
+    t0 = float(states[0].t)
+    _, hist = evolve_ensemble(states, provider, IntegratorConfig(dt=dt, t_end=t0 + dt))
+    upper = np.triu_indices(3)
+    cov = np.empty((3, 3))
+    cov[upper] = cov.T[upper] = hist.cov_u[0]
+    return SimpleNamespace(mean_v=hist.mean_v[0], mean_u=hist.mean_u[0], cov_u=cov)

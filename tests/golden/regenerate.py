@@ -32,6 +32,12 @@ CASES = {
     "simulate_lamb_oseen": ("simulate", []),
     "simulate_grid": ("simulate", []),
     "ensemble_lamb_oseen": ("ensemble", []),
+    # every particle leaves the domain before t_end: the stats stop with a reason
+    "ensemble_uniform_gradient_stopped": ("ensemble", []),
+    # some particles leave the domain, the rest reach t_end
+    "ensemble_uniform_gradient_partial": ("ensemble", []),
+    # rk4_naive with a huge step: the state stops being finite after 3 steps
+    "simulate_taylor_green_non_finite": ("simulate", []),
     "verify_rigid_rotation": ("verify", ["--points", "50", "--seed", "3"]),
 }
 

@@ -12,10 +12,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from conftest import seed_time_moments
 from ttpsim import (GridField, IntegratorConfig, LambOseenField,
                     RigidRotationField, TaylorGreenField, TtpState,
                     UniformField, UniformGradientField, EnsembleSpec,
-                    cancellation_check, ensemble_stats, fd_verify_derivatives,
+                    cancellation_check, fd_verify_derivatives,
                     fit_order, integrate_trajectory, isobaric_normal,
                     omega_identity_sweep, seed_tangent_circle, tangency_drift_study,
                     tangent_frame, thermal_velocity, trajectory_oracle)
@@ -139,7 +140,7 @@ def test_c6_ensemble_reconstruction_at_seed_time():
         spec = EnsembleSpec(r0=r0, t0=0.0, count=64,
                             sampling="equispaced_circle", beta=beta)
         states = seed_tangent_circle(spec, prov)
-        stats = ensemble_stats(states, prov)
+        stats = seed_time_moments(states, prov)
         s = prov.sample(r0, 0.0)
         vth = thermal_velocity(s)
         b = isobaric_normal(s)

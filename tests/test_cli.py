@@ -537,6 +537,44 @@ def test_ensemble_stats_csv(tmp_path, capsys):
     assert abs(float(first["mean_uz"])) < 1e-13
 
 
+def _golden_config(tmp_path, case):
+    text = (ROOT / "tests" / "golden" / case / "run.cfg").read_text()
+    return _write(tmp_path, text.format(out=tmp_path / "out"))
+
+
+def test_ensemble_reports_why_particles_stopped(tmp_path, capsys):
+    # all eight particles leave the domain after 27 of 200 steps: the stats end
+    # at the last output time with survivors, and the run says why
+    assert main(["ensemble", _golden_config(tmp_path, "ensemble_uniform_gradient_stopped")]) == 0
+    out = capsys.readouterr().out
+    assert "ensemble: particles stopped early: out_of_domain 8\n" in out
+    assert "ensemble: terminated early (no_survivors: all particles stopped before t = 0.3)" in out
+    lines = (tmp_path / "out" / "stats.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.10000000000000001",
+                                                         "0.20000000000000001"]
+
+
+def test_ensemble_partial_survival_covers_horizon(tmp_path, capsys):
+    assert main(["ensemble", _golden_config(tmp_path, "ensemble_uniform_gradient_partial")]) == 0
+    out = capsys.readouterr().out
+    assert "ensemble: particles stopped early: out_of_domain 5\n" in out
+    assert "terminated early" not in out
+    table = np.loadtxt(tmp_path / "out" / "stats.csv", delimiter=",", skiprows=1)
+    assert table[:, 1].tolist() == [8, 8, 5, 3, 3]
+    assert table[-1, 0] == 0.4
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the covariance overflows
+def test_ensemble_non_finite_moments_terminate_early(tmp_path, capsys):
+    # u = beta v_th n is finite, but its square overflows in the covariance at t0
+    text = TG_ENSEMBLE.format(out=tmp_path / "out").replace("beta = 0.5", "beta = 1e160")
+    assert main(["ensemble", _write(tmp_path, text)]) == 0
+    out = capsys.readouterr().out
+    assert "ensemble: 16 particles, 0 output times\n" in out
+    assert "terminated early (non_finite_state: the moments at t = 0.0)" in out
+    assert (tmp_path / "out" / "stats.csv").read_text() == STATS_COLUMNS + "\n"
+
+
 def test_ensemble_degenerate_seed_exit3(tmp_path, capsys):
     text = TG_ENSEMBLE.format(out=tmp_path / "o").replace(
         "name = taylor_green", "name = uniform").replace("A = 1.0", "").replace(
@@ -626,8 +664,11 @@ EDGE_COMMANDS = (["simulate"], ["ensemble"], ["verify", "--points", "20"])
 @pytest.mark.parametrize("provider", sorted(EDGE_SEEDS))
 def test_edge_value_sweep_exits_cleanly(tmp_path, capsys, provider):
     # each parameter, and beta, set alone to an extreme value under every subcommand:
-    # no exception escapes, the exit code is 0, 2 or 3, and a failure says why.
+    # no exception escapes, the exit code is 0, 2 or 3, and a failure says why.  A
+    # simulate or ensemble run that exits 0 writes only finite numbers, and covers
+    # t_end or says it terminated early.
     # t_end is 8 steps so that verify's order studies (4, 2 and 1 dt) run too
+    tables = {"simulate": "trajectory.csv", "ensemble": "stats.csv"}
     bad = []
     for key in [*provider_parameters(provider), "beta"]:
         for value in EDGE_VALUES:
@@ -643,9 +684,17 @@ def test_edge_value_sweep_exits_cleanly(tmp_path, capsys, provider):
                 except Exception as exc:  # noqa: BLE001 - the sweep reports every escape
                     bad.append(f"{key} = {value!r}, {command[0]}: {exc!r}")
                     continue
-                err = capsys.readouterr().err
+                out, err = capsys.readouterr()
                 if code not in (0, 2, 3) or (code != 0 and "error:" not in err):
                     bad.append(f"{key} = {value!r}, {command[0]}: exit {code} {err!r}")
+                if code != 0 or command[0] not in tables:
+                    continue
+                lines = (tmp_path / "out" / tables[command[0]]).read_text().splitlines()
+                rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+                if not np.all(np.isfinite(rows)):
+                    bad.append(f"{key} = {value!r}, {command[0]}: non-finite output")
+                if "terminated early (" not in out and (not len(rows) or rows[-1, 0] != 0.08):
+                    bad.append(f"{key} = {value!r}, {command[0]}: ends short silently")
     assert not bad
 
 
@@ -753,14 +802,16 @@ def test_benchmark_binding_sites_resolve(monkeypatch):
     assert not missing
 
 
-def test_benchmark_verify_self_check(tmp_path):
+@pytest.mark.parametrize("workload", ["verify", "ensemble"])
+def test_benchmark_verify_self_check(tmp_path, workload):
     # the traced benchmark pins the call counts of the verify studies (12 state_rhs
-    # calls per divergence state, one omega_direct per omega_decomposed, ...);
-    # run its smallest traced verify job and require its self-check to pass
+    # calls per divergence state, one omega_direct per omega_decomposed, ...) and
+    # counts the ensemble's steps on the trajectories evolve_ensemble returns;
+    # run its smallest traced job and require its self-check to pass
     (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "verify",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--size", "tiny", "--seed", "7", "--seconds", "1", "--trace", "1"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

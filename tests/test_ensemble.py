@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import seed_time_moments
 from ttpsim import (DegenerateGradient, EmptyEnsemble, EnsembleSpec,
                     IntegratorConfig, RigidRotationField, TaylorGreenField,
-                    UniformField, ValidationError, ensemble_stats, evolve_ensemble,
+                    UniformField, ValidationError, evolve_ensemble,
                     isobaric_normal, seed_tangent_circle, tangent_frame,
                     thermal_velocity)
 
@@ -91,7 +92,7 @@ def test_reconstruction_at_seed_time(taylor_green):
     beta = 0.8
     spec = _spec(r0, count=64, beta=beta)
     states = seed_tangent_circle(spec, taylor_green)
-    stats = ensemble_stats(states, taylor_green)
+    stats = seed_time_moments(states, taylor_green)
     s = taylor_green.sample(r0, 0.0)
     vth = thermal_velocity(s)
     b = isobaric_normal(s)
@@ -105,7 +106,8 @@ def test_reconstruction_at_seed_time(taylor_green):
 def test_covariance_psd_and_symmetric(taylor_green):
     spec = _spec((2.1, 3.3, 1.7), count=16, beta=1.0)
     states = seed_tangent_circle(spec, taylor_green)
-    stats = ensemble_stats(states, taylor_green)
+    stats = seed_time_moments(states, taylor_green)
+    # symmetric by construction: the history stores the upper triangle
     np.testing.assert_array_equal(stats.cov_u, stats.cov_u.T)
     w = np.linalg.eigvalsh(stats.cov_u)
     assert np.all(w >= -1e-15)
@@ -126,8 +128,8 @@ def test_frame_independence_of_moments(taylor_green):
         a = 2.0 * math.pi * k / spec.count + phase
         n = math.cos(a) * e1 + math.sin(a) * e2
         rotated.append(type(states[0])(t=0.0, r=r0.copy(), n=n, beta=0.7))
-    st1 = ensemble_stats(states, taylor_green)
-    st2 = ensemble_stats(rotated, taylor_green)
+    st1 = seed_time_moments(states, taylor_green)
+    st2 = seed_time_moments(rotated, taylor_green)
     np.testing.assert_allclose(st1.mean_u, st2.mean_u, atol=1e-13)
     np.testing.assert_allclose(st1.cov_u, st2.cov_u, atol=1e-13)
 
@@ -152,7 +154,7 @@ def test_fixed_seed_bit_identical_stats(taylor_green):
         spec = _spec((2.1, 3.3, 1.7), count=128, sampling="random_circle",
                      seed=21, beta=0.9)
         states = seed_tangent_circle(spec, taylor_green)
-        return ensemble_stats(states, taylor_green)
+        return seed_time_moments(states, taylor_green)
 
     s1, s2 = run(), run()
     assert np.array_equal(s1.mean_v, s2.mean_v)
@@ -161,16 +163,12 @@ def test_fixed_seed_bit_identical_stats(taylor_green):
 
 
 def test_stats_require_common_time(taylor_green):
+    # particles seeded at two times would give rows that mix the two
     spec = _spec((2.1, 3.3, 1.7), count=4)
     states = seed_tangent_circle(spec, taylor_green)
-    states[2].t = 0.5
-    with pytest.raises(ValidationError):
-        ensemble_stats(states, taylor_green)
-
-
-def test_stats_empty():
-    with pytest.raises(EmptyEnsemble):
-        ensemble_stats([], None)
+    states[2].t = 0.05
+    with pytest.raises(ValidationError, match="share one time"):
+        evolve_ensemble(states, taylor_green, IntegratorConfig(dt=0.01, t_end=0.12))
 
 
 # --- evolution -------------------------------------------------------------------------
@@ -220,6 +218,8 @@ def test_evolve_excludes_domain_leavers(tmp_path):
     trajs, hist = evolve_ensemble(states, grid, cfg)
     assert hist.excluded[-1] > 0
     assert np.all(hist.n_effective + hist.excluded == 8)
+    # every particle leaves before t_end, and the history says so
+    assert hist.termination_reason.startswith("no_survivors: ")
 
 
 def test_evolve_empty_rejected(taylor_green):
