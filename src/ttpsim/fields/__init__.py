@@ -20,7 +20,12 @@ from ..errors import NotFound, OutOfDomain
 
 @dataclass(slots=True)
 class FluidSample:
-    """All local fluid-field data at one (r, t).
+    """All local fluid-field data at one (r, t), as the kernel returned it.
+
+    ``kin`` is the flat tuple of :meth:`FieldProvider.sample_kinetic` and
+    ``dV`` the nine entries of gradV, row by row.  The array attributes are
+    built from them when read, so the Hessian is symmetric and ``xi`` is the
+    curl of gradV by construction.
 
     Attributes
     ----------
@@ -40,48 +45,44 @@ class FluidSample:
         Time derivative of grad_p1hat.
     """
 
-    V: np.ndarray
-    gradV: np.ndarray
-    xi: np.ndarray
-    p1hat: float
-    grad_p1hat: np.ndarray
-    hess_p1hat: np.ndarray
-    dt_grad_p1hat: np.ndarray
+    kin: tuple
+    dV: tuple
 
-    def curl_from_gradV(self):
-        """Vorticity recomputed from the antisymmetric part of gradV."""
-        g = self.gradV
-        return np.array((g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0]))
+    @property
+    def V(self):
+        return np.array(self.kin[0:3])
+
+    @property
+    def gradV(self):
+        d = self.dV
+        return np.array((d[0:3], d[3:6], d[6:9]))
+
+    @property
+    def xi(self):
+        d = self.dV
+        return np.array((d[5] - d[7], d[6] - d[2], d[1] - d[3]))
+
+    @property
+    def p1hat(self):
+        return self.kin[3]
+
+    @property
+    def grad_p1hat(self):
+        return np.array(self.kin[4:7])
+
+    @property
+    def hess_p1hat(self):
+        Hxx, Hxy, Hxz, Hyy, Hyz, Hzz = self.kin[7:13]
+        return np.array(((Hxx, Hxy, Hxz), (Hxy, Hyy, Hyz), (Hxz, Hyz, Hzz)))
+
+    @property
+    def dt_grad_p1hat(self):
+        return np.array(self.kin[13:16])
 
     def check(self):
-        """Raise AssertionError if the sample violates its own invariants."""
-        rtol = 1e-12
-        scale = max(float(np.max(np.abs(self.gradV))), 1e-300)
-        if not np.max(np.abs(self.xi - self.curl_from_gradV())) <= rtol * max(scale, 1.0):
-            raise AssertionError("xi inconsistent with gradV")
-        h = self.hess_p1hat
-        hscale = max(float(np.max(np.abs(h))), 1e-300)
-        if not np.max(np.abs(h - h.T)) <= rtol * max(hscale, 1.0):
-            raise AssertionError("Hessian not symmetric")
+        """Raise AssertionError if the kinetic pressure is negative."""
         if not self.p1hat >= 0.0:
             raise AssertionError("negative kinetic pressure")
-
-    def kinetic(self):
-        """The flat tuple of :meth:`FieldProvider.sample_kinetic`, as Python floats."""
-        (Vx, Vy, Vz), (gx, gy, gz) = self.V.tolist(), self.grad_p1hat.tolist()
-        (Hxx, Hxy, Hxz), (_, Hyy, Hyz), (_, _, Hzz) = self.hess_p1hat.tolist()
-        dgx, dgy, dgz = self.dt_grad_p1hat.tolist()
-        return (Vx, Vy, Vz, float(self.p1hat), gx, gy, gz,
-                Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, dgx, dgy, dgz)
-
-    @classmethod
-    def from_kinetic(cls, kin, gradV, xi):
-        """Sample from a flat kinetic tuple plus the velocity gradient and vorticity."""
-        (Vx, Vy, Vz, p1, gx, gy, gz,
-         Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, dgx, dgy, dgz) = kin
-        return cls(np.array((Vx, Vy, Vz)), gradV, xi, p1, np.array((gx, gy, gz)),
-                   np.array(((Hxx, Hxy, Hxz), (Hxy, Hyy, Hyz), (Hxz, Hyz, Hzz))),
-                   np.array((dgx, dgy, dgz)))
 
 
 class FieldProvider:
@@ -106,14 +107,13 @@ class FieldProvider:
 
         ``r`` is a sequence of three floats.  Returns the flat tuple of
         :meth:`sample_kinetic`; with ``full`` true it returns ``(that tuple,
-        gradV, xi)`` with gradV a (3, 3) and xi a (3,) array.
+        dV)`` with dV the nine entries of gradV, row by row, as a tuple.
         """
         raise NotImplementedError
 
     def sample(self, r, t):
         """All local fluid data at (r, t) as a :class:`FluidSample`."""
-        return FluidSample.from_kinetic(
-            *self._fields(np.asarray(r, dtype=float).tolist(), t, True))
+        return FluidSample(*self._fields(np.asarray(r, dtype=float).tolist(), t, True))
 
     def sample_kinetic(self, r, t):
         """Flat scalar tuple of the fields the trajectory stepper consumes.

@@ -14,8 +14,7 @@ import numpy as np
 from ..errors import OutOfDomain, ValidationError
 from . import FieldProvider
 
-_Z3 = np.zeros(3)
-_Z33 = np.zeros((3, 3))
+_ZERO_DV = (0.0,) * 9
 
 
 class UniformField(FieldProvider):
@@ -38,7 +37,7 @@ class UniformField(FieldProvider):
         V = self.V0
         kin = (V[0], V[1], V[2], self.p0, 0.0, 0.0, 0.0,
                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return (kin, _Z33.copy(), _Z3.copy()) if full else kin
+        return (kin, _ZERO_DV) if full else kin
 
 
 class UniformGradientField(FieldProvider):
@@ -56,9 +55,10 @@ class UniformGradientField(FieldProvider):
         self.V0 = np.array((V0x, V0y, V0z), dtype=float)
         self.p0 = float(p0)
         self.g = np.array((gx, gy, gz), dtype=float)
-        gnorm = float(np.linalg.norm(self.g))
-        if gnorm <= 0.0:
-            raise ValidationError("g must be a nonzero vector")
+        with np.errstate(over="ignore"):  # |g| is inf where |g|^2 overflows
+            gnorm = float(np.linalg.norm(self.g))
+        if not 0.0 < gnorm < math.inf:
+            raise ValidationError(f"|g| = {gnorm:g} must be nonzero and finite")
         if p0 <= 0.0:
             raise ValidationError("p0 must be > 0")
         # p1hat >= p0/2 everywhere inside the box |r|_inf <= L
@@ -72,7 +72,7 @@ class UniformGradientField(FieldProvider):
         p1 = self.p0 + g[0] * r[0] + g[1] * r[1] + g[2] * r[2]
         kin = (V[0], V[1], V[2], p1, g[0], g[1], g[2],
                0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return (kin, _Z33.copy(), _Z3.copy()) if full else kin
+        return (kin, _ZERO_DV) if full else kin
 
 
 class RigidRotationField(FieldProvider):
@@ -104,8 +104,7 @@ class RigidRotationField(FieldProvider):
                c, 0.0, 0.0, c, 0.0, 0.0, 0.0, 0.0, 0.0)
         if not full:
             return kin
-        gradV = np.array(((0.0, om, 0.0), (-om, 0.0, 0.0), (0.0, 0.0, 0.0)))
-        return kin, gradV, np.array((0.0, 0.0, 2.0 * om))
+        return kin, (0.0, om, 0.0, -om, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 class TaylorGreenField(FieldProvider):
@@ -165,13 +164,9 @@ class TaylorGreenField(FieldProvider):
         if not full:
             return kin
         Ak = A * k * F
-        gradV = np.array((
-            (Ak * cx * cy * cz, Ak * sx * sy * cz, 0.0),
-            (-Ak * sx * sy * cz, -Ak * cx * cy * cz, 0.0),
-            (-Ak * sx * cy * sz, Ak * cx * sy * sz, 0.0),
-        ))
-        xi = np.array((-Ak * cx * sy * sz, -Ak * sx * cy * sz, 2.0 * Ak * sx * sy * cz))
-        return kin, gradV, xi
+        return kin, (Ak * cx * cy * cz, Ak * sx * sy * cz, 0.0,
+                     -Ak * sx * sy * cz, -Ak * cx * cy * cz, 0.0,
+                     -Ak * sx * cy * sz, Ak * cx * sy * sz, 0.0)
 
 
 class LambOseenField(FieldProvider):
@@ -237,13 +232,9 @@ class LambOseenField(FieldProvider):
         if not full:
             return kin
         dqx, dqy = 2.0 * x * dq, 2.0 * y * dq
-        gradV = np.array((
-            (-G * dqx * y, G * (q + dqx * x), 0.0),
-            (-G * (q + dqy * y), G * dqy * x, 0.0),
-            (0.0, 0.0, 0.0),
-        ))
-        xi = np.array((0.0, 0.0, G * (2.0 * q + dqx * x + dqy * y)))
-        return kin, gradV, xi
+        return kin, (-G * dqx * y, G * (q + dqx * x), 0.0,
+                     -G * (q + dqy * y), G * dqy * x, 0.0,
+                     0.0, 0.0, 0.0)
 
 
 PROVIDERS = {cls.name: cls for cls in (UniformField, UniformGradientField,

@@ -182,7 +182,7 @@ class GridField(FieldProvider):
         Contracts the cell's slice of the stacked nodal data against the
         (value, d/dx, d^2/dx^2) basis rows of each axis, giving
         ``T[scalar][x order][y order][z order]``.  Returns the flat kinetic
-        tuple, or with ``full`` true ``(that tuple, gradV, xi)``.
+        tuple, or with ``full`` true ``(that tuple, dV)``, dV being gradV row by row.
         """
         (i, j, k), (fx, fy, fz) = self._locate(r)
         w = self._width
@@ -205,13 +205,9 @@ class GridField(FieldProvider):
                0.0, 0.0, 0.0)
         if not full:
             return kin
-        gradV = np.array([[F[1][0][0] for F in (X, Y, Z)],
-                          [F[0][1][0] for F in (X, Y, Z)],
-                          [F[0][0][1] for F in (X, Y, Z)]])
-        xi = np.array((gradV[1, 2] - gradV[2, 1],
-                       gradV[2, 0] - gradV[0, 2],
-                       gradV[0, 1] - gradV[1, 0]))
-        return kin, gradV, xi
+        return kin, (X[1][0][0], Y[1][0][0], Z[1][0][0],
+                     X[0][1][0], Y[0][1][0], Z[0][1][0],
+                     X[0][0][1], Y[0][0][1], Z[0][0][1])
 
 
 def load_grid(path, interpolation="tricubic"):

@@ -245,9 +245,10 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
     ``project_initial=True`` to project and renormalize instead of raising.
     Domain exit, a negative interpolated pressure, or a state or record that
     is not finite, after the seed point ends the trajectory early with a
-    recorded reason.  A seed that is not finite, or a horizon whose record table
-    cannot be allocated, raises ValidationError before any step.  The loop runs
-    on Python floats, one table row per record.
+    recorded reason.  A seed state or seed record that is not finite, or a
+    horizon whose record table cannot be allocated, raises ValidationError
+    before any step.  The loop runs on Python floats, one table row per
+    record.
     """
     t0 = float(state0.t)
     n_steps = step_count(t0, config.t_end, config.dt)
@@ -294,7 +295,10 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
         bu = beta * v_th
         row = (t, *r, nx, ny, nz, bu * nx, bu * ny, bu * nz, wx, wy, wz, v_th, p1,
                bx, by, bz, 0.0, abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0), degenerate)
-        if k and not all(map(math.isfinite, row)):  # the fields or |n|^2 overflow
+        if not all(map(math.isfinite, row)):  # the fields or |n|^2 overflow
+            if not k:
+                raise ValidationError(f"the seed record at r = {r}, n = {n}, t = {t!r} "
+                                      "is not finite")
             reason = f"non_finite_state: the record at r = {r}, n = {n}, t = {t!r}"
             break
         table[k] = row

@@ -96,7 +96,7 @@ def omega_direct(sample, state):
     Since b x b = 0 the projection inside db/dt drops out and
     Omega = b x (dg/dt) / |g|; orthogonal to b by construction.
     """
-    kin = sample.kinetic()
+    kin = sample.kin
     gx, gy, gz = kin[4:7]
     g2 = gx * gx + gy * gy + gz * gz
     if g2 <= _EPS_GRAD2:
@@ -192,7 +192,7 @@ def rhs_terms(provider, t, r, n, beta):
     rotation rate and b are zero (the direction freezes) and the flag is 1.0,
     else 0.0.
     """
-    kin = provider.sample(r, t).kinetic()
+    kin = provider.sample(r, t).kin
     nx, ny, nz = n
     rates = _rates(kin, nx, ny, nz, beta)
     p1, gx, gy, gz = kin[3:7]

@@ -73,7 +73,8 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     operand's scale even where the projections themselves are tiny, so the
     residual is normalized by |Omega x n| + |db/dt| + |dg/dt|/|g|, where
     dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|.  Points with
-    degenerate gradient are skipped.
+    degenerate gradient are skipped; a point where either term or the
+    normalizer is not finite raises ValidationError.
     """
     worst = 0.0
     for s, b, st in _random_states(provider, n_states, seed, beta, t):
@@ -88,6 +89,8 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
         rate_scale = float(np.linalg.norm(gdot)) / float(np.linalg.norm(g))
         denom = max(float(np.linalg.norm(omxn)) + float(np.linalg.norm(bdot))
                     + rate_scale, _TINY)
+        if not all(map(math.isfinite, (t1, t2, denom))):
+            raise ValidationError(f"non-finite cancellation terms at r = {tuple(st.r.tolist())}")
         worst = max(worst, abs(t1 + t2) / denom)
     return worst
 
@@ -153,7 +156,8 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     t +/- h) with w = V + u frozen at the center; the centered difference
     approximates db/dt along the particle path to O(h^2) and b x (that)
     approximates the rotation rate.  Points with |grad p1hat| <= g_min (or
-    degenerate displaced stencils) are skipped and counted.
+    degenerate displaced stencils) are skipped and counted; a point whose
+    residuals are not finite raises ValidationError.
     """
     rng = np.random.default_rng(seed)
     pts = _random_interior_points(provider, n_points, rng)
@@ -184,7 +188,10 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
         br = omega_decomposed(s, st)
         om_norm = max(float(np.linalg.norm(br.omega_direct)), _TINY)
         res_fd = float(np.linalg.norm(br.omega_direct - om_fd)) / om_norm
-        rows.append((*p, res_fd, br.residual, br.residual / om_norm))
+        row = (*p.tolist(), res_fd, br.residual, br.residual / om_norm)
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(f"non-finite rotation-rate residuals at r = {row[:3]}")
+        rows.append(row)
     return OmegaIdentityReport(
         provider_name=provider.name, h=h, beta=beta, seed=seed,
         requested=n_points, skipped=skipped,

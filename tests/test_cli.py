@@ -732,8 +732,63 @@ def test_taylor_green_huge_viscosity_verify_skips_identity_sweep(tmp_path, capsy
     report = (out / "verify_report.txt").read_text()
     assert ("rotation-rate identity sweep skipped: Taylor-Green decay factor F(t)^2 is "
             "not finite at t = -1e-05") in report
-    assert "tangency cancellation residual" in report
+    # |dg/dt| overflows in the cancellation normalizer, which used to print a residual of 0
+    assert "pointwise state checks skipped: non-finite cancellation terms at r = (" in report
+    assert "tangency cancellation residual" not in report
     assert "tangency drift study:" in report
+    assert not (out / "omega_identity.csv").exists()
+
+
+HUGE_SEED = ("[field]\nname = rigid_rotation\np0 = 1e160\n[particle]\nr0 = 1.2 0.3 0.1\n"
+             "auto_tangent = true\nbeta = 1e300\n[integrator]\ndt = 0.01\nt_end = 0.08\n"
+             "[ensemble]\ncount = 4\n[output]\ndirectory = {out}\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
+@pytest.mark.parametrize("command, table", [
+    (["simulate"], "trajectory.csv"), (["ensemble"], "stats.csv"),
+    (["verify", "--points", "20"], None)], ids=["simulate", "ensemble", "verify"])
+def test_non_finite_seed_record_is_rejected(tmp_path, capsys, command, table):
+    # beta v_th = 1e300 * sqrt(2e160) overflows, so the seed's u is (-inf, inf, nan)
+    out = tmp_path / "out"
+    code = main([command[0], _write(tmp_path, HUGE_SEED.format(out=out)), *command[1:]])
+    message = "the seed record at r = (1.2, 0.3, 0.1), n = ("
+    if table:
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (out / table).exists()
+    else:
+        assert code == 0
+        report = (out / "verify_report.txt").read_text()
+        assert f"tangency drift study skipped: {message}" in report
+        assert f"convergence study skipped: {message}" in report
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["verify", "--points", "20"]],
+                         ids=["simulate", "verify"])
+@pytest.mark.parametrize("gz", ["1e160", "-1e300"])
+def test_uniform_gradient_overflowing_norm_exit2(tmp_path, capsys, gz, command):
+    # |g|^2 overflows, so the domain half-width p0 / (2 sqrt(3) |g|) would be 0
+    out = tmp_path / "out"
+    text = (f"[field]\nname = uniform_gradient\ngz = {gz}\n[particle]\nr0 = 0 0 0\n"
+            "auto_tangent = true\n[integrator]\ndt = 0.01\nt_end = 0.08\n"
+            f"[output]\ndirectory = {out}\n")
+    assert main([command[0], _write(tmp_path, text), *command[1:]]) == 2
+    assert "error: |g| = inf must be nonzero and finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
+def test_verify_non_finite_identity_residuals_skip_sweep(tmp_path, capsys):
+    # |omega_direct| overflows at omega = 1e160: every row used to hold nan
+    out = tmp_path / "out"
+    text = ("[field]\nname = rigid_rotation\nomega = 1e160\n[particle]\nr0 = 1.2 0.3 0.1\n"
+            "auto_tangent = true\n[integrator]\ndt = 0.01\nt_end = 0.08\n"
+            f"[output]\ndirectory = {out}\n")
+    assert main(["verify", _write(tmp_path, text), "--points", "20"]) == 0
+    report = (out / "verify_report.txt").read_text()
+    assert "rotation-rate identity sweep skipped: non-finite rotation-rate residuals at r = (" \
+        in report
+    assert "nan" not in report
     assert not (out / "omega_identity.csv").exists()
 
 
@@ -802,11 +857,12 @@ def test_benchmark_binding_sites_resolve(monkeypatch):
     assert not missing
 
 
-@pytest.mark.parametrize("workload", ["verify", "ensemble"])
-def test_benchmark_verify_self_check(tmp_path, workload):
-    # the traced benchmark pins the call counts of the verify studies (12 state_rhs
-    # calls per divergence state, one omega_direct per omega_decomposed, ...) and
-    # counts the ensemble's steps on the trajectories evolve_ensemble returns;
+@pytest.mark.parametrize("workload", ["trajectory", "grid", "ensemble", "verify"])
+def test_benchmark_self_check(tmp_path, workload):
+    # the traced benchmark pins the call counts of each workload: one full sample per
+    # record plus the seed (steps + 2 on trajectory and grid), the verify studies (12
+    # state_rhs calls per divergence state, one omega_direct per omega_decomposed, ...)
+    # and the ensemble's steps counted on the trajectories evolve_ensemble returns;
     # run its smallest traced job and require its self-check to pass
     (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}

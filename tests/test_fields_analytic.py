@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from ttpsim import (LambOseenField, NotFound, OutOfDomain, TaylorGreenField, UniformField,
-                    ValidationError, create_provider, fd_verify_derivatives,
-                    provider_parameters)
+                    UniformGradientField, ValidationError, create_provider,
+                    fd_verify_derivatives, provider_parameters)
 from ttpsim.fields.analytic import PROVIDERS
 
 from conftest import all_builtin_providers, interior_points, smooth_nonlinear_providers
@@ -128,12 +128,8 @@ def test_rigid_rotation_velocity_and_curl(rigid):
 
 
 _CHECK_VIOLATIONS = """
-import numpy as np
 from ttpsim import FluidSample
-z, Z = np.zeros(3), np.zeros((3, 3))
-bad = [FluidSample(z, Z, np.ones(3), 1.0, z, Z, z),                # xi != curl gradV
-       FluidSample(z, Z, z, 1.0, z, np.triu(np.ones((3, 3))), z),  # asymmetric Hessian
-       FluidSample(z, Z, z, -1.0, z, Z, z)]                        # negative pressure
+bad = [FluidSample((0.0, 0.0, 0.0, -1.0) + (0.0,) * 12, (0.0,) * 9)]  # negative pressure
 for s in bad:
     try:
         s.check()
@@ -168,8 +164,9 @@ def test_curl_consistency_at_random_points(provider):
     pts = interior_points(provider, 100, seed=42)
     for r in pts:
         s = provider.sample(r, 0.2)
-        scale = max(float(np.max(np.abs(s.gradV))), 1.0)
-        assert np.max(np.abs(s.xi - s.curl_from_gradV())) <= 1e-12 * scale
+        g = s.gradV
+        curl = (g[1, 2] - g[2, 1], g[2, 0] - g[0, 2], g[0, 1] - g[1, 0])
+        np.testing.assert_array_equal(s.xi, curl)
 
 
 @pytest.mark.parametrize("provider", all_builtin_providers(),
@@ -187,6 +184,7 @@ def test_sample_kinetic_agrees_with_sample(provider):
         H = s.hess_p1hat
         assert (Hxx, Hxy, Hxz) == (H[0, 0], H[0, 1], H[0, 2])
         assert (Hyy, Hyz, Hzz) == (H[1, 1], H[1, 2], H[2, 2])
+        np.testing.assert_array_equal(H, H.T)
         assert (dgx, dgy, dgz) == tuple(s.dt_grad_p1hat)
 
 
@@ -282,6 +280,12 @@ def test_create_provider_with_params():
 def test_provider_parameter_validation():
     with pytest.raises(ValidationError):
         TaylorGreenField(A=2.0, p0=1.0)  # p0 <= A^2/2
+
+
+@pytest.mark.parametrize("g", [(0.0, 0.0, 0.0), (0.0, 0.0, 1e160), (-1e300, 0.0, 0.0)])
+def test_uniform_gradient_norm_must_be_nonzero_and_finite(g):
+    with pytest.raises(ValidationError, match="must be nonzero and finite"):
+        UniformGradientField(gx=g[0], gy=g[1], gz=g[2])
 
 
 @pytest.mark.parametrize("rc", [1e-300, 1e-160, 1e-100, 1.25e-78, 1.35e154, math.inf, math.nan])

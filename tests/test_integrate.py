@@ -319,13 +319,9 @@ class _SwirlField(FieldProvider):
                0.0, 0.0, 0.0)
         if not full:
             return kin
-        gradV = 0.3 * np.array((
-            (0.0, cx, -sx),
-            (-sy, 0.0, cy),
-            (cz, -sz, 0.0),
-        ))
-        xi = np.array((0.3 * (cy + sz), 0.3 * (cz + sx), 0.3 * (cx + sy)))
-        return kin, gradV, xi
+        return kin, (0.0, 0.3 * cx, -0.3 * sx,
+                     -0.3 * sy, 0.0, 0.3 * cy,
+                     0.3 * cz, -0.3 * sz, 0.0)
 
 
 def test_fourth_order_with_rotating_axis():

@@ -14,17 +14,11 @@ from ttpsim.kinetics import rhs_terms, stage_eval
 from conftest import all_builtin_providers, interior_points
 
 
-def _sample_with(grad, p1=1.0, V=(0, 0, 0), hess=None, xi=(0, 0, 0),
-                 gradV=None, dtg=(0, 0, 0)):
-    return FluidSample(
-        V=np.array(V, dtype=float),
-        gradV=np.zeros((3, 3)) if gradV is None else np.array(gradV, dtype=float),
-        xi=np.array(xi, dtype=float),
-        p1hat=p1,
-        grad_p1hat=np.array(grad, dtype=float),
-        hess_p1hat=np.zeros((3, 3)) if hess is None else np.array(hess, dtype=float),
-        dt_grad_p1hat=np.array(dtg, dtype=float),
-    )
+def _sample_with(grad, p1=1.0, V=(0, 0, 0), hess=None):
+    H = np.zeros((3, 3)) if hess is None else np.array(hess, dtype=float)
+    kin = (*map(float, V), float(p1), *map(float, grad), *H[np.triu_indices(3)].tolist(),
+           0.0, 0.0, 0.0)
+    return FluidSample(kin, (0.0,) * 9)
 
 
 def _state(n, beta=1.0, r=(0, 0, 0), t=0.0):
