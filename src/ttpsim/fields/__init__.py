@@ -79,11 +79,6 @@ class FluidSample:
     def dt_grad_p1hat(self):
         return np.array(self.kin[13:16])
 
-    def check(self):
-        """Raise AssertionError if the kinetic pressure is negative."""
-        if not self.p1hat >= 0.0:
-            raise AssertionError("negative kinetic pressure")
-
 
 class FieldProvider:
     """Base class for field providers.
@@ -126,16 +121,12 @@ class FieldProvider:
         """
         return self._fields(r, t, False)
 
-    def contains(self, r, margin=0.0):
-        """True if r lies inside the domain (shrunk by margin on each side)."""
-        if self.domain_bounds is None:
-            return True
-        lo, hi = self.domain_bounds
-        return bool(np.all(r >= lo + margin) and np.all(r <= hi - margin))
-
     def _require_inside(self, r, margin=0.0):
-        if not self.contains(r, margin):
-            lo, hi = self.domain_bounds
+        """Raise OutOfDomain unless lo + margin <= r <= hi - margin on each axis; NaN is out."""
+        if self.domain_bounds is None:
+            return
+        lo, hi = self.domain_bounds
+        if not all(a + margin <= x <= b - margin for x, a, b in zip(r, lo.tolist(), hi.tolist())):
             raise OutOfDomain(
                 f"position {tuple(float(c) for c in r)} outside domain bounds "
                 f"lo={tuple(float(c) for c in lo)} hi={tuple(float(c) for c in hi)}"
@@ -226,8 +217,7 @@ def fd_verify_derivatives(provider, r, t, h=1e-4):
     code paths.  Requires r to sit more than 2h inside the domain.
     """
     r = np.asarray(r, dtype=float)
-    if provider.domain_bounds is not None:
-        provider._require_inside(r, margin=2.0 * h)
+    provider._require_inside(r, margin=2.0 * h)
 
     def value(rr, tt):
         s = provider.sample(rr, tt)

@@ -67,7 +67,7 @@ class UniformGradientField(FieldProvider):
         self.reference_box = self.domain_bounds
 
     def _fields(self, r, t, full):
-        self._require_inside(np.asarray(r, dtype=float))
+        self._require_inside(r)
         V, g = self.V0, self.g
         p1 = self.p0 + g[0] * r[0] + g[1] * r[1] + g[2] * r[2]
         kin = (V[0], V[1], V[2], p1, g[0], g[1], g[2],

@@ -168,7 +168,7 @@ class GridField(FieldProvider):
         tx, ty, tz = self._top
         qx, qy, qz = (r[0] - ox) / hx, (r[1] - oy) / hy, (r[2] - oz) / hz
         if not (0.0 <= qx <= tx and 0.0 <= qy <= ty and 0.0 <= qz <= tz):
-            self._require_inside(np.asarray(r, dtype=float))  # NaN is outside too
+            self._require_inside(r)  # NaN is outside too
             # hairline rounding at the faces
             qx, qy, qz = min(max(qx, 0.0), tx), min(max(qy, 0.0), ty), min(max(qz, 0.0), tz)
         i = min(int(qx), int(tx) - 1)

@@ -78,11 +78,8 @@ def isobaric_normal(sample):
     Degeneracy (|grad p1hat| <= EPS_GRAD) is a value, not an error: the
     tangency constraint imposes nothing there.
     """
-    g = sample.grad_p1hat
-    gn = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
-    if gn <= EPS_GRAD:
-        return None
-    return g / gn
+    bx, by, bz, degenerate = _normal(sample.kin)
+    return None if degenerate else np.array((bx, by, bz))
 
 
 def relative_velocity(state, sample):
@@ -97,10 +94,8 @@ def omega_direct(sample, state):
     Omega = b x (dg/dt) / |g|; orthogonal to b by construction.
     """
     kin = sample.kin
-    gx, gy, gz = kin[4:7]
-    g2 = gx * gx + gy * gy + gz * gz
-    if g2 <= _EPS_GRAD2:
-        raise DegenerateGradient(f"|grad p1hat| = {math.sqrt(g2):g} <= {EPS_GRAD:g}")
+    if _normal(kin)[3]:
+        raise DegenerateGradient(f"|grad p1hat| = {math.hypot(*kin[4:7]):g} <= {EPS_GRAD:g}")
     nx, ny, nz = state.n.tolist()
     return np.array(_rates(kin, nx, ny, nz, state.beta)[3:])
 
@@ -120,10 +115,9 @@ def omega_decomposed(sample, state):
     decomposition is not an identity for the particle-path derivative) and
     is reported as a diagnostic only.
     """
+    direct = omega_direct(sample, state)  # first: it raises DegenerateGradient where b is undefined
     g = sample.grad_p1hat
     gn = float(np.linalg.norm(g))
-    if gn <= EPS_GRAD:
-        raise DegenerateGradient(f"|grad p1hat| = {gn:g} <= {EPS_GRAD:g}")
     b = g / gn
     V = sample.V
     H = sample.hess_p1hat
@@ -141,7 +135,6 @@ def omega_decomposed(sample, state):
     term_pv = (np.cross(b, grad_gV) - np.cross(b, g_dot_nabla_V)) / gn
 
     total = term_convective + term_vorticity + term_pv
-    direct = omega_direct(sample, state)
     return OmegaBreakdown(
         omega_direct=direct,
         omega_decomposed=total,
@@ -152,6 +145,16 @@ def omega_decomposed(sample, state):
     )
 
 
+def _normal(kin):
+    """Degenerate-gradient policy: (bx, by, bz, 0.0) with b the unit normal, else (0, 0, 0, 1.0)."""
+    gx, gy, gz = kin[4:7]
+    g2 = gx * gx + gy * gy + gz * gz
+    if g2 <= _EPS_GRAD2:
+        return 0.0, 0.0, 0.0, 1.0
+    gn = math.sqrt(g2)
+    return gx / gn, gy / gn, gz / gn, 0.0
+
+
 def _rates(kin, nx, ny, nz, beta):
     """Particle velocity V + u and rotation rate Omega from kinetic fields.
 
@@ -159,7 +162,8 @@ def _rates(kin, nx, ny, nz, beta):
     (wx, wy, wz, ox, oy, oz) with Omega = g x (dt g + H (V + u)) / |g|^2,
     which is zero under the degenerate-gradient policy.  The one place the
     rotation rate is computed: the integrator stages, the record evaluation
-    and ``omega_direct`` all read it from here.
+    and ``omega_direct`` all read it from here.  The hot stage path tests
+    degeneracy inline, as :func:`_normal` does, and needs no unit normal.
     """
     (Vx, Vy, Vz, p1, gx, gy, gz,
      Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, dgx, dgy, dgz) = kin
@@ -187,21 +191,13 @@ def rhs_terms(provider, t, r, n, beta):
 
     ``n`` is a float triple.  Returns (wx, wy, wz, ox, oy, oz, v_th, p1hat,
     bx, by, bz, degenerate): the rates of :func:`stage_eval`, the thermal
-    speed, the pressure, the unit isobaric normal and the degenerate flag.
-    Applies the degenerate-gradient policy: when |grad p1hat| <= EPS_GRAD the
-    rotation rate and b are zero (the direction freezes) and the flag is 1.0,
-    else 0.0.
+    speed, the pressure, and the unit normal and degenerate flag of
+    :func:`_normal`: where the gradient is degenerate the rotation rate and b
+    are zero (the direction freezes) and the flag is 1.0.
     """
     kin = provider.sample(r, t).kin
-    nx, ny, nz = n
-    rates = _rates(kin, nx, ny, nz, beta)
-    p1, gx, gy, gz = kin[3:7]
-    v_th = math.sqrt(2.0 * p1)
-    g2 = gx * gx + gy * gy + gz * gz
-    if g2 <= _EPS_GRAD2:
-        return rates + (v_th, p1, 0.0, 0.0, 0.0, 1.0)
-    gn = math.sqrt(g2)
-    return rates + (v_th, p1, gx / gn, gy / gn, gz / gn, 0.0)
+    # _rates runs first, so a negative p1hat raises NegativePressure before the sqrt
+    return _rates(kin, *n, beta) + (math.sqrt(2.0 * kin[3]), kin[3]) + _normal(kin)
 
 
 def stage_eval(provider, t, x, y, z, nx, ny, nz, beta):

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
-from .kinetics import (EPS_GRAD, TtpState, isobaric_normal, omega_decomposed, omega_direct,
+from .kinetics import (TtpState, isobaric_normal, omega_decomposed, omega_direct,
                        relative_velocity, state_rhs, thermal_velocity)
 from .ensemble import tangent_frame
 
@@ -155,9 +155,9 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     At each kept point the isobaric normal is evaluated at (r +/- h w,
     t +/- h) with w = V + u frozen at the center; the centered difference
     approximates db/dt along the particle path to O(h^2) and b x (that)
-    approximates the rotation rate.  Points with |grad p1hat| <= g_min (or
-    degenerate displaced stencils) are skipped and counted; a point whose
-    residuals are not finite raises ValidationError.
+    approximates the rotation rate.  Points with a degenerate gradient, with
+    |grad p1hat| <= g_min or with degenerate displaced stencils are skipped and
+    counted; a point whose residuals are not finite raises ValidationError.
     """
     rng = np.random.default_rng(seed)
     pts = _random_interior_points(provider, n_points, rng)
@@ -165,11 +165,10 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     skipped = 0
     for p in pts:
         s = provider.sample(p, t)
-        g = s.grad_p1hat
-        if float(np.linalg.norm(g)) <= max(g_min, EPS_GRAD):
+        b = isobaric_normal(s)
+        if b is None or float(np.linalg.norm(s.grad_p1hat)) <= g_min:
             skipped += 1
             continue
-        b = isobaric_normal(s)
         e1, e2 = tangent_frame(b)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         n = math.cos(phi) * e1 + math.sin(phi) * e2
@@ -204,7 +203,8 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     The six-dimensional vector field (dr/dt, dn/dt) on (r, n) space has no
     asserted invariant measure; its divergence (estimated here by central
     differences in each coordinate) is emitted as a diagnostic.  Returns
-    (max |div|, median |div|, states evaluated).
+    (max |div|, median |div|, states evaluated); a state whose divergence is
+    not finite raises ValidationError.
     """
     h = 1e-6
     divs = []
@@ -220,6 +220,9 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
             dp = state_rhs(TtpState(t=t, r=p, n=n + e, beta=beta), provider)
             dm = state_rhs(TtpState(t=t, r=p, n=n - e, beta=beta), provider)
             div += (dp[3 + i] - dm[3 + i]) / (2.0 * h)
+        if not math.isfinite(div):
+            raise ValidationError(f"non-finite divergence at r = {tuple(p.tolist())}, "
+                                  f"n = {tuple(n.tolist())}")
         divs.append(abs(div))
     divs = np.array(divs)
     return float(np.max(divs)), float(np.median(divs)), len(divs)
@@ -262,7 +265,9 @@ def tangency_drift_study(provider, state0, config, dt_list, project_initial=Fals
 
 
 def convergence_study(provider, state0, config, dt_list):
-    """Final position error of a run of ``config`` against the oracle, per step size."""
+    """Final position error of a run of ``config`` against the oracle, per step size.
+
+    A non-finite error raises ValidationError naming its step size."""
     if len(dt_list) < 3:
         raise ValidationError("need at least 3 step sizes to fit an order")
     oracle = trajectory_oracle(provider, state0)
@@ -270,7 +275,9 @@ def convergence_study(provider, state0, config, dt_list):
     for dt in dt_list:
         traj = integrate_trajectory(state0, provider, replace(config, dt=dt))
         r_exact, _ = oracle(traj.t[-1])
-        errs.append(float(np.linalg.norm(traj.r[-1] - r_exact)))
+        if not math.isfinite(err := float(np.linalg.norm(traj.r[-1] - r_exact))):
+            raise ValidationError(f"non-finite position error at dt = {dt!r}")
+        errs.append(err)
     note = ""
     if max(errs) <= 1e-12:
         order = float("nan")

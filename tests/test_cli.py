@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -306,6 +307,30 @@ def test_rejected_integrator_value_exit2(tmp_path, capsys, integrator, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[field]\n", "[field] needs exactly one of 'name' or 'grid'"),
+    ("[field]\ngrid = a.grid\nomega = 1\n", "key 'omega' not valid for a gridded field"),
+    ("[field]\nname = uniform\ninterpolation = trilinear\n",
+     "key 'interpolation' only applies to gridded fields"),
+    ("[field]\ngrid = a.grid\ninterpolation = cubic\n", "unknown interpolation 'cubic'"),
+    (MINIMAL + "[particle]\nbeta = fast\n", "key 'beta': expected a real number, got 'fast'"),
+    (MINIMAL + "[ensemble]\ncount = 2.5\n", "key 'count': expected an integer, got '2.5'"),
+    (MINIMAL + "[particle]\nauto_tangent = maybe\n",
+     "key 'auto_tangent': expected true/false, got 'maybe'"),
+    (MINIMAL + "[particle]\nr0 = 1 2\n", "key 'r0': expected 3 components, got 2"),
+    ("[field\nname = uniform\n", "line 1: malformed section header '[field'"),
+    (MINIMAL + "[field]\n", "line 4: duplicate section [field]"),
+    ("name = uniform\n", "line 1: key outside any section"),
+    (MINIMAL + "[output]\nstride = 0\n", "stride must be >= 1"),
+], ids=["field_neither_name_nor_grid", "grid_with_provider_param",
+        "interpolation_on_analytic", "interpolation_cubic", "real_not_numeric",
+        "count_not_integer", "bool_invalid", "r0_two_components", "malformed_header",
+        "duplicate_section", "key_outside_section", "stride_zero"])
+def test_rejected_config_exit2(tmp_path, capsys, text, message):
+    assert main(["simulate", _write(tmp_path, text)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section, key", [
     ("integrator", "eps_grad"), ("integrator", "omega_route"), ("output", "formats"),
 ])
@@ -576,11 +601,15 @@ def test_ensemble_non_finite_moments_terminate_early(tmp_path, capsys):
 
 
 def test_ensemble_degenerate_seed_exit3(tmp_path, capsys):
+    # the auto_tangent seed of simulate and the ensemble seed share one error
     text = TG_ENSEMBLE.format(out=tmp_path / "o").replace(
         "name = taylor_green", "name = uniform").replace("A = 1.0", "").replace(
         "k = 1.0", "").replace("nu = 0.0", "").replace("p0 = 1.0", "")
-    rc = main(["ensemble", _write(tmp_path, text)])
-    assert rc == 3
+    cfgp = _write(tmp_path, text)
+    for command in ("ensemble", "simulate"):
+        assert main([command, cfgp]) == 3
+        assert capsys.readouterr().err == (
+            "error: pressure gradient degenerate at the seed point\n")
 
 
 # --- verify ------------------------------------------------------------------------------
@@ -660,15 +689,27 @@ EDGE_SEEDS = {"uniform": "r0 = 0 0 0\nn0 = 0 0 1",
 EDGE_COMMANDS = (["simulate"], ["ensemble"], ["verify", "--points", "20"])
 
 
+def _verify_non_finite(out_dir, label):
+    """The non-finite values in a verify run's CSVs and divergence line, as messages."""
+    bad = [f"{label}, verify: non-finite {csv.name}" for csv in sorted(out_dir.glob("*.csv"))
+           if not np.all(np.isfinite(np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)))]
+    bad += [f"{label}, verify: {line}"
+            for line in (out_dir / "verify_report.txt").read_text().splitlines()
+            if line.startswith("reduced-state RHS divergence") and ("nan" in line or "inf" in line)]
+    return bad
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
 @pytest.mark.parametrize("provider", sorted(EDGE_SEEDS))
 def test_edge_value_sweep_exits_cleanly(tmp_path, capsys, provider):
     # each parameter, and beta, set alone to an extreme value under every subcommand:
     # no exception escapes, the exit code is 0, 2 or 3, and a failure says why.  A
     # simulate or ensemble run that exits 0 writes only finite numbers, and covers
-    # t_end or says it terminated early.
+    # t_end or says it terminated early.  A verify run that exits 0 writes only
+    # finite CSVs, and its divergence line holds no nan or inf.
     # t_end is 8 steps so that verify's order studies (4, 2 and 1 dt) run too
     tables = {"simulate": "trajectory.csv", "ensemble": "stats.csv"}
+    out_dir = tmp_path / "out"
     bad = []
     for key in [*provider_parameters(provider), "beta"]:
         for value in EDGE_VALUES:
@@ -676,9 +717,10 @@ def test_edge_value_sweep_exits_cleanly(tmp_path, capsys, provider):
             text = (f"[field]\nname = {provider}\n{line if key != 'beta' else ''}"
                     f"[particle]\n{EDGE_SEEDS[provider]}\n{line if key == 'beta' else ''}"
                     "[integrator]\ndt = 0.01\nt_end = 0.08\n[ensemble]\ncount = 4\n"
-                    f"[output]\ndirectory = {tmp_path / 'out'}\n")
+                    f"[output]\ndirectory = {out_dir}\n")
             cfgp = _write(tmp_path, text)
             for command in EDGE_COMMANDS:
+                shutil.rmtree(out_dir, ignore_errors=True)
                 try:
                     code = main([command[0], cfgp, *command[1:]])
                 except Exception as exc:  # noqa: BLE001 - the sweep reports every escape
@@ -687,9 +729,11 @@ def test_edge_value_sweep_exits_cleanly(tmp_path, capsys, provider):
                 out, err = capsys.readouterr()
                 if code not in (0, 2, 3) or (code != 0 and "error:" not in err):
                     bad.append(f"{key} = {value!r}, {command[0]}: exit {code} {err!r}")
+                if code == 0 and command[0] == "verify":
+                    bad += _verify_non_finite(out_dir, f"{key} = {value!r}")
                 if code != 0 or command[0] not in tables:
                     continue
-                lines = (tmp_path / "out" / tables[command[0]]).read_text().splitlines()
+                lines = (out_dir / tables[command[0]]).read_text().splitlines()
                 rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
                 if not np.all(np.isfinite(rows)):
                     bad.append(f"{key} = {value!r}, {command[0]}: non-finite output")
@@ -733,8 +777,9 @@ def test_taylor_green_huge_viscosity_verify_skips_identity_sweep(tmp_path, capsy
     assert ("rotation-rate identity sweep skipped: Taylor-Green decay factor F(t)^2 is "
             "not finite at t = -1e-05") in report
     # |dg/dt| overflows in the cancellation normalizer, which used to print a residual of 0
-    assert "pointwise state checks skipped: non-finite cancellation terms at r = (" in report
+    assert "tangency cancellation check skipped: non-finite cancellation terms at r = (" in report
     assert "tangency cancellation residual" not in report
+    assert "reduced-state RHS divergence over 20 states" in report
     assert "tangency drift study:" in report
     assert not (out / "omega_identity.csv").exists()
 
@@ -788,6 +833,11 @@ def test_verify_non_finite_identity_residuals_skip_sweep(tmp_path, capsys):
     report = (out / "verify_report.txt").read_text()
     assert "rotation-rate identity sweep skipped: non-finite rotation-rate residuals at r = (" \
         in report
+    # a non-finite cancellation term no longer drops the finite divergence report
+    assert "tangency cancellation check skipped: non-finite cancellation terms at r = (" \
+        in report
+    assert ("reduced-state RHS divergence over 20 states (diagnostic, no threshold): "
+            "max 0.000e+00 median 0.000e+00") in report
     assert "nan" not in report
     assert not (out / "omega_identity.csv").exists()
 

@@ -1,6 +1,7 @@
 """Grid file format and interpolated-provider contracts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_gridded_taylor_green_matches_analytic(tmp_path):
                               (2 * np.pi / (n - 1),) * 3, (n, n, n), name=f"tg{n}.grid")
         g = load_grid(path)
         sg = g.sample(r, 0.0)
-        sg.check()
+        assert sg.p1hat >= 0.0
         errs[n] = (float(np.max(np.abs(sg.V - sa.V))),
                    float(np.max(np.abs(sg.gradV - sa.gradV))),
                    float(np.max(np.abs(sg.grad_p1hat - sa.grad_p1hat))))
@@ -103,6 +104,20 @@ def test_out_of_domain_raises(tmp_path):
     # boundary nodes are inside
     g.sample(np.array((2.0, 2.0, 2.0)), 0.0)
     g.sample(np.zeros(3), 0.0)
+
+
+
+def test_domain_corner_past_rounding_returns_corner_node():
+    # hi = 3 * 0.1 = 0.30000000000000004 and hi / 0.1 = 3.0000000000000004, one ulp past
+    # the last node: the face clamp in _locate returns the corner node's values exactly
+    V = np.zeros((4, 4, 4, 3))
+    V[3, 3, 3] = (0.5, -0.25, 2.0)
+    p1 = np.ones((4, 4, 4))
+    p1[3, 3, 3] = 3.0
+    g = GridField((0.0, 0.0, 0.0), (0.1, 0.1, 0.1), V, p1)
+    hi = g.domain_bounds[1]
+    assert (hi[0] - 0.0) / 0.1 == 3.0000000000000004
+    assert g.sample_kinetic(tuple(hi.tolist()), 0.0)[:4] == (0.5, -0.25, 2.0, 3.0)
 
 
 def test_negative_pressure_detected():
@@ -178,6 +193,21 @@ def test_parse_errors(tmp_path):
         + "0 0 0 1\n" * 8)
     with pytest.raises(ParseError, match="finite"):
         load_grid(bad_spacing)
+
+    good_header = ["TTPGRID 1", "dims 2 2 2", "origin 0 0 0", "spacing 1 1 1", "fields V p1hat"]
+    for i, (line_no, line, payload, message) in enumerate((
+            (0, "TTPGRID 2", "0 0 0 1\n" * 8, "bad magic line 'TTPGRID 2'"),
+            (1, "dims 2 2 x", "0 0 0 1\n" * 8, "line 2: could not parse dims values"),
+            (1, "dims 0 2 2", "", "dims must be positive"),
+            (3, "spacing 1 0 1", "0 0 0 1\n" * 8, "spacing must be positive"),
+            (None, None, "0 0 0 1\n" * 7 + "0 0 0 one\n", "non-numeric token"))):
+        header = list(good_header)
+        if line_no is not None:
+            header[line_no] = line
+        bad = tmp_path / f"g{i}.grid"
+        bad.write_text("\n".join(header) + "\n" + payload)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_grid(bad)
 
 
 def test_x_fastest_ordering(tmp_path):

@@ -9,7 +9,7 @@ from ttpsim import (IntegratorConfig, LambOseenField, NoOracle, RigidRotationFie
                     TaylorGreenField, TtpState, UniformField,
                     UniformGradientField, ValidationError, cancellation_check,
                     convergence_study, fit_order, omega_identity_sweep,
-                    tangency_drift_study, trajectory_oracle)
+                    reduced_divergence_report, tangency_drift_study, trajectory_oracle)
 
 from conftest import smooth_nonlinear_providers
 
@@ -124,12 +124,18 @@ def test_sweep_non_finite_row_raises():
 # --- reduced RHS divergence diagnostic ----------------------------------------
 
 def test_reduced_divergence_reported(taylor_green):
-    from ttpsim import reduced_divergence_report
     dmax, dmed, n = reduced_divergence_report(taylor_green, n_states=30, seed=2,
                                               beta=0.5)
     assert n == 30
     assert np.isfinite(dmax) and np.isfinite(dmed)
     assert dmax >= dmed >= 0.0  # diagnostic only, no threshold
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
+def test_reduced_divergence_non_finite_raises():
+    # |grad p1hat|^2 overflows at c = 1e160, so the rotation rate is nan
+    with pytest.raises(ValidationError, match="non-finite divergence at r = .*, n = "):
+        reduced_divergence_report(RigidRotationField(c=1e160), n_states=20)
 
 
 def test_reduced_divergence_uniform_gradient_zero():
@@ -200,6 +206,15 @@ def test_convergence_uniform_rounding_floor(uniform):
     st = _state((0, 1, 0), beta=1.0, r=(0, 0, 0))
     study = convergence_study(uniform, st, IntegratorConfig(t_end=1.0), [4e-3, 2e-3, 1e-3])
     assert max(study.values) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
+def test_convergence_non_finite_error_raises():
+    # the final positions are finite, but |r - r_exact| overflows at dt = 0.01 only
+    st = _state((0, 0, 1), beta=1.0, r=(0, 0, 0))
+    with pytest.raises(ValidationError, match="non-finite position error at dt = 0.01$"):
+        convergence_study(UniformField(V0x=1e300), st, IntegratorConfig(dt=0.01, t_end=0.08),
+                          [0.04, 0.02, 0.01])
 
 
 def test_convergence_needs_three_points(uniform):
