@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateGradient, EmptyEnsemble, ValidationError
 from .integrate import Table, Trajectory, integrate_trajectory, step_count
-from .kinetics import TtpState, isobaric_normal
+from .kinetics import TtpState, cross, isobaric_normal
 
 
 @dataclass(slots=True)
@@ -48,9 +48,9 @@ def tangent_frame(b):
     case a = x_hat; e2 = b x e1.
     """
     a = np.array((0.0, 0.0, 1.0)) if abs(b[2]) <= 0.9 else np.array((1.0, 0.0, 0.0))
-    e1 = np.cross(a, b)
+    e1 = cross(a, b)
     e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(b, e1)
+    e2 = cross(b, e1)
     return e1, e2
 
 

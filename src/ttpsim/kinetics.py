@@ -118,7 +118,11 @@ def omega_decomposed(sample, state):
     direct = omega_direct(sample, state)  # first: it raises DegenerateGradient where b is undefined
     g = sample.grad_p1hat
     gn = float(np.linalg.norm(g))
-    b = g / gn
+    if gn < math.inf:
+        b = g / gn
+    else:  # |g|^2 overflowed
+        bx, by, bz, gn = _scaled_normal(*g.tolist())
+        b = np.array((bx, by, bz))
     V = sample.V
     H = sample.hess_p1hat
     xi = sample.xi
@@ -126,13 +130,13 @@ def omega_decomposed(sample, state):
 
     gdot_fluid = sample.dt_grad_p1hat + H @ V
     bdot_fluid = (gdot_fluid - (b @ gdot_fluid) * b) / gn
-    term_convective = np.cross(b, bdot_fluid)
+    term_convective = cross(b, bdot_fluid)
 
     term_vorticity = -(xi - (b @ xi) * b)
 
     grad_gV = H @ V + gradV @ g          # gradient of (g . V)
     g_dot_nabla_V = gradV.T @ g          # (g . grad) V
-    term_pv = (np.cross(b, grad_gV) - np.cross(b, g_dot_nabla_V)) / gn
+    term_pv = (cross(b, grad_gV) - cross(b, g_dot_nabla_V)) / gn
 
     total = term_convective + term_vorticity + term_pv
     return OmegaBreakdown(
@@ -145,14 +149,41 @@ def omega_decomposed(sample, state):
     )
 
 
+def cross(a, b):
+    """Cross product a x b of two 3-sequences, as a float array.
+
+    Bit-identical to numpy's ``cross`` on float 3-vectors: each component is
+    the same two rounded products and one rounded difference, evaluated on
+    Python floats without numpy's axis handling, which costs about 20 times
+    as much on one pair.
+    """
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
 def _normal(kin):
     """Degenerate-gradient policy: (bx, by, bz, 0.0) with b the unit normal, else (0, 0, 0, 1.0)."""
     gx, gy, gz = kin[4:7]
     g2 = gx * gx + gy * gy + gz * gz
     if g2 <= _EPS_GRAD2:
         return 0.0, 0.0, 0.0, 1.0
+    if g2 == math.inf:
+        return _scaled_normal(gx, gy, gz)[:3] + (0.0,)
     gn = math.sqrt(g2)
     return gx / gn, gy / gn, gz / gn, 0.0
+
+
+def _scaled_normal(gx, gy, gz):
+    """(bx, by, bz, |g|) where |g|^2 overflows, from g scaled by 1 / max |g_i|.
+
+    The scaled squares cannot overflow, so b and |g| stay finite whenever
+    the components of g are; an infinite component gives nan.
+    """
+    m = max(abs(gx), abs(gy), abs(gz))
+    hx, hy, hz = gx / m, gy / m, gz / m
+    hn = math.sqrt(hx * hx + hy * hy + hz * hz)
+    return hx / hn, hy / hn, hz / hn, m * hn
 
 
 def _rates(kin, nx, ny, nz, beta):
@@ -160,10 +191,12 @@ def _rates(kin, nx, ny, nz, beta):
 
     ``kin`` is the flat tuple of ``FieldProvider.sample_kinetic``.  Returns
     (wx, wy, wz, ox, oy, oz) with Omega = g x (dt g + H (V + u)) / |g|^2,
-    which is zero under the degenerate-gradient policy.  The one place the
-    rotation rate is computed: the integrator stages, the record evaluation
-    and ``omega_direct`` all read it from here.  The hot stage path tests
-    degeneracy inline, as :func:`_normal` does, and needs no unit normal.
+    which is zero under the degenerate-gradient policy; where |g|^2
+    overflows it is b x (dt g + H (V + u)) / |g| from :func:`_scaled_normal`.
+    The one place the rotation rate is computed: the integrator stages, the
+    record evaluation and ``omega_direct`` all read it from here.  The hot
+    stage path tests degeneracy inline, as :func:`_normal` does, and needs
+    no unit normal.
     """
     (Vx, Vy, Vz, p1, gx, gy, gz,
      Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, dgx, dgy, dgz) = kin
@@ -180,6 +213,12 @@ def _rates(kin, nx, ny, nz, beta):
     gdy = dgy + Hxy * wx + Hyy * wy + Hyz * wz
     gdz = dgz + Hxz * wx + Hyz * wy + Hzz * wz
     inv = 1.0 / g2
+    if inv == 0.0:  # |g|^2 overflowed
+        bx, by, bz, gn = _scaled_normal(gx, gy, gz)
+        return (wx, wy, wz,
+                (by * gdz - bz * gdy) / gn,
+                (bz * gdx - bx * gdz) / gn,
+                (bx * gdy - by * gdx) / gn)
     return (wx, wy, wz,
             (gy * gdz - gz * gdy) * inv,
             (gz * gdx - gx * gdz) * inv,

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
-from .kinetics import (TtpState, isobaric_normal, omega_decomposed, omega_direct,
+from .kinetics import (TtpState, cross, isobaric_normal, omega_decomposed, omega_direct,
                        relative_velocity, state_rhs, thermal_velocity)
 from .ensemble import tangent_frame
 
@@ -83,10 +83,10 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
         w = s.V + relative_velocity(st, s)
         gdot = s.dt_grad_p1hat + s.hess_p1hat @ w
         bdot = (gdot - (b @ gdot) * b) / gn
-        omxn = np.cross(omega_direct(s, st), st.n)
+        omxn = cross(omega_direct(s, st), st.n)
         t1 = float(omxn @ b)
         t2 = float(st.n @ bdot)
-        rate_scale = float(np.linalg.norm(gdot)) / float(np.linalg.norm(g))
+        rate_scale = float(np.linalg.norm(gdot)) / gn
         denom = max(float(np.linalg.norm(omxn)) + float(np.linalg.norm(bdot))
                     + rate_scale, _TINY)
         if not all(map(math.isfinite, (t1, t2, denom))):
@@ -183,7 +183,7 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
             skipped += 1
             continue
         bdot_fd = (bp - bm) / (2.0 * h)
-        om_fd = np.cross(b, bdot_fd)
+        om_fd = cross(b, bdot_fd)
         br = omega_decomposed(s, st)
         om_norm = max(float(np.linalg.norm(br.omega_direct)), _TINY)
         res_fd = float(np.linalg.norm(br.omega_direct - om_fd)) / om_norm

@@ -809,6 +809,27 @@ def test_non_finite_seed_record_is_rejected(tmp_path, capsys, command, table):
         assert f"convergence study skipped: {message}" in report
 
 
+@pytest.mark.parametrize("direction", ["n0 = 0 0 1", "auto_tangent = true"])
+def test_overflowing_gradient_norm_keeps_unit_normal(tmp_path, capsys, direction):
+    # |grad p1hat|^2 overflows at c = 1e160: the seed record used to hold b = (0, 0, 0)
+    # with the degenerate flag 0, and auto_tangent exited 2 with n = (nan, nan, nan)
+    out = tmp_path / "out"
+    text = (f"[field]\nname = rigid_rotation\nc = 1e160\n[particle]\nr0 = 1.2 0.3 0.1\n"
+            f"{direction}\n[integrator]\ndt = 0.01\nt_end = 0.08\n"
+            f"[output]\ndirectory = {out}\n")
+    assert main(["simulate", _write(tmp_path, text)]) == 0
+    rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    col = TRAJECTORY_COLUMNS.split(",").index
+    b = rows[0, col("bx"):col("bz") + 1]
+    assert abs(np.linalg.norm(b) - 1.0) <= 1e-15
+    assert rows[0, col("degenerate_flag")] == 0.0
+    assert np.all(np.isfinite(rows))
+    summary = json.loads((out / "summary.json").read_text())
+    assert (summary["final_time"] == 0.08
+            or summary["termination_reason"].startswith("non_finite_state: "))
+    assert "not finite" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["simulate"], ["verify", "--points", "20"]],
                          ids=["simulate", "verify"])
 @pytest.mark.parametrize("gz", ["1e160", "-1e300"])

@@ -31,6 +31,14 @@ def test_tangent_frame_right_handed():
         np.testing.assert_allclose(np.cross(e1, e2), b, atol=1e-14)
 
 
+def test_tangent_frame_accepts_any_sequence():
+    rng = np.random.default_rng(3)
+    for b in [*rng.normal(size=(20, 3)), (0.05, 0.0, 0.9987), (0.0, 0.0, -1.0)]:
+        b = np.asarray(b) / np.linalg.norm(b)
+        for got, want in zip(tangent_frame(tuple(b.tolist())), tangent_frame(b)):
+            np.testing.assert_array_equal(got, want, strict=True)
+
+
 def test_tangent_frame_near_pole_switches_axis():
     e1, e2 = tangent_frame(np.array((0.0, 0.0, 1.0)))
     assert abs(np.linalg.norm(e1) - 1.0) < 1e-14

@@ -9,7 +9,7 @@ from ttpsim import (EPS_GRAD, DegenerateGradient, FluidSample, GridField,
                     NegativePressure, RigidRotationField, TaylorGreenField, TtpState,
                     UniformGradientField, isobaric_normal, omega_decomposed, omega_direct,
                     relative_velocity, state_rhs, thermal_velocity)
-from ttpsim.kinetics import rhs_terms, stage_eval
+from ttpsim.kinetics import _rates, cross, rhs_terms, stage_eval
 
 from conftest import all_builtin_providers, interior_points
 
@@ -310,3 +310,56 @@ def test_omega_sites_bit_identical(provider):
         om = omega_direct(s, _state(n, beta=beta, r=r, t=t))
         assert ev[3:6] == st[3:] == tuple(om)
         assert ev[:3] == st[:3]
+
+
+# --- cross product and overflowing gradients ----------------------------------------
+
+def test_cross_bit_identical_to_numpy():
+    # same rounded products and difference as np.cross, overflow to inf and nan included
+    rng = np.random.default_rng(15)
+    a, b = (rng.normal(size=(4000, 3)) * 10.0 ** rng.integers(-200, 201, size=(4000, 3))
+            for _ in range(2))
+    special = np.array([[np.inf, 1.0, -2.0], [np.nan, 0.0, 3.0], [-np.inf, np.inf, 0.0],
+                        [1e300, -1e300, 1e-300], [0.0, -0.0, 5.0]])
+    a = np.vstack([a, special, special[::-1]])
+    b = np.vstack([b, special[::-1], special])
+    with np.errstate(all="ignore"):
+        for x, y in zip(a, b):
+            got, want = cross(x, y), np.cross(x, y)
+            np.testing.assert_array_equal(got, want, strict=True)  # nan equals nan here
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    assert cross((1, 0, 0), [0.0, 1.0, 0.0]).tolist() == [0.0, 0.0, 1.0]
+
+
+def test_overflowing_gradient_norm_gives_unit_normal():
+    # |g|^2 = inf while g is finite: b used to be (0, 0, 0) with the flag 0
+    b = isobaric_normal(_sample_with((3e160, 4e160, 0.0)))
+    np.testing.assert_allclose(b, (0.6, 0.8, 0.0), rtol=1e-15)
+    assert abs(np.linalg.norm(b) - 1.0) <= 1e-15
+    assert isobaric_normal(_sample_with((1e308, -1e308, 1e308))) is not None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.linalg.norm overflows first
+def test_decomposition_past_gradient_overflow():
+    # every term is invariant under p1hat -> c p1hat at fixed n, also once |g|^2 overflows
+    st = _state((0.0, 0.0, 1.0), r=(1.2, 0.3, 0.1))
+    ref, big = (omega_decomposed(RigidRotationField(c=c).sample(st.r, 0.0), st)
+                for c in (1e100, 1e160))
+    for name in ("omega_direct", "omega_decomposed", "term_convective", "term_vorticity",
+                 "term_pressure_velocity"):
+        np.testing.assert_allclose(getattr(big, name), getattr(ref, name), rtol=1e-14, atol=1e-14)
+
+
+def test_rates_scale_invariant_past_gradient_overflow():
+    # Omega = g x (dt g + H w) / |g|^2 is unchanged when g, H and dt g scale together
+    rng = np.random.default_rng(16)
+    for _ in range(20):
+        V = rng.normal(size=3).tolist()
+        ghd = rng.normal(size=12)  # g, the Hessian's upper triangle, dt g
+        n = rng.normal(size=3)
+        n = (n / np.linalg.norm(n)).tolist()
+        ref = _rates((*V, 0.7, *ghd.tolist()), *n, 0.8)
+        big = _rates((*V, 0.7, *(1e160 * ghd).tolist()), *n, 0.8)
+        assert big[:3] == ref[:3]
+        np.testing.assert_allclose(big[3:], ref[3:], rtol=1e-14,
+                                   atol=1e-14 * np.linalg.norm(ref[3:]))

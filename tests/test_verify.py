@@ -133,9 +133,17 @@ def test_reduced_divergence_reported(taylor_green):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
 def test_reduced_divergence_non_finite_raises():
-    # |grad p1hat|^2 overflows at c = 1e160, so the rotation rate is nan
+    # H (V + u) ~ c^(3/2) overflows at c = 1e300, so the rotation rate is not finite
     with pytest.raises(ValidationError, match="non-finite divergence at r = .*, n = "):
-        reduced_divergence_report(RigidRotationField(c=1e160), n_states=20)
+        reduced_divergence_report(RigidRotationField(c=1e300), n_states=20)
+
+
+def test_reduced_divergence_past_gradient_overflow_scales():
+    # |grad p1hat|^2 overflows at c = 1e160; the divergence still scales as sqrt(c)
+    dmax, dmed, n = reduced_divergence_report(RigidRotationField(c=1e160), n_states=20)
+    ref = reduced_divergence_report(RigidRotationField(c=1e100), n_states=20)
+    np.testing.assert_allclose((dmax, dmed), 1e30 * np.array(ref[:2]), rtol=1e-9)
+    assert n == ref[2] == 20
 
 
 def test_reduced_divergence_uniform_gradient_zero():
