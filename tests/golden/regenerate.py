@@ -6,15 +6,17 @@ the CLI wrote for it.  ``tests/test_golden.py`` reruns each case through
 ``ttpsim.cli.main`` and compares the outputs byte for byte.  After an
 intended change to the numbers, rewrite the outputs with
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [NAME ...]
 
-and record in CHANGES.md which files moved and by how much.
+which rewrites the named cases, or every case when no name is given, and
+record in CHANGES.md which files moved and by how much.
 """
 
 import contextlib
 import io
 import math
 import os
+import sys
 import tempfile
 
 from ttpsim import TaylorGreenField, write_grid
@@ -39,6 +41,8 @@ CASES = {
     # rk4_naive with a huge step: the state stops being finite after 3 steps
     "simulate_taylor_green_non_finite": ("simulate", []),
     "verify_rigid_rotation": ("verify", ["--points", "50", "--seed", "3"]),
+    # time-dependent, with a Hessian that varies in space
+    "verify_taylor_green": ("verify", ["--points", "50", "--seed", "3"]),
 }
 
 
@@ -78,8 +82,12 @@ def _read(path):
         return fh.read()
 
 
-def regenerate():
-    for name in CASES:
+def regenerate(names=()):
+    """Rewrite the outputs of the named cases, or of every case if none is named."""
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
+    for name in names or CASES:
         with tempfile.TemporaryDirectory() as tmp:
             outputs = run_case(name, tmp)
         d = os.path.join(HERE, name)
@@ -92,4 +100,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:])
