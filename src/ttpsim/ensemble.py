@@ -66,15 +66,15 @@ def seed_tangent_circle(spec, provider):
     b = isobaric_normal(s)
     if b is None:
         raise DegenerateGradient("pressure gradient degenerate at the seed point")
-    e1, e2 = tangent_frame(b)
+    e1, e2 = (e.tolist() for e in tangent_frame(b))
     if spec.sampling == "equispaced_circle":
         angles = 2.0 * math.pi * np.arange(spec.count) / spec.count
     else:
         rng = np.random.default_rng(spec.seed)
         angles = rng.uniform(0.0, 2.0 * math.pi, spec.count)
     states = []
-    for a in angles:
-        n = math.cos(a) * e1 + math.sin(a) * e2
+    for a in angles.tolist():
+        n = [math.cos(a) * x + math.sin(a) * y for x, y in zip(e1, e2)]
         states.append(TtpState(t=spec.t0, r=r0.copy(), n=n, beta=spec.beta))
     return states
 

@@ -178,25 +178,25 @@ def _advance_rodrigues(provider, t, r, n, beta, dt, k1):
     rx, ry, rz = r
     nx, ny, nz = n
     a1x, a1y, a1z, w1x, w1y, w1z = ax, ay, az, wx, wy, wz = k1
-    stages = []
+    sax = say = saz = swx = swy = swz = -0.0  # stages 2 + 3; -0.0 + x is x, bit for bit
     for c in (0.5 * dt, 0.5 * dt, dt):
         tx, ty, tz = c * wx, c * wy, c * wz
         mx, my, mz = _rot_s(nx, ny, nz, tx, ty, tz)
         ax, ay, az, ox, oy, oz = stage_eval(provider, t + c, rx + c * ax, ry + c * ay,
                                             rz + c * az, mx, my, mz, beta)
         wx, wy, wz = _dexpinv_s(tx, ty, tz, ox, oy, oz)
-        stages.append((ax, ay, az, wx, wy, wz))
-    ((a2x, a2y, a2z, w2x, w2y, w2z), (a3x, a3y, a3z, w3x, w3y, w3z),
-     (a4x, a4y, a4z, w4x, w4y, w4z)) = stages
+        if c < dt:  # stages 2 and 3; the last one's rates stay in (ax, ..., wz)
+            sax, say, saz = sax + ax, say + ay, saz + az
+            swx, swy, swz = swx + wx, swy + wy, swz + wz
 
     sixth = dt / 6.0
-    r_new = (rx + sixth * (a1x + 2.0 * (a2x + a3x) + a4x),
-             ry + sixth * (a1y + 2.0 * (a2y + a3y) + a4y),
-             rz + sixth * (a1z + 2.0 * (a2z + a3z) + a4z))
+    r_new = (rx + sixth * (a1x + 2.0 * sax + ax),
+             ry + sixth * (a1y + 2.0 * say + ay),
+             rz + sixth * (a1z + 2.0 * saz + az))
     n_new = _rot_s(nx, ny, nz,
-                   sixth * (w1x + 2.0 * (w2x + w3x) + w4x),
-                   sixth * (w1y + 2.0 * (w2y + w3y) + w4y),
-                   sixth * (w1z + 2.0 * (w2z + w3z) + w4z))
+                   sixth * (w1x + 2.0 * swx + wx),
+                   sixth * (w1y + 2.0 * swy + wy),
+                   sixth * (w1z + 2.0 * swz + wz))
     return r_new, n_new
 
 
@@ -330,17 +330,20 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
             reason = f"{kind}: {err}"
             break
 
-    # a run that stopped early copies its rows, so the unused rows can be freed
-    traj = Trajectory(table if k > n_steps else table[:k].copy())
+    if k <= n_steps:  # a run that stopped early copies its rows, so the unused rows can be freed
+        table = table[:k].copy()
+    traj = Trajectory(table)
+    col = Trajectory.INDEX
     # np.vecdot rounds like a per-row n @ b; the golden outputs pin these bytes
-    ndb = traj.table[:, Trajectory.INDEX["n_dot_b"]]
-    ndb[:] = np.vecdot(traj.n, traj.b)
-    ndb[traj.degenerate != 0.0] = 0.0
+    ndb = np.vecdot(table[:, col["n"]], table[:, col["b"]], out=table[:, col["n_dot_b"]])
+    degenerate = table[:, col["degenerate"]]
+    if flagged := int(np.count_nonzero(degenerate)):
+        ndb[degenerate != 0.0] = 0.0
     traj.summary = InvariantSummary(
         steps=k - 1,
-        max_norm_err=float(np.max(traj.norm_err)),
-        max_abs_n_dot_b=float(np.max(np.abs(traj.n_dot_b))),
-        degenerate_steps=int(np.count_nonzero(traj.degenerate)),
+        max_norm_err=float(table[:, col["norm_err"]].max()),
+        max_abs_n_dot_b=float(np.abs(ndb).max()),
+        degenerate_steps=flagged,
         terminated_early=bool(reason),
         termination_reason=reason,
     )

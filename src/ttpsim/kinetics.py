@@ -117,7 +117,7 @@ def omega_decomposed(sample, state):
     """
     direct = omega_direct(sample, state)  # first: it raises DegenerateGradient where b is undefined
     g = sample.grad_p1hat
-    gn = float(np.linalg.norm(g))
+    gn = norm3(g)
     if gn < math.inf:
         b = g / gn
     else:  # |g|^2 overflowed
@@ -160,6 +160,15 @@ def cross(a, b):
     a0, a1, a2 = np.asarray(a, dtype=float).tolist()
     b0, b1, b2 = np.asarray(b, dtype=float).tolist()
     return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+
+
+def norm3(v):
+    """|v| of a float 3-vector as ``np.linalg.norm`` rounds it, or inf where |v|^2 overflows.
+
+    The overflow is decided on Python floats first, so numpy never warns.
+    """
+    x, y, z = v.tolist()
+    return math.inf if x * x + y * y + z * z == math.inf else float(np.linalg.norm(v))
 
 
 def _normal(kin):
@@ -250,12 +259,12 @@ def stage_eval(provider, t, x, y, z, nx, ny, nz, beta):
     return _rates(provider.sample_kinetic((x, y, z), t), nx, ny, nz, beta)
 
 
-def state_rhs(state, provider):
-    """Time derivative of the reduced state: the flat (6,) array (dr/dt, dn/dt).
+def state_rhs(provider, t, r, n, beta):
+    """Time derivative of the reduced state at the float triples (r, n): the 6-tuple (dr/dt, dn/dt).
 
     dr/dt = V + u and dn/dt = Omega x n.  Under the degenerate-gradient
     policy Omega = 0, so the direction is frozen there.
     """
-    nx, ny, nz = n = state.n.tolist()
-    wx, wy, wz, ox, oy, oz = rhs_terms(provider, state.t, state.r, n, state.beta)[:6]
-    return np.array((wx, wy, wz, oy * nz - oz * ny, oz * nx - ox * nz, ox * ny - oy * nx))
+    nx, ny, nz = n
+    wx, wy, wz, ox, oy, oz = rhs_terms(provider, t, r, n, beta)[:6]
+    return wx, wy, wz, oy * nz - oz * ny, oz * nx - ox * nz, ox * ny - oy * nx

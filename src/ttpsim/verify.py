@@ -22,8 +22,9 @@ import numpy as np
 from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
-from .kinetics import (TtpState, cross, isobaric_normal, omega_decomposed, omega_direct,
-                       relative_velocity, state_rhs, thermal_velocity)
+from .kinetics import (TtpState, _normal, _scaled_normal, cross, isobaric_normal, norm3,
+                       omega_decomposed, omega_direct, relative_velocity, state_rhs,
+                       thermal_velocity)
 from .ensemble import tangent_frame
 
 _TINY = 1e-300
@@ -72,23 +73,27 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     projections of the normal-rate vector (dg/dt)/|g| and round at that
     operand's scale even where the projections themselves are tiny, so the
     residual is normalized by |Omega x n| + |db/dt| + |dg/dt|/|g|, where
-    dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|.  Points with
-    degenerate gradient are skipped; a point where either term or the
-    normalizer is not finite raises ValidationError.
+    dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|.  Where
+    |g|^2 overflows, |g| comes from ``_scaled_normal`` and the last term is
+    |(dg/dt) / |g||.  Points with degenerate gradient are skipped; a point
+    where either term or the normalizer is not finite raises ValidationError.
     """
     worst = 0.0
     for s, b, st in _random_states(provider, n_states, seed, beta, t):
-        g = s.grad_p1hat
-        gn = math.sqrt(g[0] * g[0] + g[1] * g[1] + g[2] * g[2])
+        gx, gy, gz = s.kin[4:7]
+        gn = math.sqrt(gx * gx + gy * gy + gz * gz)
         w = s.V + relative_velocity(st, s)
         gdot = s.dt_grad_p1hat + s.hess_p1hat @ w
+        if gn == math.inf:  # |g|^2 overflowed; b is already the scaled normal
+            gn = _scaled_normal(gx, gy, gz)[3]
+            rate_scale = norm3(gdot / gn)
+        else:
+            rate_scale = norm3(gdot) / gn
         bdot = (gdot - (b @ gdot) * b) / gn
         omxn = cross(omega_direct(s, st), st.n)
         t1 = float(omxn @ b)
         t2 = float(st.n @ bdot)
-        rate_scale = float(np.linalg.norm(gdot)) / gn
-        denom = max(float(np.linalg.norm(omxn)) + float(np.linalg.norm(bdot))
-                    + rate_scale, _TINY)
+        denom = max(norm3(omxn) + norm3(bdot) + rate_scale, _TINY)
         if not all(map(math.isfinite, (t1, t2, denom))):
             raise ValidationError(f"non-finite cancellation terms at r = {tuple(st.r.tolist())}")
         worst = max(worst, abs(t1 + t2) / denom)
@@ -163,31 +168,30 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     pts = _random_interior_points(provider, n_points, rng)
     rows = []
     skipped = 0
-    for p in pts:
+    for q in pts:
+        p = tuple(q.tolist())
         s = provider.sample(p, t)
-        b = isobaric_normal(s)
-        if b is None or float(np.linalg.norm(s.grad_p1hat)) <= g_min:
+        *b, degenerate = _normal(s.kin)
+        if degenerate or norm3(s.grad_p1hat) <= g_min:
             skipped += 1
             continue
-        e1, e2 = tangent_frame(b)
+        e1, e2 = (e.tolist() for e in tangent_frame(b))
         phi = rng.uniform(0.0, 2.0 * math.pi)
-        n = math.cos(phi) * e1 + math.sin(phi) * e2
-        st = TtpState(t=t, r=p, n=n, beta=beta)
-        w = s.V + relative_velocity(st, s)
+        n = [math.cos(phi) * x + math.sin(phi) * y for x, y in zip(e1, e2)]
+        bu = beta * thermal_velocity(s)
+        w = [v + bu * m for v, m in zip(s.kin[:3], n)]  # V + u
 
-        sp = provider.sample(p + h * w, t + h)
-        sm = provider.sample(p - h * w, t - h)
-        bp = isobaric_normal(sp)
-        bm = isobaric_normal(sm)
-        if bp is None or bm is None:
+        bp = _normal(provider.sample(tuple(x + h * v for x, v in zip(p, w)), t + h).kin)
+        bm = _normal(provider.sample(tuple(x - h * v for x, v in zip(p, w)), t - h).kin)
+        if bp[3] or bm[3]:
             skipped += 1
             continue
-        bdot_fd = (bp - bm) / (2.0 * h)
-        om_fd = cross(b, bdot_fd)
-        br = omega_decomposed(s, st)
+        om_fd = cross(b, [(u - v) / (2.0 * h) for u, v in zip(bp[:3], bm[:3])])
+        br = omega_decomposed(s, TtpState(t=t, r=q, n=n, beta=beta))
         om_norm = max(float(np.linalg.norm(br.omega_direct)), _TINY)
         res_fd = float(np.linalg.norm(br.omega_direct - om_fd)) / om_norm
-        row = (*p.tolist(), res_fd, br.residual, br.residual / om_norm)
+        # fresh floats: the kept rows then do not pin memory spread among the temporaries
+        row = (*q.tolist(), res_fd, br.residual, br.residual / om_norm)
         if not all(map(math.isfinite, row)):
             raise ValidationError(f"non-finite rotation-rate residuals at r = {row[:3]}")
         rows.append(row)
@@ -209,20 +213,17 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     h = 1e-6
     divs = []
     for _, _, st in _random_states(provider, n_states, seed, beta, t):
-        p, n = st.r, st.n
+        p, n = tuple(st.r.tolist()), tuple(st.n.tolist())
         div = 0.0
         for i in range(3):
-            e = np.zeros(3)
-            e[i] = h
-            dp = state_rhs(TtpState(t=t, r=p + e, n=n, beta=beta), provider)
-            dm = state_rhs(TtpState(t=t, r=p - e, n=n, beta=beta), provider)
+            # v +/- h e_i; the other components are v's own (adding 0.0 would turn -0.0 into 0.0)
+            rp, rm, n_p, n_m = (v[:i] + (v[i] + d,) + v[i + 1:] for v in (p, n) for d in (h, -h))
+            dp, dm = state_rhs(provider, t, rp, n, beta), state_rhs(provider, t, rm, n, beta)
             div += (dp[i] - dm[i]) / (2.0 * h)
-            dp = state_rhs(TtpState(t=t, r=p, n=n + e, beta=beta), provider)
-            dm = state_rhs(TtpState(t=t, r=p, n=n - e, beta=beta), provider)
+            dp, dm = state_rhs(provider, t, p, n_p, beta), state_rhs(provider, t, p, n_m, beta)
             div += (dp[3 + i] - dm[3 + i]) / (2.0 * h)
         if not math.isfinite(div):
-            raise ValidationError(f"non-finite divergence at r = {tuple(p.tolist())}, "
-                                  f"n = {tuple(n.tolist())}")
+            raise ValidationError(f"non-finite divergence at r = {p}, n = {n}")
         divs.append(abs(div))
     divs = np.array(divs)
     return float(np.max(divs)), float(np.median(divs)), len(divs)

@@ -759,12 +759,14 @@ def test_lamb_oseen_tiny_core_exit2(tmp_path, capsys, rc, command):
     assert f"error: rc = {float(rc):g} is outside" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lamb_oseen_small_core_runs(tmp_path, capsys):
     out = tmp_path / "out"
     cfgp = _write(tmp_path, LAMB_OSEEN.format(rc="1e-76", out=out))
     assert main(["verify", cfgp, "--points", "50"]) == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("nu", ["1e160", "1e300"])
 def test_taylor_green_huge_viscosity_verify_skips_identity_sweep(tmp_path, capsys, nu):
     # the sweep samples at t0 - h, where the decay factor F^2 = exp(-4 nu k^2 t) overflows

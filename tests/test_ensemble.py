@@ -31,6 +31,21 @@ def test_tangent_frame_right_handed():
         np.testing.assert_allclose(np.cross(e1, e2), b, atol=1e-14)
 
 
+@pytest.mark.parametrize("sampling", ["equispaced_circle", "random_circle"])
+def test_seed_directions_are_cos_e1_plus_sin_e2(taylor_green, sampling):
+    # each direction is cos(a) e1 + sin(a) e2 in the tangent frame, bit for bit
+    spec = _spec((2.1, 3.3, 1.7), count=23, sampling=sampling, seed=5)
+    e1, e2 = tangent_frame(isobaric_normal(taylor_green.sample(spec.r0, spec.t0)))
+    if sampling == "equispaced_circle":
+        angles = 2.0 * math.pi * np.arange(spec.count) / spec.count
+    else:
+        angles = np.random.default_rng(spec.seed).uniform(0.0, 2.0 * math.pi, spec.count)
+    states = seed_tangent_circle(spec, taylor_green)
+    assert len(states) == spec.count
+    for st, a in zip(states, angles):
+        assert st.n.tobytes() == (math.cos(a) * e1 + math.sin(a) * e2).tobytes()
+
+
 def test_tangent_frame_accepts_any_sequence():
     rng = np.random.default_rng(3)
     for b in [*rng.normal(size=(20, 3)), (0.05, 0.0, 0.9987), (0.0, 0.0, -1.0)]:

@@ -167,6 +167,16 @@ def test_sample_kinetic_agrees_with_sample(provider):
 
 @pytest.mark.parametrize("provider", all_builtin_providers(),
                          ids=lambda p: p.name)
+def test_sample_of_tuple_equals_sample_of_array(provider):
+    # a tuple reaches the kernel as it is, an array or a list is converted first
+    for r in interior_points(provider, 50, seed=37):
+        want = provider.sample(r, 0.4)
+        for got in (provider.sample(tuple(r.tolist()), 0.4), provider.sample(list(r), 0.4)):
+            assert np.array(got.kin + got.dV).tobytes() == np.array(want.kin + want.dV).tobytes()
+
+
+@pytest.mark.parametrize("provider", all_builtin_providers(),
+                         ids=lambda p: p.name)
 def test_sample_invariants_and_determinism(provider):
     pts = interior_points(provider, 20, seed=7)
     for r in pts:

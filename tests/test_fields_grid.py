@@ -369,6 +369,13 @@ def test_sample_kinetic_bit_identical_to_sample(interpolation):
         assert g.sample_kinetic(tuple(r.tolist()), 0.3) == g.sample(r, 0.3).kin
 
 
+def test_sample_of_tuple_equals_sample_of_array():
+    g, _, _, pts = _oracle_grid("tricubic")
+    for r in pts:
+        got, want = g.sample(tuple(r.tolist()), 0.3), g.sample(r, 0.3)
+        assert np.array(got.kin + got.dV).tobytes() == np.array(want.kin + want.dV).tobytes()
+
+
 def test_tricubic_simulate_samples_once_per_record(tmp_path, monkeypatch):
     # stage evaluations must take the sample_kinetic fast path: the full
     # sample is called for the auto_tangent seed and once per record only

@@ -8,7 +8,7 @@ import pytest
 from ttpsim import (FieldProvider, InitialTangencyViolation, IntegratorConfig,
                     RigidRotationField, TaylorGreenField, TtpState, UniformField,
                     ValidationError, integrate_trajectory, trajectory_oracle)
-from ttpsim.integrate import _rot_s
+from ttpsim.integrate import InvariantSummary, _rot_s
 from ttpsim.kinetics import stage_eval
 
 
@@ -112,6 +112,24 @@ def test_uniform_trajectory_straight_flagged_degenerate(uniform):
     assert traj.summary.degenerate_steps == 101
     np.testing.assert_allclose(traj.r[-1], (1.0, 1.0, 0.0), rtol=1e-13)
     np.testing.assert_array_equal(traj.b[-1], (0, 0, 0))
+
+
+@pytest.mark.parametrize("field", ["uniform", "rigid_rotation"])
+def test_summary_recomputed_from_table(field):
+    # uniform flags every record degenerate; the tangent rigid-rotation seed flags none
+    if field == "uniform":
+        prov, st = UniformField(V0x=1.0, p0=0.5), _state((0.6, -0.8, 0.0), r=(0, 0, 0))
+    else:
+        prov, st = RigidRotationField(), _state((0.0, 0.6, 0.8), beta=0.7, r=(1.5, 0, 0))
+    traj = integrate_trajectory(st, prov, IntegratorConfig(dt=0.05, t_end=1.0))
+    flagged = traj.degenerate != 0.0
+    ndb = np.array([0.0 if f else float(n @ b) for n, b, f in zip(traj.n, traj.b, flagged)])
+    assert traj.n_dot_b.tobytes() == ndb.tobytes()
+    assert traj.summary == InvariantSummary(
+        steps=len(traj) - 1, max_norm_err=float(np.max(traj.norm_err)),
+        max_abs_n_dot_b=float(np.max(np.abs(ndb))),
+        degenerate_steps=int(np.count_nonzero(flagged)))
+    assert traj.summary.degenerate_steps == (len(traj) if field == "uniform" else 0)
 
 
 def test_rigid_rotation_closed_form_helix():
@@ -370,7 +388,7 @@ def test_matches_independent_adaptive_integrator():
     st = _state(e1, beta=0.8, r=r0)
 
     def rhs(t, y):
-        return state_rhs(TtpState(t=t, r=y[:3], n=y[3:], beta=0.8), prov)
+        return state_rhs(prov, t, y[:3].tolist(), y[3:].tolist(), 0.8)
 
     sol = solve_ivp(rhs, (0.0, 2.0), np.concatenate((r0, e1)),
                     rtol=1e-11, atol=1e-12, dense_output=False)

@@ -244,25 +244,23 @@ def test_tangency_cancellation_identity(provider_cls, kwargs):
 # --- assembled right-hand side ----------------------------------------------------------
 
 def test_state_rhs_beta_zero_is_fluid_velocity(taylor_green_decaying):
-    st = _state((0, 0, 1.0), beta=0.0, r=(2.1, 3.3, 1.7), t=0.2)
-    d = state_rhs(st, taylor_green_decaying)
-    s = taylor_green_decaying.sample(st.r, st.t)
-    assert d.shape == (6,)
+    r = (2.1, 3.3, 1.7)
+    d = state_rhs(taylor_green_decaying, 0.2, r, (0.0, 0.0, 1.0), 0.0)
+    s = taylor_green_decaying.sample(r, 0.2)
+    assert type(d) is tuple and len(d) == 6
     np.testing.assert_array_equal(d[:3], s.V)
     # direction still precesses even for a passive tracer
     assert np.linalg.norm(d[3:]) > 0.0
 
 
 def test_state_rhs_uniform_straight_line(uniform):
-    st = _state((0, 1, 0), beta=1.0, r=(0, 0, 0))
-    d = state_rhs(st, uniform)
+    d = state_rhs(uniform, 0.0, (0.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0)
     np.testing.assert_array_equal(d[3:], (0, 0, 0))  # degenerate: frozen
     np.testing.assert_allclose(d[:3], (1.0, 1.0, 0.0), rtol=1e-15)
 
 
 def test_state_rhs_rigid_rotation_rate(rigid):
-    st = _state((0, 1, 0), beta=1.0, r=(1.0, 0, 0))
-    d = state_rhs(st, rigid)
+    d = state_rhs(rigid, 0.0, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), 1.0)
     v_th = math.sqrt(2.0 * rigid.p0 + rigid.c)
     expected_mag = 1.0 + v_th  # |Omega|, n orthogonal to it
     assert abs(np.linalg.norm(d[3:]) - expected_mag) < 1e-13
@@ -273,9 +271,20 @@ def test_state_rhs_orthogonality(taylor_green):
     for r in interior_points(taylor_green, 100, seed=23):
         n = rng.normal(size=3)
         n /= np.linalg.norm(n)
-        st = _state(n, beta=0.9, r=r)
-        d = state_rhs(st, taylor_green)
+        d = np.array(state_rhs(taylor_green, 0.0, tuple(r.tolist()), tuple(n.tolist()), 0.9))
         assert abs(d[3:] @ n) <= 1e-12 * max(np.linalg.norm(d[3:]), 1e-300)
+
+
+@pytest.mark.parametrize("provider", all_builtin_providers(), ids=lambda p: p.name)
+def test_state_rhs_is_rhs_terms_and_scalar_cross(provider):
+    # the 6-tuple is (V + u) from rhs_terms and Omega x n, bit for bit
+    rng = np.random.default_rng(41)
+    for r in interior_points(provider, 40, seed=41):
+        n = rng.normal(size=3)
+        r, n = tuple(r.tolist()), tuple((n / np.linalg.norm(n)).tolist())
+        d = state_rhs(provider, 0.3, r, n, 0.7)
+        ev = rhs_terms(provider, 0.3, r, n, 0.7)
+        assert np.array(d).tobytes() == np.array((*ev[:3], *cross(ev[3:6], n))).tobytes()
 
 
 def _taylor_green_grid():
@@ -339,7 +348,7 @@ def test_overflowing_gradient_norm_gives_unit_normal():
     assert isobaric_normal(_sample_with((1e308, -1e308, 1e308))) is not None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # np.linalg.norm overflows first
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is decided without numpy
 def test_decomposition_past_gradient_overflow():
     # every term is invariant under p1hat -> c p1hat at fixed n, also once |g|^2 overflows
     st = _state((0.0, 0.0, 1.0), r=(1.2, 0.3, 0.1))

@@ -46,6 +46,12 @@ def test_cancellation_non_finite_normalizer_raises():
         cancellation_check(TaylorGreenField(nu=1e160), n_states=20)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is decided without numpy
+def test_cancellation_past_gradient_overflow():
+    # |grad p1hat|^2 overflows; |g| comes from the scaled normal, so the check still runs
+    assert cancellation_check(RigidRotationField(c=1e160), n_states=20, beta=1.0) <= 1e-12
+
+
 # --- identity sweep ------------------------------------------------------------
 
 def test_sweep_constant_gradient_exact():
@@ -54,6 +60,12 @@ def test_sweep_constant_gradient_exact():
     # b constant in space and time: both routes and the fd estimate vanish
     assert rep.max_fd == 0.0 or rep.max_fd < 1e-12
     assert np.max(rep.res_split_abs) < 1e-14
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is decided without numpy
+def test_sweep_past_gradient_overflow_warns_nothing():
+    rep = omega_identity_sweep(RigidRotationField(c=1e160), n_points=20, beta=1.0)
+    assert len(rep) == 20 and rep.skipped == 0
 
 
 def test_sweep_taylor_green_accuracy():
