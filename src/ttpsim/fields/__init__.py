@@ -107,9 +107,9 @@ class FieldProvider:
         raise NotImplementedError
 
     def sample(self, r, t):
-        """All local fluid data at (r, t) as a :class:`FluidSample`; a tuple ``r`` goes as it is."""
-        r = r if type(r) is tuple else np.asarray(r, dtype=float).tolist()
-        return FluidSample(*self._fields(r, t, True))
+        """All local fluid data at (r, t) as a :class:`FluidSample`; a tuple ``r`` skips numpy."""
+        x, y, z = r if type(r) is tuple else np.asarray(r, dtype=float).tolist()
+        return FluidSample(*self._fields((float(x), float(y), float(z)), t, True))
 
     def sample_kinetic(self, r, t):
         """Flat scalar tuple of the fields the trajectory stepper consumes.

@@ -117,12 +117,12 @@ def omega_decomposed(sample, state):
     """
     direct = omega_direct(sample, state)  # first: it raises DegenerateGradient where b is undefined
     g = sample.grad_p1hat
-    gn = norm3(g)
+    gn = norm3(g)  # numpy's rounding, which the reported residuals were written with
     if gn < math.inf:
         b = g / gn
     else:  # |g|^2 overflowed
-        bx, by, bz, gn = _scaled_normal(*g.tolist())
-        b = np.array((bx, by, bz))
+        *b, gn = gradient_normal(sample.kin)
+        b = np.array(b)
     V = sample.V
     H = sample.hess_p1hat
     xi = sample.xi
@@ -174,13 +174,23 @@ def norm3(v):
 def _normal(kin):
     """Degenerate-gradient policy: (bx, by, bz, 0.0) with b the unit normal, else (0, 0, 0, 1.0)."""
     gx, gy, gz = kin[4:7]
-    g2 = gx * gx + gy * gy + gz * gz
-    if g2 <= _EPS_GRAD2:
+    if gx * gx + gy * gy + gz * gz <= _EPS_GRAD2:
         return 0.0, 0.0, 0.0, 1.0
+    return gradient_normal(kin)[:3] + (0.0,)
+
+
+def gradient_normal(kin):
+    """(bx, by, bz, |g|) for the gradient g of ``kin``, on Python floats; g must not be degenerate.
+
+    The overflow rule: |g| is sqrt(g . g), except where g . g overflows;
+    there b and |g| come from :func:`_scaled_normal`.
+    """
+    gx, gy, gz = kin[4:7]
+    g2 = gx * gx + gy * gy + gz * gz
     if g2 == math.inf:
-        return _scaled_normal(gx, gy, gz)[:3] + (0.0,)
+        return _scaled_normal(gx, gy, gz)
     gn = math.sqrt(g2)
-    return gx / gn, gy / gn, gz / gn, 0.0
+    return gx / gn, gy / gn, gz / gn, gn
 
 
 def _scaled_normal(gx, gy, gz):

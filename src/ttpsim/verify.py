@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
-from .kinetics import (TtpState, _normal, _scaled_normal, cross, isobaric_normal, norm3,
+from .kinetics import (TtpState, cross, gradient_normal, isobaric_normal, norm3,
                        omega_decomposed, omega_direct, relative_velocity, state_rhs,
                        thermal_velocity)
 from .ensemble import tangent_frame
@@ -73,22 +73,17 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     projections of the normal-rate vector (dg/dt)/|g| and round at that
     operand's scale even where the projections themselves are tiny, so the
     residual is normalized by |Omega x n| + |db/dt| + |dg/dt|/|g|, where
-    dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|.  Where
-    |g|^2 overflows, |g| comes from ``_scaled_normal`` and the last term is
-    |(dg/dt) / |g||.  Points with degenerate gradient are skipped; a point
-    where either term or the normalizer is not finite raises ValidationError.
+    dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|, with |g|
+    from ``gradient_normal``, finite where |g|^2 overflows.  Points with
+    degenerate gradient are skipped; a point where either term or the
+    normalizer is not finite raises ValidationError.
     """
     worst = 0.0
     for s, b, st in _random_states(provider, n_states, seed, beta, t):
-        gx, gy, gz = s.kin[4:7]
-        gn = math.sqrt(gx * gx + gy * gy + gz * gz)
+        gn = gradient_normal(s.kin)[3]
         w = s.V + relative_velocity(st, s)
         gdot = s.dt_grad_p1hat + s.hess_p1hat @ w
-        if gn == math.inf:  # |g|^2 overflowed; b is already the scaled normal
-            gn = _scaled_normal(gx, gy, gz)[3]
-            rate_scale = norm3(gdot / gn)
-        else:
-            rate_scale = norm3(gdot) / gn
+        rate_scale = norm3(gdot / gn)
         bdot = (gdot - (b @ gdot) * b) / gn
         omxn = cross(omega_direct(s, st), st.n)
         t1 = float(omxn @ b)
@@ -171,8 +166,8 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     for q in pts:
         p = tuple(q.tolist())
         s = provider.sample(p, t)
-        *b, degenerate = _normal(s.kin)
-        if degenerate or norm3(s.grad_p1hat) <= g_min:
+        b = isobaric_normal(s)
+        if b is None or norm3(s.grad_p1hat) <= g_min:
             skipped += 1
             continue
         e1, e2 = (e.tolist() for e in tangent_frame(b))
@@ -181,17 +176,16 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
         bu = beta * thermal_velocity(s)
         w = [v + bu * m for v, m in zip(s.kin[:3], n)]  # V + u
 
-        bp = _normal(provider.sample(tuple(x + h * v for x, v in zip(p, w)), t + h).kin)
-        bm = _normal(provider.sample(tuple(x - h * v for x, v in zip(p, w)), t - h).kin)
-        if bp[3] or bm[3]:
+        bp = isobaric_normal(provider.sample(tuple(x + h * v for x, v in zip(p, w)), t + h))
+        bm = isobaric_normal(provider.sample(tuple(x - h * v for x, v in zip(p, w)), t - h))
+        if bp is None or bm is None:
             skipped += 1
             continue
-        om_fd = cross(b, [(u - v) / (2.0 * h) for u, v in zip(bp[:3], bm[:3])])
+        om_fd = cross(b, (bp - bm) / (2.0 * h))
         br = omega_decomposed(s, TtpState(t=t, r=q, n=n, beta=beta))
         om_norm = max(float(np.linalg.norm(br.omega_direct)), _TINY)
         res_fd = float(np.linalg.norm(br.omega_direct - om_fd)) / om_norm
-        # fresh floats: the kept rows then do not pin memory spread among the temporaries
-        row = (*q.tolist(), res_fd, br.residual, br.residual / om_norm)
+        row = (*p, res_fd, br.residual, br.residual / om_norm)
         if not all(map(math.isfinite, row)):
             raise ValidationError(f"non-finite rotation-rate residuals at r = {row[:3]}")
         rows.append(row)

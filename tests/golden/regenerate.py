@@ -6,17 +6,15 @@ the CLI wrote for it.  ``tests/test_golden.py`` reruns each case through
 ``ttpsim.cli.main`` and compares the outputs byte for byte.  After an
 intended change to the numbers, rewrite the outputs with
 
-    PYTHONPATH=src python tests/golden/regenerate.py [NAME ...]
+    PYTHONPATH=src python tests/golden/regenerate.py
 
-which rewrites the named cases, or every case when no name is given, and
-record in CHANGES.md which files moved and by how much.
+and record in CHANGES.md which files moved and by how much.
 """
 
 import contextlib
 import io
 import math
 import os
-import sys
 import tempfile
 
 from ttpsim import TaylorGreenField, write_grid
@@ -82,12 +80,8 @@ def _read(path):
         return fh.read()
 
 
-def regenerate(names=()):
-    """Rewrite the outputs of the named cases, or of every case if none is named."""
-    unknown = [name for name in names if name not in CASES]
-    if unknown:
-        raise SystemExit(f"unknown golden case(s): {', '.join(unknown)}")
-    for name in names or CASES:
+def regenerate():
+    for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             outputs = run_case(name, tmp)
         d = os.path.join(HERE, name)
@@ -100,4 +94,4 @@ def regenerate(names=()):
 
 
 if __name__ == "__main__":
-    regenerate(sys.argv[1:])
+    regenerate()

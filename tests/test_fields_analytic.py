@@ -168,11 +168,16 @@ def test_sample_kinetic_agrees_with_sample(provider):
 @pytest.mark.parametrize("provider", all_builtin_providers(),
                          ids=lambda p: p.name)
 def test_sample_of_tuple_equals_sample_of_array(provider):
-    # a tuple reaches the kernel as it is, an array or a list is converted first
+    # a tuple is converted entry by entry, an array or a list through numpy; Python
+    # floats, np.float64 and ints all give the array's value types and bytes
     for r in interior_points(provider, 50, seed=37):
-        want = provider.sample(r, 0.4)
-        for got in (provider.sample(tuple(r.tolist()), 0.4), provider.sample(list(r), 0.4)):
-            assert np.array(got.kin + got.dV).tobytes() == np.array(want.kin + want.dV).tobytes()
+        for point in (r, [int(x) for x in r]):  # truncated ints stay inside every domain here
+            want = provider.sample(np.array(point, dtype=float), 0.4)
+            for got in (provider.sample(tuple(map(float, point)), 0.4),
+                        provider.sample(tuple(point), 0.4), provider.sample(list(point), 0.4)):
+                assert list(map(type, got.kin + got.dV)) == list(map(type, want.kin + want.dV))
+                assert (np.array(got.kin + got.dV).tobytes()
+                        == np.array(want.kin + want.dV).tobytes())
 
 
 @pytest.mark.parametrize("provider", all_builtin_providers(),

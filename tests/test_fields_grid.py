@@ -372,8 +372,10 @@ def test_sample_kinetic_bit_identical_to_sample(interpolation):
 def test_sample_of_tuple_equals_sample_of_array():
     g, _, _, pts = _oracle_grid("tricubic")
     for r in pts:
-        got, want = g.sample(tuple(r.tolist()), 0.3), g.sample(r, 0.3)
-        assert np.array(got.kin + got.dV).tobytes() == np.array(want.kin + want.dV).tobytes()
+        want = g.sample(r, 0.3)
+        for got in (g.sample(tuple(r.tolist()), 0.3), g.sample(tuple(r), 0.3)):  # floats, np.float64
+            assert list(map(type, got.kin + got.dV)) == list(map(type, want.kin + want.dV))
+            assert np.array(got.kin + got.dV).tobytes() == np.array(want.kin + want.dV).tobytes()
 
 
 def test_tricubic_simulate_samples_once_per_record(tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from ttpsim import (EPS_GRAD, DegenerateGradient, FluidSample, GridField,
                     NegativePressure, RigidRotationField, TaylorGreenField, TtpState,
                     UniformGradientField, isobaric_normal, omega_decomposed, omega_direct,
                     relative_velocity, state_rhs, thermal_velocity)
-from ttpsim.kinetics import _rates, cross, rhs_terms, stage_eval
+from ttpsim.kinetics import _rates, cross, gradient_normal, rhs_terms, stage_eval
 
 from conftest import all_builtin_providers, interior_points
 
@@ -346,6 +346,13 @@ def test_overflowing_gradient_norm_gives_unit_normal():
     np.testing.assert_allclose(b, (0.6, 0.8, 0.0), rtol=1e-15)
     assert abs(np.linalg.norm(b) - 1.0) <= 1e-15
     assert isobaric_normal(_sample_with((1e308, -1e308, 1e308))) is not None
+
+
+def test_gradient_normal_is_isobaric_normal_and_its_norm():
+    for g in ((2.0, 0.0, 0.0), (0.3, -1.7, 2.9), (3e160, 4e160, 0.0), (1e308, -1e308, 1e308)):
+        *b, gn = gradient_normal(_sample_with(g).kin)
+        assert b == isobaric_normal(_sample_with(g)).tolist()
+        assert gn == pytest.approx(math.hypot(*g), rel=1e-15)  # also where |g|^2 overflows
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is decided without numpy
