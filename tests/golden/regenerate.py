@@ -28,6 +28,8 @@ CASES = {
     "simulate_uniform": ("simulate", []),
     "simulate_uniform_gradient": ("simulate", []),
     "simulate_rigid_rotation": ("simulate", []),
+    # a non-tangent n0 projected onto the isobaric cylinder before the run
+    "simulate_rigid_rotation_projected": ("simulate", []),
     "simulate_taylor_green": ("simulate", []),
     "simulate_lamb_oseen": ("simulate", []),
     "simulate_grid": ("simulate", []),
