@@ -17,7 +17,8 @@ from .fields.analytic import (LambOseenField, RigidRotationField, TaylorGreenFie
 from .fields.grid import GridField, load_grid, write_grid
 from .kinetics import (EPS_GRAD, OmegaBreakdown, TtpState, isobaric_normal, omega_decomposed,
                        omega_direct, relative_velocity, state_rhs, thermal_velocity)
-from .integrate import IntegratorConfig, InvariantSummary, Trajectory, integrate_trajectory
+from .integrate import (IntegratorConfig, InvariantSummary, Trajectory, integrate_trajectory,
+                        tangent_seed)
 from .ensemble import (EnsembleHistory, EnsembleSpec, evolve_ensemble, seed_tangent_circle,
                        tangent_frame)
 from .verify import (OmegaIdentityReport, OrderStudy, cancellation_check,

@@ -23,7 +23,8 @@ from .errors import DegenerateGradient, NotFound, ParseError, TtpsimError, Valid
 from .fields import create_provider, fd_verify_derivatives, provider_parameters
 from .fields.analytic import PROVIDERS
 from .fields.grid import interpolation_min_nodes, load_grid
-from .integrate import IntegratorConfig, Trajectory, integrate_trajectory, step_count
+from .integrate import (IntegratorConfig, Trajectory, integrate_trajectory, step_count,
+                        tangent_seed)
 from .kinetics import TtpState, isobaric_normal
 from .ensemble import (EnsembleHistory, EnsembleSpec, check_stride, evolve_ensemble,
                        seed_tangent_circle, tangent_frame)
@@ -266,7 +267,8 @@ def build_initial_state(cfg, provider):
     else:
         n0 = np.array(p.n0, dtype=float)
         n0 = n0 / np.linalg.norm(n0)
-    return TtpState(t=t0, r=r0, n=n0, beta=p.beta)
+    state0 = TtpState(t=t0, r=r0, n=n0, beta=p.beta)
+    return tangent_seed(state0, provider) if p.project_initial else state0
 
 
 # --- CSV serialization ---------------------------------------------------------
@@ -297,8 +299,7 @@ def cmd_simulate(cfg):
     d = _outdir(cfg)
     provider = build_provider(cfg)
     state0 = build_initial_state(cfg, provider)
-    traj = integrate_trajectory(state0, provider, cfg.integrator,
-                                project_initial=cfg.particle.project_initial)
+    traj = integrate_trajectory(state0, provider, cfg.integrator)
     write_trajectory_csv(traj, os.path.join(d, "trajectory.csv"))
     s = traj.summary
     summary = asdict(s) | {"final_time": float(traj.t[-1]),
@@ -366,9 +367,7 @@ def cmd_verify(cfg, points=100, seed=0):
     dts = [4.0 * dt0, 2.0 * dt0, dt0]
     try:
         state0 = build_initial_state(cfg, provider)
-        drift = verify_mod.tangency_drift_study(
-            provider, state0, cfg.integrator, dts,
-            project_initial=cfg.particle.project_initial)
+        drift = verify_mod.tangency_drift_study(provider, state0, cfg.integrator, dts)
         parts.append(drift.to_text())
         _write_csv(os.path.join(d, "tangency_drift.csv"), f"dt,{drift.kind}",
                    np.column_stack((drift.steps, drift.values)))

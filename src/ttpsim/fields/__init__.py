@@ -219,42 +219,24 @@ def fd_verify_derivatives(provider, r, t, h=1e-4):
     """
     r = np.asarray(r, dtype=float)
     provider._require_inside(r, margin=2.0 * h)
+    E = h * _AXES  # E[i] = h e_i
 
-    def value(rr, tt):
-        s = provider.sample(rr, tt)
-        return s.V, s.p1hat
+    def p(x, tt=t):
+        return provider.sample(x, tt).p1hat
 
-    vp, pp = {}, {}
-    for i in range(3):
-        vp[(i, +1)], pp[(i, +1)] = value(r + h * _AXES[i], t)
-        vp[(i, -1)], pp[(i, -1)] = value(r - h * _AXES[i], t)
-    _, p_c = value(r, t)
-
-    grad_v = np.empty((3, 3))
-    grad_p = np.empty(3)
-    hess = np.empty((3, 3))
-    for i in range(3):
-        grad_v[i] = (vp[(i, +1)] - vp[(i, -1)]) / (2.0 * h)
-        grad_p[i] = (pp[(i, +1)] - pp[(i, -1)]) / (2.0 * h)
-        hess[i, i] = (pp[(i, +1)] - 2.0 * p_c + pp[(i, -1)]) / (h * h)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            _, ppp = value(r + h * _AXES[i] + h * _AXES[j], t)
-            _, ppm = value(r + h * _AXES[i] - h * _AXES[j], t)
-            _, pmp = value(r - h * _AXES[i] + h * _AXES[j], t)
-            _, pmm = value(r - h * _AXES[i] - h * _AXES[j], t)
-            hess[i, j] = hess[j, i] = (ppp - ppm - pmp + pmm) / (4.0 * h * h)
-
-    # mixed space-time stencil for d/dt grad_p1hat, values only
-    dt_grad = np.empty(3)
-    for i in range(3):
-        _, a = value(r + h * _AXES[i], t + h)
-        _, b = value(r - h * _AXES[i], t + h)
-        _, c = value(r + h * _AXES[i], t - h)
-        _, d = value(r - h * _AXES[i], t - h)
-        dt_grad[i] = (a - b - c + d) / (4.0 * h * h)
-
+    plus = [provider.sample(r + e, t) for e in E]
+    minus = [provider.sample(r - e, t) for e in E]
     s = provider.sample(r, t)
+    grad_v = np.array([(a.V - b.V) / (2.0 * h) for a, b in zip(plus, minus)])
+    grad_p = np.array([(a.p1hat - b.p1hat) / (2.0 * h) for a, b in zip(plus, minus)])
+    hess = np.diag([(a.p1hat - 2.0 * s.p1hat + b.p1hat) / (h * h) for a, b in zip(plus, minus)])
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        hess[i, j] = hess[j, i] = (p(r + E[i] + E[j]) - p(r + E[i] - E[j]) - p(r - E[i] + E[j])
+                                   + p(r - E[i] - E[j])) / (4.0 * h * h)
+    # mixed space-time stencil for d/dt grad_p1hat, values only
+    dt_grad = np.array([(p(r + e, t + h) - p(r - e, t + h) - p(r + e, t - h) + p(r - e, t - h))
+                        / (4.0 * h * h) for e in E])
+
     note = getattr(provider, "interpolation", "")
     if note:
         note = f"interpolation={note}"

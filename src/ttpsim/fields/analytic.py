@@ -30,14 +30,12 @@ class UniformField(FieldProvider):
     def __init__(self, V0x=1.0, V0y=0.0, V0z=0.0, p0=0.5):
         if p0 < 0.0:
             raise ValidationError("p0 must be >= 0")
-        self.V0 = np.array((V0x, V0y, V0z), dtype=float)
+        self.V0 = (float(V0x), float(V0y), float(V0z))
         self.p0 = float(p0)
+        self._kin = self.V0 + (self.p0,) + (0.0,) * 12  # the same at every (r, t)
 
     def _fields(self, r, t, full):
-        V = self.V0
-        kin = (V[0], V[1], V[2], self.p0, 0.0, 0.0, 0.0,
-               0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        return (kin, _ZERO_DV) if full else kin
+        return (self._kin, _ZERO_DV) if full else self._kin
 
 
 class UniformGradientField(FieldProvider):
@@ -52,9 +50,9 @@ class UniformGradientField(FieldProvider):
     name = "uniform_gradient"
 
     def __init__(self, V0x=1.0, V0y=0.0, V0z=0.0, p0=2.0, gx=0.0, gy=0.0, gz=1.0):
-        self.V0 = np.array((V0x, V0y, V0z), dtype=float)
+        self.V0 = (float(V0x), float(V0y), float(V0z))
         self.p0 = float(p0)
-        self.g = np.array((gx, gy, gz), dtype=float)
+        self.g = (float(gx), float(gy), float(gz))
         with np.errstate(over="ignore"):  # |g| is inf where |g|^2 overflows
             gnorm = float(np.linalg.norm(self.g))
         if not 0.0 < gnorm < math.inf:
@@ -68,10 +66,9 @@ class UniformGradientField(FieldProvider):
 
     def _fields(self, r, t, full):
         self._require_inside(r)
-        V, g = self.V0, self.g
-        p1 = self.p0 + g[0] * r[0] + g[1] * r[1] + g[2] * r[2]
-        kin = (V[0], V[1], V[2], p1, g[0], g[1], g[2],
-               0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        gx, gy, gz = self.g
+        p1 = self.p0 + gx * r[0] + gy * r[1] + gz * r[2]
+        kin = self.V0 + (p1, gx, gy, gz, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         return (kin, _ZERO_DV) if full else kin
 
 
@@ -177,9 +174,9 @@ class LambOseenField(FieldProvider):
     Gaussian well of depth pa on the same core scale,
     p1hat = p0 - pa exp(-rho^2 / rc^2), requiring 0 <= pa < p0; its gradient
     is radial and vanishes only on the axis (and asymptotically far away).
-    The profile's derivative divides by squares down to (1e-6 rc^2)^2, so rc
-    is limited to about [1.26e-78, 1.34e154], where rc^2 is finite and that
-    square is not zero.
+    The profile's derivative and the Hessian grow as 1/rc^4 near the axis,
+    and the reference box's corners reach x^2 + y^2 = 8 rc^2, so rc is
+    limited to about [8.64e-78, 4.74e153], where both are finite.
     """
 
     name = "lamb_oseen"
@@ -187,10 +184,10 @@ class LambOseenField(FieldProvider):
     def __init__(self, Gamma=1.0, rc=1.0, W=0.5, p0=1.0, pa=0.5):
         if rc <= 0.0:
             raise ValidationError("rc must be > 0")
-        a = 1e-6 * (rc * rc)
-        if not (math.isfinite(a) and a * a > 0.0):
-            raise ValidationError(f"rc = {rc:g} is outside about [1.26e-78, 1.34e154], "
-                                  "where rc^2 and (1e-6 rc^2)^2 are finite and nonzero")
+        a = rc * rc
+        if not (math.isfinite(8.0 * a) and a * a > 0.0 and math.isfinite(1.0 / (a * a))):
+            raise ValidationError(f"rc = {rc:g} is outside about [8.64e-78, 4.74e153], "
+                                  "where 1/rc^4 and 8 rc^2 are finite")
         if not 0.0 <= pa < p0:
             raise ValidationError("need 0 <= pa < p0 for positive pressure")
         self.Gamma = float(Gamma)

@@ -13,12 +13,12 @@ studies.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError
-from .kinetics import rhs_terms, stage_eval
+from .kinetics import isobaric_normal, rhs_terms, stage_eval
 
 TANGENCY_TOL = 1e-8
 
@@ -237,12 +237,44 @@ def _project_tangent(n, b):
     return None if not 1e-12 <= nm < math.inf else tuple((m / nm).tolist())
 
 
-def integrate_trajectory(state0, provider, config, project_initial=False):
+def _seed_triples(state0):
+    """(r, n) of a seed state as float triples; ValidationError unless finite with |n| = 1."""
+    r = tuple(np.asarray(state0.r, dtype=float).tolist())
+    n0 = np.array(state0.n, dtype=float)
+    n = tuple(n0.tolist())
+    if not all(map(math.isfinite, r + n)):
+        raise ValidationError(f"seed state r = {r}, n = {n} is not finite")
+    nrm = float(np.linalg.norm(n0))
+    if not abs(nrm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
+        raise ValidationError(f"|n0| = {nrm:.12g} is not a unit vector")
+    return r, n
+
+
+def tangent_seed(state0, provider):
+    """The one seed projection: state0 with n projected onto the isobaric surface at r.
+
+    Where |n . b| > 1e-8, n is projected onto the plane orthogonal to b and
+    renormalized; otherwise, or where b is degenerate, state0 is returned as
+    it is.  Raises InitialTangencyViolation where n is parallel to b, and
+    ValidationError, before any sample, where the seed is not finite or n is
+    not a unit vector.
+    """
+    r, n = _seed_triples(state0)
+    b = isobaric_normal(provider.sample(r, float(state0.t)))
+    if b is None or not abs(np.array(n) @ b) > TANGENCY_TOL:  # a NaN n . b stays as it is
+        return state0
+    if (n := _project_tangent(n, b)) is None:
+        raise InitialTangencyViolation("initial direction is parallel to the isobaric normal; "
+                                       "no tangential projection exists")
+    return replace(state0, n=np.array(n))
+
+
+def integrate_trajectory(state0, provider, config):
     """Integrate from state0 to t_end, recording every step.
 
     The initial direction must satisfy the tangency constraint |n . b| <=
-    1e-8 at the seed point (vacuous where b is degenerate); pass
-    ``project_initial=True`` to project and renormalize instead of raising.
+    1e-8 at the seed point (vacuous where b is degenerate), else
+    InitialTangencyViolation; :func:`tangent_seed` projects a seed onto it.
     Domain exit, a negative interpolated pressure, or a state or record that
     is not finite, after the seed point ends the trajectory early with a
     recorded reason.  A seed state or seed record that is not finite, or a
@@ -259,29 +291,13 @@ def integrate_trajectory(state0, provider, config, project_initial=False):
                               "shorten the horizon or lengthen dt") from None
 
     beta = float(state0.beta)
-    r = tuple(np.asarray(state0.r, dtype=float).tolist())
-    n0 = np.array(state0.n, dtype=float)
-    n = tuple(n0.tolist())
-    if not all(map(math.isfinite, r + n)):
-        raise ValidationError(f"seed state r = {r}, n = {n} is not finite")
-    nrm = float(np.linalg.norm(n0))
-    if not abs(nrm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
-        raise ValidationError(f"|n0| = {nrm:.12g} is not a unit vector")
-
+    r, n = _seed_triples(state0)
     ev = rhs_terms(provider, t0, r, n, beta)
-    if not ev[11]:  # not degenerate; ev[8:11] is b
-        ndb = float(n0 @ np.array(ev[8:11]))
-        if abs(ndb) > TANGENCY_TOL:
-            if not project_initial:
-                raise InitialTangencyViolation(
-                    f"|n0 . b| = {abs(ndb):.3e} exceeds {TANGENCY_TOL:g}; "
-                    "project the initial direction or seed tangentially")
-            n = _project_tangent(n, ev[8:11])
-            if n is None:
-                raise InitialTangencyViolation(
-                    "initial direction is parallel to the isobaric normal; "
-                    "no tangential projection exists")
-            ev = rhs_terms(provider, t0, r, n, beta)
+    # ev[8:11] is b, zero where degenerate
+    if (ndb := abs(float(np.array(n) @ np.array(ev[8:11])))) > TANGENCY_TOL:
+        raise InitialTangencyViolation(f"|n0 . b| = {ndb:.3e} exceeds {TANGENCY_TOL:g}; "
+                                       "project it with tangent_seed ([particle] "
+                                       "project_initial = true) or seed tangentially")
 
     advance = _advance_rodrigues if config.method == "rk4_rodrigues" else _advance_naive
     reproject = config.project_tangency_every

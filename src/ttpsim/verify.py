@@ -28,6 +28,7 @@ from .kinetics import (TtpState, cross, gradient_normal, isobaric_normal, norm3,
 from .ensemble import tangent_frame
 
 _TINY = 1e-300
+_ORACLE_TOL = 1e-10  # the largest |n0 . r_hat| of a seed with a rigid-rotation closed form
 
 
 def fit_order(steps, errors):
@@ -248,12 +249,11 @@ class OrderStudy:
         return "\n".join(lines)
 
 
-def tangency_drift_study(provider, state0, config, dt_list, project_initial=False):
+def tangency_drift_study(provider, state0, config, dt_list):
     """Max |n . b| over a run of ``config`` at each step size; expected order ~4."""
     drifts = []
     for dt in dt_list:
-        traj = integrate_trajectory(state0, provider, replace(config, dt=dt),
-                                    project_initial=project_initial)
+        traj = integrate_trajectory(state0, provider, replace(config, dt=dt))
         drifts.append(traj.summary.max_abs_n_dot_b)
     return OrderStudy(kind="tangency drift", steps=list(dt_list), values=drifts,
                       order=fit_order(dt_list, drifts))
@@ -287,7 +287,7 @@ def convergence_study(provider, state0, config, dt_list):
 
 # --- closed-form trajectory oracles ------------------------------------------
 
-def trajectory_oracle(provider, state0, tol=1e-10):
+def trajectory_oracle(provider, state0):
     """Closed-form (r(t), n(t)) for supported providers, else NoOracle.
 
     Uniform field: straight-line translation with frozen direction.
@@ -317,7 +317,7 @@ def trajectory_oracle(provider, state0, tol=1e-10):
         rhat = np.array((x0 / R, y0 / R, 0.0))
         phihat = np.array((-y0 / R, x0 / R, 0.0))
         n0 = state0.n
-        if abs(float(n0 @ rhat)) > tol:
+        if abs(float(n0 @ rhat)) > _ORACLE_TOL:
             raise NoOracle("closed form requires the seed direction tangent "
                            "to the isobaric cylinder")
         alpha = float(n0 @ phihat)

@@ -632,6 +632,20 @@ def test_verify_emits_reports(tmp_path, capsys):
     assert len(lines) == len(rep) + 1
 
 
+def test_verify_projected_seed_runs_both_order_studies(tmp_path, capsys):
+    # project_initial projects n0 once, before any run, so the convergence study's
+    # closed form gets the same tangent seed as the drift study
+    out = tmp_path / "out"
+    text = ("[field]\nname = rigid_rotation\n[particle]\nr0 = 1.2 0.3 0.1\nn0 = 0.3 1 0.2\n"
+            "beta = 0.5\nproject_initial = true\n[integrator]\ndt = 0.02\nt_end = 0.4\n"
+            f"[output]\ndirectory = {out}\n")
+    assert main(["verify", _write(tmp_path, text), "--points", "5"]) == 0
+    assert (out / "convergence.csv").exists()
+    report = (out / "verify_report.txt").read_text()
+    order = float(report.split("position error study:")[1].split("fitted order: ")[1].split()[0])
+    assert 3.5 <= order <= 4.5
+
+
 def test_verify_all_points_skipped_writes_header_only(tmp_path, capsys):
     # the uniform field's pressure gradient is degenerate everywhere
     out = tmp_path / "out"
@@ -692,7 +706,8 @@ EDGE_COMMANDS = (["simulate"], ["ensemble"], ["verify", "--points", "20"])
 def _verify_non_finite(out_dir, label):
     """The non-finite values in a verify run's CSVs and divergence line, as messages."""
     bad = [f"{label}, verify: non-finite {csv.name}" for csv in sorted(out_dir.glob("*.csv"))
-           if not np.all(np.isfinite(np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)))]
+           if len(csv.read_text().splitlines()) > 1  # a header-only CSV holds no value
+           and not np.all(np.isfinite(np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)))]
     bad += [f"{label}, verify: {line}"
             for line in (out_dir / "verify_report.txt").read_text().splitlines()
             if line.startswith("reduced-state RHS divergence") and ("nan" in line or "inf" in line)]
@@ -752,11 +767,26 @@ LAMB_OSEEN = ("[field]\nname = lamb_oseen\nrc = {rc}\n[particle]\nr0 = 0.6 -0.3 
     ("1e-160", ["verify", "--points", "50"]), ("1e-100", ["verify", "--points", "50"]),
 ])
 def test_lamb_oseen_tiny_core_exit2(tmp_path, capsys, rc, command):
-    # rc * rc, or the square the core profile's derivative divides by, underflows to 0
+    # 1/rc^4, the scale of the Hessian and the core profile's derivative, overflows
     out = tmp_path / "out"
     cfgp = _write(tmp_path, LAMB_OSEEN.format(rc=rc, out=out))
     assert main([command[0], cfgp, *command[1:]]) == 2
     assert f"error: rc = {float(rc):g} is outside" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rc, code", [("5e-78", 2), ("1e-77", 0), ("4e153", 0), ("1e154", 2)])
+def test_lamb_oseen_core_radius_range_ends_verify(tmp_path, capsys, rc, code):
+    # outside the range some fields of the reference box overflow, so it exits 2;
+    # inside, verify writes only finite values
+    out = tmp_path / "out"
+    cfgp = _write(tmp_path, LAMB_OSEEN.format(rc=rc, out=out))
+    assert main(["verify", cfgp, "--points", "50"]) == code
+    if code:
+        assert f"error: rc = {float(rc):g} is outside" in capsys.readouterr().err
+    else:
+        assert _verify_non_finite(out, f"rc = {rc}") == []
+        assert "non-finite" not in (out / "verify_report.txt").read_text()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

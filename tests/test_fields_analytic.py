@@ -1,5 +1,6 @@
 """Analytic provider contracts: values, derivative consistency, registry."""
 
+import itertools
 import math
 
 import numpy as np
@@ -182,6 +183,17 @@ def test_sample_of_tuple_equals_sample_of_array(provider):
 
 @pytest.mark.parametrize("provider", all_builtin_providers(),
                          ids=lambda p: p.name)
+def test_field_entries_are_python_floats(provider):
+    # the integrator's scalar arithmetic runs on these entries; on numpy scalars it is slower
+    for r in interior_points(provider, 10, seed=41):
+        p = tuple(r.tolist())
+        s = provider.sample(p, 0.4)
+        for values in (provider.sample_kinetic(p, 0.4), s.kin, s.dV):
+            assert {type(v) for v in values} == {float}
+
+
+@pytest.mark.parametrize("provider", all_builtin_providers(),
+                         ids=lambda p: p.name)
 def test_sample_invariants_and_determinism(provider):
     pts = interior_points(provider, 20, seed=7)
     for r in pts:
@@ -280,20 +292,28 @@ def test_uniform_gradient_norm_must_be_nonzero_and_finite(g):
         UniformGradientField(gx=g[0], gy=g[1], gz=g[2])
 
 
-@pytest.mark.parametrize("rc", [1e-300, 1e-160, 1e-100, 1.25e-78, 1.35e154, math.inf, math.nan])
+@pytest.mark.parametrize("rc", [1e-300, 1e-160, 1e-100, 1.25e-78, 5e-78, 8e-78, 4.8e153, 1e154,
+                                1.35e154, math.inf, math.nan])
 def test_lamb_oseen_core_radius_outside_representable_range(rc):
-    # rc^2 overflows, or (1e-6 rc^2)^2, which the profile's derivative divides by, underflows
+    # 1/rc^4, the scale of the Hessian and the profile's derivative near the axis,
+    # overflows, or 8 rc^2, x^2 + y^2 at the reference box's corners, does
     with pytest.raises(ValidationError, match="outside about"):
         LambOseenField(rc=rc)
 
 
-@pytest.mark.parametrize("rc", [1.26e-78, 1e-76, 1.34e154])
+@pytest.mark.parametrize("rc", [8.64e-78, 1e-76, 4.74e153])
 def test_lamb_oseen_core_radius_range_ends_sample_without_error(rc):
-    # near the ends of the range the fields may overflow, but nothing divides by zero:
-    # points inside the core series, just outside it, and outside the core
+    # at the ends of the range every field is finite: on the axis, inside the core
+    # series, just outside it, outside the core, and at the reference box's corners
     prov = LambOseenField(rc=rc)
-    for s in (0.5e-6 * rc * rc, 1.01e-6 * rc * rc, 4.0 * rc * rc):
-        prov.sample((math.sqrt(s), 0.0, 0.0), 0.0)
+    lo, hi = prov.reference_box
+    a = rc * rc
+    pts = [(math.sqrt(s), 0.0, 0.0) for s in (0.0, 0.5e-6 * a, 1.01e-6 * a, 4.0 * a)]
+    pts += list(itertools.product(*zip(lo.tolist(), hi.tolist())))
+    pts += [tuple(r.tolist()) for r in interior_points(prov, 200, seed=3)]
+    for p in pts:
+        s = prov.sample(p, 0.0)
+        assert all(map(math.isfinite, s.kin + s.dV)), p
 
 
 def test_taylor_green_decay_factor_overflow_is_out_of_domain():

@@ -378,6 +378,15 @@ def test_sample_of_tuple_equals_sample_of_array():
             assert np.array(got.kin + got.dV).tobytes() == np.array(want.kin + want.dV).tobytes()
 
 
+def test_field_entries_are_python_floats():
+    g, _, _, pts = _oracle_grid("tricubic")
+    for r in pts:
+        p = tuple(r.tolist())
+        s = g.sample(p, 0.3)
+        for values in (g.sample_kinetic(p, 0.3), s.kin, s.dV):
+            assert {type(v) for v in values} == {float}
+
+
 def test_tricubic_simulate_samples_once_per_record(tmp_path, monkeypatch):
     # stage evaluations must take the sample_kinetic fast path: the full
     # sample is called for the auto_tangent seed and once per record only

@@ -7,7 +7,7 @@ import pytest
 
 from ttpsim import (FieldProvider, InitialTangencyViolation, IntegratorConfig,
                     RigidRotationField, TaylorGreenField, TtpState, UniformField,
-                    ValidationError, integrate_trajectory, trajectory_oracle)
+                    ValidationError, integrate_trajectory, tangent_seed, trajectory_oracle)
 from ttpsim.integrate import InvariantSummary, _rot_s
 from ttpsim.kinetics import stage_eval
 
@@ -231,7 +231,7 @@ def test_initial_tangency_enforced(rigid):
     cfg = IntegratorConfig(dt=1e-3, t_end=0.1)
     with pytest.raises(InitialTangencyViolation):
         integrate_trajectory(st, rigid, cfg)
-    traj = integrate_trajectory(st, rigid, cfg, project_initial=True)
+    traj = integrate_trajectory(tangent_seed(st, rigid), rigid, cfg)
     assert abs(traj.n_dot_b[0]) <= 1e-14
     np.testing.assert_allclose(traj.n[0], (0.0, 1.0, 0.0), atol=1e-14)
 
@@ -240,7 +240,28 @@ def test_initial_direction_parallel_to_normal_unprojectable(rigid):
     st = _state((1.0, 0, 0), beta=1.0, r=(1.0, 0, 0))
     cfg = IntegratorConfig(dt=1e-3, t_end=0.1)
     with pytest.raises(InitialTangencyViolation):
-        integrate_trajectory(st, rigid, cfg, project_initial=True)
+        tangent_seed(st, rigid)
+
+
+def test_tangent_seed_keeps_a_tangent_or_degenerate_seed(rigid, uniform):
+    st = _state((0.0, 0.6, 0.8), r=(1.0, 0, 0))
+    assert tangent_seed(st, rigid) is st
+    st = _state((0.8, 0.6, 0.0), r=(1.0, 0, 0))
+    assert tangent_seed(st, uniform) is st  # b is degenerate everywhere
+
+
+@pytest.mark.parametrize("r, n", [
+    ((1.0, 0.0, 0.0), (math.nan, 0.0, 0.0)),
+    ((math.inf, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0)),
+], ids=["n_nan", "r_inf", "n_not_unit"])
+def test_tangent_seed_validates_before_sampling(r, n):
+    class Unsampled(RigidRotationField):
+        def sample(self, r, t):
+            raise AssertionError("the seed was sampled")
+
+    with pytest.raises(ValidationError):
+        tangent_seed(_state(n, r=r), Unsampled())
 
 
 def test_initial_norm_validated(rigid):
@@ -294,8 +315,8 @@ def test_negative_pressure_mid_run_terminates_early():
     p1 = 1e-3 + np.exp(-((X - 0.5) / 0.06) ** 2) + 0.01 * Y
     g = GridField.from_axes(x, x, x, V, p1)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.8)
-    traj = integrate_trajectory(_state((0, 0, 1.0), beta=0.01, r=(0.1, 0.5, 0.5)), g, cfg,
-                                project_initial=True)
+    seed = tangent_seed(_state((0, 0, 1.0), beta=0.01, r=(0.1, 0.5, 0.5)), g)
+    traj = integrate_trajectory(seed, g, cfg)
     assert traj.summary.terminated_early
     assert traj.summary.termination_reason.startswith("negative_pressure: ")
     assert 1 < len(traj) < 801
@@ -303,8 +324,8 @@ def test_negative_pressure_mid_run_terminates_early():
     assert np.all(traj.p1hat >= 0.0) and np.all(np.isfinite(traj.r))
     assert 0.25 < traj.r[-1][0] < 0.2885
     with pytest.raises(NegativePressure):  # at the seed point it is still an error
-        integrate_trajectory(_state((0, 0, 1.0), beta=0.01, r=(0.2885, 0.5, 0.5)), g, cfg,
-                             project_initial=True)
+        seed = tangent_seed(_state((0, 0, 1.0), beta=0.01, r=(0.2885, 0.5, 0.5)), g)
+        integrate_trajectory(seed, g, cfg)
 
 
 class _SwirlField(FieldProvider):
