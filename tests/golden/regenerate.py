@@ -6,16 +6,20 @@ the CLI wrote for it.  ``tests/test_golden.py`` reruns each case through
 ``ttpsim.cli.main`` and compares the outputs byte for byte.  After an
 intended change to the numbers, rewrite the outputs with
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [CASE ...]
 
-and record in CHANGES.md which files moved and by how much.
+(every case when none is named) and record in CHANGES.md which files moved
+and by how much.
 """
 
 import contextlib
 import io
 import math
 import os
+import sys
 import tempfile
+
+import numpy as np
 
 from ttpsim import TaylorGreenField, write_grid
 from ttpsim.cli import main
@@ -40,16 +44,40 @@ CASES = {
     "ensemble_uniform_gradient_partial": ("ensemble", []),
     # rk4_naive with a huge step: the state stops being finite after 3 steps
     "simulate_taylor_green_non_finite": ("simulate", []),
+    # the tricubic interpolant of a narrow pressure ridge dips below zero mid-run
+    "simulate_grid_negative_pressure": ("simulate", []),
     "verify_rigid_rotation": ("verify", ["--points", "50", "--seed", "3"]),
     # time-dependent, with a Hessian that varies in space
     "verify_taylor_green": ("verify", ["--points", "50", "--seed", "3"]),
 }
 
 
-def write_case_grid(path):
+def write_taylor_green_grid(path):
     """8^3 grid of steady Taylor-Green spanning one period per axis."""
     h = 2.0 * math.pi / 7.0
     write_grid(path, TaylorGreenField(), (0.0, 0.0, 0.0), (h, h, h), (8, 8, 8))
+
+
+def write_ridge_grid(path):
+    """12^3 nodes on the unit cube: V = x_hat, p1hat = 1e-3 + exp(-((x - 0.5)/0.06)^2) + 0.01 y.
+
+    The ridge of ``test_negative_pressure_mid_run_terminates_early``, as a
+    TTPGRID file with 17 significant digits.
+    """
+    x = np.linspace(0.0, 1.0, 12)
+    Z, Y, X = np.meshgrid(x, x, x, indexing="ij")  # raveled, x runs fastest
+    p1 = 1e-3 + np.exp(-((X - 0.5) / 0.06) ** 2) + 0.01 * Y
+    h = format(x[1] - x[0], ".17g")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"TTPGRID 1\ndims 12 12 12\norigin 0 0 0\nspacing {h} {h} {h}\n"
+                 "fields V p1hat\n")
+        ones, zeros = np.ones(p1.size), np.zeros(p1.size)
+        np.savetxt(fh, np.column_stack((ones, zeros, zeros, p1.ravel())), fmt="%.17g")
+
+
+# case directory -> writer of its grid file, for configs with a {grid} placeholder
+GRIDS = {"simulate_grid": write_taylor_green_grid,
+         "simulate_grid_negative_pressure": write_ridge_grid}
 
 
 def run_case(name, workdir):
@@ -60,7 +88,7 @@ def run_case(name, workdir):
     with open(os.path.join(HERE, name, CONFIG), encoding="ascii") as fh:
         template = fh.read()
     if "{grid}" in template:
-        write_case_grid(grid)
+        GRIDS[name](grid)
     cfg = os.path.join(workdir, CONFIG)
     with open(cfg, "w", encoding="ascii") as fh:
         fh.write(template.format(out=out, grid=grid))
@@ -82,8 +110,8 @@ def _read(path):
         return fh.read()
 
 
-def regenerate():
-    for name in CASES:
+def regenerate(names):
+    for name in names:
         with tempfile.TemporaryDirectory() as tmp:
             outputs = run_case(name, tmp)
         d = os.path.join(HERE, name)
@@ -96,4 +124,4 @@ def regenerate():
 
 
 if __name__ == "__main__":
-    regenerate()
+    regenerate(sys.argv[1:] or CASES)
