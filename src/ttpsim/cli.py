@@ -25,7 +25,7 @@ from .fields.analytic import PROVIDERS
 from .fields.grid import interpolation_min_nodes, load_grid
 from .integrate import (IntegratorConfig, Trajectory, integrate_trajectory, step_count,
                         tangent_seed)
-from .kinetics import TtpState, isobaric_normal
+from .kinetics import TtpState, isobaric_normal, norm3
 from .ensemble import (EnsembleHistory, EnsembleSpec, check_stride, evolve_ensemble,
                        seed_tangent_circle, tangent_frame)
 from . import verify as verify_mod
@@ -84,7 +84,7 @@ class ParticleConfig:
                 raise ValidationError("give exactly one of 'n0' and 'auto_tangent'")
         elif self.n0 is None:
             self.n0 = (0.0, 1.0, 0.0)
-        elif not 0.0 < (nrm := float(np.linalg.norm(self.n0))) < math.inf:
+        elif not 0.0 < (nrm := norm3(self.n0)) < math.inf:
             raise ValidationError(f"key 'n0': norm {nrm:g} is not in (0, inf), "
                                   "so it cannot be normalized")
 
@@ -266,7 +266,7 @@ def build_initial_state(cfg, provider):
         n0, _ = tangent_frame(b)
     else:
         n0 = np.array(p.n0, dtype=float)
-        n0 = n0 / np.linalg.norm(n0)
+        n0 = n0 / norm3(n0)
     state0 = TtpState(t=t0, r=r0, n=n0, beta=p.beta)
     return tangent_seed(state0, provider) if p.project_initial else state0
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateGradient, EmptyEnsemble, ValidationError
 from .integrate import Table, Trajectory, integrate_trajectory, step_count
-from .kinetics import TtpState, cross, isobaric_normal
+from .kinetics import TtpState, cross, isobaric_normal, norm3
 
 
 @dataclass(slots=True)
@@ -47,11 +47,11 @@ def tangent_frame(b):
     e1 = normalize(a x b) with a = z_hat unless |b . z_hat| > 0.9, in which
     case a = x_hat; e2 = b x e1.
     """
-    a = np.array((0.0, 0.0, 1.0)) if abs(b[2]) <= 0.9 else np.array((1.0, 0.0, 0.0))
-    e1 = cross(a, b)
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = cross(b, e1)
-    return e1, e2
+    b = np.asarray(b, dtype=float).tolist()
+    e1 = cross((0.0, 0.0, 1.0) if abs(b[2]) <= 0.9 else (1.0, 0.0, 0.0), b)
+    nrm = norm3(e1)
+    e1 = [c / nrm for c in e1]
+    return np.array(e1), np.array(cross(b, e1))
 
 
 def seed_tangent_circle(spec, provider):

@@ -12,9 +12,13 @@ import math
 import numpy as np
 
 from ..errors import OutOfDomain, ValidationError
+from ..kinetics import norm3
 from . import FieldProvider
 
 _ZERO_DV = (0.0,) * 9
+# Lamb-Oseen dq/ds times rc^4 in x = s/rc^2: (-1)^(k+1) (k+1)/(k+2)! x^k for k < 18,
+# highest first; at x = 1/2 the first omitted term is below 1e-22 of the sum
+_DQ_SERIES = tuple((-1) ** (k + 1) * (k + 1) / math.factorial(k + 2) for k in range(17, -1, -1))
 
 
 class UniformField(FieldProvider):
@@ -53,8 +57,7 @@ class UniformGradientField(FieldProvider):
         self.V0 = (float(V0x), float(V0y), float(V0z))
         self.p0 = float(p0)
         self.g = (float(gx), float(gy), float(gz))
-        with np.errstate(over="ignore"):  # |g| is inf where |g|^2 overflows
-            gnorm = float(np.linalg.norm(self.g))
+        gnorm = norm3(self.g)  # inf where |g|^2 overflows
         if not 0.0 < gnorm < math.inf:
             raise ValidationError(f"|g| = {gnorm:g} must be nonzero and finite")
         if p0 <= 0.0:
@@ -199,24 +202,30 @@ class LambOseenField(FieldProvider):
         self.reference_box = (np.array((-L, -L, -L)), np.array((L, L, L)))
 
     def _q(self, s):
-        """(1 - exp(-s/rc^2)) / s and its derivative, smooth through s = 0."""
+        """q(s) = (1 - exp(-s/rc^2)) / s, smooth through s = 0."""
         a = self.rc * self.rc
         if s > 1e-6 * a:
+            return -math.expm1(-s / a) / s
+        sa = s / a  # series in s/a; relative truncation error below 1e-24 here
+        return (1.0 - sa * (0.5 - sa * (1.0 / 6.0 - sa / 24.0))) / a
+
+    def _dq(self, s):
+        """dq/ds.  Up to s = rc^2 / 2, where the closed form's numerator cancels
+        to about (s/rc^2)^2 / 2, it is a Horner series in s/rc^2 instead."""
+        a = self.rc * self.rc
+        if s > 0.5 * a:
             E = math.exp(-s / a)
-            q = -math.expm1(-s / a) / s
-            dq = (s * E / a - (1.0 - E)) / (s * s)
-        else:
-            # series in s/a; relative truncation error below 1e-24 here
-            sa = s / a
-            q = (1.0 - sa * (0.5 - sa * (1.0 / 6.0 - sa / 24.0))) / a
-            dq = (-0.5 + sa * (1.0 / 3.0 - sa * 0.125)) / (a * a)
-        return q, dq
+            return (s * E / a - (1.0 - E)) / (s * s)
+        x, dq = s / a, 0.0
+        for c in _DQ_SERIES:
+            dq = dq * x + c
+        return dq / (a * a)
 
     def _fields(self, r, t, full):
         x, y = r[0], r[1]
         s = x * x + y * y
         G = self.Gamma / (2.0 * math.pi)
-        q, dq = self._q(s)
+        q = self._q(s)
         a = self.rc * self.rc
         E = math.exp(-s / a)
         p1 = self.p0 - self.pa * E
@@ -228,6 +237,7 @@ class LambOseenField(FieldProvider):
                w + 2.0 * y * y * dw, 0.0, 0.0, 0.0, 0.0, 0.0)
         if not full:
             return kin
+        dq = self._dq(s)
         dqx, dqy = 2.0 * x * dq, 2.0 * y * dq
         return kin, (-G * dqx * y, G * (q + dqx * x), 0.0,
                      -G * (q + dqy * y), G * dqy * x, 0.0,

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError
-from .kinetics import isobaric_normal, rhs_terms, stage_eval
+from .kinetics import isobaric_normal, norm3, rhs_terms, stage_eval
 
 TANGENCY_TOL = 1e-8
 
@@ -240,11 +240,10 @@ def _project_tangent(n, b):
 def _seed_triples(state0):
     """(r, n) of a seed state as float triples; ValidationError unless finite with |n| = 1."""
     r = tuple(np.asarray(state0.r, dtype=float).tolist())
-    n0 = np.array(state0.n, dtype=float)
-    n = tuple(n0.tolist())
+    n = tuple(np.asarray(state0.n, dtype=float).tolist())
     if not all(map(math.isfinite, r + n)):
         raise ValidationError(f"seed state r = {r}, n = {n} is not finite")
-    nrm = float(np.linalg.norm(n0))
+    nrm = norm3(n)
     if not abs(nrm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
         raise ValidationError(f"|n0| = {nrm:.12g} is not a unit vector")
     return r, n

@@ -116,59 +116,56 @@ def omega_decomposed(sample, state):
     is reported as a diagnostic only.
     """
     direct = omega_direct(sample, state)  # first: it raises DegenerateGradient where b is undefined
-    g = sample.grad_p1hat
+    kin, g, gradV = sample.kin, sample.grad_p1hat, sample.gradV
     gn = norm3(g)  # numpy's rounding, which the reported residuals were written with
     if gn < math.inf:
-        b = g / gn
+        b = tuple(c / gn for c in kin[4:7])
     else:  # |g|^2 overflowed
-        *b, gn = gradient_normal(sample.kin)
-        b = np.array(b)
-    V = sample.V
-    H = sample.hess_p1hat
+        *b, gn = gradient_normal(kin)
+    # numpy keeps the products whose fused rounding reaches the outputs; the rest is on floats
+    bv = np.array(b)
+    HV = (sample.hess_p1hat @ sample.V).tolist()
+
+    gdot_fluid = [d + h for d, h in zip(kin[13:16], HV)]
+    s = float(bv @ gdot_fluid)
+    term_convective = cross(b, [(d - s * c) / gn for d, c in zip(gdot_fluid, b)])
+
     xi = sample.xi
-    gradV = sample.gradV
+    s = float(bv @ xi)
+    term_vorticity = [-(x - s * c) for x, c in zip(xi.tolist(), b)]
 
-    gdot_fluid = sample.dt_grad_p1hat + H @ V
-    bdot_fluid = (gdot_fluid - (b @ gdot_fluid) * b) / gn
-    term_convective = cross(b, bdot_fluid)
+    grad_gV = [h + v for h, v in zip(HV, (gradV @ g).tolist())]  # gradient of (g . V)
+    g_dot_nabla_V = (gradV.T @ g).tolist()                          # (g . grad) V
+    term_pv = [(p - m) / gn for p, m in zip(cross(b, grad_gV), cross(b, g_dot_nabla_V))]
 
-    term_vorticity = -(xi - (b @ xi) * b)
-
-    grad_gV = H @ V + gradV @ g          # gradient of (g . V)
-    g_dot_nabla_V = gradV.T @ g          # (g . grad) V
-    term_pv = (cross(b, grad_gV) - cross(b, g_dot_nabla_V)) / gn
-
-    total = term_convective + term_vorticity + term_pv
-    return OmegaBreakdown(
-        omega_direct=direct,
-        omega_decomposed=total,
-        term_convective=term_convective,
-        term_vorticity=term_vorticity,
-        term_pressure_velocity=term_pv,
-        residual=float(np.linalg.norm(direct - total)),
-    )
+    total = np.array([c + v + p for c, v, p in zip(term_convective, term_vorticity, term_pv)])
+    return OmegaBreakdown(direct, total, np.array(term_convective), np.array(term_vorticity),
+                          np.array(term_pv), residual=norm3(direct - total))
 
 
 def cross(a, b):
-    """Cross product a x b of two 3-sequences, as a float array.
+    """Cross product a x b of two float triples, as a tuple of floats.
 
     Bit-identical to numpy's ``cross`` on float 3-vectors: each component is
     the same two rounded products and one rounded difference, evaluated on
     Python floats without numpy's axis handling, which costs about 20 times
     as much on one pair.
     """
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
-    return np.array((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0))
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
 def norm3(v):
-    """|v| of a float 3-vector as ``np.linalg.norm`` rounds it, or inf where |v|^2 overflows.
+    """|v| of a 3-sequence of floats as ``np.linalg.norm`` rounds it, or inf where |v|^2 overflows.
 
-    The overflow is decided on Python floats first, so numpy never warns.
+    ``np.linalg.norm`` of a float vector is ``sqrt(v . v)``; this is the same
+    dot and a correctly rounded square root, without the wrapper.  The
+    overflow is decided on Python floats first, so numpy never warns.
     """
+    v = np.asarray(v, dtype=float)
     x, y, z = v.tolist()
-    return math.inf if x * x + y * y + z * z == math.inf else float(np.linalg.norm(v))
+    return math.inf if x * x + y * y + z * z == math.inf else math.sqrt(v.dot(v))
 
 
 def _normal(kin):

@@ -23,8 +23,7 @@ from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
 from .kinetics import (TtpState, cross, gradient_normal, isobaric_normal, norm3,
-                       omega_decomposed, omega_direct, relative_velocity, state_rhs,
-                       thermal_velocity)
+                       omega_decomposed, omega_direct, state_rhs, thermal_velocity)
 from .ensemble import tangent_frame
 
 _TINY = 1e-300
@@ -38,6 +37,15 @@ def fit_order(steps, errors):
     if len(steps) < 2 or np.any(errors <= 0.0):
         return float("nan")
     return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
+
+
+def _median(values):
+    """``np.median`` of a non-empty sequence of floats, bit for bit, without importing ``numpy.ma``.
+
+    The middle value, or (a + b) / 2 of the two middle values, as np.median takes their mean."""
+    v = sorted(values)
+    k = len(v) // 2
+    return v[k] if len(v) % 2 else (v[k - 1] + v[k]) / 2.0
 
 
 def _random_interior_points(provider, count, rng):
@@ -59,7 +67,7 @@ def _random_states(provider, count, seed, beta, t):
             continue
         v = rng.normal(size=3)
         kept += 1
-        yield s, b, TtpState(t=t, r=p, n=v / np.linalg.norm(v), beta=beta)
+        yield s, b, TtpState(t=t, r=p, n=v / norm3(v), beta=beta)
     if kept == 0:
         raise DegenerateGradient("no non-degenerate states found")
 
@@ -81,12 +89,17 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     """
     worst = 0.0
     for s, b, st in _random_states(provider, n_states, seed, beta, t):
-        gn = gradient_normal(s.kin)[3]
-        w = s.V + relative_velocity(st, s)
-        gdot = s.dt_grad_p1hat + s.hess_p1hat @ w
-        rate_scale = norm3(gdot / gn)
-        bdot = (gdot - (b @ gdot) * b) / gn
-        omxn = cross(omega_direct(s, st), st.n)
+        kin = s.kin
+        gn = gradient_normal(kin)[3]
+        n = st.n.tolist()
+        bu = st.beta * thermal_velocity(s)
+        w = np.array([v + bu * m for v, m in zip(kin[:3], n)])  # V + u
+        # numpy keeps H w, the dots and the norms, whose fused rounding reaches the residual
+        gdot = [d + h for d, h in zip(kin[13:16], (s.hess_p1hat @ w).tolist())]
+        rate_scale = norm3([d / gn for d in gdot])
+        q = float(b @ gdot)
+        bdot = np.array([(d - q * c) / gn for d, c in zip(gdot, b.tolist())])
+        omxn = np.array(cross(omega_direct(s, st).tolist(), n))
         t1 = float(omxn @ b)
         t2 = float(st.n @ bdot)
         denom = max(norm3(omxn) + norm3(bdot) + rate_scale, _TINY)
@@ -123,7 +136,7 @@ class OmegaIdentityReport(Table):
 
     @property
     def median_fd(self):
-        return float(np.median(self.res_fd)) if len(self.res_fd) else float("nan")
+        return _median(self.res_fd.tolist()) if len(self.res_fd) else float("nan")
 
     @property
     def max_split_rel(self):
@@ -131,7 +144,7 @@ class OmegaIdentityReport(Table):
 
     @property
     def median_split_rel(self):
-        return float(np.median(self.res_split_rel)) if len(self.res_split_rel) else float("nan")
+        return _median(self.res_split_rel.tolist()) if len(self.res_split_rel) else float("nan")
 
     def to_text(self):
         return "\n".join([
@@ -182,10 +195,11 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
         if bp is None or bm is None:
             skipped += 1
             continue
-        om_fd = cross(b, (bp - bm) / (2.0 * h))
+        bdot_fd = [(x - y) / (2.0 * h) for x, y in zip(bp.tolist(), bm.tolist())]
+        om_fd = cross(b.tolist(), bdot_fd)
         br = omega_decomposed(s, TtpState(t=t, r=q, n=n, beta=beta))
-        om_norm = max(float(np.linalg.norm(br.omega_direct)), _TINY)
-        res_fd = float(np.linalg.norm(br.omega_direct - om_fd)) / om_norm
+        om_norm = max(norm3(br.omega_direct), _TINY)
+        res_fd = norm3(br.omega_direct - om_fd) / om_norm
         row = (*p, res_fd, br.residual, br.residual / om_norm)
         if not all(map(math.isfinite, row)):
             raise ValidationError(f"non-finite rotation-rate residuals at r = {row[:3]}")
@@ -220,8 +234,7 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
         if not math.isfinite(div):
             raise ValidationError(f"non-finite divergence at r = {p}, n = {n}")
         divs.append(abs(div))
-    divs = np.array(divs)
-    return float(np.max(divs)), float(np.median(divs)), len(divs)
+    return max(divs), _median(divs), len(divs)
 
 
 # --- discrete-order studies -------------------------------------------------
@@ -270,7 +283,7 @@ def convergence_study(provider, state0, config, dt_list):
     for dt in dt_list:
         traj = integrate_trajectory(state0, provider, replace(config, dt=dt))
         r_exact, _ = oracle(traj.t[-1])
-        if not math.isfinite(err := float(np.linalg.norm(traj.r[-1] - r_exact))):
+        if not math.isfinite(err := norm3(traj.r[-1] - r_exact)):
             raise ValidationError(f"non-finite position error at dt = {dt!r}")
         errs.append(err)
     note = ""

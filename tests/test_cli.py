@@ -355,6 +355,35 @@ def test_n0_norm_underflow_exit2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _cli_subprocess(tmp_path, code, *argv):
+    """Run ``code`` in a fresh interpreter with ``ttpsim.cli.main`` imported as ``main``."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-c", "import sys\nfrom ttpsim.cli import main\n"
+                           + code, *argv], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_n0_norm_overflow_exit2_prints_only_the_error(tmp_path):
+    # |n0|^2 overflows: the norm is decided on floats, so numpy prints no RuntimeWarning
+    text = RIGID_SIM.format(out=tmp_path / "out").replace("n0 = 0 1 0", "n0 = 1e200 1e200 1e200")
+    proc = _cli_subprocess(tmp_path, "sys.exit(main(sys.argv[1:]))", "simulate",
+                           _write(tmp_path, text))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: key 'n0': norm inf is not in (0, inf), "
+                           "so it cannot be normalized\n")
+
+
+def test_verify_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma (about 10 ms and 2 MB); verify's medians do not use it
+    cfg = _write(tmp_path, (ROOT / "tests" / "golden" / "verify_rigid_rotation" / "run.cfg")
+                 .read_text().format(out=tmp_path / "out"))
+    proc = _cli_subprocess(tmp_path, "code = main(sys.argv[1:])\n"
+                           "print(code, 'numpy.ma' in sys.modules)",
+                           "verify", cfg, "--points", "20")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_unallocatable_horizon_exit2(tmp_path, capsys):
     # 1e14 records of 21 floats (15 PiB) exceed any 64-bit address space
     out = tmp_path / "out"

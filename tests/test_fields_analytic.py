@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -303,17 +304,35 @@ def test_lamb_oseen_core_radius_outside_representable_range(rc):
 
 @pytest.mark.parametrize("rc", [8.64e-78, 1e-76, 4.74e153])
 def test_lamb_oseen_core_radius_range_ends_sample_without_error(rc):
-    # at the ends of the range every field is finite: on the axis, inside the core
-    # series, just outside it, outside the core, and at the reference box's corners
+    # at the ends of the range every field is finite: on the axis, on both sides of
+    # the series switches, outside the core, and at the reference box's corners
     prov = LambOseenField(rc=rc)
     lo, hi = prov.reference_box
     a = rc * rc
-    pts = [(math.sqrt(s), 0.0, 0.0) for s in (0.0, 0.5e-6 * a, 1.01e-6 * a, 4.0 * a)]
+    pts = [(math.sqrt(s), 0.0, 0.0)
+           for s in (0.0, 0.5e-6 * a, 1.01e-6 * a, 0.499 * a, 0.501 * a, 4.0 * a)]
     pts += list(itertools.product(*zip(lo.tolist(), hi.tolist())))
     pts += [tuple(r.tolist()) for r in interior_points(prov, 200, seed=3)]
     for p in pts:
         s = prov.sample(p, 0.0)
         assert all(map(math.isfinite, s.kin + s.dV)), p
+
+
+@pytest.mark.parametrize("rc", [1.0, 8.64e-78, 3.7e40])
+def test_lamb_oseen_profile_derivative_matches_decimal_reference(rc):
+    # dq/ds near the axis, where the closed form's numerator cancels: within 1e-14
+    # relative of a 50-digit evaluation at the same rc^2, s/rc^2 in [1e-12, 1e3]
+    prov = LambOseenField(rc=rc)
+    a = rc * rc
+    xs = np.geomspace(1e-12, 1e3, 400).tolist() + np.linspace(0.4, 0.6, 101).tolist()
+    for x in xs:
+        s = x * a
+        with localcontext() as ctx:
+            ctx.prec = 50
+            S, A = Decimal(s), Decimal(a)
+            E = (-S / A).exp()
+            want = float((S * E / A - (1 - E)) / (S * S))
+        assert abs(prov._dq(s) - want) <= 1e-14 * abs(want), x
 
 
 def test_taylor_green_decay_factor_overflow_is_out_of_domain():

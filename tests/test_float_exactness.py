@@ -4,7 +4,8 @@
 against test-local copies written with numpy 3-vectors throughout, so an
 evaluation path that moves elementwise arithmetic to Python floats must keep
 every product numpy rounds with fused multiply-adds in numpy.  ``norm3``
-is compared with ``np.linalg.norm`` the same way.
+is compared with ``np.linalg.norm`` and ``verify._median`` with
+``np.median`` the same way.
 """
 
 import math
@@ -17,6 +18,7 @@ from ttpsim import (DegenerateGradient, GridField, LambOseenField, OmegaBreakdow
                     UniformGradientField, ValidationError, cancellation_check, isobaric_normal,
                     omega_decomposed, omega_direct, relative_velocity)
 from ttpsim.kinetics import gradient_normal, norm3
+from ttpsim.verify import _median
 
 from conftest import interior_points
 
@@ -162,3 +164,14 @@ def test_norm3_overflow_is_inf_without_warning_and_nan_stays_nan():
         assert norm3(np.array(v)) == math.inf
     for v in ((math.nan, 0.0, 1.0), (0.0, math.nan, math.inf)):
         assert math.isnan(norm3(np.array(v)))
+
+
+def test_median_is_numpy_median_bit_for_bit():
+    rng = np.random.default_rng(20)
+    for size in list(range(1, 40)) + rng.integers(40, 2000, size=60).tolist():
+        a = rng.lognormal(sigma=rng.uniform(0.1, 30.0), size=size)
+        if size % 3 == 0:
+            a[: size // 2] = a[-1]  # ties
+        got = _median(a.tolist())
+        assert type(got) is float and got == float(np.median(a))
+    assert _median([3.0, 1.0]) == 2.0 and _median([-0.0]) == 0.0

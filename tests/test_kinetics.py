@@ -334,10 +334,10 @@ def test_cross_bit_identical_to_numpy():
     b = np.vstack([b, special[::-1], special])
     with np.errstate(all="ignore"):
         for x, y in zip(a, b):
-            got, want = cross(x, y), np.cross(x, y)
+            got, want = np.array(cross(x.tolist(), y.tolist())), np.cross(x, y)
             np.testing.assert_array_equal(got, want, strict=True)  # nan equals nan here
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-    assert cross((1, 0, 0), [0.0, 1.0, 0.0]).tolist() == [0.0, 0.0, 1.0]
+    assert cross((1.0, 0.0, 0.0), [0.0, 1.0, 0.0]) == (0.0, 0.0, 1.0)
 
 
 def test_overflowing_gradient_norm_gives_unit_normal():
