@@ -49,6 +49,9 @@ CASES = {
     "verify_rigid_rotation": ("verify", ["--points", "50", "--seed", "3"]),
     # time-dependent, with a Hessian that varies in space
     "verify_taylor_green": ("verify", ["--points", "50", "--seed", "3"]),
+    # no gradient anywhere: the pointwise studies skip or keep no point, and the
+    # position errors sit at the rounding floor
+    "verify_uniform": ("verify", ["--points", "20", "--seed", "3"]),
 }
 
 
