@@ -337,51 +337,45 @@ def cmd_ensemble(cfg):
 def cmd_verify(cfg, points=100, seed=0):
     provider = build_provider(cfg)
     d = _outdir(cfg)
-    parts = []
-
-    try:
-        rep = verify_mod.omega_identity_sweep(provider, n_points=points, seed=seed,
-                                              beta=cfg.particle.beta, t=cfg.t0)
-        parts.append(rep.to_text())
-        _write_csv(os.path.join(d, "omega_identity.csv"), rep.COLUMNS, rep.table)
-    except TtpsimError as err:
-        parts.append(f"rotation-rate identity sweep skipped: {err}")
-
-    try:
-        canc = verify_mod.cancellation_check(provider, n_states=points, seed=seed,
-                                             beta=cfg.particle.beta, t=cfg.t0)
-        parts.append(f"tangency cancellation residual (max over {points} states): "
-                     f"{canc:.3e}")
-    except TtpsimError as err:
-        parts.append(f"tangency cancellation check skipped: {err}")
-
-    try:
-        dmax, dmed, dn = verify_mod.reduced_divergence_report(
-            provider, n_states=points, seed=seed, beta=cfg.particle.beta, t=cfg.t0)
-        parts.append(f"reduced-state RHS divergence over {dn} states "
-                     f"(diagnostic, no threshold): max {dmax:.3e} median {dmed:.3e}")
-    except TtpsimError as err:
-        parts.append(f"reduced-state divergence report skipped: {err}")
-
+    pointwise = {"seed": seed, "beta": cfg.particle.beta, "t": cfg.t0}
     dt0 = cfg.integrator.dt
     dts = [4.0 * dt0, 2.0 * dt0, dt0]
-    try:
-        state0 = build_initial_state(cfg, provider)
-        drift = verify_mod.tangency_drift_study(provider, state0, cfg.integrator, dts)
-        parts.append(drift.to_text())
-        _write_csv(os.path.join(d, "tangency_drift.csv"), f"dt,{drift.kind}",
-                   np.column_stack((drift.steps, drift.values)))
-    except TtpsimError as err:
-        parts.append(f"tangency drift study skipped: {err}")
 
-    try:
-        state0 = build_initial_state(cfg, provider)
-        conv = verify_mod.convergence_study(provider, state0, cfg.integrator, dts)
-        parts.append(conv.to_text())
-        _write_csv(os.path.join(d, "convergence.csv"), f"dt,{conv.kind}",
-                   np.column_stack((conv.steps, conv.values)))
-    except TtpsimError as err:
-        parts.append(f"convergence study skipped: {err}")
+    # each run returns its report text and the CSV it writes, as (file, header, table), or None
+    def sweep():
+        rep = verify_mod.omega_identity_sweep(provider, n_points=points, **pointwise)
+        return rep.to_text(), ("omega_identity.csv", rep.COLUMNS, rep.table)
+
+    def cancellation():
+        canc = verify_mod.cancellation_check(provider, points, **pointwise)
+        return f"tangency cancellation residual (max over {points} states): {canc:.3e}", None
+
+    def divergence():
+        dmax, dmed, dn = verify_mod.reduced_divergence_report(provider, points, **pointwise)
+        return (f"reduced-state RHS divergence over {dn} states "
+                f"(diagnostic, no threshold): max {dmax:.3e} median {dmed:.3e}"), None
+
+    def order_study(study, path):
+        def run():
+            res = study(provider, build_initial_state(cfg, provider), cfg.integrator, dts)
+            return res.to_text(), (path, f"dt,{res.kind}", np.column_stack((res.steps, res.values)))
+        return run
+
+    runs = (("rotation-rate identity sweep", sweep),
+            ("tangency cancellation check", cancellation),
+            ("reduced-state divergence report", divergence),
+            ("tangency drift study",
+             order_study(verify_mod.tangency_drift_study, "tangency_drift.csv")),
+            ("convergence study", order_study(verify_mod.convergence_study, "convergence.csv")))
+    parts = []
+    for label, run in runs:
+        try:
+            text, csv = run()
+        except TtpsimError as err:
+            text, csv = f"{label} skipped: {err}", None
+        parts.append(text)
+        if csv:
+            _write_csv(os.path.join(d, csv[0]), *csv[1:])
 
     text = "\n\n".join(parts) + "\n"
     with open(os.path.join(d, "verify_report.txt"), "w", encoding="ascii") as fh:

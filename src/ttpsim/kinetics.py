@@ -180,23 +180,12 @@ def gradient_normal(kin):
     """(bx, by, bz, |g|) for the gradient g of ``kin``, on Python floats; g must not be degenerate.
 
     The overflow rule: |g| is sqrt(g . g), except where g . g overflows;
-    there b and |g| come from :func:`_scaled_normal`.
+    there g is first scaled by 1 / max |g_i|, whose squares cannot overflow,
+    so b and |g| stay finite whenever the components of g are (an infinite
+    component gives nan).  Scaling by m = 1 is exact, so one formula serves.
     """
     gx, gy, gz = kin[4:7]
-    g2 = gx * gx + gy * gy + gz * gz
-    if g2 == math.inf:
-        return _scaled_normal(gx, gy, gz)
-    gn = math.sqrt(g2)
-    return gx / gn, gy / gn, gz / gn, gn
-
-
-def _scaled_normal(gx, gy, gz):
-    """(bx, by, bz, |g|) where |g|^2 overflows, from g scaled by 1 / max |g_i|.
-
-    The scaled squares cannot overflow, so b and |g| stay finite whenever
-    the components of g are; an infinite component gives nan.
-    """
-    m = max(abs(gx), abs(gy), abs(gz))
+    m = max(abs(gx), abs(gy), abs(gz)) if gx * gx + gy * gy + gz * gz == math.inf else 1.0
     hx, hy, hz = gx / m, gy / m, gz / m
     hn = math.sqrt(hx * hx + hy * hy + hz * hz)
     return hx / hn, hy / hn, hz / hn, m * hn
@@ -208,9 +197,10 @@ def _rates(kin, nx, ny, nz, beta):
     ``kin`` is the flat tuple of ``FieldProvider.sample_kinetic``.  Returns
     (wx, wy, wz, ox, oy, oz) with Omega = g x (dt g + H (V + u)) / |g|^2,
     which is zero under the degenerate-gradient policy; where |g|^2
-    overflows it is b x (dt g + H (V + u)) / |g| from :func:`_scaled_normal`.
-    The one place the rotation rate is computed: the integrator stages, the
-    record evaluation and ``omega_direct`` all read it from here.  The hot
+    overflows it is b x (dt g + H (V + u)) / |g| from :func:`gradient_normal`.
+    The one place V + u and the rotation rate are computed: the integrator
+    stages, the record evaluation, ``omega_direct`` and verify's pointwise
+    studies all read them from here.  The hot
     stage path tests degeneracy inline, as :func:`_normal` does, and needs
     no unit normal.
     """
@@ -230,7 +220,7 @@ def _rates(kin, nx, ny, nz, beta):
     gdz = dgz + Hxz * wx + Hyz * wy + Hzz * wz
     inv = 1.0 / g2
     if inv == 0.0:  # |g|^2 overflowed
-        bx, by, bz, gn = _scaled_normal(gx, gy, gz)
+        bx, by, bz, gn = gradient_normal(kin)
         return (wx, wy, wz,
                 (by * gdz - bz * gdy) / gn,
                 (bz * gdx - bx * gdz) / gn,

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
-from .kinetics import (TtpState, cross, gradient_normal, isobaric_normal, norm3,
-                       omega_decomposed, omega_direct, state_rhs, thermal_velocity)
+from .kinetics import (TtpState, _rates, cross, gradient_normal, isobaric_normal, norm3,
+                       omega_decomposed, omega_direct, state_rhs)
 from .ensemble import tangent_frame
 
 _TINY = 1e-300
@@ -46,6 +46,14 @@ def _median(values):
     v = sorted(values)
     k = len(v) // 2
     return v[k] if len(v) % 2 else (v[k - 1] + v[k]) / 2.0
+
+
+def _or_nan(stat, column):
+    """``stat`` (max or _median) of a table column's floats, or nan for an empty column.
+
+    Python's max equals np.max here: every kept row is finite."""
+    values = column.tolist()
+    return stat(values) if values else math.nan
 
 
 def _random_interior_points(provider, count, rng):
@@ -92,8 +100,7 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
         kin = s.kin
         gn = gradient_normal(kin)[3]
         n = st.n.tolist()
-        bu = st.beta * thermal_velocity(s)
-        w = np.array([v + bu * m for v, m in zip(kin[:3], n)])  # V + u
+        w = np.array(_rates(kin, *n, st.beta)[:3])  # V + u
         # numpy keeps H w, the dots and the norms, whose fused rounding reaches the residual
         gdot = [d + h for d, h in zip(kin[13:16], (s.hess_p1hat @ w).tolist())]
         rate_scale = norm3([d / gn for d in gdot])
@@ -130,21 +137,10 @@ class OmegaIdentityReport(Table):
     skipped: int
     table: np.ndarray
 
-    @property
-    def max_fd(self):
-        return float(np.max(self.res_fd)) if len(self.res_fd) else float("nan")
-
-    @property
-    def median_fd(self):
-        return _median(self.res_fd.tolist()) if len(self.res_fd) else float("nan")
-
-    @property
-    def max_split_rel(self):
-        return float(np.max(self.res_split_rel)) if len(self.res_split_rel) else float("nan")
-
-    @property
-    def median_split_rel(self):
-        return _median(self.res_split_rel.tolist()) if len(self.res_split_rel) else float("nan")
+    max_fd = property(lambda self: _or_nan(max, self.res_fd))
+    median_fd = property(lambda self: _or_nan(_median, self.res_fd))
+    max_split_rel = property(lambda self: _or_nan(max, self.res_split_rel))
+    median_split_rel = property(lambda self: _or_nan(_median, self.res_split_rel))
 
     def to_text(self):
         return "\n".join([
@@ -187,8 +183,7 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
         e1, e2 = (e.tolist() for e in tangent_frame(b))
         phi = rng.uniform(0.0, 2.0 * math.pi)
         n = [math.cos(phi) * x + math.sin(phi) * y for x, y in zip(e1, e2)]
-        bu = beta * thermal_velocity(s)
-        w = [v + bu * m for v, m in zip(s.kin[:3], n)]  # V + u
+        w = _rates(s.kin, *n, beta)[:3]  # V + u
 
         bp = isobaric_normal(provider.sample(tuple(x + h * v for x, v in zip(p, w)), t + h))
         bm = isobaric_normal(provider.sample(tuple(x - h * v for x, v in zip(p, w)), t - h))
@@ -311,9 +306,8 @@ def trajectory_oracle(provider, state0):
     """
     # exact type checks: a subclass overriding sample() voids the closed form
     if type(provider) is UniformField:
-        s = provider.sample(state0.r, state0.t)
-        vth = thermal_velocity(s)
-        w = s.V + state0.beta * vth * state0.n
+        kin = provider.sample(state0.r, state0.t).kin
+        w = np.array(_rates(kin, *state0.n.tolist(), state0.beta)[:3])  # V + u
         r0, n0, t0 = state0.r.copy(), state0.n.copy(), state0.t
 
         def _uniform(t):
