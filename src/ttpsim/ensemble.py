@@ -60,6 +60,7 @@ def seed_tangent_circle(spec, provider):
     Equispaced sampling uses angles 2 pi k / N in the deterministic tangent
     frame; random sampling draws i.i.d. uniform angles from the seeded
     generator, so a fixed seed reproduces the ensemble bit-identically.
+    A count whose angles cannot be drawn raises ValidationError.
     """
     r0 = np.asarray(spec.r0, dtype=float)
     s = provider.sample(r0, spec.t0)
@@ -67,11 +68,15 @@ def seed_tangent_circle(spec, provider):
     if b is None:
         raise DegenerateGradient("pressure gradient degenerate at the seed point")
     e1, e2 = (e.tolist() for e in tangent_frame(b))
-    if spec.sampling == "equispaced_circle":
-        angles = 2.0 * math.pi * np.arange(spec.count) / spec.count
-    else:
-        rng = np.random.default_rng(spec.seed)
-        angles = rng.uniform(0.0, 2.0 * math.pi, spec.count)
+    try:
+        if spec.sampling == "equispaced_circle":
+            angles = 2.0 * math.pi * np.arange(spec.count) / spec.count
+        else:
+            angles = np.random.default_rng(spec.seed).uniform(0.0, 2.0 * math.pi, spec.count)
+    except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
+        angles = ()
+    if len(angles) < spec.count:  # np.arange of 2**63 or more is empty
+        raise ValidationError(f"cannot draw {spec.count} seed angles; lower count")
     states = []
     for a in angles.tolist():
         n = [math.cos(a) * x + math.sin(a) * y for x, y in zip(e1, e2)]

@@ -399,6 +399,35 @@ def test_unallocatable_horizon_exit2(tmp_path, capsys):
     assert "convergence study skipped: cannot allocate the table of" in report
 
 
+def test_unallocatable_points_skip_pointwise_studies(tmp_path, capsys):
+    # numpy rejects 2**63 - 1 points of three floats before allocating anything: the
+    # three pointwise studies print their skip lines and the order studies still run
+    out = tmp_path / "out"
+    cfg = _golden_config(tmp_path, "verify_rigid_rotation")
+    assert main(["verify", cfg, "--points", str(2**63 - 1)]) == 0
+    report = (out / "verify_report.txt").read_text()
+    err = "cannot allocate 9223372036854775807 random points"
+    for label in ("rotation-rate identity sweep", "tangency cancellation check",
+                  "reduced-state divergence report"):
+        assert f"{label} skipped: {err}\n" in report
+    assert "fitted order: n/a" not in report
+    assert sorted(os.listdir(out)) == ["convergence.csv", "tangency_drift.csv",
+                                       "verify_report.txt"]
+
+
+@pytest.mark.parametrize("sampling", ["equispaced_circle", "random_circle"])
+@pytest.mark.parametrize("count", [2**63 - 1, 2**63, 2**64])
+def test_unseedable_ensemble_count_exit2(tmp_path, capsys, sampling, count):
+    # numpy refuses these sizes (or np.arange wraps them to an empty array) before
+    # allocating anything; either way the count is rejected, not evolved as empty
+    out = tmp_path / "out"
+    text = RIGID_SIM.format(out=out).replace("dt = 0.001\nt_end = 0.5", "dt = 0.01\nt_end = 0.02")
+    text += f"\n[ensemble]\ncount = {count}\nsampling = {sampling}\n"
+    assert main(["ensemble", _write(tmp_path, text)]) == 2
+    assert capsys.readouterr().err == f"error: cannot draw {count} seed angles; lower count\n"
+    assert not (out / "stats.csv").exists()
+
+
 @pytest.mark.parametrize("field, V0, p1hat", [
     ("name = uniform\nV0x = 2.0\nV0z = -0.5\np0 = 0.7", (2.0, 0.0, -0.5), 0.7),
     ("name = uniform_gradient\nV0y = 0.25\np0 = 3.0\ngx = 0.5\ngz = 0.0",

@@ -46,6 +46,23 @@ def test_seed_directions_are_cos_e1_plus_sin_e2(taylor_green, sampling):
         assert st.n.tobytes() == (math.cos(a) * e1 + math.sin(a) * e2).tobytes()
 
 
+@pytest.mark.parametrize("sampling", ["equispaced_circle", "random_circle"])
+def test_seed_angles_out_of_memory_is_validation_error(taylor_green, monkeypatch, sampling):
+    # numpy raises MemoryError where it cannot allocate the angles; stubbed here,
+    # since a count numpy would really try to allocate must not run in a test
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("stub")
+
+    class Generator:
+        uniform = staticmethod(out_of_memory)
+
+    monkeypatch.setattr(np, "arange", out_of_memory)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
+    spec = _spec((2.1, 3.3, 1.7), count=10**12, sampling=sampling)
+    with pytest.raises(ValidationError, match="^cannot draw 1000000000000 seed angles"):
+        seed_tangent_circle(spec, taylor_green)
+
+
 def test_tangent_frame_accepts_any_sequence():
     rng = np.random.default_rng(3)
     for b in [*rng.normal(size=(20, 3)), (0.05, 0.0, 0.9987), (0.0, 0.0, -1.0)]:

@@ -8,8 +8,9 @@ import pytest
 from ttpsim import (IntegratorConfig, LambOseenField, NoOracle, RigidRotationField,
                     TaylorGreenField, TtpState, UniformField,
                     UniformGradientField, ValidationError, cancellation_check,
-                    convergence_study, fit_order, omega_identity_sweep,
-                    reduced_divergence_report, tangency_drift_study, trajectory_oracle)
+                    convergence_study, fit_order, isobaric_normal, omega_identity_sweep,
+                    reduced_divergence_report, tangency_drift_study, tangent_frame,
+                    trajectory_oracle)
 
 from conftest import smooth_nonlinear_providers
 
@@ -17,6 +18,22 @@ from conftest import smooth_nonlinear_providers
 def _state(n, beta=1.0, r=(0, 0, 0), t=0.0):
     return TtpState(t=t, r=np.array(r, dtype=float), n=np.array(n, dtype=float),
                     beta=beta)
+
+
+# --- random points ----------------------------------------------------------
+
+@pytest.mark.parametrize("study", [omega_identity_sweep, cancellation_check,
+                                   reduced_divergence_report])
+def test_random_points_out_of_memory_is_validation_error(monkeypatch, study):
+    # numpy raises MemoryError where it cannot allocate the points; stubbed here,
+    # since a count numpy would really try to allocate must not run in a test
+    class Generator:
+        def random(self, shape):
+            raise MemoryError("stub")
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
+    with pytest.raises(ValidationError, match="^cannot allocate 1000000000000 random points$"):
+        study(RigidRotationField(), 10**12)
 
 
 # --- fit_order ---------------------------------------------------------------
@@ -209,6 +226,26 @@ def test_drift_rigid_rotation_naive_protected_by_symmetry():
     cfg = IntegratorConfig(t_end=2.0, method="rk4_naive", renormalize_every=1)
     study = tangency_drift_study(prov, st, cfg, [4e-3])
     assert study.values[0] <= 1e-13
+
+
+@pytest.mark.parametrize("rc", [1e4, 1e-4])
+def test_drift_at_rounding_floor_fits_no_order(rc):
+    # the drifts are rounding (|n . b| <= 1e-13 is unit-free), so no slope is
+    # fitted to them: at rc = 1e4 it would read -0.463, at rc = 1e-4 -0.000
+    prov = LambOseenField(rc=rc)
+    r0 = np.array((0.6, -0.3, 0.1)) * rc
+    e1, _ = tangent_frame(isobaric_normal(prov.sample(r0, 0.0)))
+    study = tangency_drift_study(prov, _state(e1, beta=0.8, r=r0),
+                                 IntegratorConfig(dt=0.01, t_end=0.08), [0.04, 0.02, 0.01])
+    assert 0.0 < max(study.values) <= 1e-13
+    assert math.isnan(study.order)
+    assert study.to_text().endswith("\n  fitted order: n/a (measure at rounding floor)")
+
+
+def test_drift_study_of_no_step_sizes_is_empty(uniform):
+    study = tangency_drift_study(uniform, _state((0, 1, 0)), IntegratorConfig(t_end=1.0), [])
+    assert (study.steps, study.values) == ([], [])
+    assert math.isnan(study.order)
 
 
 # --- convergence study ----------------------------------------------------------------
