@@ -200,9 +200,8 @@ def _rates(kin, nx, ny, nz, beta):
     overflows it is b x (dt g + H (V + u)) / |g| from :func:`gradient_normal`.
     The one place V + u and the rotation rate are computed: the integrator
     stages, the record evaluation, ``omega_direct`` and verify's pointwise
-    studies all read them from here.  The hot
-    stage path tests degeneracy inline, as :func:`_normal` does, and needs
-    no unit normal.
+    studies all read them from here.  The hot stage path tests degeneracy
+    inline, as :func:`_normal` does, and needs no unit normal.
     """
     (Vx, Vy, Vz, p1, gx, gy, gz,
      Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, dgx, dgy, dgz) = kin
