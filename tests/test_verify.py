@@ -208,7 +208,6 @@ def test_drift_study_naive_renormalized_still_fourth_order():
     # drifts at fourth order (renormalization masks norm error only)
     prov = TaylorGreenField(A=1.0, k=1.0, nu=0.0, p0=1.0)
     r0 = np.array((2.1, 3.3, 1.7))
-    from ttpsim import isobaric_normal, tangent_frame
     b = isobaric_normal(prov.sample(r0, 0.0))
     e1, _ = tangent_frame(b)
     st = _state(e1, beta=0.5, r=r0)
