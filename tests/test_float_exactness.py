@@ -5,7 +5,9 @@ against test-local copies written with numpy 3-vectors throughout, so an
 evaluation path that moves elementwise arithmetic to Python floats must keep
 every product numpy rounds with fused multiply-adds in numpy.  ``norm3``
 is compared with ``np.linalg.norm`` and ``verify._median`` with
-``np.median`` the same way.
+``np.median`` the same way.  One integrator step of each method is compared,
+by ``repr`` so that ``-0.0`` and ``0.0`` differ, against test-local copies of
+the two step functions as they were first written.
 """
 
 import math
@@ -17,7 +19,9 @@ from ttpsim import (DegenerateGradient, GridField, LambOseenField, OmegaBreakdow
                     RigidRotationField, TaylorGreenField, TtpState, UniformField,
                     UniformGradientField, ValidationError, cancellation_check, isobaric_normal,
                     omega_decomposed, omega_direct, relative_velocity)
-from ttpsim.kinetics import gradient_normal, norm3
+from ttpsim import integrate
+from ttpsim.errors import TtpsimError
+from ttpsim.kinetics import gradient_normal, norm3, rhs_terms, stage_eval
 from ttpsim.verify import _median
 
 from conftest import interior_points
@@ -175,3 +179,133 @@ def test_median_is_numpy_median_bit_for_bit():
         got = _median(a.tolist())
         assert type(got) is float and got == float(np.median(a))
     assert _median([3.0, 1.0]) == 2.0 and _median([-0.0]) == 0.0
+
+
+# --- one integrator step ------------------------------------------------------
+
+def _ref_rot(nx, ny, nz, tx, ty, tz):
+    angle = math.sqrt(tx * tx + ty * ty + tz * tz)
+    if angle == 0.0:
+        return nx, ny, nz
+    kx, ky, kz = tx / angle, ty / angle, tz / angle
+    c, s = math.cos(angle), math.sin(angle)
+    dot = (kx * nx + ky * ny + kz * nz) * (1.0 - c)
+    ox = nx * c + (ky * nz - kz * ny) * s + kx * dot
+    oy = ny * c + (kz * nx - kx * nz) * s + ky * dot
+    oz = nz * c + (kx * ny - ky * nx) * s + kz * dot
+    inv = 1.0 / math.sqrt(ox * ox + oy * oy + oz * oz)
+    return ox * inv, oy * inv, oz * inv
+
+
+def _ref_dexpinv(tx, ty, tz, wx, wy, wz):
+    c1x = ty * wz - tz * wy
+    c1y = tz * wx - tx * wz
+    c1z = tx * wy - ty * wx
+    c2x = ty * c1z - tz * c1y
+    c2y = tz * c1x - tx * c1z
+    c2z = tx * c1y - ty * c1x
+    return (wx - 0.5 * c1x + c2x / 12.0,
+            wy - 0.5 * c1y + c2y / 12.0,
+            wz - 0.5 * c1z + c2z / 12.0)
+
+
+def _ref_advance_rodrigues(provider, t, r, n, beta, dt, k1):
+    """One rk4_rodrigues step, as first written."""
+    rx, ry, rz = r
+    nx, ny, nz = n
+    a1x, a1y, a1z, w1x, w1y, w1z = ax, ay, az, wx, wy, wz = k1
+    sax = say = saz = swx = swy = swz = -0.0
+    for c in (0.5 * dt, 0.5 * dt, dt):
+        tx, ty, tz = c * wx, c * wy, c * wz
+        mx, my, mz = _ref_rot(nx, ny, nz, tx, ty, tz)
+        ax, ay, az, ox, oy, oz = stage_eval(provider, t + c, rx + c * ax, ry + c * ay,
+                                            rz + c * az, mx, my, mz, beta)
+        wx, wy, wz = _ref_dexpinv(tx, ty, tz, ox, oy, oz)
+        if c < dt:
+            sax, say, saz = sax + ax, say + ay, saz + az
+            swx, swy, swz = swx + wx, swy + wy, swz + wz
+    sixth = dt / 6.0
+    r_new = (rx + sixth * (a1x + 2.0 * sax + ax),
+             ry + sixth * (a1y + 2.0 * say + ay),
+             rz + sixth * (a1z + 2.0 * saz + az))
+    n_new = _ref_rot(nx, ny, nz,
+                     sixth * (w1x + 2.0 * swx + wx),
+                     sixth * (w1y + 2.0 * swy + wy),
+                     sixth * (w1z + 2.0 * swz + wz))
+    return r_new, n_new
+
+
+def _ref_advance_naive(provider, t, r, n, beta, dt, k1):
+    """One rk4_naive step, as first written."""
+    rates, m = k1, n
+    dr, dn = [], []
+    for c in (0.5 * dt, 0.5 * dt, dt, None):
+        ax, ay, az, ox, oy, oz = rates
+        mx, my, mz = m
+        dr.append((ax, ay, az))
+        dn.append((oy * mz - oz * my, oz * mx - ox * mz, ox * my - oy * mx))
+        if c is None:
+            break
+        m = tuple(x + c * k for x, k in zip(n, dn[-1]))
+        rates = stage_eval(provider, t + c, r[0] + c * ax, r[1] + c * ay, r[2] + c * az,
+                           *m, beta)
+    sixth = dt / 6.0
+    return (tuple(x + sixth * (a + 2.0 * (b + c) + d) for x, a, b, c, d in zip(r, *dr)),
+            tuple(x + sixth * (a + 2.0 * (b + c) + d) for x, a, b, c, d in zip(n, *dn)))
+
+
+_REF_STEPS = {"rk4_rodrigues": _ref_advance_rodrigues, "rk4_naive": _ref_advance_naive}
+
+
+def _library_step(method, provider, t, r, n, beta, dt, k1):
+    return {"rk4_rodrigues": integrate._advance_rodrigues,
+            "rk4_naive": integrate._advance_naive}[method](provider, t, r, n, beta, dt, k1)
+
+
+def _outcome(step, *args):
+    """repr of a step's result, or the type and text of what it raised."""
+    try:
+        return repr(step(*args))
+    except (ArithmeticError, ValueError, TtpsimError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+
+def _step_states(provider, count, rng):
+    """(t, r, n, beta) draws: interior points with random directions, then signed zeros.
+
+    Every fourth state has its position's components that the reference box
+    admits at zero replaced by a zero of random sign, and every third state
+    has a direction with one or two zero components of random sign.
+    """
+    lo, hi = provider.reference_box
+    for i, r in enumerate(interior_points(provider, count, seed=int(rng.integers(1 << 30)))):
+        r = r.tolist()
+        if i % 4 == 0:
+            r = [rng.choice((0.0, -0.0)) if lo[j] <= 0.0 <= hi[j] else x for j, x in enumerate(r)]
+        n = rng.normal(size=3)
+        if i % 3 == 0:
+            n[rng.choice(3, size=int(rng.integers(1, 3)), replace=False)] = 0.0
+        n = (n / np.linalg.norm(n)).tolist()
+        if i % 3 == 0:
+            n = [math.copysign(0.0, rng.choice((1.0, -1.0))) if x == 0.0 else x for x in n]
+        yield float(rng.uniform(0.0, 0.5)), tuple(r), tuple(n), float(rng.choice((0.0, 0.5, 1.0)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # large dt may overflow a stage
+@pytest.mark.parametrize("provider", _providers(), ids=_id)
+@pytest.mark.parametrize("method", sorted(_REF_STEPS))
+def test_step_matches_reference_bit_for_bit(provider, method):
+    rng = np.random.default_rng(20)
+    stepped = 0
+    for t, r, n, beta in _step_states(provider, 150, rng):
+        try:
+            k1 = rhs_terms(provider, t, r, n, beta)[:6]
+        except TtpsimError:  # outside the domain: there is no step to take
+            continue
+        for dt in (1e-3, 0.02, 0.3):
+            args = (provider, t, r, n, beta, dt, k1)
+            assert (_outcome(_library_step, method, *args)
+                    == _outcome(_REF_STEPS[method], *args)), (t, r, n, beta, dt)
+            stepped += 1
+    assert stepped >= 3 * 140
