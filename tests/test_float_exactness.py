@@ -272,24 +272,22 @@ def _outcome(step, *args):
 
 
 def _step_states(provider, count, rng):
-    """(t, r, n, beta) draws: interior points with random directions, then signed zeros.
+    """(t, r, n, beta) draws at interior points, dense in signed zeros.
 
-    Every fourth state has its position's components that the reference box
-    admits at zero replaced by a zero of random sign, and every third state
-    has a direction with one or two zero components of random sign.
+    Each component of the position that the reference box admits at zero,
+    and each component of the direction, is a zero of random sign with
+    probability 0.4: a flipped zero in a stage's rate shows in the result
+    only where the state has zeros in both.
     """
     lo, hi = provider.reference_box
-    for i, r in enumerate(interior_points(provider, count, seed=int(rng.integers(1 << 30)))):
-        r = r.tolist()
-        if i % 4 == 0:
-            r = [rng.choice((0.0, -0.0)) if lo[j] <= 0.0 <= hi[j] else x for j, x in enumerate(r)]
-        n = rng.normal(size=3)
-        if i % 3 == 0:
-            n[rng.choice(3, size=int(rng.integers(1, 3)), replace=False)] = 0.0
-        n = (n / np.linalg.norm(n)).tolist()
-        if i % 3 == 0:
-            n = [math.copysign(0.0, rng.choice((1.0, -1.0))) if x == 0.0 else x for x in n]
-        yield float(rng.uniform(0.0, 0.5)), tuple(r), tuple(n), float(rng.choice((0.0, 0.5, 1.0)))
+    for r in interior_points(provider, count, seed=int(rng.integers(1 << 30))):
+        zero = rng.random(6) < 0.4
+        sign = rng.choice((0.0, -0.0), size=6)
+        r = [float(sign[j] if zero[j] and lo[j] <= 0.0 <= hi[j] else x) for j, x in enumerate(r)]
+        n = np.where(zero[3:], 0.0, rng.normal(size=3))
+        n = n / np.linalg.norm(n) if n.any() else np.array((0.0, 0.0, 1.0))
+        n = [float(sign[3 + j] if x == 0.0 else x) for j, x in enumerate(n)]
+        yield float(rng.choice((0.0, 0.25))), tuple(r), tuple(n), float(rng.choice((0.0, 0.5, 1.0)))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # large dt may overflow a stage
@@ -298,7 +296,7 @@ def _step_states(provider, count, rng):
 def test_step_matches_reference_bit_for_bit(provider, method):
     rng = np.random.default_rng(20)
     stepped = 0
-    for t, r, n, beta in _step_states(provider, 150, rng):
+    for t, r, n, beta in _step_states(provider, 400, rng):
         try:
             k1 = rhs_terms(provider, t, r, n, beta)[:6]
         except TtpsimError:  # outside the domain: there is no step to take
@@ -308,4 +306,4 @@ def test_step_matches_reference_bit_for_bit(provider, method):
             assert (_outcome(_library_step, method, *args)
                     == _outcome(_REF_STEPS[method], *args)), (t, r, n, beta, dt)
             stepped += 1
-    assert stepped >= 3 * 140
+    assert stepped >= 3 * 350
