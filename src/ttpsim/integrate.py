@@ -1,15 +1,14 @@
 """Fixed-step trajectory integration with invariant monitoring.
 
 The reduced state couples a position in R^3 with a unit direction vector.
-The default method ``rk4_rodrigues`` is a 4th-order Runge-Kutta whose
-direction update is performed entirely through exact axis-angle rotations:
-stage directions are rotated copies of the step's initial direction, stage
-rotation rates are pulled back with the inverse differential of the
-exponential map, and the final direction is one rotation by the effective
-weighted rotation vector.  The unit norm is therefore preserved to rounding
-regardless of step count.  ``rk4_naive`` treats the direction as a plain
-vector (optionally renormalized every k steps) and is kept for comparison
-studies.
+Both methods run one Runge-Kutta-Munthe-Kaas stage loop, :func:`_advance`,
+with the (act, rate) pair that ``METHODS`` names.  The default
+``rk4_rodrigues`` acts by exact axis-angle rotations, with stage rotation
+rates pulled back by the inverse differential of the exponential map, so
+the unit norm is preserved to rounding regardless of step count.
+``rk4_naive`` is classical RK4 on the direction as a plain vector, the same
+loop with ``n + theta`` and ``Omega x m`` (optionally renormalized every k
+steps), kept for comparison studies.
 """
 
 import math
@@ -18,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError
-from .kinetics import isobaric_normal, norm3, rhs_terms, stage_eval
+from .kinetics import cross, isobaric_normal, norm3, rhs_terms, stage_eval
 
 TANGENCY_TOL = 1e-8
 
@@ -44,7 +43,7 @@ class IntegratorConfig:
                 raise ValidationError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ValidationError("dt must be positive")
-        if self.method not in ("rk4_rodrigues", "rk4_naive"):
+        if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
         for name in ("renormalize_every", "project_tangency_every"):
             if getattr(self, name) < 0:
@@ -151,76 +150,72 @@ def _rot_s(nx, ny, nz, tx, ty, tz):
     return ox * inv, oy * inv, oz * inv
 
 
-def _dexpinv_s(tx, ty, tz, wx, wy, wz):
-    """Inverse differential of the rotation exponential, truncated at order 2.
+def _add_s(nx, ny, nz, tx, ty, tz):
+    """rk4_naive's action n + theta on float components."""
+    return nx + tx, ny + ty, nz + tz
+
+
+def _pullback_s(tx, ty, tz, ox, oy, oz, mx, my, mz):
+    """rk4_rodrigues' rate: Omega pulled back to the rotation vector theta; m is unused.
 
     dexpinv(theta, w) = w - 1/2 theta x w + 1/12 theta x (theta x w) + ...;
     the omitted terms are O(|theta|^4), sufficient for a 4th-order method.
     """
-    c1x = ty * wz - tz * wy
-    c1y = tz * wx - tx * wz
-    c1z = tx * wy - ty * wx
+    c1x = ty * oz - tz * oy
+    c1y = tz * ox - tx * oz
+    c1z = tx * oy - ty * ox
     c2x = ty * c1z - tz * c1y
     c2y = tz * c1x - tx * c1z
     c2z = tx * c1y - ty * c1x
-    return (wx - 0.5 * c1x + c2x / 12.0,
-            wy - 0.5 * c1y + c2y / 12.0,
-            wz - 0.5 * c1z + c2z / 12.0)
+    return (ox - 0.5 * c1x + c2x / 12.0,
+            oy - 0.5 * c1y + c2y / 12.0,
+            oz - 0.5 * c1z + c2z / 12.0)
 
 
-def _advance_rodrigues(provider, t, r, n, beta, dt, k1):
-    """One rk4_rodrigues step from the float triples (r, n).
+def _tangent_s(tx, ty, tz, ox, oy, oz, mx, my, mz):
+    """rk4_naive's rate: dn/dt = Omega x m at the stage direction m; theta is unused."""
+    return cross((ox, oy, oz), (mx, my, mz))
+
+
+METHODS = {"rk4_rodrigues": (_rot_s, _pullback_s), "rk4_naive": (_add_s, _tangent_s)}
+
+
+def _advance(provider, t, r, n, beta, dt, k1, act, rate):
+    """One RK4 step of the method (act, rate) from the float triples (r, n).
 
     ``k1`` holds the rates (ax, ay, az, ox, oy, oz) at the step's start, as
-    :func:`stage_eval` returns them.  Stage i + 1 rotates n by c_i times the
-    pulled-back rate of stage i.  Returns the new (r, n) as float triples.
+    :func:`stage_eval` returns them.  Stage i's direction increment is
+    d_i = rate(theta_i, Omega_i, m_i); stage i + 1 sits at r + c_i a_i with
+    direction act(n, theta_{i+1} = c_i d_i), and the step ends at
+    act(n, dt/6 (d1 + 2 (d2 + d3) + d4)).  Returns the new (r, n).
     """
     rx, ry, rz = r
     nx, ny, nz = n
-    a1x, a1y, a1z, w1x, w1y, w1z = ax, ay, az, wx, wy, wz = k1
-    sax = say = saz = swx = swy = swz = -0.0  # stages 2 + 3; -0.0 + x is x, bit for bit
+    a1x, a1y, a1z, ox, oy, oz = k1
+    ax, ay, az = a1x, a1y, a1z
+    # stage 1 sits at theta = 0, where the pull-back is Omega itself; evaluating
+    # it there could turn a -0.0 component of Omega into +0.0
+    d1x, d1y, d1z = dx, dy, dz = ((ox, oy, oz) if rate is _pullback_s
+                                  else rate(0.0, 0.0, 0.0, ox, oy, oz, nx, ny, nz))
+    sax = say = saz = sdx = sdy = sdz = -0.0  # stages 2 + 3; -0.0 + x is x, bit for bit
     for c in (0.5 * dt, 0.5 * dt, dt):
-        tx, ty, tz = c * wx, c * wy, c * wz
-        mx, my, mz = _rot_s(nx, ny, nz, tx, ty, tz)
+        tx, ty, tz = c * dx, c * dy, c * dz
+        mx, my, mz = act(nx, ny, nz, tx, ty, tz)
         ax, ay, az, ox, oy, oz = stage_eval(provider, t + c, rx + c * ax, ry + c * ay,
                                             rz + c * az, mx, my, mz, beta)
-        wx, wy, wz = _dexpinv_s(tx, ty, tz, ox, oy, oz)
-        if c < dt:  # stages 2 and 3; the last one's rates stay in (ax, ..., wz)
+        dx, dy, dz = rate(tx, ty, tz, ox, oy, oz, mx, my, mz)
+        if c < dt:  # stages 2 and 3; the last one's rates stay in (ax, ..., dz)
             sax, say, saz = sax + ax, say + ay, saz + az
-            swx, swy, swz = swx + wx, swy + wy, swz + wz
+            sdx, sdy, sdz = sdx + dx, sdy + dy, sdz + dz
 
     sixth = dt / 6.0
-    r_new = (rx + sixth * (a1x + 2.0 * sax + ax),
+    return ((rx + sixth * (a1x + 2.0 * sax + ax),
              ry + sixth * (a1y + 2.0 * say + ay),
-             rz + sixth * (a1z + 2.0 * saz + az))
-    n_new = _rot_s(nx, ny, nz,
-                   sixth * (w1x + 2.0 * swx + wx),
-                   sixth * (w1y + 2.0 * swy + wy),
-                   sixth * (w1z + 2.0 * swz + wz))
-    return r_new, n_new
-
-
-def _advance_naive(provider, t, r, n, beta, dt, k1):
-    """One classical vector RK4 step on (r, n); the norm of n is not preserved.
-
-    Same arguments and result as :func:`_advance_rodrigues`.  Each stage
-    takes dr/dt = V + u and dn/dt = Omega x n' at its own direction n'.
-    """
-    rates, m = k1, n
-    dr, dn = [], []
-    for c in (0.5 * dt, 0.5 * dt, dt, None):
-        ax, ay, az, ox, oy, oz = rates
-        mx, my, mz = m
-        dr.append((ax, ay, az))
-        dn.append((oy * mz - oz * my, oz * mx - ox * mz, ox * my - oy * mx))
-        if c is None:
-            break
-        m = tuple(x + c * k for x, k in zip(n, dn[-1]))
-        rates = stage_eval(provider, t + c, r[0] + c * ax, r[1] + c * ay, r[2] + c * az,
-                           *m, beta)
-    sixth = dt / 6.0
-    return (tuple(x + sixth * (a + 2.0 * (b + c) + d) for x, a, b, c, d in zip(r, *dr)),
-            tuple(x + sixth * (a + 2.0 * (b + c) + d) for x, a, b, c, d in zip(n, *dn)))
+             rz + sixth * (a1z + 2.0 * saz + az)),
+            act(nx, ny, nz,
+                sixth * (d1x + 2.0 * sdx + dx),
+                sixth * (d1y + 2.0 * sdy + dy),
+                sixth * (d1z + 2.0 * sdz + dz)))
 
 
 def _project_tangent(n, b):
@@ -298,7 +293,7 @@ def integrate_trajectory(state0, provider, config):
                                        "project it with tangent_seed ([particle] "
                                        "project_initial = true) or seed tangentially")
 
-    advance = _advance_rodrigues if config.method == "rk4_rodrigues" else _advance_naive
+    act, rate = METHODS[config.method]
     reproject = config.project_tangency_every
     reason = ""
     k = 0  # records written
@@ -322,7 +317,7 @@ def integrate_trajectory(state0, provider, config):
             break
         try:
             try:
-                r, n = advance(provider, t, r, n, beta, config.dt, ev[:6])
+                r, n = _advance(provider, t, r, n, beta, config.dt, ev[:6], act, rate)
             except (ValueError, OverflowError) as err:  # a stage value overflowed in math
                 reason = f"non_finite_state: the step from r = {r}, n = {n}, t = {t!r} ({err})"
                 break

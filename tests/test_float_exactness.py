@@ -258,8 +258,7 @@ _REF_STEPS = {"rk4_rodrigues": _ref_advance_rodrigues, "rk4_naive": _ref_advance
 
 
 def _library_step(method, provider, t, r, n, beta, dt, k1):
-    return {"rk4_rodrigues": integrate._advance_rodrigues,
-            "rk4_naive": integrate._advance_naive}[method](provider, t, r, n, beta, dt, k1)
+    return integrate._advance(provider, t, r, n, beta, dt, k1, *integrate.METHODS[method])
 
 
 def _outcome(step, *args):
