@@ -115,7 +115,8 @@ class TaylorGreenField(FieldProvider):
     is the classical cellular form shifted to positivity,
     p1hat = p0 + (A^2/16) [(cos 2kz + 2)(cos 2kx + cos 2ky) - 2] F(t)^2,
     which requires p0 > A^2 / 2.  Sampling where F(t)^2 is not finite (t < 0
-    with a large nu) raises OutOfDomain.
+    with a large nu), or at a finite r where a phase k x, k y or k z
+    overflows, raises OutOfDomain.
     """
 
     name = "taylor_green"
@@ -142,9 +143,15 @@ class TaylorGreenField(FieldProvider):
         F2 = F * F
         if not math.isfinite(F2):
             raise OutOfDomain(f"Taylor-Green decay factor F(t)^2 is not finite at t = {t!r}")
-        sx, cx = math.sin(k * x), math.cos(k * x)
-        sy, cy = math.sin(k * y), math.cos(k * y)
-        sz, cz = math.sin(k * z), math.cos(k * z)
+        try:
+            sx, cx = math.sin(k * x), math.cos(k * x)
+            sy, cy = math.sin(k * y), math.cos(k * y)
+            sz, cz = math.sin(k * z), math.cos(k * z)
+        except ValueError:  # math.sin(inf)
+            if not all(map(math.isfinite, (x, y, z))):
+                raise  # the caller's position is not finite, so it is the caller's state
+            raise OutOfDomain("Taylor-Green phase k r is not finite at "
+                              f"r = {(float(x), float(y), float(z))}") from None
         s2x, c2x = 2.0 * sx * cx, 1.0 - 2.0 * sx * sx
         s2y, c2y = 2.0 * sy * cy, 1.0 - 2.0 * sy * sy
         s2z, c2z = 2.0 * sz * cz, 1.0 - 2.0 * sz * sz

@@ -171,7 +171,8 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     approximates db/dt along the particle path to O(h^2) and b x (that)
     approximates the rotation rate.  Points with a degenerate gradient, with
     |grad p1hat| <= g_min or with degenerate displaced stencils are skipped and
-    counted; a point whose residuals are not finite raises ValidationError.
+    counted; a point whose V + u or residuals are not finite raises
+    ValidationError.
     """
     rng = np.random.default_rng(seed)
     pts = _random_interior_points(provider, n_points, rng)
@@ -188,7 +189,8 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
         phi = rng.uniform(0.0, 2.0 * math.pi)
         n = [math.cos(phi) * x + math.sin(phi) * y for x, y in zip(e1, e2)]
         w = _rates(s.kin, *n, beta)[:3]  # V + u
-
+        if not all(map(math.isfinite, w)):  # nor is the stencil r +- h w
+            raise ValidationError(f"V + u is not finite at r = {p}")
         bp = isobaric_normal(provider.sample(tuple(x + h * v for x, v in zip(p, w)), t + h))
         bm = isobaric_normal(provider.sample(tuple(x - h * v for x, v in zip(p, w)), t - h))
         if bp is None or bm is None:

@@ -752,7 +752,8 @@ def test_verify_convergence_study_runs_configured_method(tmp_path, capsys):
 
 # --- edge values: every config exits 0, 2 or 3 ---------------------------------------------
 
-EDGE_VALUES = (0.0, 1e-300, -1e-300, 1e-160, 1e160, 1e300, -1e300)
+EDGE_VALUES = (0.0, 1e-300, -1e-300, 1e-160, 1e160, 1e300, -1e300, 1.7976931348623157e308,
+               -1.7976931348623157e308)
 EDGE_SEEDS = {"uniform": "r0 = 0 0 0\nn0 = 0 0 1",
               "uniform_gradient": "r0 = 0.1 0.2 0.1\nauto_tangent = true",
               "rigid_rotation": "r0 = 1.2 0.3 0.1\nauto_tangent = true",
