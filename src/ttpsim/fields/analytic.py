@@ -134,6 +134,8 @@ class TaylorGreenField(FieldProvider):
         self.p0 = float(p0)
         self.time_dependent = self.nu > 0.0
         L = 2.0 * math.pi / self.k
+        if L == math.inf:
+            raise ValidationError(f"k = {self.k:g} is too small: its period 2 pi / k overflows")
         self.reference_box = (np.zeros(3), np.full(3, L))
 
     def _fields(self, r, t, full):

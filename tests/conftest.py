@@ -1,3 +1,5 @@
+import io
+from contextlib import redirect_stderr, redirect_stdout
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,6 +7,7 @@ import pytest
 
 from ttpsim import (IntegratorConfig, LambOseenField, RigidRotationField, TaylorGreenField,
                     UniformField, UniformGradientField, evolve_ensemble)
+from ttpsim.cli import main
 
 
 @pytest.fixture
@@ -69,3 +72,56 @@ def seed_time_moments(states, provider, dt=1e-2):
     cov = np.empty((3, 3))
     cov[upper] = cov.T[upper] = hist.cov_u[0]
     return SimpleNamespace(mean_v=hist.mean_v[0], mean_u=hist.mean_u[0], cov_u=cov)
+
+
+# a seed inside each analytic provider's domain, as [particle] lines
+EDGE_SEEDS = {"uniform": "r0 = 0 0 0\nn0 = 0 0 1",
+              "uniform_gradient": "r0 = 0.1 0.2 0.1\nauto_tangent = true",
+              "rigid_rotation": "r0 = 1.2 0.3 0.1\nauto_tangent = true",
+              "taylor_green": "r0 = 2.1 3.3 1.7\nauto_tangent = true",
+              "lamb_oseen": "r0 = 0.6 -0.3 0.1\nauto_tangent = true"}
+
+
+def verify_non_finite(out_dir, label):
+    """The non-finite values in a verify run's CSVs and divergence line, as messages."""
+    bad = [f"{label}, verify: non-finite {csv.name}" for csv in sorted(out_dir.glob("*.csv"))
+           if len(csv.read_text().splitlines()) > 1  # a header-only CSV holds no value
+           and not np.all(np.isfinite(np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)))]
+    bad += [f"{label}, verify: {line}"
+            for line in (out_dir / "verify_report.txt").read_text().splitlines()
+            if line.startswith("reduced-state RHS divergence") and ("nan" in line or "inf" in line)]
+    return bad
+
+
+def edge_run_breaches(argv, out_dir, t_last, label):
+    """Run ``cli.main(argv)`` writing to out_dir; how it breaks the edge contract, as messages.
+
+    No exception escapes, the exit code is 0, 2 or 3, and a failure prints
+    ``error:``.  A simulate or ensemble run that exits 0 writes only finite
+    numbers, and its last row is at ``t_last`` or it says it terminated
+    early.  A verify run that exits 0 writes only finite CSVs, and its
+    divergence line holds no nan or inf.
+    """
+    command = argv[0]
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except Exception as exc:  # noqa: BLE001 - every escape is a breach
+        return [f"{label}, {command}: {exc!r}"]
+    out, err = out.getvalue(), err.getvalue()
+    if code not in (0, 2, 3) or (code != 0 and "error:" not in err):
+        return [f"{label}, {command}: exit {code} {err!r}"]
+    if code != 0:
+        return []
+    if command == "verify":
+        return verify_non_finite(out_dir, label)
+    table = out_dir / {"simulate": "trajectory.csv", "ensemble": "stats.csv"}[command]
+    lines = table.read_text().splitlines()
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    bad = []
+    if not np.all(np.isfinite(rows)):
+        bad.append(f"{label}, {command}: non-finite output")
+    if "terminated early (" not in out and (not len(rows) or rows[-1, 0] != t_last):
+        bad.append(f"{label}, {command}: ends short silently")
+    return bad

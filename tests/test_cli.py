@@ -17,6 +17,8 @@ from ttpsim.cli import (SCHEMA, STATS_COLUMNS, TRAJECTORY_COLUMNS, build_initial
                         build_provider, main, parse_config, print_config)
 from ttpsim.fields.analytic import PROVIDERS
 
+from conftest import EDGE_SEEDS, edge_run_breaches, verify_non_finite
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 MINIMAL = """
@@ -754,35 +756,15 @@ def test_verify_convergence_study_runs_configured_method(tmp_path, capsys):
 
 EDGE_VALUES = (0.0, 1e-300, -1e-300, 1e-160, 1e160, 1e300, -1e300, 1.7976931348623157e308,
                -1.7976931348623157e308)
-EDGE_SEEDS = {"uniform": "r0 = 0 0 0\nn0 = 0 0 1",
-              "uniform_gradient": "r0 = 0.1 0.2 0.1\nauto_tangent = true",
-              "rigid_rotation": "r0 = 1.2 0.3 0.1\nauto_tangent = true",
-              "taylor_green": "r0 = 2.1 3.3 1.7\nauto_tangent = true",
-              "lamb_oseen": "r0 = 0.6 -0.3 0.1\nauto_tangent = true"}
 EDGE_COMMANDS = (["simulate"], ["ensemble"], ["verify", "--points", "20"])
-
-
-def _verify_non_finite(out_dir, label):
-    """The non-finite values in a verify run's CSVs and divergence line, as messages."""
-    bad = [f"{label}, verify: non-finite {csv.name}" for csv in sorted(out_dir.glob("*.csv"))
-           if len(csv.read_text().splitlines()) > 1  # a header-only CSV holds no value
-           and not np.all(np.isfinite(np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)))]
-    bad += [f"{label}, verify: {line}"
-            for line in (out_dir / "verify_report.txt").read_text().splitlines()
-            if line.startswith("reduced-state RHS divergence") and ("nan" in line or "inf" in line)]
-    return bad
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
 @pytest.mark.parametrize("provider", sorted(EDGE_SEEDS))
-def test_edge_value_sweep_exits_cleanly(tmp_path, capsys, provider):
-    # each parameter, and beta, set alone to an extreme value under every subcommand:
-    # no exception escapes, the exit code is 0, 2 or 3, and a failure says why.  A
-    # simulate or ensemble run that exits 0 writes only finite numbers, and covers
-    # t_end or says it terminated early.  A verify run that exits 0 writes only
-    # finite CSVs, and its divergence line holds no nan or inf.
-    # t_end is 8 steps so that verify's order studies (4, 2 and 1 dt) run too
-    tables = {"simulate": "trajectory.csv", "ensemble": "stats.csv"}
+def test_edge_value_sweep_exits_cleanly(tmp_path, provider):
+    # each parameter, and beta, set alone to an extreme value under every subcommand
+    # keeps the contract of conftest.edge_run_breaches.  t_end is 8 steps so that
+    # verify's order studies (4, 2 and 1 dt) run too
     out_dir = tmp_path / "out"
     bad = []
     for key in [*provider_parameters(provider), "beta"]:
@@ -795,25 +777,29 @@ def test_edge_value_sweep_exits_cleanly(tmp_path, capsys, provider):
             cfgp = _write(tmp_path, text)
             for command in EDGE_COMMANDS:
                 shutil.rmtree(out_dir, ignore_errors=True)
-                try:
-                    code = main([command[0], cfgp, *command[1:]])
-                except Exception as exc:  # noqa: BLE001 - the sweep reports every escape
-                    bad.append(f"{key} = {value!r}, {command[0]}: {exc!r}")
-                    continue
-                out, err = capsys.readouterr()
-                if code not in (0, 2, 3) or (code != 0 and "error:" not in err):
-                    bad.append(f"{key} = {value!r}, {command[0]}: exit {code} {err!r}")
-                if code == 0 and command[0] == "verify":
-                    bad += _verify_non_finite(out_dir, f"{key} = {value!r}")
-                if code != 0 or command[0] not in tables:
-                    continue
-                lines = (out_dir / tables[command[0]]).read_text().splitlines()
-                rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
-                if not np.all(np.isfinite(rows)):
-                    bad.append(f"{key} = {value!r}, {command[0]}: non-finite output")
-                if "terminated early (" not in out and (not len(rows) or rows[-1, 0] != 0.08):
-                    bad.append(f"{key} = {value!r}, {command[0]}: ends short silently")
+                bad += edge_run_breaches([command[0], cfgp, *command[1:]], out_dir, 0.08,
+                                         f"{key} = {value!r}")
     assert not bad
+
+
+TAYLOR_GREEN = ("[field]\nname = taylor_green\nk = {k}\n[particle]\nr0 = 2.1 3.3 1.7\n"
+                "auto_tangent = true\n[integrator]\ndt = 0.01\nt_end = 0.08\n[ensemble]\n"
+                "count = 4\n[output]\ndirectory = {out}\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
+@pytest.mark.parametrize("k, code", [("5e-324", 2), ("1e-310", 2), ("3.4e-308", 2),
+                                     ("3.6e-308", 0)])
+def test_taylor_green_period_overflow_exit2(tmp_path, capsys, k, code):
+    # below about 3.5e-308 the period 2 pi / k, the side of the reference box, overflows;
+    # verify drew its points in that infinite box and ended in a traceback
+    out = tmp_path / "out"
+    cfgp = _write(tmp_path, TAYLOR_GREEN.format(k=k, out=out))
+    assert main(["verify", cfgp, "--points", "8"]) == code
+    if code:
+        assert f"error: k = {float(k):g} is too small" in capsys.readouterr().err
+    else:
+        assert verify_non_finite(out, f"k = {k}") == []
 
 
 LAMB_OSEEN = ("[field]\nname = lamb_oseen\nrc = {rc}\n[particle]\nr0 = 0.6 -0.3 0.1\n"
@@ -844,7 +830,7 @@ def test_lamb_oseen_core_radius_range_ends_verify(tmp_path, capsys, rc, code):
     if code:
         assert f"error: rc = {float(rc):g} is outside" in capsys.readouterr().err
     else:
-        assert _verify_non_finite(out, f"rc = {rc}") == []
+        assert verify_non_finite(out, f"rc = {rc}") == []
         assert "non-finite" not in (out / "verify_report.txt").read_text()
 
 

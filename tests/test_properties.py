@@ -6,20 +6,30 @@ its reference box, a direction tangent to the isobaric surface there,
 renormalization and tangency-projection periods.  Whatever
 the run does, it must either cover its horizon or stop with a recorded
 reason, and every record it keeps must be finite and consistent.
+
+The CLI fuzz test draws whole run configurations with values at the edges
+of the floats and holds every subcommand to the edge sweep's contract.
 """
 
 import json
 import math
+import pathlib
+import tempfile
 from dataclasses import asdict
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ttpsim import (IntegratorConfig, LambOseenField, RigidRotationField, TaylorGreenField,
                     TtpState, UniformField, UniformGradientField, integrate_trajectory,
                     isobaric_normal, tangent_frame)
+from ttpsim import ValidationError, provider_parameters
+from ttpsim.cli import SCHEMA
 from ttpsim.integrate import step_count
+
+from conftest import EDGE_SEEDS, edge_run_breaches
 
 REASONS = ("out_of_domain: ", "negative_pressure: ", "non_finite_state: ")
 
@@ -104,3 +114,78 @@ def test_run_covers_horizon_or_records_reason(run):
         assert np.max(traj.norm_err) <= 1e-15
         speed = np.hypot(np.hypot(traj.u[:, 0], traj.u[:, 1]), traj.u[:, 2])  # no overflow
         np.testing.assert_allclose(speed, state.beta * traj.v_th, rtol=4e-15, atol=0)
+
+
+# --- the CLI fuzz test ----------------------------------------------------------------------
+
+MAX = 1.7976931348623157e308
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e-300, -1e-300, 1e160, -1e160, 1e300,
+               -1e300, MAX, -MAX)
+_floats = st.sampled_from(EDGE_FLOATS + (0.01, 0.08, 0.5, 1.0, 2.0, -1.5)) | _real(-4, 4)
+_ints = st.sampled_from((0, 1, 3, 4, -1, 2**63, 10**12))
+_texts = {"method": ("rk4_rodrigues", "rk4_naive", "rk4"),
+          "sampling": ("equispaced_circle", "random_circle", "grid")}
+# [particle], [integrator], [ensemble] and [output] keys that a draw may set, by parser
+_DRAWN = {key: parse.__name__ for section in ("particle", "integrator", "ensemble", "output")
+          for key, parse in SCHEMA[section].items() if key != "directory"}
+_SECTION = {key: section for section, keys in SCHEMA.items() for key in keys}
+_BASE = {"integrator": {"dt": "0.01", "t_end": "0.08"}, "ensemble": {"count": "4"}}
+FUZZ_STEPS = 16  # a longer horizon is drawn again, to keep the test short
+
+
+def _value(draw, parser, key):
+    if parser == "_parse_vec3":
+        return " ".join(repr(draw(_floats)) for _ in range(3))
+    if parser == "_parse_bool":
+        return draw(st.sampled_from(("true", "false")))
+    if parser in ("_parse_int", "_parse_count"):
+        return str(draw(_ints))
+    if parser == "_text":
+        return draw(st.sampled_from(_texts[key]))
+    return repr(draw(_floats))
+
+
+@st.composite
+def _cli_runs(draw):
+    command = draw(st.sampled_from((["simulate"], ["ensemble"], ["verify", "--points", "8"])))
+    provider = draw(st.sampled_from(sorted(EDGE_SEEDS)))
+    sections = {"field": {"name": provider},
+                "particle": dict(line.split(" = ") for line in EDGE_SEEDS[provider].split("\n"))}
+    sections |= {name: dict(keys) for name, keys in _BASE.items()}
+    for key in draw(st.lists(st.sampled_from(sorted(provider_parameters(provider))), unique=True)):
+        sections["field"][key] = repr(draw(_floats))
+    for key in draw(st.lists(st.sampled_from(sorted(_DRAWN)), unique=True, max_size=3)):
+        sections.setdefault(_SECTION[key], {})[key] = _value(draw, _DRAWN[key], key)
+    if sections["particle"].get("n0") and sections["particle"].get("auto_tangent"):
+        del sections["particle"][draw(st.sampled_from(("n0", "auto_tangent")))]
+    return command, sections
+
+
+def _last_time(integrator):
+    """t0 + steps dt, the time of the horizon's last record; None where parsing rejects it."""
+    t0, dt, t_end = (float(integrator.get(k, "0")) for k in ("t0", "dt", "t_end"))
+    try:
+        steps = step_count(t0, t_end, dt) if dt > 0.0 and math.isfinite(t_end) else None
+    except ValidationError:
+        return None
+    assume(steps is None or steps <= FUZZ_STEPS)
+    return None if steps is None else t0 + steps * dt
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_cli_runs())
+def test_cli_fuzz_keeps_the_edge_contract(run):
+    # exit 0, 2 or 3; error: on a non-zero exit; finite outputs and a horizon that is
+    # reached or explained on exit 0 (conftest.edge_run_breaches)
+    command, sections = run
+    t_last = _last_time(sections["integrator"])
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = pathlib.Path(tmp) / "out"
+        sections["output"] = sections.get("output", {}) | {"directory": str(out_dir)}
+        text = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                       for name, keys in sections.items())
+        cfg = pathlib.Path(tmp) / "run.cfg"
+        cfg.write_text(text)
+        assert edge_run_breaches([command[0], str(cfg), *command[1:]], out_dir, t_last,
+                                 text) == []
