@@ -151,7 +151,7 @@ class TaylorGreenField(FieldProvider):
             sz, cz = math.sin(k * z), math.cos(k * z)
         except ValueError:  # math.sin(inf)
             if not all(map(math.isfinite, (x, y, z))):
-                raise  # the caller's position is not finite, so it is the caller's state
+                raise  # a position that is not finite is the caller's non-finite state
             raise OutOfDomain("Taylor-Green phase k r is not finite at "
                               f"r = {(float(x), float(y), float(z))}") from None
         s2x, c2x = 2.0 * sx * cx, 1.0 - 2.0 * sx * sx
