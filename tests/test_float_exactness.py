@@ -1,9 +1,11 @@
 """Pinned bytes of the pointwise diagnostics.
 
-``omega_decomposed`` and ``cancellation_check`` are compared bit for bit
-against test-local copies written with numpy 3-vectors throughout, so an
-evaluation path that moves elementwise arithmetic to Python floats must keep
-every product numpy rounds with fused multiply-adds in numpy.  ``norm3``
+``omega_decomposed`` and the three pointwise studies of ``verify`` are
+compared bit for bit against test-local copies written point by point with
+numpy 3-vectors, so an evaluation path that moves elementwise arithmetic to
+Python floats, or batches the points, must keep every product numpy rounds
+with fused multiply-adds in numpy, and must report the first failure in
+point order.  ``norm3``
 is compared with ``np.linalg.norm`` and ``verify._median`` with
 ``np.median`` the same way.  One integrator step of each method is compared,
 by ``repr`` so that ``-0.0`` and ``0.0`` differ, against test-local copies of
@@ -15,10 +17,11 @@ import math
 import numpy as np
 import pytest
 
-from ttpsim import (DegenerateGradient, GridField, LambOseenField, OmegaBreakdown,
-                    RigidRotationField, TaylorGreenField, TtpState, UniformField,
-                    UniformGradientField, ValidationError, cancellation_check, isobaric_normal,
-                    omega_decomposed, omega_direct, relative_velocity)
+from ttpsim import (DegenerateGradient, GridField, LambOseenField, NegativePressure,
+                    OmegaBreakdown, OutOfDomain, RigidRotationField, TaylorGreenField, TtpState,
+                    UniformField, UniformGradientField, ValidationError, cancellation_check,
+                    isobaric_normal, omega_decomposed, omega_direct, omega_identity_sweep,
+                    reduced_divergence_report, relative_velocity, state_rhs, tangent_frame)
 from ttpsim import integrate
 from ttpsim.errors import TtpsimError
 from ttpsim.kinetics import gradient_normal, norm3, rhs_terms, stage_eval
@@ -55,11 +58,15 @@ def _ref_omega_decomposed(sample, state):
                           float(np.linalg.norm(direct - total)))
 
 
+def _ref_points(provider, count, rng):
+    lo, hi = provider.reference_box
+    return lo + (hi - lo) * (0.02 + (1.0 - 2.0 * 0.02) * rng.random((count, 3)))
+
+
 def _ref_cancellation_check(provider, n_states, seed, beta, t):
     """cancellation_check on numpy 3-vectors, its state draw included, as first written."""
     rng = np.random.default_rng(seed)
-    lo, hi = provider.reference_box
-    pts = lo + (hi - lo) * (0.02 + (1.0 - 2.0 * 0.02) * rng.random((n_states, 3)))
+    pts = _ref_points(provider, n_states, rng)
     worst, kept = 0.0, 0
     for p in pts:
         s = provider.sample(p, t)
@@ -79,11 +86,72 @@ def _ref_cancellation_check(provider, n_states, seed, beta, t):
         t2 = float(st.n @ bdot)
         denom = max(_ref_norm3(omxn) + _ref_norm3(bdot) + rate_scale, 1e-300)
         if not all(map(math.isfinite, (t1, t2, denom))):
-            raise ValidationError("non-finite cancellation terms")
+            raise ValidationError(f"non-finite cancellation terms at r = {tuple(p.tolist())}")
         worst = max(worst, abs(t1 + t2) / denom)
     if kept == 0:
         raise DegenerateGradient("no non-degenerate states found")
     return worst
+
+
+def _ref_omega_identity_sweep(provider, n_points, seed, h, beta, t, g_min=1e-3):
+    """omega_identity_sweep point by point on numpy 3-vectors: (table, skipped)."""
+    rng = np.random.default_rng(seed)
+    rows, skipped = [], 0
+    for q in _ref_points(provider, n_points, rng):
+        s = provider.sample(q, t)
+        b = isobaric_normal(s)
+        if b is None or _ref_norm3(s.grad_p1hat) <= g_min:
+            skipped += 1
+            continue
+        e1, e2 = tangent_frame(b)
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        st = TtpState(t=t, r=q, n=math.cos(phi) * e1 + math.sin(phi) * e2, beta=beta)
+        w = s.V + relative_velocity(st, s)
+        if not np.all(np.isfinite(w)):
+            raise ValidationError(f"V + u is not finite at r = {tuple(q.tolist())}")
+        bp = isobaric_normal(provider.sample(q + h * w, t + h))
+        bm = isobaric_normal(provider.sample(q - h * w, t - h))
+        if bp is None or bm is None:
+            skipped += 1
+            continue
+        br = _ref_omega_decomposed(s, st)
+        om_norm = max(_ref_norm3(br.omega_direct), 1e-300)
+        res_fd = _ref_norm3(br.omega_direct - np.cross(b, (bp - bm) / (2.0 * h))) / om_norm
+        row = (*q.tolist(), res_fd, br.residual, br.residual / om_norm)
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(f"non-finite rotation-rate residuals at r = {row[:3]}")
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, 6), skipped
+
+
+def _ref_reduced_divergence_report(provider, n_states, seed, beta, t):
+    """reduced_divergence_report point by point, its state draw included, on numpy 3-vectors."""
+    rng = np.random.default_rng(seed)
+    h, divs = 1e-6, []
+    for p in _ref_points(provider, n_states, rng):
+        if isobaric_normal(provider.sample(p, t)) is None:
+            continue
+        v = rng.normal(size=3)
+        n = v / np.linalg.norm(v)
+        div = 0.0
+        for i in range(3):
+            # one component displaced; the others keep their bits, -0.0 included
+            rp, rm, n_p, n_m = (x.copy() for x in (p, p, n, n))
+            rp[i] += h
+            rm[i] -= h
+            n_p[i] += h
+            n_m[i] -= h
+            rhs = [state_rhs(provider, t, tuple(r.tolist()), tuple(m.tolist()), beta)
+                   for r, m in ((rp, n), (rm, n), (p, n_p), (p, n_m))]
+            div += (rhs[0][i] - rhs[1][i]) / (2.0 * h)
+            div += (rhs[2][3 + i] - rhs[3][3 + i]) / (2.0 * h)
+        if not math.isfinite(div):
+            raise ValidationError(f"non-finite divergence at r = {tuple(p.tolist())}, "
+                                  f"n = {tuple(n.tolist())}")
+        divs.append(abs(div))
+    if not divs:
+        raise DegenerateGradient("no non-degenerate states found")
+    return max(divs), float(np.median(divs)), len(divs)
 
 
 def _tricubic_grid():
@@ -146,6 +214,88 @@ def test_cancellation_check_matches_numpy_reference(provider, seed):
         return
     got, want = cancellation_check(*args), _ref_cancellation_check(*args)
     assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _bits(*values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("provider", _providers(), ids=_id)
+@pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
+def test_pointwise_studies_match_numpy_reference(provider, count):
+    # the counts straddle the edges of the studies' point chunks
+    args = (provider, count, count % 7, 0.7, 0.25)
+    rep = omega_identity_sweep(provider, count, count % 7, 1e-5, 0.7, 0.25)
+    table, skipped = _ref_omega_identity_sweep(provider, count, count % 7, 1e-5, 0.7, 0.25)
+    assert rep.table.tobytes() == table.tobytes() and rep.skipped == skipped
+    if isinstance(provider, UniformField):
+        assert skipped == count
+        for study in (reduced_divergence_report, _ref_reduced_divergence_report,
+                      cancellation_check, _ref_cancellation_check):
+            with pytest.raises(DegenerateGradient):
+                study(*args)
+        return
+    got, want = reduced_divergence_report(*args), _ref_reduced_divergence_report(*args)
+    assert _bits(*got) == _bits(*want) and got[2] == want[2]
+    assert _bits(cancellation_check(*args)) == _bits(_ref_cancellation_check(*args))
+
+
+class _Trap(RigidRotationField):
+    """rigid_rotation with a failure planted near some of the random points of seed 0.
+
+    ``traps`` maps a point index to a phase: "residual" makes the x component
+    of dt grad p1hat infinite near the point, so the rotation rate and the
+    residuals are not finite there, while V + u stays finite; "pressure"
+    makes p1hat negative there, so V + u raises NegativePressure; "centre"
+    makes the sample at the point itself raise OutOfDomain.
+    """
+
+    def __init__(self, count, traps):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        self.points = [tuple(p) for p in _ref_points(self, count, rng).tolist()]
+        self.traps = traps
+
+    def _fields(self, r, t, full):
+        out = super()._fields(r, t, full)
+        kin = out[0] if full else out
+        for i, phase in self.traps.items():
+            p = self.points[i]
+            if phase == "centre" and tuple(r) == p:
+                raise OutOfDomain(f"centre trap at point {i}")
+            if max(abs(a - b) for a, b in zip(r, p)) < 1e-3:
+                if phase == "residual":
+                    kin = kin[:13] + (math.inf,) + kin[14:]
+                elif phase == "pressure":
+                    kin = kin[:3] + (-1.0,) + kin[4:]
+        return (kin, out[1]) if full else kin
+
+
+def _raised(study, *args):
+    try:
+        study(*args)
+    except (OutOfDomain, ValidationError, NegativePressure) as err:
+        return f"{type(err).__name__}: {err}"
+    return None
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("traps, first", [
+    ({1: "residual", 3: "pressure", 5: "centre"}, "ValidationError: non-finite"),
+    ({3: "pressure", 5: "centre"}, "NegativePressure: p1hat = -1 < 0"),
+    ({5: "centre"}, "OutOfDomain: centre trap at point 5")], ids=["residual", "pressure", "centre"])
+def test_pointwise_studies_report_the_first_failure_in_point_order(traps, first):
+    # a later point's centre sample fails before an earlier point's rates or residuals
+    # are evaluated only if the points are not walked in order
+    prov = _Trap(20, traps)
+    sweep, states = (prov, 20, 0, 1e-5, 0.7, 0.0), (prov, 20, 0, 0.7, 0.0)
+    for study, ref, args in ((omega_identity_sweep, _ref_omega_identity_sweep, sweep),
+                             (cancellation_check, _ref_cancellation_check, states),
+                             (reduced_divergence_report, _ref_reduced_divergence_report, states)):
+        with np.errstate(all="ignore"):  # the numpy copies warn on inf * 0
+            want = _raised(ref, *args)
+        assert want.startswith(first) and _raised(study, *args) == want, study.__name__
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
