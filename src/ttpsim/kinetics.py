@@ -168,12 +168,31 @@ def norm3(v):
     return math.inf if x * x + y * y + z * z == math.inf else math.sqrt(v.dot(v))
 
 
+def norm3_rows(v):
+    """:func:`norm3` of each row of a (k, 3) float array (or a sequence of triples), as a (k,) array.
+
+    Bit for bit: ``np.vecdot`` rounds each row's dot as ``v.dot(v)`` does,
+    and a row is inf where its float sum of squares overflows, summed in
+    norm3's order.  That sum is taken under ``np.errstate``, so numpy never
+    warns.
+    """
+    v = np.asarray(v, dtype=float).reshape(-1, 3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = v * v
+        return np.where(sq[:, 0] + sq[:, 1] + sq[:, 2] == math.inf, math.inf,
+                        np.sqrt(np.vecdot(v, v)))
+
+
 def _normal(kin):
     """Degenerate-gradient policy: (bx, by, bz, 0.0) with b the unit normal, else (0, 0, 0, 1.0)."""
     gx, gy, gz = kin[4:7]
-    if gx * gx + gy * gy + gz * gz <= _EPS_GRAD2:
+    g2 = gx * gx + gy * gy + gz * gz
+    if g2 <= _EPS_GRAD2:
         return 0.0, 0.0, 0.0, 1.0
-    return gradient_normal(kin)[:3] + (0.0,)
+    if g2 == math.inf:
+        return gradient_normal(kin)[:3] + (0.0,)
+    gn = math.sqrt(g2)  # gradient_normal's rounding: it scales g only where g . g overflows
+    return gx / gn, gy / gn, gz / gn, 0.0
 
 
 def gradient_normal(kin):
@@ -182,13 +201,18 @@ def gradient_normal(kin):
     The overflow rule: |g| is sqrt(g . g), except where g . g overflows;
     there g is first scaled by 1 / max |g_i|, whose squares cannot overflow,
     so b and |g| stay finite whenever the components of g are (an infinite
-    component gives nan).  Scaling by m = 1 is exact, so one formula serves.
+    component gives nan).  Elsewhere the scale would be m = 1, which is
+    exact, so it is skipped.
     """
     gx, gy, gz = kin[4:7]
-    m = max(abs(gx), abs(gy), abs(gz)) if gx * gx + gy * gy + gz * gz == math.inf else 1.0
-    hx, hy, hz = gx / m, gy / m, gz / m
-    hn = math.sqrt(hx * hx + hy * hy + hz * hz)
-    return hx / hn, hy / hn, hz / hn, m * hn
+    g2 = gx * gx + gy * gy + gz * gz
+    m = 1.0
+    if g2 == math.inf:
+        m = max(abs(gx), abs(gy), abs(gz))
+        gx, gy, gz = gx / m, gy / m, gz / m
+        g2 = gx * gx + gy * gy + gz * gz
+    gn = math.sqrt(g2)
+    return gx / gn, gy / gn, gz / gn, m * gn
 
 
 def _rates(kin, nx, ny, nz, beta):

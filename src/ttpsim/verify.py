@@ -22,13 +22,17 @@ import numpy as np
 from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
-from .kinetics import (TtpState, _rates, cross, gradient_normal, isobaric_normal, norm3,
+from .kinetics import (TtpState, _normal, _rates, cross, gradient_normal, norm3, norm3_rows,
                        omega_decomposed, omega_direct, state_rhs)
 from .ensemble import tangent_frame
 
 _TINY = 1e-300
 _ORACLE_TOL = 1e-10  # the largest |n0 . r_hat| of a seed with a rigid-rotation closed form
 _DRIFT_FLOOR = 1e-13  # |n . b| is dimensionless: drifts at or below this are rounding
+# points per chunk of a pointwise study: numpy's per-call cost is shared by a chunk's products,
+# and no more than one chunk of FluidSamples is alive
+_CHUNK = 64
+_HESSIAN = [7, 8, 9, 8, 10, 11, 9, 11, 12]  # kin entries of the Hessian, row by row
 
 
 def fit_order(steps, errors):
@@ -67,19 +71,56 @@ def _random_interior_points(provider, count, rng):
     return lo + (hi - lo) * (shrink + (1.0 - 2.0 * shrink) * u)
 
 
-def _random_states(provider, count, seed, beta, t):
-    """Yield (sample, b, state) with a random unit n at each random point whose
-    gradient is not degenerate; raise DegenerateGradient if there is none."""
+def _until_error(func, items):
+    """(the results of ``func`` over ``items`` up to the first that raises, that exception or None).
+
+    The pointwise studies evaluate a chunk of points phase by phase.  A study
+    raises the exception only after it has checked the points before the
+    failing one, so the first failure in point order is reported, as when
+    each point was evaluated whole before the next.
+    """
+    out = []
+    for x in items:
+        try:
+            out.append(func(x))
+        except Exception as err:  # any failure: the caller re-raises it in point order
+            return out, err
+    return out, None
+
+
+def _sampled_chunks(provider, pts, t):
+    """Per chunk of ``pts``: the (r, sample) pairs up to the first sample that raises, and its error.
+
+    ``r`` is a float triple.  At most one chunk of samples is alive at a time."""
+    for start in range(0, len(pts), _CHUNK):
+        yield _until_error(lambda r: (r, provider.sample(r, t)),
+                           map(tuple, pts[start:start + _CHUNK].tolist()))
+
+
+def _random_states(provider, count, seed, t):
+    """Per chunk of random points, the list of (sample, b, r, n) at its non-degenerate points.
+
+    ``b`` (from ``_normal``), ``r`` and the random unit ``n`` are float
+    triples.  The chunk's directions are one block draw, which gives the
+    numbers of one draw per point.  A sample that raises is raised once the
+    chunk's earlier states have been yielded; DegenerateGradient is raised
+    if no point is kept.
+    """
     rng = np.random.default_rng(seed)
     kept = 0
-    for p in _random_interior_points(provider, count, rng):
-        s = provider.sample(p, t)
-        b = isobaric_normal(s)
-        if b is None:
-            continue
-        v = rng.normal(size=3)
-        kept += 1
-        yield s, b, TtpState(t=t, r=p, n=v / norm3(v), beta=beta)
+    for sampled, err in _sampled_chunks(provider, _random_interior_points(provider, count, rng), t):
+        states = []
+        for r, s in sampled:
+            *b, degenerate = _normal(s.kin)
+            if not degenerate:
+                states.append((s, b, r))
+        if states:
+            v = rng.normal(size=(len(states), 3))
+            n = (v / norm3_rows(v)[:, None]).tolist()
+            kept += len(states)
+            yield [(s, b, r, tuple(m)) for (s, b, r), m in zip(states, n)]
+        if err is not None:
+            raise err
     if kept == 0:
         raise DegenerateGradient("no non-degenerate states found")
 
@@ -99,24 +140,36 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     degenerate gradient are skipped; a point where either term or the
     normalizer is not finite raises ValidationError.
     """
-    worst = 0.0
-    for s, b, st in _random_states(provider, n_states, seed, beta, t):
+    def scalars(state):
+        s, b, r, n = state
         kin = s.kin
-        gn = gradient_normal(kin)[3]
-        n = st.n.tolist()
-        w = np.array(_rates(kin, *n, st.beta)[:3])  # V + u
-        # numpy keeps H w, the dots and the norms, whose fused rounding reaches the residual
-        gdot = [d + h for d, h in zip(kin[13:16], (s.hess_p1hat @ w).tolist())]
-        rate_scale = norm3([d / gn for d in gdot])
-        q = float(b @ gdot)
-        bdot = np.array([(d - q * c) / gn for d, c in zip(gdot, b.tolist())])
-        omxn = np.array(cross(omega_direct(s, st).tolist(), n))
-        t1 = float(omxn @ b)
-        t2 = float(st.n @ bdot)
-        denom = max(norm3(omxn) + norm3(bdot) + rate_scale, _TINY)
-        if not all(map(math.isfinite, (t1, t2, denom))):
-            raise ValidationError(f"non-finite cancellation terms at r = {tuple(st.r.tolist())}")
-        worst = max(worst, abs(t1 + t2) / denom)
+        w = _rates(kin, *n, beta)[:3]  # V + u
+        omxn = cross(omega_direct(s, TtpState(t=t, r=r, n=n, beta=beta)).tolist(), n)
+        return kin, gradient_normal(kin)[3], b, r, n, w, omxn
+
+    worst = 0.0
+    for chunk in _random_states(provider, n_states, seed, t):
+        done, err = _until_error(scalars, chunk)
+        if done:
+            kin, gn, b, r, n, w, omxn = zip(*done)
+            K, b, n, omxn = np.array(kin), np.array(b), np.array(n), np.array(omxn)
+            gn = np.array(gn)[:, None]
+            # numpy keeps H w, the dots and the norms, whose fused rounding reaches the residual;
+            # one stacked call per product rounds each point as its own call did
+            with np.errstate(over="ignore", invalid="ignore"):  # each point is checked below
+                H = np.ascontiguousarray(K[:, _HESSIAN]).reshape(-1, 3, 3)
+                gdot = K[:, 13:16] + np.matmul(H, np.array(w)[:, :, None])[:, :, 0]
+                rate_scale = norm3_rows(gdot / gn)
+                bdot = (gdot - np.vecdot(b, gdot)[:, None] * b) / gn
+                t1, t2 = np.vecdot(omxn, b).tolist(), np.vecdot(n, bdot).tolist()
+                denom = (norm3_rows(omxn) + norm3_rows(bdot) + rate_scale).tolist()
+            for p, a, c, d in zip(r, t1, t2, denom):
+                d = max(d, _TINY)
+                if not all(map(math.isfinite, (a, c, d))):
+                    raise ValidationError(f"non-finite cancellation terms at r = {p}")
+                worst = max(worst, abs(a + c) / d)
+        if err is not None:
+            raise err
     return worst
 
 
@@ -174,37 +227,55 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     counted; a point whose V + u or residuals are not finite raises
     ValidationError.
     """
+    def stencil(centre, phi):
+        r, s, b = centre
+        e1, e2 = (e.tolist() for e in tangent_frame(b))
+        n = [math.cos(phi) * x + math.sin(phi) * y for x, y in zip(e1, e2)]
+        w = _rates(s.kin, *n, beta)[:3]  # V + u
+        if not all(map(math.isfinite, w)):  # nor is the stencil r +- h w
+            raise ValidationError(f"V + u is not finite at r = {r}")
+        bp = _normal(provider.sample(tuple(x + h * v for x, v in zip(r, w)), t + h).kin)
+        bm = _normal(provider.sample(tuple(x - h * v for x, v in zip(r, w)), t - h).kin)
+        if bp[3] or bm[3]:
+            return None
+        om_fd = cross(b, [(x - y) / (2.0 * h) for x, y in zip(bp[:3], bm[:3])])
+        br = omega_decomposed(s, TtpState(t=t, r=r, n=n, beta=beta))
+        return r, br.omega_direct, om_fd, br.residual
+
     rng = np.random.default_rng(seed)
     pts = _random_interior_points(provider, n_points, rng)
     rows = []
     skipped = 0
-    for q in pts:
-        p = tuple(q.tolist())
-        s = provider.sample(p, t)
-        b = isobaric_normal(s)
-        if b is None or norm3(s.grad_p1hat) <= g_min:
-            skipped += 1
-            continue
-        e1, e2 = (e.tolist() for e in tangent_frame(b))
-        phi = rng.uniform(0.0, 2.0 * math.pi)
-        n = [math.cos(phi) * x + math.sin(phi) * y for x, y in zip(e1, e2)]
-        w = _rates(s.kin, *n, beta)[:3]  # V + u
-        if not all(map(math.isfinite, w)):  # nor is the stencil r +- h w
-            raise ValidationError(f"V + u is not finite at r = {p}")
-        bp = isobaric_normal(provider.sample(tuple(x + h * v for x, v in zip(p, w)), t + h))
-        bm = isobaric_normal(provider.sample(tuple(x - h * v for x, v in zip(p, w)), t - h))
-        if bp is None or bm is None:
-            skipped += 1
-            continue
-        bdot_fd = [(x - y) / (2.0 * h) for x, y in zip(bp.tolist(), bm.tolist())]
-        om_fd = cross(b.tolist(), bdot_fd)
-        br = omega_decomposed(s, TtpState(t=t, r=q, n=n, beta=beta))
-        om_norm = max(norm3(br.omega_direct), _TINY)
-        res_fd = norm3(br.omega_direct - om_fd) / om_norm
-        row = (*p, res_fd, br.residual, br.residual / om_norm)
-        if not all(map(math.isfinite, row)):
-            raise ValidationError(f"non-finite rotation-rate residuals at r = {row[:3]}")
-        rows.append(row)
+    # each row is checked for finiteness; this also covers omega_decomposed's products
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sampled, err in _sampled_chunks(provider, pts, t):
+            centres = []
+            g_norms = norm3_rows([s.kin[4:7] for _, s in sampled]).tolist()
+            for (r, s), g_norm in zip(sampled, g_norms):
+                *b, degenerate = _normal(s.kin)
+                if degenerate or g_norm <= g_min:
+                    skipped += 1
+                else:
+                    centres.append((r, s, b))
+            phis = rng.uniform(0.0, 2.0 * math.pi, len(centres)).tolist()
+            done, failed = _until_error(lambda c: stencil(*c), zip(centres, phis))
+            err = failed or err  # a stencil failure comes before any later centre's
+            skipped += done.count(None)  # a degenerate stencil
+            done = [d for d in done if d is not None]
+            if done:
+                r, direct, om_fd, residual = zip(*done)
+                direct = np.array(direct)
+                om_norms = norm3_rows(direct).tolist()
+                fd_norms = norm3_rows(direct - np.array(om_fd)).tolist()
+                for p, om_norm, fd_norm, res in zip(r, om_norms, fd_norms, residual):
+                    om_norm = max(om_norm, _TINY)
+                    row = (*p, fd_norm / om_norm, res, res / om_norm)
+                    if not all(map(math.isfinite, row)):
+                        raise ValidationError(
+                            f"non-finite rotation-rate residuals at r = {row[:3]}")
+                    rows.append(row)
+            if err is not None:
+                raise err
     return OmegaIdentityReport(
         provider_name=provider.name, h=h, beta=beta, seed=seed,
         requested=n_points, skipped=skipped,
@@ -222,19 +293,19 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     """
     h = 1e-6
     divs = []
-    for _, _, st in _random_states(provider, n_states, seed, beta, t):
-        p, n = tuple(st.r.tolist()), tuple(st.n.tolist())
-        div = 0.0
-        for i in range(3):
-            # v +/- h e_i; the other components are v's own (adding 0.0 would turn -0.0 into 0.0)
-            rp, rm, n_p, n_m = (v[:i] + (v[i] + d,) + v[i + 1:] for v in (p, n) for d in (h, -h))
-            dp, dm = state_rhs(provider, t, rp, n, beta), state_rhs(provider, t, rm, n, beta)
-            div += (dp[i] - dm[i]) / (2.0 * h)
-            dp, dm = state_rhs(provider, t, p, n_p, beta), state_rhs(provider, t, p, n_m, beta)
-            div += (dp[3 + i] - dm[3 + i]) / (2.0 * h)
-        if not math.isfinite(div):
-            raise ValidationError(f"non-finite divergence at r = {p}, n = {n}")
-        divs.append(abs(div))
+    for chunk in _random_states(provider, n_states, seed, t):
+        for _, _, p, n in chunk:
+            div = 0.0
+            for i in range(3):
+                # v +/- h e_i; the other components are v's own (adding 0.0 would turn -0.0 into 0.0)
+                rp, rm, n_p, n_m = (v[:i] + (v[i] + d,) + v[i + 1:] for v in (p, n) for d in (h, -h))
+                dp, dm = state_rhs(provider, t, rp, n, beta), state_rhs(provider, t, rm, n, beta)
+                div += (dp[i] - dm[i]) / (2.0 * h)
+                dp, dm = state_rhs(provider, t, p, n_p, beta), state_rhs(provider, t, p, n_m, beta)
+                div += (dp[3 + i] - dm[3 + i]) / (2.0 * h)
+            if not math.isfinite(div):
+                raise ValidationError(f"non-finite divergence at r = {p}, n = {n}")
+            divs.append(abs(div))
     return max(divs), _median(divs), len(divs)
 
 

@@ -802,6 +802,16 @@ def test_taylor_green_period_overflow_exit2(tmp_path, capsys, k, code):
         assert verify_non_finite(out, f"k = {k}") == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_taylor_green_largest_k_verify_warns_nothing(tmp_path):
+    # H (V + u) meets inf * 0 in the cancellation check, which printed a numpy RuntimeWarning
+    out = tmp_path / "out"
+    cfgp = _write(tmp_path, TAYLOR_GREEN.format(k="1.7976931348623157e308", out=out))
+    assert main(["verify", cfgp, "--points", "20"]) == 0
+    report = (out / "verify_report.txt").read_text()
+    assert "tangency cancellation check skipped: non-finite cancellation terms at r = (" in report
+
+
 LAMB_OSEEN = ("[field]\nname = lamb_oseen\nrc = {rc}\n[particle]\nr0 = 0.6 -0.3 0.1\n"
               "auto_tangent = true\n[integrator]\ndt = 0.01\nt_end = 0.1\n[ensemble]\n"
               "count = 4\n[output]\ndirectory = {out}\n")
@@ -920,7 +930,7 @@ def test_uniform_gradient_overflowing_norm_exit2(tmp_path, capsys, gz, command):
     assert "error: |g| = inf must be nonzero and finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_non_finite_identity_residuals_skip_sweep(tmp_path, capsys):
     # |omega_direct| overflows at omega = 1e160: every row used to hold nan
     out = tmp_path / "out"

@@ -24,7 +24,7 @@ from ttpsim import (DegenerateGradient, GridField, LambOseenField, NegativePress
                     reduced_divergence_report, relative_velocity, state_rhs, tangent_frame)
 from ttpsim import integrate
 from ttpsim.errors import TtpsimError
-from ttpsim.kinetics import gradient_normal, norm3, rhs_terms, stage_eval
+from ttpsim.kinetics import gradient_normal, norm3, norm3_rows, rhs_terms, stage_eval
 from ttpsim.verify import _median
 
 from conftest import interior_points
@@ -318,6 +318,19 @@ def test_norm3_overflow_is_inf_without_warning_and_nan_stays_nan():
         assert norm3(np.array(v)) == math.inf
     for v in ((math.nan, 0.0, 1.0), (0.0, math.nan, math.inf)):
         assert math.isnan(norm3(np.array(v)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_norm3_rows_is_norm3_bit_for_bit():
+    rng = np.random.default_rng(19)
+    scales = 10.0 ** rng.integers(-150, 151, size=(20000, 1))
+    edges = ((3.0, 4.0, 0.0), (0.0, -0.0, 0.0), (1e-320, 0.0, 2e-320), (1e153, -1e153, 1e153),
+             (1e200, 0.0, 0.0), (1e155, -1e155, 1e155), (1.0, math.inf, 0.0),
+             (-math.inf, 0.0, 0.0), (math.nan, 0.0, 1.0), (0.0, math.nan, math.inf))
+    v = np.vstack((rng.normal(size=(20000, 3)) * scales, edges))
+    got = norm3_rows(v)
+    assert got.shape == (len(v),) and got.tobytes() == np.array([norm3(x) for x in v]).tobytes()
+    assert norm3_rows([]).shape == (0,)
 
 
 def test_median_is_numpy_median_bit_for_bit():

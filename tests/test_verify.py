@@ -56,7 +56,7 @@ def test_cancellation_residual_tiny(provider):
     assert cancellation_check(provider, n_states=500, seed=1) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cancellation_non_finite_normalizer_raises():
     # |dg/dt| overflows, so the normalizer is inf and the residual used to read 0
     with pytest.raises(ValidationError, match="non-finite cancellation terms at r = "):
@@ -144,7 +144,7 @@ def test_sweep_csv_rows_shape():
     assert len(rep.res_fd) > 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_sweep_non_finite_row_raises():
     with pytest.raises(ValidationError, match="non-finite rotation-rate residuals at r = "):
         omega_identity_sweep(RigidRotationField(omega=1e160), n_points=20)
