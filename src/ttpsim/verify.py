@@ -16,6 +16,7 @@ never asserted; the term-by-term decomposition is a documented diagnostic.
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -227,8 +228,8 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     counted; a point whose V + u or residuals are not finite raises
     ValidationError.
     """
-    def stencil(centre, phi):
-        r, s, b = centre
+    def stencil(point):
+        (r, s, b), phi = point
         e1, e2 = (e.tolist() for e in tangent_frame(b))
         n = [math.cos(phi) * x + math.sin(phi) * y for x, y in zip(e1, e2)]
         w = _rates(s.kin, *n, beta)[:3]  # V + u
@@ -258,7 +259,7 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
                 else:
                     centres.append((r, s, b))
             phis = rng.uniform(0.0, 2.0 * math.pi, len(centres)).tolist()
-            done, failed = _until_error(lambda c: stencil(*c), zip(centres, phis))
+            done, failed = _until_error(stencil, zip(centres, phis))
             err = failed or err  # a stencil failure comes before any later centre's
             skipped += done.count(None)  # a degenerate stencil
             done = [d for d in done if d is not None]
@@ -293,19 +294,18 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     """
     h = 1e-6
     divs = []
-    for chunk in _random_states(provider, n_states, seed, t):
-        for _, _, p, n in chunk:
-            div = 0.0
-            for i in range(3):
-                # v +/- h e_i; the other components are v's own (adding 0.0 would turn -0.0 into 0.0)
-                rp, rm, n_p, n_m = (v[:i] + (v[i] + d,) + v[i + 1:] for v in (p, n) for d in (h, -h))
-                dp, dm = state_rhs(provider, t, rp, n, beta), state_rhs(provider, t, rm, n, beta)
-                div += (dp[i] - dm[i]) / (2.0 * h)
-                dp, dm = state_rhs(provider, t, p, n_p, beta), state_rhs(provider, t, p, n_m, beta)
-                div += (dp[3 + i] - dm[3 + i]) / (2.0 * h)
-            if not math.isfinite(div):
-                raise ValidationError(f"non-finite divergence at r = {p}, n = {n}")
-            divs.append(abs(div))
+    for _, _, p, n in chain.from_iterable(_random_states(provider, n_states, seed, t)):
+        div = 0.0
+        for i in range(3):
+            # v +/- h e_i; the other components are v's own (adding 0.0 would turn -0.0 into 0.0)
+            rp, rm, n_p, n_m = (v[:i] + (v[i] + d,) + v[i + 1:] for v in (p, n) for d in (h, -h))
+            dp, dm = state_rhs(provider, t, rp, n, beta), state_rhs(provider, t, rm, n, beta)
+            div += (dp[i] - dm[i]) / (2.0 * h)
+            dp, dm = state_rhs(provider, t, p, n_p, beta), state_rhs(provider, t, p, n_m, beta)
+            div += (dp[3 + i] - dm[3 + i]) / (2.0 * h)
+        if not math.isfinite(div):
+            raise ValidationError(f"non-finite divergence at r = {p}, n = {n}")
+        divs.append(abs(div))
     return max(divs), _median(divs), len(divs)
 
 
