@@ -169,7 +169,7 @@ def norm3(v):
 
 
 def norm3_rows(v):
-    """:func:`norm3` of each row of a (k, 3) float array (or a sequence of triples), as a (k,) array.
+    """:func:`norm3` of each row of a (k, 3) float array or a sequence of triples, as a (k,) array.
 
     Bit for bit: ``np.vecdot`` rounds each row's dot as ``v.dot(v)`` does,
     and a row is inf where its float sum of squares overflows, summed in

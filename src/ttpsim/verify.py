@@ -73,7 +73,7 @@ def _random_interior_points(provider, count, rng):
 
 
 def _until_error(func, items):
-    """(the results of ``func`` over ``items`` up to the first that raises, that exception or None).
+    """Apply ``func`` to ``items`` until one raises; return (the results so far, its error or None).
 
     The pointwise studies evaluate a chunk of points phase by phase.  A study
     raises the exception only after it has checked the points before the
@@ -90,7 +90,7 @@ def _until_error(func, items):
 
 
 def _sampled_chunks(provider, pts, t):
-    """Per chunk of ``pts``: the (r, sample) pairs up to the first sample that raises, and its error.
+    """Per chunk of ``pts``: the (r, sample) pairs up to the first sample that raises, its error.
 
     ``r`` is a float triple.  At most one chunk of samples is alive at a time."""
     for start in range(0, len(pts), _CHUNK):
