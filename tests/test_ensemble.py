@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import seed_time_moments
-from ttpsim import (DegenerateGradient, EmptyEnsemble, EnsembleSpec,
-                    IntegratorConfig, RigidRotationField, TaylorGreenField,
-                    UniformField, ValidationError, evolve_ensemble,
-                    isobaric_normal, seed_tangent_circle, tangent_frame,
-                    thermal_velocity)
+from ttpsim import (DegenerateGradient, EmptyEnsemble, EnsembleHistory, EnsembleSpec,
+                    IntegratorConfig, RigidRotationField, TaylorGreenField, Trajectory,
+                    UniformField, UniformGradientField, ValidationError, evolve_ensemble,
+                    integrate_trajectory, isobaric_normal, seed_tangent_circle,
+                    tangent_frame, thermal_velocity)
 
 
 def _spec(r0, **kw):
@@ -265,3 +265,76 @@ def test_evolve_excludes_domain_leavers(tmp_path):
 def test_evolve_empty_rejected(taylor_green):
     with pytest.raises(EmptyEnsemble):
         evolve_ensemble([], taylor_green, IntegratorConfig(dt=0.1, t_end=1.0))
+
+
+# --- the stats gather, pinned against the full-table gather ----------------------------
+
+def _ref_moments(Vv, U):
+    mean_v = Vv.mean(axis=0)
+    mean_u = U.mean(axis=0)
+    D = U - mean_u
+    cov = D.T @ D / len(U)
+    cov = 0.5 * (cov + cov.T)
+    return (*mean_v, *mean_u, *cov[np.triu_indices(3)])
+
+
+def _ref_gather(trajectories, t0, n_steps, stride, dt):
+    """(table, termination_reason, output indices) read from every particle's full table."""
+    out_idx = list(range(0, n_steps + 1, stride))
+    if out_idx[-1] != n_steps:
+        out_idx.append(n_steps)
+    table = np.empty((len(out_idx), EnsembleHistory.WIDTH))
+    t, v, u = (Trajectory.INDEX[name] for name in ("t", "v", "u"))
+    reason, j = "", 0
+    for idx in out_idx:
+        alive = [tr for tr in trajectories if len(tr) > idx]
+        if not alive:
+            reason = f"no_survivors: all particles stopped before t = {t0 + idx * dt!r}"
+            break
+        rows = np.array([tr.table[idx] for tr in alive])
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = (rows[0, t], len(alive), *_ref_moments(np.ascontiguousarray(rows[:, v]),
+                                                         np.ascontiguousarray(rows[:, u])))
+        if not all(map(math.isfinite, row)):
+            reason = f"non_finite_state: the moments at t = {float(rows[0, t])!r}"
+            break
+        table[j] = row
+        j += 1
+    return table[:j], reason, out_idx
+
+
+_UNIFORM_GRADIENT = dict(V0x=0.7, V0y=-0.2, V0z=0.1, p0=2.0, gx=0.0, gy=0.0, gz=1.0)
+GATHER_CASES = {
+    # every particle reaches t_end = 20 steps
+    "rigid_full": (RigidRotationField(), dict(r0=(1.0, 0.0, 0.0), count=8, beta=0.5),
+                   IntegratorConfig(dt=0.05, t_end=1.0)),
+    # particles leave the box after 13 to 40 steps; some reach t_end = 40 steps
+    "uniform_gradient_some_stop": (
+        UniformGradientField(**_UNIFORM_GRADIENT),
+        dict(r0=(0.2, 0.1, 0.0), count=12, sampling="random_circle", seed=3, beta=0.5),
+        IntegratorConfig(dt=0.01, t_end=0.4)),
+    # every particle leaves the box before t_end: no_survivors
+    "uniform_gradient_none_survive": (
+        UniformGradientField(**_UNIFORM_GRADIENT),
+        dict(r0=(0.2, 0.1, 0.0), count=12, sampling="random_circle", seed=3, beta=2.0),
+        IntegratorConfig(dt=0.01, t_end=0.4)),
+    # u is finite but the covariance overflows at t0: non_finite_state, no rows
+    "taylor_green_non_finite": (TaylorGreenField(), dict(r0=(2.1, 3.3, 1.7), count=4,
+                                                         beta=1e160),
+                                IntegratorConfig(dt=0.01, t_end=0.08)),
+}
+
+
+@pytest.mark.parametrize("stride", [1, 3, 7, 50])
+@pytest.mark.parametrize("case", sorted(GATHER_CASES))
+def test_gather_matches_full_table_reference(case, stride):
+    # strides 3 and 7 divide neither 20 nor 40 steps, and 50 exceeds both
+    provider, spec, cfg = GATHER_CASES[case]
+    states = seed_tangent_circle(_spec(**spec), provider)
+    full = [integrate_trajectory(st, provider, cfg) for st in states]
+    trajs, hist = evolve_ensemble(states, provider, cfg, stride=stride)
+    table, reason, out_idx = _ref_gather(full, 0.0, round(cfg.t_end / cfg.dt), stride, cfg.dt)
+    assert hist.table.tobytes() == table.tobytes()
+    assert hist.termination_reason == reason
+    assert hist.count == len(states)
+    assert [tr.summary for tr in trajs] == [tr.summary for tr in full]
