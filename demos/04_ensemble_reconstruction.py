@@ -48,8 +48,8 @@ for count in (100, 10_000):
 
 print("\n=== evolving the ensemble: moment time series ===")
 print(f"  {'t':>6} {'|mean_u|':>12} {'spread of r':>14} {'n_eff':>6}")
-for i, idx in enumerate(range(0, 101, 25)):
-    positions = np.array([tr.r[idx] for tr in trajs])
+for i in range(len(hist)):  # each trajectory keeps one row per output time
+    positions = np.array([tr.r[i] for tr in trajs])
     spread = float(np.max(np.std(positions, axis=0)))
     print(f"  {hist.t[i]:6.2f} {np.linalg.norm(hist.mean_u[i]):12.3e} "
           f"{spread:14.3e} {hist.n_effective[i]:6.0f}")

@@ -9,6 +9,7 @@ and the covariance of u is (beta^2 v_th^2 / 2)(1 - bb).
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,7 +136,9 @@ def evolve_ensemble(states, provider, config, stride=1):
     (``no_survivors``) or whose moments are not finite (``non_finite_state``),
     and the history records why.
 
-    Returns (trajectories, EnsembleHistory).
+    Returns (trajectories, EnsembleHistory).  Each trajectory holds only the
+    particle's records at the output times it reached, with the whole run's
+    ``summary``, so memory grows with the output times, not the steps.
     """
     if len(states) == 0:
         raise EmptyEnsemble("no particles to evolve")
@@ -144,23 +147,29 @@ def evolve_ensemble(states, provider, config, stride=1):
         raise ValidationError("the ensemble's states must share one time")
     check_stride(stride)
     n_steps = step_count(t0, config.t_end, config.dt)
-    trajectories = [integrate_trajectory(st, provider, config) for st in states]
     out_idx = list(range(0, n_steps + 1, stride))
     if out_idx[-1] != n_steps:
         out_idx.append(n_steps)
+    trajectories = []
+    for st in states:  # one particle's full table is alive at a time
+        full = integrate_trajectory(st, provider, config)
+        tr = Trajectory(full.table[out_idx[:bisect_left(out_idx, len(full))]])
+        tr.summary = full.summary
+        trajectories.append(tr)
 
     table = np.empty((len(out_idx), EnsembleHistory.WIDTH))
     t, v, u = (Trajectory.INDEX[name] for name in ("t", "v", "u"))
     reason, j = "", 0
-    for idx in out_idx:
-        alive = [tr for tr in trajectories if len(tr) > idx]
+    for idx in out_idx:  # row j of each trajectory is output time j
+        alive = [tr for tr in trajectories if len(tr) > j]
         if not alive:  # no row to read t from: compute it as integrate_trajectory does
             reason = f"no_survivors: all particles stopped before t = {t0 + idx * config.dt!r}"
             break
-        rows = np.array([tr.table[idx] for tr in alive])
+        rows = np.array([tr.table[j] for tr in alive])
         # contiguous (N, 3) operands keep the summation order of the moments
-        row = (rows[0, t], len(alive), *_moments(np.ascontiguousarray(rows[:, v]),
-                                                np.ascontiguousarray(rows[:, u])))
+        with np.errstate(over="ignore", invalid="ignore"):  # the row is checked below
+            row = (rows[0, t], len(alive), *_moments(np.ascontiguousarray(rows[:, v]),
+                                                    np.ascontiguousarray(rows[:, u])))
         if not all(map(math.isfinite, row)):
             reason = f"non_finite_state: the moments at t = {float(rows[0, t])!r}"
             break

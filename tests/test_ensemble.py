@@ -1,6 +1,8 @@
 """Tangent-circle seeding and ensemble statistics."""
 
 import math
+import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -338,3 +340,26 @@ def test_gather_matches_full_table_reference(case, stride):
     assert hist.termination_reason == reason
     assert hist.count == len(states)
     assert [tr.summary for tr in trajs] == [tr.summary for tr in full]
+    # each particle keeps its rows at the output times it reached
+    for tr, ref in zip(trajs, full):
+        reached = out_idx[:bisect_left(out_idx, len(ref))]
+        assert tr.table.tobytes() == ref.table[reached].tobytes()
+
+
+def test_ensemble_memory_grows_with_output_times_not_steps():
+    # the same 11 output times over 10 and over 200 steps: the traced peak may grow by
+    # the full tables of at most two particles, not by one per particle
+    prov = RigidRotationField()
+    states = seed_tangent_circle(_spec((1.0, 0.0, 0.0), count=16, beta=0.5), prov)
+    peaks, lengths = [], set()
+    for steps in (10, 200):
+        cfg = IntegratorConfig(dt=0.01, t_end=0.01 * steps)
+        tracemalloc.start()
+        try:
+            trajs, hist = evolve_ensemble(states, prov, cfg, stride=steps // 10)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        lengths |= {len(hist), *map(len, trajs)}
+    assert peaks[1] - peaks[0] <= 2 * 201 * Trajectory.WIDTH * 8
+    assert lengths == {11}
