@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError
-from .kinetics import cross, isobaric_normal, norm3, rhs_terms, stage_eval
+from .kinetics import _normal, cross, rhs_terms, stage_eval
 
 TANGENCY_TOL = 1e-8
 
@@ -238,7 +238,7 @@ def _seed_triples(state0):
     n = tuple(np.asarray(state0.n, dtype=float).tolist())
     if not all(map(math.isfinite, r + n)):
         raise ValidationError(f"seed state r = {r}, n = {n} is not finite")
-    nrm = norm3(n)
+    nrm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])  # inf where |n|^2 overflows
     if not abs(nrm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
         raise ValidationError(f"|n0| = {nrm:.12g} is not a unit vector")
     return r, n
@@ -254,10 +254,10 @@ def tangent_seed(state0, provider):
     not a unit vector.
     """
     r, n = _seed_triples(state0)
-    b = isobaric_normal(provider.sample(r, float(state0.t)))
-    if b is None or not abs(np.array(n) @ b) > TANGENCY_TOL:  # a NaN n . b stays as it is
-        return state0
-    if (n := _project_tangent(n, b)) is None:
+    bx, by, bz, degenerate = _normal(provider.sample(r, float(state0.t)).kin)
+    if degenerate or not abs(n[0] * bx + n[1] * by + n[2] * bz) > TANGENCY_TOL:
+        return state0  # a NaN n . b stays as it is
+    if (n := _project_tangent(n, (bx, by, bz))) is None:
         raise InitialTangencyViolation("initial direction is parallel to the isobaric normal; "
                                        "no tangential projection exists")
     return replace(state0, n=np.array(n))
@@ -288,7 +288,7 @@ def integrate_trajectory(state0, provider, config):
     r, n = _seed_triples(state0)
     ev = rhs_terms(provider, t0, r, n, beta)
     # ev[8:11] is b, zero where degenerate
-    if (ndb := abs(float(np.array(n) @ np.array(ev[8:11])))) > TANGENCY_TOL:
+    if (ndb := abs(n[0] * ev[8] + n[1] * ev[9] + n[2] * ev[10])) > TANGENCY_TOL:
         raise InitialTangencyViolation(f"|n0 . b| = {ndb:.3e} exceeds {TANGENCY_TOL:g}; "
                                        "project it with tangent_seed ([particle] "
                                        "project_initial = true) or seed tangentially")
