@@ -649,7 +649,7 @@ def test_ensemble_partial_survival_covers_horizon(tmp_path, capsys):
     assert table[-1, 0] == 0.4
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the covariance overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the covariance overflows silently
 def test_ensemble_non_finite_moments_terminate_early(tmp_path, capsys):
     # u = beta v_th n is finite, but its square overflows in the covariance at t0
     text = TG_ENSEMBLE.format(out=tmp_path / "out").replace("beta = 0.5", "beta = 1e160")
@@ -759,7 +759,6 @@ EDGE_VALUES = (0.0, 1e-300, -1e-300, 1e-160, 1e160, 1e300, -1e300, 1.79769313486
 EDGE_COMMANDS = (["simulate"], ["ensemble"], ["verify", "--points", "20"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
 @pytest.mark.parametrize("provider", sorted(EDGE_SEEDS))
 def test_edge_value_sweep_exits_cleanly(tmp_path, provider):
     # each parameter, and beta, set alone to an extreme value under every subcommand
@@ -787,7 +786,6 @@ TAYLOR_GREEN = ("[field]\nname = taylor_green\nk = {k}\n[particle]\nr0 = 2.1 3.3
                 "count = 4\n[output]\ndirectory = {out}\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
 @pytest.mark.parametrize("k, code", [("5e-324", 2), ("1e-310", 2), ("3.4e-308", 2),
                                      ("3.6e-308", 0)])
 def test_taylor_green_period_overflow_exit2(tmp_path, capsys, k, code):
@@ -876,7 +874,6 @@ HUGE_SEED = ("[field]\nname = rigid_rotation\np0 = 1e160\n[particle]\nr0 = 1.2 0
              "[ensemble]\ncount = 4\n[output]\ndirectory = {out}\n")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
 @pytest.mark.parametrize("command, table", [
     (["simulate"], "trajectory.csv"), (["ensemble"], "stats.csv"),
     (["verify", "--points", "20"], None)], ids=["simulate", "ensemble", "verify"])

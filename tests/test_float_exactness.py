@@ -452,7 +452,6 @@ def _step_states(provider, count, rng):
         yield float(rng.choice((0.0, 0.25))), tuple(r), tuple(n), float(rng.choice((0.0, 0.5, 1.0)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # large dt may overflow a stage
 @pytest.mark.parametrize("provider", _providers(), ids=_id)
 @pytest.mark.parametrize("method", sorted(_REF_STEPS))
 def test_step_matches_reference_bit_for_bit(provider, method):

@@ -175,7 +175,6 @@ def _last_time(integrator):
     return t0 + steps * dt
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(_cli_runs())
 def test_cli_fuzz_keeps_the_edge_contract(run):

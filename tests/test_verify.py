@@ -160,7 +160,6 @@ def test_reduced_divergence_reported(taylor_green):
     assert dmax >= dmed >= 0.0  # diagnostic only, no threshold
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
 def test_reduced_divergence_non_finite_raises():
     # H (V + u) ~ c^(3/2) overflows at c = 1e300, so the rotation rate is not finite
     with pytest.raises(ValidationError, match="non-finite divergence at r = .*, n = "):
@@ -264,7 +263,6 @@ def test_convergence_uniform_rounding_floor(uniform):
     assert max(study.values) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is expected here
 def test_convergence_non_finite_error_raises():
     # the final positions are finite, but |r - r_exact| overflows at dt = 0.01 only
     st = _state((0, 0, 1), beta=1.0, r=(0, 0, 0))
