@@ -649,7 +649,7 @@ def test_ensemble_partial_survival_covers_horizon(tmp_path, capsys):
     assert table[-1, 0] == 0.4
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # the covariance overflows silently
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the covariance overflows, unwarned
 def test_ensemble_non_finite_moments_terminate_early(tmp_path, capsys):
     # u = beta v_th n is finite, but its square overflows in the covariance at t0
     text = TG_ENSEMBLE.format(out=tmp_path / "out").replace("beta = 0.5", "beta = 1e160")
