@@ -220,14 +220,36 @@ def _bits(*values):
     return [np.float64(v).tobytes() for v in values]
 
 
+class _FlatWest(RigidRotationField):
+    """rigid_rotation with a zero pressure gradient for x < -0.5: every study skips points there."""
+
+    def _fields(self, r, t, full):
+        out = super()._fields(r, t, full)
+        if r[0] >= -0.5:
+            return out
+        kin = out[0] if full else out
+        kin = kin[:4] + (0.0, 0.0, 0.0) + kin[7:]
+        return (kin, out[1]) if full else kin
+
+
+def _skip_cases():
+    """(provider, g_min) pairs: the default g_min, then cases that skip points inside chunks."""
+    return [pytest.param(p, 1e-3, id=_id(p)) for p in _providers()] + [
+        pytest.param(TaylorGreenField(nu=0.3), 0.05, id="taylor_green_gmin0.05"),
+        pytest.param(RigidRotationField(), 1.0, id="rigid_rotation_gmin1"),
+        pytest.param(_FlatWest(), 1e-3, id="rigid_rotation_flat_west")]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("provider", _providers(), ids=_id)
+@pytest.mark.parametrize("provider, g_min", _skip_cases())
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
-def test_pointwise_studies_match_numpy_reference(provider, count):
-    # the counts straddle the edges of the studies' point chunks
+def test_pointwise_studies_match_numpy_reference(provider, g_min, count):
+    # the counts straddle the edges of the studies' point chunks; the last three cases skip
+    # points inside a chunk and across its edges, so the k-th random draw goes to the k-th
+    # kept point, not to the k-th point
     args = (provider, count, count % 7, 0.7, 0.25)
-    rep = omega_identity_sweep(provider, count, count % 7, 1e-5, 0.7, 0.25)
-    table, skipped = _ref_omega_identity_sweep(provider, count, count % 7, 1e-5, 0.7, 0.25)
+    rep = omega_identity_sweep(provider, count, count % 7, 1e-5, 0.7, 0.25, g_min)
+    table, skipped = _ref_omega_identity_sweep(provider, count, count % 7, 1e-5, 0.7, 0.25, g_min)
     assert rep.table.tobytes() == table.tobytes() and rep.skipped == skipped
     if isinstance(provider, UniformField):
         assert skipped == count
