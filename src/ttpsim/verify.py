@@ -16,7 +16,7 @@ never asserted; the term-by-term decomposition is a documented diagnostic.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -63,65 +63,71 @@ def _or_nan(stat, column):
 
 
 def _random_interior_points(provider, count, rng):
+    """``count`` random points of the provider's reference box, drawn now and given as float triples.
+
+    The triples are made one chunk at a time."""
     try:
         u = rng.random((count, 3))
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
         raise ValidationError(f"cannot allocate {count} random points") from None
     lo, hi = provider.reference_box
     shrink = 0.02
-    return lo + (hi - lo) * (shrink + (1.0 - 2.0 * shrink) * u)
+    pts = lo + (hi - lo) * (shrink + (1.0 - 2.0 * shrink) * u)
+    return chain.from_iterable(map(tuple, pts[i:i + _CHUNK].tolist())
+                               for i in range(0, count, _CHUNK))
 
 
-def _until_error(func, items):
-    """Apply ``func`` to ``items`` until one raises; return (the results so far, its error or None).
+def _rows(draw):
+    """The rows of successive ``draw()`` blocks, one at a time; each block is drawn when needed.
 
-    The pointwise studies evaluate a chunk of points phase by phase.  A study
-    raises the exception only after it has checked the points before the
-    failing one, so the first failure in point order is reported, as when
-    each point was evaluated whole before the next.
+    A study takes one row per kept point, after its points are drawn.  A
+    block draw gives the numbers of as many single draws, and nothing draws
+    from a study's generator after its rows, so the k-th kept point takes
+    the numbers of the k-th single draw, wherever the skipped points fall.
     """
-    out = []
-    for x in items:
+    while True:
+        yield from draw().tolist()
+
+
+def _chunks(items, evaluate):
+    """``evaluate`` of each of ``items`` in point order, as one list per chunk of ``_CHUNK``.
+
+    A chunk stops at the first exception, whether ``evaluate`` or ``items``
+    raised it.  The results before it are yielded and the exception is
+    raised when the next chunk is asked for, so a caller that checks each
+    chunk reports the first failure in point order.
+    """
+    items = iter(items)
+    while True:
+        done = []
         try:
-            out.append(func(x))
-        except Exception as err:  # any failure: the caller re-raises it in point order
-            return out, err
-    return out, None
-
-
-def _sampled_chunks(provider, pts, t):
-    """Per chunk of ``pts``: the (r, sample) pairs up to the first sample that raises, its error.
-
-    ``r`` is a float triple.  At most one chunk of samples is alive at a time."""
-    for start in range(0, len(pts), _CHUNK):
-        yield _until_error(lambda r: (r, provider.sample(r, t)),
-                           map(tuple, pts[start:start + _CHUNK].tolist()))
+            for x in islice(items, _CHUNK):
+                done.append(evaluate(x))
+        except Exception:  # any failure: raised once the caller has checked the earlier points
+            yield done
+            raise
+        yield done
+        if len(done) < _CHUNK:
+            return
 
 
 def _random_states(provider, count, seed, t):
-    """Per chunk of random points, the list of (sample, b, r, n) at its non-degenerate points.
+    """The (sample, b, r, n) of each random point with a non-degenerate gradient, in point order.
 
     ``b`` (from ``_normal``), ``r`` and the random unit ``n`` are float
-    triples.  The chunk's directions are one block draw, which gives the
-    numbers of one draw per point.  A sample that raises is raised once the
-    chunk's earlier states have been yielded; DegenerateGradient is raised
-    if no point is kept.
+    triples; the k-th kept point takes the k-th direction.  DegenerateGradient
+    is raised if no point is kept.
     """
     rng = np.random.default_rng(seed)
+    points = _random_interior_points(provider, count, rng)
+    directions = _rows(lambda: (v := rng.normal(size=(_CHUNK, 3))) / norm3_rows(v)[:, None])
     kept = 0
-    for sampled, err in _sampled_chunks(provider, _random_interior_points(provider, count, rng), t):
-        states = []
-        for r, s in sampled:
-            *b, degenerate = _normal(s.kin)
-            if not degenerate:
-                states.append((s, b, r))
-        if states:
-            v = rng.normal(size=(len(states), 3))
-            n = (v / norm3_rows(v)[:, None]).tolist()
-            kept += len(states)
-            yield [(s, b, r, tuple(m)) for (s, b, r), m in zip(states, n)]
-        if err is not None:
-            raise err
+    for r in points:
+        s = provider.sample(r, t)
+        *b, degenerate = _normal(s.kin)
+        if not degenerate:
+            kept += 1
+            yield s, b, r, tuple(next(directions))
     if kept == 0:
         raise DegenerateGradient("no non-degenerate states found")
 
@@ -149,8 +155,7 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
         return kin, gradient_normal(kin)[3], b, r, n, w, omxn
 
     worst = 0.0
-    for chunk in _random_states(provider, n_states, seed, t):
-        done, err = _until_error(scalars, chunk)
+    for done in _chunks(_random_states(provider, n_states, seed, t), scalars):
         if done:
             kin, gn, b, r, n, w, omxn = zip(*done)
             K, b, n, omxn = np.array(kin), np.array(b), np.array(n), np.array(omxn)
@@ -169,8 +174,6 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
                 if not all(map(math.isfinite, (a, c, d))):
                     raise ValidationError(f"non-finite cancellation terms at r = {p}")
                 worst = max(worst, abs(a + c) / d)
-        if err is not None:
-            raise err
     return worst
 
 
@@ -228,8 +231,12 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     counted; a point whose V + u or residuals are not finite raises
     ValidationError.
     """
-    def stencil(point):
-        (r, s, b), phi = point
+    def evaluate(r):
+        s = provider.sample(r, t)
+        *b, degenerate = _normal(s.kin)
+        if degenerate or norm3(s.kin[4:7]) <= g_min:
+            return None
+        phi = next(phis)
         e1, e2 = (e.tolist() for e in tangent_frame(b))
         n = [math.cos(phi) * x + math.sin(phi) * y for x, y in zip(e1, e2)]
         w = _rates(s.kin, *n, beta)[:3]  # V + u
@@ -244,25 +251,13 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
         return r, br.omega_direct, om_fd, br.residual
 
     rng = np.random.default_rng(seed)
-    pts = _random_interior_points(provider, n_points, rng)
+    points = _random_interior_points(provider, n_points, rng)
+    phis = _rows(lambda: rng.uniform(0.0, 2.0 * math.pi, _CHUNK))
     rows = []
-    skipped = 0
     # each row is checked for finiteness; this also covers omega_decomposed's products
     with np.errstate(over="ignore", invalid="ignore"):
-        for sampled, err in _sampled_chunks(provider, pts, t):
-            centres = []
-            g_norms = norm3_rows([s.kin[4:7] for _, s in sampled]).tolist()
-            for (r, s), g_norm in zip(sampled, g_norms):
-                *b, degenerate = _normal(s.kin)
-                if degenerate or g_norm <= g_min:
-                    skipped += 1
-                else:
-                    centres.append((r, s, b))
-            phis = rng.uniform(0.0, 2.0 * math.pi, len(centres)).tolist()
-            done, failed = _until_error(stencil, zip(centres, phis))
-            err = failed or err  # a stencil failure comes before any later centre's
-            skipped += done.count(None)  # a degenerate stencil
-            done = [d for d in done if d is not None]
+        for done in _chunks(points, evaluate):
+            done = [d for d in done if d is not None]  # None: a skipped point
             if done:
                 r, direct, om_fd, residual = zip(*done)
                 direct = np.array(direct)
@@ -275,11 +270,9 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
                         raise ValidationError(
                             f"non-finite rotation-rate residuals at r = {row[:3]}")
                     rows.append(row)
-            if err is not None:
-                raise err
     return OmegaIdentityReport(
         provider_name=provider.name, h=h, beta=beta, seed=seed,
-        requested=n_points, skipped=skipped,
+        requested=n_points, skipped=n_points - len(rows),
         table=np.array(rows, dtype=float).reshape(-1, OmegaIdentityReport.WIDTH))
 
 
@@ -294,7 +287,7 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     """
     h = 1e-6
     divs = []
-    for _, _, p, n in chain.from_iterable(_random_states(provider, n_states, seed, t)):
+    for _, _, p, n in _random_states(provider, n_states, seed, t):
         div = 0.0
         for i in range(3):
             # v +/- h e_i; the other components are v's own (adding 0.0 would turn -0.0 into 0.0)
