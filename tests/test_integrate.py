@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ttpsim import (FieldProvider, InitialTangencyViolation, IntegratorConfig,
+from ttpsim import (FieldProvider, InitialTangencyViolation, IntegratorConfig, LambOseenField,
                     RigidRotationField, TaylorGreenField, TtpState, UniformField,
                     ValidationError, integrate_trajectory, tangent_seed, trajectory_oracle)
 from ttpsim.integrate import InvariantSummary, _rot_s
@@ -463,3 +463,45 @@ def test_horizon_must_be_whole_steps(rigid):
     assert traj.summary.steps == 50
     assert traj.t[-1] == pytest.approx(0.6, abs=1e-15)
 
+
+
+# --- exact symmetries ----------------------------------------------------------
+
+def _quarter_turn(v):
+    """(x, y, z) -> (-y, x, z), row by row."""
+    return np.column_stack((-v[:, 1], v[:, 0], v[:, 2]))
+
+
+def _mirror_x(v):
+    """x -> -x, row by row."""
+    return np.column_stack((-v[:, 0], v[:, 1], v[:, 2]))
+
+
+def _image_gap(provider, r0, sym, method):
+    """Run from a tangent seed at r0 and from its image under sym: (mapped run, image run)."""
+    seed = tangent_seed(_state((0.48, 0.6, 0.64), beta=0.7, r=r0), provider)
+    image = _state(sym(seed.n[None])[0], beta=0.7, r=sym(seed.r[None])[0])
+    config = IntegratorConfig(dt=0.01, t_end=2.0, method=method)
+    base, mapped = (integrate_trajectory(st, provider, config) for st in (seed, image))
+    assert base.summary.steps == mapped.summary.steps == 200
+    return (np.hstack((sym(base.r), sym(base.n))), np.hstack((mapped.r, mapped.n)))
+
+
+@pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])
+@pytest.mark.parametrize("provider, r0, sym", [
+    (RigidRotationField(), (1.2, 0.3, 0.1), _quarter_turn),
+    (LambOseenField(), (0.6, -0.3, 0.1), _quarter_turn),
+    (TaylorGreenField(nu=0.13), (2.1, 3.3, 1.7), _mirror_x)],
+    ids=["rigid_rotation_quarter_turn", "lamb_oseen_quarter_turn", "taylor_green_mirror_x"])
+def test_symmetry_maps_the_run_bit_for_bit(provider, r0, sym, method):
+    # negation and swapping components are exact, a + b == b + a, and math.sin is odd and
+    # math.cos even bit for bit, so a run from the image of a seed is the image of the run
+    want, got = _image_gap(provider, r0, sym, method)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])
+def test_a_mirror_is_no_symmetry_of_a_swirling_vortex(method):
+    # the control: x -> -x reverses the Lamb-Oseen swirl, so the image run goes elsewhere
+    want, got = _image_gap(LambOseenField(), (0.6, -0.3, 0.1), _mirror_x, method)
+    assert np.abs(got[:, :3] - want[:, :3]).max() > 0.1

@@ -8,7 +8,8 @@ the run does, it must either cover its horizon or stop with a recorded
 reason, and every record it keeps must be finite and consistent.
 
 The CLI fuzz test draws whole run configurations with values at the edges
-of the floats and holds every subcommand to the edge sweep's contract.
+of the floats and holds every subcommand to the edge sweep's contract.  It
+steers its search toward accepted configs with the largest k, p0 and beta.
 """
 
 import json
@@ -19,14 +20,15 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from ttpsim import (IntegratorConfig, LambOseenField, RigidRotationField, TaylorGreenField,
                     TtpState, UniformField, UniformGradientField, integrate_trajectory,
                     isobaric_normal, tangent_frame)
 from ttpsim import ValidationError, provider_parameters
-from ttpsim.cli import SCHEMA
+from ttpsim.cli import SCHEMA, build_provider, parse_config
+from ttpsim.errors import TtpsimError
 from ttpsim.integrate import step_count
 
 from conftest import EDGE_SEEDS, edge_run_breaches
@@ -175,6 +177,24 @@ def _last_time(integrator):
     return t0 + steps * dt
 
 
+def _steer(cfg, sections):
+    """Steer the search toward accepted configs whose k, p0 or beta is at the largest floats.
+
+    For a config that parses and builds its provider, one ``hypothesis.target``
+    per drawn key of these: log2 of its magnitude, or -1100 for zero.  The
+    search then spends its examples' second half mutating the accepted
+    configs with the largest values, so fewer examples exit 2 before they run.
+    """
+    try:
+        build_provider(parse_config(cfg))
+    except TtpsimError:
+        return
+    for section, key in (("field", "k"), ("field", "p0"), ("particle", "beta")):
+        if key in sections.get(section, {}):
+            v = abs(float(sections[section][key]))
+            target(math.log2(v) if v else -1100.0, label=key)
+
+
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(_cli_runs())
 def test_cli_fuzz_keeps_the_edge_contract(run):
@@ -189,5 +209,6 @@ def test_cli_fuzz_keeps_the_edge_contract(run):
                        for name, keys in sections.items())
         cfg = pathlib.Path(tmp) / "run.cfg"
         cfg.write_text(text)
+        _steer(str(cfg), sections)
         assert edge_run_breaches([command[0], str(cfg), *command[1:]], out_dir, t_last,
                                  text) == []
