@@ -30,8 +30,8 @@ from .ensemble import tangent_frame
 _TINY = 1e-300
 _ORACLE_TOL = 1e-10  # the largest |n0 . r_hat| of a seed with a rigid-rotation closed form
 _DRIFT_FLOOR = 1e-13  # |n . b| is dimensionless: drifts at or below this are rounding
-# points per chunk of a pointwise study: numpy's per-call cost is shared by a chunk's products,
-# and no more than one chunk of FluidSamples is alive
+# points per chunk of a pointwise study, and rows per block of its random draws: numpy's
+# per-call cost is shared by a chunk's stacked products and by a block's draw
 _CHUNK = 64
 _HESSIAN = [7, 8, 9, 8, 10, 11, 9, 11, 12]  # kin entries of the Hessian, row by row
 
@@ -63,9 +63,7 @@ def _or_nan(stat, column):
 
 
 def _random_interior_points(provider, count, rng):
-    """``count`` random points of the provider's reference box, drawn now and given as float triples.
-
-    The triples are made one chunk at a time."""
+    """``count`` random points of the reference box, drawn now; float triples made per chunk."""
     try:
         u = rng.random((count, 3))
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
@@ -115,8 +113,9 @@ def _random_states(provider, count, seed, t):
     """The (sample, b, r, n) of each random point with a non-degenerate gradient, in point order.
 
     ``b`` (from ``_normal``), ``r`` and the random unit ``n`` are float
-    triples; the k-th kept point takes the k-th direction.  DegenerateGradient
-    is raised if no point is kept.
+    triples; the k-th kept point takes the k-th random direction (:func:`_rows`).
+    A sample that raises is raised at its point; DegenerateGradient is raised
+    if no point is kept.
     """
     rng = np.random.default_rng(seed)
     points = _random_interior_points(provider, count, rng)
@@ -229,7 +228,9 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     approximates the rotation rate.  Points with a degenerate gradient, with
     |grad p1hat| <= g_min or with degenerate displaced stencils are skipped and
     counted; a point whose V + u or residuals are not finite raises
-    ValidationError.
+    ValidationError.  Points are evaluated whole and in order, so the first
+    failure in point order is raised, and the k-th point past the degenerate
+    and g_min tests takes the k-th random angle (:func:`_rows`).
     """
     def evaluate(r):
         s = provider.sample(r, t)
