@@ -464,7 +464,6 @@ def test_horizon_must_be_whole_steps(rigid):
     assert traj.t[-1] == pytest.approx(0.6, abs=1e-15)
 
 
-
 # --- exact symmetries ----------------------------------------------------------
 
 def _quarter_turn(v):
@@ -477,14 +476,14 @@ def _mirror_x(v):
     return np.column_stack((-v[:, 0], v[:, 1], v[:, 2]))
 
 
-def _image_gap(provider, r0, sym, method):
-    """Run from a tangent seed at r0 and from its image under sym: (mapped run, image run)."""
+def _mapped_and_image(provider, r0, sym, method):
+    """(r, n) of the run from a tangent seed at r0 mapped by sym, and of the run from its image."""
     seed = tangent_seed(_state((0.48, 0.6, 0.64), beta=0.7, r=r0), provider)
     image = _state(sym(seed.n[None])[0], beta=0.7, r=sym(seed.r[None])[0])
     config = IntegratorConfig(dt=0.01, t_end=2.0, method=method)
-    base, mapped = (integrate_trajectory(st, provider, config) for st in (seed, image))
-    assert base.summary.steps == mapped.summary.steps == 200
-    return (np.hstack((sym(base.r), sym(base.n))), np.hstack((mapped.r, mapped.n)))
+    run, image_run = (integrate_trajectory(st, provider, config) for st in (seed, image))
+    assert run.summary.steps == image_run.summary.steps == 200
+    return np.hstack((sym(run.r), sym(run.n))), np.hstack((image_run.r, image_run.n))
 
 
 @pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])
@@ -496,12 +495,12 @@ def _image_gap(provider, r0, sym, method):
 def test_symmetry_maps_the_run_bit_for_bit(provider, r0, sym, method):
     # negation and swapping components are exact, a + b == b + a, and math.sin is odd and
     # math.cos even bit for bit, so a run from the image of a seed is the image of the run
-    want, got = _image_gap(provider, r0, sym, method)
+    want, got = _mapped_and_image(provider, r0, sym, method)
     assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])
 def test_a_mirror_is_no_symmetry_of_a_swirling_vortex(method):
     # the control: x -> -x reverses the Lamb-Oseen swirl, so the image run goes elsewhere
-    want, got = _image_gap(LambOseenField(), (0.6, -0.3, 0.1), _mirror_x, method)
+    want, got = _mapped_and_image(LambOseenField(), (0.6, -0.3, 0.1), _mirror_x, method)
     assert np.abs(got[:, :3] - want[:, :3]).max() > 0.1
