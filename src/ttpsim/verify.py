@@ -117,9 +117,13 @@ def _random_states(provider, count, seed, t):
     A sample that raises is raised at its point; DegenerateGradient is raised
     if no point is kept.
     """
+    def unit_vectors():
+        v = rng.normal(size=(_CHUNK, 3))
+        return v / norm3_rows(v)[:, None]
+
     rng = np.random.default_rng(seed)
     points = _random_interior_points(provider, count, rng)
-    directions = _rows(lambda: (v := rng.normal(size=(_CHUNK, 3))) / norm3_rows(v)[:, None])
+    directions = _rows(unit_vectors)
     kept = 0
     for r in points:
         s = provider.sample(r, t)
