@@ -1,11 +1,13 @@
 """Config parsing, serialization contracts, and subcommand behavior."""
 
 import json
+import math
 import os
 import pathlib
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -590,6 +592,66 @@ def test_trajectory_csv_numeric_roundtrip(tmp_path):
     assert np.array_equal(table[:, 1:4], traj.r)
     assert np.array_equal(table[:, 4:7], traj.n)
     assert np.array_equal(table[:, 18], traj.n_dot_b)
+
+
+# --- CSV writer ------------------------------------------------------------------------
+
+def _ref_write_csv(path, header, table, flag_columns=()):
+    """The writer as np.savetxt: the reference bytes for _write_csv."""
+    fmt = ["%d" if j in flag_columns else "%.17g" for j in range(table.shape[1])]
+    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
+
+
+# subnormals, the smallest normal, the largest float, decimals that do not round-trip
+# in fewer digits, the switch to an exponent between 1e16 and 1e17, and non-finite values
+CSV_FLOATS = (0.0, -0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308, 0.1, 1 / 3, 1e16, 1e17, math.nan, math.inf, -math.inf)
+CSV_FLAGS = (0.0, 1.0, 1024.0)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 129])
+@pytest.mark.parametrize("width, flag_columns", [(2, ()), (6, ()), (14, (1,)), (21, (20,))],
+                         ids=["order_study", "identity_sweep", "stats", "trajectory"])
+def test_write_csv_matches_savetxt(tmp_path, rows, width, flag_columns):
+    # blocks of rows of one % format each write the bytes np.savetxt writes, at and
+    # around the block size, for every table shape the CLI writes
+    from ttpsim.cli import _write_csv
+    cells = np.arange(rows * width).reshape(rows, width)
+    table = np.take(CSV_FLOATS, cells % len(CSV_FLOATS))
+    for j in flag_columns:
+        table[:, j] = np.take(CSV_FLAGS, cells[:, j] % len(CSV_FLAGS))
+    header = ",".join(f"c{j}" for j in range(width))
+    _write_csv(tmp_path / "block.csv", header, table, flag_columns)
+    _ref_write_csv(tmp_path / "savetxt.csv", header, table, flag_columns)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
+
+def _write_peak_bytes(write):
+    """Peak tracemalloc allocation of ``write()``, above what was allocated before it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_trajectory_csv_memory_is_bounded(tmp_path):
+    # the writer formats a bounded number of rows at a time: on 20,001 rows (a 3.3 MB
+    # table) it allocates no more than on 2,001, far less than the table's text
+    from ttpsim import Trajectory
+    from ttpsim.cli import write_trajectory_csv
+    rng = np.random.default_rng(0)
+    small, large = (Trajectory(rng.standard_normal((rows, Trajectory.WIDTH)))
+                    for rows in (2001, 20001))
+    for traj in (small, large):
+        traj.table[:, Trajectory.FLAG_COLUMNS] = rng.integers(0, 2, (len(traj), 1))
+    write_trajectory_csv(small, tmp_path / "warm.csv")  # first-call imports and caches
+    peak_small = _write_peak_bytes(lambda: write_trajectory_csv(small, tmp_path / "s.csv"))
+    peak_large = _write_peak_bytes(lambda: write_trajectory_csv(large, tmp_path / "l.csv"))
+    assert peak_large < 256 * 1024
+    assert peak_large <= 1.1 * peak_small + 16 * 1024
 
 
 # --- ensemble ----------------------------------------------------------------------
