@@ -9,7 +9,8 @@ reason, and every record it keeps must be finite and consistent.
 
 The CLI fuzz test draws whole run configurations with values at the edges
 of the floats and holds every subcommand to the edge sweep's contract.  It
-steers its search toward accepted configs with the largest k, p0 and beta.
+steers its search toward accepted configs with the largest k, p0 and beta,
+and always runs taylor_green at the largest k, where the phase overflows.
 """
 
 import json
@@ -20,7 +21,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, target
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 from ttpsim import (IntegratorConfig, LambOseenField, RigidRotationField, TaylorGreenField,
@@ -147,13 +148,18 @@ def _value(draw, parser, key):
     return repr(draw(_floats))
 
 
+def _base_sections(provider, **params):
+    """The sections of a fuzz config before its draws: ``provider`` at its edge seed."""
+    return {"field": {"name": provider, **params},
+            "particle": dict(line.split(" = ") for line in EDGE_SEEDS[provider].split("\n")),
+            **{name: dict(keys) for name, keys in _BASE.items()}}
+
+
 @st.composite
 def _cli_runs(draw):
     command = draw(st.sampled_from((["simulate"], ["ensemble"], ["verify", "--points", "8"])))
     provider = draw(st.sampled_from(sorted(EDGE_SEEDS)))
-    sections = {"field": {"name": provider},
-                "particle": dict(line.split(" = ") for line in EDGE_SEEDS[provider].split("\n"))}
-    sections |= {name: dict(keys) for name, keys in _BASE.items()}
+    sections = _base_sections(provider)
     for key in draw(st.lists(st.sampled_from(sorted(provider_parameters(provider))), unique=True)):
         sections["field"][key] = repr(draw(_floats))
     for key in draw(st.lists(st.sampled_from(sorted(_DRAWN)), unique=True, max_size=3)):
@@ -195,6 +201,8 @@ def _steer(cfg, sections):
             target(math.log2(v) if v else -1100.0, label=key)
 
 
+# the phase overflow k |r| = inf, which the derandomized draws do not reach on their own
+@example((["simulate"], _base_sections("taylor_green", k=repr(MAX))))
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(_cli_runs())
 def test_cli_fuzz_keeps_the_edge_contract(run):
