@@ -273,10 +273,22 @@ def build_initial_state(cfg, provider):
 
 # --- CSV serialization ---------------------------------------------------------
 
+_CSV_ROWS = 64  # rows formatted by one % operation
+
+
 def _write_csv(path, header, table, flag_columns=()):
-    """Write ``table`` under ``header``: 17 significant digits, integers in flag columns."""
-    fmt = ["%d" if j in flag_columns else "%.17g" for j in range(table.shape[1])]
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=header, comments="")
+    """Write ``table`` under ``header``: 17 significant digits, integers in flag columns.
+
+    The bytes are np.savetxt's with ``comments=""`` and these formats: both apply
+    Python's ``%`` to each value as a float.  Only one block of _CSV_ROWS rows is
+    held as text at a time, so the memory used does not grow with the table.
+    """
+    row = ",".join("%d" if j in flag_columns else "%.17g" for j in range(table.shape[1])) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(table), _CSV_ROWS):
+            block = table[i:i + _CSV_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_trajectory_csv(traj, path):
