@@ -355,6 +355,52 @@ def test_gradient_normal_is_isobaric_normal_and_its_norm():
         assert gn == pytest.approx(math.hypot(*g), rel=1e-15)  # also where |g|^2 overflows
 
 
+def _ref_normal(kin):
+    """The unit normal and degenerate flag (bx, by, bz, flag) as first written, on floats."""
+    gx, gy, gz = kin[4:7]
+    g2 = gx * gx + gy * gy + gz * gz
+    if g2 <= EPS_GRAD * EPS_GRAD:
+        return 0.0, 0.0, 0.0, 1.0
+    if g2 == math.inf:  # scaled by 1 / max |g_i|, whose squares cannot overflow
+        m = max(abs(gx), abs(gy), abs(gz))
+        gx, gy, gz = gx / m, gy / m, gz / m
+        g2 = gx * gx + gy * gy + gz * gz
+    gn = math.sqrt(g2)
+    return gx / gn, gy / gn, gz / gn, 0.0
+
+
+class _GivenSample:
+    """A provider stub whose ``sample`` returns one given sample wherever it is asked."""
+
+    def __init__(self, sample):
+        self._sample = sample
+
+    def sample(self, r, t):
+        return self._sample
+
+
+_HUGE = 1.7976931348623157e308
+_NORMAL_CASES = [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (EPS_GRAD, 0.0, 0.0), (1e-10, 1e-10, 0.0),
+                 (0.0, -0.0, 3.0), (0.3, -1.7, 2.9), (-2.5e-3, 4e-4, 1.1e-2),
+                 (7.0, 7.0, -7.0), (1e160, -2e160, 3e159), (_HUGE, -_HUGE, 1.0),
+                 (-_HUGE, 0.0, _HUGE), (math.inf, 1.0, 2.0), (0.5, math.nan, 1.0),
+                 (5e-324, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("g", _NORMAL_CASES, ids=repr)
+def test_normal_and_flag_bytes_are_pinned(g):
+    # the record's b and degenerate flag, and isobaric_normal, against the rule as first written
+    sample = _sample_with(g)
+    want = _ref_normal(sample.kin)
+    got = rhs_terms(_GivenSample(sample), 0.0, (0.0, 0.0, 0.0), (0.6, 0.0, 0.8), 0.5)[8:12]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    b = isobaric_normal(sample)
+    if want[3]:
+        assert b is None
+    else:
+        assert b.tobytes() == np.array(want[:3]).tobytes()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is decided without numpy
 def test_decomposition_past_gradient_overflow():
     # every term is invariant under p1hat -> c p1hat at fixed n, also once |g|^2 overflows
