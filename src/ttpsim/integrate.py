@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError
-from .kinetics import _normal, cross, rhs_terms, stage_eval
+from .kinetics import cross, gradient_normal, rhs_terms, stage_eval
 
 TANGENCY_TOL = 1e-8
 
@@ -254,8 +254,8 @@ def tangent_seed(state0, provider):
     not a unit vector.
     """
     r, n = _seed_triples(state0)
-    bx, by, bz, degenerate = _normal(provider.sample(r, float(state0.t)).kin)
-    if degenerate or not abs(n[0] * bx + n[1] * by + n[2] * bz) > TANGENCY_TOL:
+    bx, by, bz, gn = gradient_normal(provider.sample(r, float(state0.t)).kin)
+    if gn == 0.0 or not abs(n[0] * bx + n[1] * by + n[2] * bz) > TANGENCY_TOL:
         return state0  # a NaN n . b stays as it is
     if (n := _project_tangent(n, (bx, by, bz))) is None:
         raise InitialTangencyViolation("initial direction is parallel to the isobaric normal; "

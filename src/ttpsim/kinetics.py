@@ -78,8 +78,8 @@ def isobaric_normal(sample):
     Degeneracy (|grad p1hat| <= EPS_GRAD) is a value, not an error: the
     tangency constraint imposes nothing there.
     """
-    bx, by, bz, degenerate = _normal(sample.kin)
-    return None if degenerate else np.array((bx, by, bz))
+    bx, by, bz, gn = gradient_normal(sample.kin)
+    return None if gn == 0.0 else np.array((bx, by, bz))
 
 
 def relative_velocity(state, sample):
@@ -94,7 +94,7 @@ def omega_direct(sample, state):
     Omega = b x (dg/dt) / |g|; orthogonal to b by construction.
     """
     kin = sample.kin
-    if _normal(kin)[3]:
+    if gradient_normal(kin)[3] == 0.0:
         raise DegenerateGradient(f"|grad p1hat| = {math.hypot(*kin[4:7]):g} <= {EPS_GRAD:g}")
     nx, ny, nz = state.n.tolist()
     return np.array(_rates(kin, nx, ny, nz, state.beta)[3:])
@@ -183,29 +183,21 @@ def norm3_rows(v):
                         np.sqrt(np.vecdot(v, v)))
 
 
-def _normal(kin):
-    """Degenerate-gradient policy: (bx, by, bz, 0.0) with b the unit normal, else (0, 0, 0, 1.0)."""
-    gx, gy, gz = kin[4:7]
-    g2 = gx * gx + gy * gy + gz * gz
-    if g2 <= _EPS_GRAD2:
-        return 0.0, 0.0, 0.0, 1.0
-    if g2 == math.inf:
-        return gradient_normal(kin)[:3] + (0.0,)
-    gn = math.sqrt(g2)  # gradient_normal's rounding: it scales g only where g . g overflows
-    return gx / gn, gy / gn, gz / gn, 0.0
-
-
 def gradient_normal(kin):
-    """(bx, by, bz, |g|) for the gradient g of ``kin``, on Python floats; g must not be degenerate.
+    """(bx, by, bz, |g|) for the gradient g of ``kin``, on Python floats: the one unit normal.
 
-    The overflow rule: |g| is sqrt(g . g), except where g . g overflows;
-    there g is first scaled by 1 / max |g_i|, whose squares cannot overflow,
-    so b and |g| stay finite whenever the components of g are (an infinite
-    component gives nan).  Elsewhere the scale would be m = 1, which is
-    exact, so it is skipped.
+    The degenerate-gradient policy: where g . g <= EPS_GRAD^2 it returns
+    (0.0, 0.0, 0.0, 0.0), so |g| = 0 marks a degenerate gradient and b is
+    zero there.  The overflow rule: |g| is sqrt(g . g), except where g . g
+    overflows; there g is first scaled by 1 / max |g_i|, whose squares cannot
+    overflow, so b and |g| stay finite whenever the components of g are (an
+    infinite component gives nan).  Elsewhere the scale would be m = 1, which
+    is exact, so it is skipped.
     """
     gx, gy, gz = kin[4:7]
     g2 = gx * gx + gy * gy + gz * gz
+    if g2 <= _EPS_GRAD2:
+        return 0.0, 0.0, 0.0, 0.0
     m = 1.0
     if g2 == math.inf:
         m = max(abs(gx), abs(gy), abs(gz))
@@ -224,8 +216,9 @@ def _rates(kin, nx, ny, nz, beta):
     overflows it is b x (dt g + H (V + u)) / |g| from :func:`gradient_normal`.
     The one place V + u and the rotation rate are computed: the integrator
     stages, the record evaluation, ``omega_direct`` and verify's pointwise
-    studies all read them from here.  The hot stage path tests degeneracy
-    inline, as :func:`_normal` does, and needs no unit normal.
+    studies all read them from here.  It repeats gradient_normal's one
+    degeneracy comparison inline, because the hot stage path needs no unit
+    normal: it divides by |g|^2, not by |g|.
     """
     (Vx, Vy, Vz, p1, gx, gy, gz,
      Hxx, Hxy, Hxz, Hyy, Hyz, Hzz, dgx, dgy, dgz) = kin
@@ -259,13 +252,15 @@ def rhs_terms(provider, t, r, n, beta):
 
     ``n`` is a float triple.  Returns (wx, wy, wz, ox, oy, oz, v_th, p1hat,
     bx, by, bz, degenerate): the rates of :func:`stage_eval`, the thermal
-    speed, the pressure, and the unit normal and degenerate flag of
-    :func:`_normal`: where the gradient is degenerate the rotation rate and b
-    are zero (the direction freezes) and the flag is 1.0.
+    speed, the pressure, and the unit normal of :func:`gradient_normal` with
+    its degenerate flag: where |g| is 0 the rotation rate and b are zero (the
+    direction freezes) and the flag is 1.0; a nan |g| keeps the flag 0.0.
     """
     kin = provider.sample(r, t).kin
     # _rates runs first, so a negative p1hat raises NegativePressure before the sqrt
-    return _rates(kin, *n, beta) + (math.sqrt(2.0 * kin[3]), kin[3]) + _normal(kin)
+    rates = _rates(kin, *n, beta) + (math.sqrt(2.0 * kin[3]), kin[3])
+    bx, by, bz, gn = gradient_normal(kin)
+    return rates + (bx, by, bz, float(gn == 0.0))
 
 
 def stage_eval(provider, t, x, y, z, nx, ny, nz, beta):

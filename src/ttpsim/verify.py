@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
-from .kinetics import (TtpState, _normal, _rates, cross, gradient_normal, norm3, norm3_rows,
+from .kinetics import (TtpState, _rates, cross, gradient_normal, norm3, norm3_rows,
                        omega_decomposed, omega_direct, state_rhs)
 from .ensemble import tangent_frame
 
@@ -110,9 +110,10 @@ def _chunks(items, evaluate):
 
 
 def _random_states(provider, count, seed, t):
-    """The (sample, b, r, n) of each random point with a non-degenerate gradient, in point order.
+    """(sample, b, |g|, r, n) of each random point with a non-degenerate gradient, in point order.
 
-    ``b`` (from ``_normal``), ``r`` and the random unit ``n`` are float
+    ``b`` and |g| are :func:`gradient_normal`'s, so |g| is finite where
+    |g|^2 overflows; ``b``, ``r`` and the random unit ``n`` are float
     triples; the k-th kept point takes the k-th random direction (:func:`_rows`).
     A sample that raises is raised at its point; DegenerateGradient is raised
     if no point is kept.
@@ -127,10 +128,10 @@ def _random_states(provider, count, seed, t):
     kept = 0
     for r in points:
         s = provider.sample(r, t)
-        *b, degenerate = _normal(s.kin)
-        if not degenerate:
+        *b, gn = gradient_normal(s.kin)
+        if gn != 0.0:
             kept += 1
-            yield s, b, r, tuple(next(directions))
+            yield s, b, gn, r, tuple(next(directions))
     if kept == 0:
         raise DegenerateGradient("no non-degenerate states found")
 
@@ -145,17 +146,16 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     projections of the normal-rate vector (dg/dt)/|g| and round at that
     operand's scale even where the projections themselves are tiny, so the
     residual is normalized by |Omega x n| + |db/dt| + |dg/dt|/|g|, where
-    dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|, with |g|
-    from ``gradient_normal``, finite where |g|^2 overflows.  Points with
+    dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|, with b and
+    |g| from :func:`_random_states`.  Points with
     degenerate gradient are skipped; a point where either term or the
     normalizer is not finite raises ValidationError.
     """
     def scalars(state):
-        s, b, r, n = state
-        kin = s.kin
-        w = _rates(kin, *n, beta)[:3]  # V + u
+        s, b, gn, r, n = state
+        w = _rates(s.kin, *n, beta)[:3]  # V + u
         omxn = cross(omega_direct(s, TtpState(t=t, r=r, n=n, beta=beta)).tolist(), n)
-        return kin, gradient_normal(kin)[3], b, r, n, w, omxn
+        return s.kin, gn, b, r, n, w, omxn
 
     worst = 0.0
     for done in _chunks(_random_states(provider, n_states, seed, t), scalars):
@@ -238,8 +238,8 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     """
     def evaluate(r):
         s = provider.sample(r, t)
-        *b, degenerate = _normal(s.kin)
-        if degenerate or norm3(s.kin[4:7]) <= g_min:
+        *b, gn = gradient_normal(s.kin)
+        if gn == 0.0 or norm3(s.kin[4:7]) <= g_min:
             return None
         phi = next(phis)
         e1, e2 = (e.tolist() for e in tangent_frame(b))
@@ -247,9 +247,9 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
         w = _rates(s.kin, *n, beta)[:3]  # V + u
         if not all(map(math.isfinite, w)):  # nor is the stencil r +- h w
             raise ValidationError(f"V + u is not finite at r = {r}")
-        bp = _normal(provider.sample(tuple(x + h * v for x, v in zip(r, w)), t + h).kin)
-        bm = _normal(provider.sample(tuple(x - h * v for x, v in zip(r, w)), t - h).kin)
-        if bp[3] or bm[3]:
+        bp = gradient_normal(provider.sample(tuple(x + h * v for x, v in zip(r, w)), t + h).kin)
+        bm = gradient_normal(provider.sample(tuple(x - h * v for x, v in zip(r, w)), t - h).kin)
+        if bp[3] == 0.0 or bm[3] == 0.0:
             return None
         om_fd = cross(b, [(x - y) / (2.0 * h) for x, y in zip(bp[:3], bm[:3])])
         br = omega_decomposed(s, TtpState(t=t, r=r, n=n, beta=beta))
@@ -292,7 +292,7 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     """
     h = 1e-6
     divs = []
-    for _, _, p, n in _random_states(provider, n_states, seed, t):
+    for _, _, _, p, n in _random_states(provider, n_states, seed, t):
         div = 0.0
         for i in range(3):
             # v +/- h e_i; the other components are v's own (adding 0.0 would turn -0.0 into 0.0)

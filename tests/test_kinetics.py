@@ -401,6 +401,13 @@ def test_normal_and_flag_bytes_are_pinned(g):
         assert b.tobytes() == np.array(want[:3]).tobytes()
 
 
+@pytest.mark.parametrize("g", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0), (EPS_GRAD, 0.0, 0.0),
+                               (-1e-11, 5e-11, 0.0), (5e-324, 0.0, 0.0)], ids=repr)
+def test_gradient_normal_of_a_degenerate_gradient_is_zero(g):
+    # |g| = 0 is the degenerate mark: b and |g| are +0.0, and nothing divides by zero
+    assert repr(gradient_normal(_sample_with(g).kin)) == repr((0.0, 0.0, 0.0, 0.0))
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # overflow is decided without numpy
 def test_decomposition_past_gradient_overflow():
     # every term is invariant under p1hat -> c p1hat at fixed n, also once |g|^2 overflows
