@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from ttpsim import (FieldProvider, InitialTangencyViolation, IntegratorConfig, LambOseenField,
-                    RigidRotationField, TaylorGreenField, TtpState, UniformField,
-                    ValidationError, integrate_trajectory, tangent_seed, trajectory_oracle)
+from ttpsim import (EnsembleSpec, FieldProvider, InitialTangencyViolation, IntegratorConfig,
+                    LambOseenField, RigidRotationField, TaylorGreenField, TtpState, UniformField,
+                    UniformGradientField, ValidationError, evolve_ensemble, integrate_trajectory,
+                    seed_tangent_circle, tangent_seed, trajectory_oracle)
 from ttpsim.integrate import InvariantSummary, _rot_s
 from ttpsim.kinetics import stage_eval
 
@@ -471,36 +472,89 @@ def _quarter_turn(v):
     return np.column_stack((-v[:, 1], v[:, 0], v[:, 2]))
 
 
-def _mirror_x(v):
-    """x -> -x, row by row."""
-    return np.column_stack((-v[:, 0], v[:, 1], v[:, 2]))
+def _mirror(axis):
+    """The reflection axis -> -axis, row by row."""
+    def mirror(v):
+        v = v.copy()
+        v[:, axis] = -v[:, axis]
+        return v
+    return mirror
 
 
-def _mapped_and_image(provider, r0, sym, method):
-    """(r, n) of the run from a tangent seed at r0 mapped by sym, and of the run from its image."""
+def _turned_covariance(c):
+    """R C R^T for the quarter-turn R, on upper-triangle rows (xx, xy, xz, yy, yz, zz)."""
+    return np.column_stack((c[:, 3], -c[:, 1], -c[:, 4], c[:, 0], c[:, 2], c[:, 5]))
+
+
+def _mapped_and_image(provider, r0, sym, method, image_provider=None, steps=200):
+    """(r, n) of the run from a tangent seed at r0 mapped by sym, and of the run from its image.
+
+    The image run samples ``image_provider``, where given: the provider with its
+    parameters mapped by sym.  Both runs must take ``steps`` steps.
+    """
     seed = tangent_seed(_state((0.48, 0.6, 0.64), beta=0.7, r=r0), provider)
     image = _state(sym(seed.n[None])[0], beta=0.7, r=sym(seed.r[None])[0])
     config = IntegratorConfig(dt=0.01, t_end=2.0, method=method)
-    run, image_run = (integrate_trajectory(st, provider, config) for st in (seed, image))
-    assert run.summary.steps == image_run.summary.steps == 200
+    run, image_run = (integrate_trajectory(st, p, config)
+                      for st, p in ((seed, provider), (image, image_provider or provider)))
+    assert run.summary.steps == image_run.summary.steps == steps
+    assert run.summary.terminated_early == image_run.summary.terminated_early == (steps < 200)
     return np.hstack((sym(run.r), sym(run.n))), np.hstack((image_run.r, image_run.n))
 
 
 @pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])
-@pytest.mark.parametrize("provider, r0, sym", [
-    (RigidRotationField(), (1.2, 0.3, 0.1), _quarter_turn),
-    (LambOseenField(), (0.6, -0.3, 0.1), _quarter_turn),
-    (TaylorGreenField(nu=0.13), (2.1, 3.3, 1.7), _mirror_x)],
-    ids=["rigid_rotation_quarter_turn", "lamb_oseen_quarter_turn", "taylor_green_mirror_x"])
-def test_symmetry_maps_the_run_bit_for_bit(provider, r0, sym, method):
+@pytest.mark.parametrize("provider, r0, sym, image_provider, steps", [
+    (RigidRotationField(), (1.2, 0.3, 0.1), _quarter_turn, None, 200),
+    (LambOseenField(), (0.6, -0.3, 0.1), _quarter_turn, None, 200),
+    (TaylorGreenField(nu=0.13), (2.1, 3.3, 1.7), _mirror(0), None, 200),
+    (TaylorGreenField(nu=0.13), (2.1, 3.3, 1.7), _mirror(1), None, 200),
+    (TaylorGreenField(nu=0.13), (2.1, 3.3, 1.7), _mirror(2), None, 200),
+    (RigidRotationField(), (1.2, 0.3, 0.1), _mirror(2), None, 200),
+    # the turn maps the constant velocity too; both runs leave the domain after 87 steps
+    (UniformGradientField(V0x=0.3, V0y=0.2, gx=0.0, gy=0.0, gz=1.0), (-0.5, -0.55, 0.0),
+     _quarter_turn, UniformGradientField(V0x=-0.2, V0y=0.3, gx=0.0, gy=0.0, gz=1.0), 87)],
+    ids=["rigid_rotation_quarter_turn", "lamb_oseen_quarter_turn", "taylor_green_mirror_x",
+         "taylor_green_mirror_y", "taylor_green_mirror_z", "rigid_rotation_mirror_z",
+         "uniform_gradient_quarter_turn"])
+def test_symmetry_maps_the_run_bit_for_bit(provider, r0, sym, image_provider, steps, method):
     # negation and swapping components are exact, a + b == b + a, and math.sin is odd and
     # math.cos even bit for bit, so a run from the image of a seed is the image of the run
-    want, got = _mapped_and_image(provider, r0, sym, method)
+    want, got = _mapped_and_image(provider, r0, sym, method, image_provider, steps)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])
+@pytest.mark.parametrize("provider, r0", [(RigidRotationField(), (1.2, 0.3, 0.1)),
+                                          (LambOseenField(), (0.6, -0.3, 0.1))],
+                         ids=["rigid_rotation", "lamb_oseen"])
+def test_quarter_turn_maps_the_ensemble_moments_bit_for_bit(provider, r0, method):
+    # the image seed circle is the turned circle, so mean_v and mean_u map by the turn R and
+    # the covariance as R C R^T; that includes _moments' numpy sums and D^T D
+    config = IntegratorConfig(dt=0.01, t_end=0.5, method=method)
+    base, image = (evolve_ensemble(seed_tangent_circle(EnsembleSpec(r0=r, count=16, beta=0.8),
+                                                       provider), provider, config, stride=10)[1]
+                   for r in (r0, _quarter_turn(np.array([r0]))[0]))
+    assert len(base) == len(image) == 6 and base.termination_reason == ""
+    assert image.table[:, :2].tobytes() == base.table[:, :2].tobytes()  # t and n_effective
+    assert image.mean_v.tobytes() == _quarter_turn(base.mean_v).tobytes()
+    assert image.mean_u.tobytes() == _quarter_turn(base.mean_u).tobytes()
+    assert image.cov_u.tobytes() == _turned_covariance(base.cov_u).tobytes()
 
 
 @pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])
 def test_a_mirror_is_no_symmetry_of_a_swirling_vortex(method):
     # the control: x -> -x reverses the Lamb-Oseen swirl, so the image run goes elsewhere
-    want, got = _mapped_and_image(LambOseenField(), (0.6, -0.3, 0.1), _mirror_x, method)
+    want, got = _mapped_and_image(LambOseenField(), (0.6, -0.3, 0.1), _mirror(0), method)
     assert np.abs(got[:, :3] - want[:, :3]).max() > 0.1
+
+
+@pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])
+@pytest.mark.parametrize("provider, r0, sym", [
+    (TaylorGreenField(nu=0.13), (2.1, 3.3, 1.7), _quarter_turn),  # r differs by 1.10
+    (RigidRotationField(), (1.2, 0.3, 0.1), _mirror(0)),  # 2.24: the rotation reverses
+    (LambOseenField(), (0.6, -0.3, 0.1), _mirror(2))],  # 2.00: the axial flow W reverses
+    ids=["taylor_green_quarter_turn", "rigid_rotation_mirror_x", "lamb_oseen_mirror_z"])
+def test_a_map_that_is_no_symmetry_moves_the_run(provider, r0, sym, method):
+    # one control per provider: each image run goes elsewhere, so the oracle can fail
+    want, got = _mapped_and_image(provider, r0, sym, method)
+    assert np.abs(got[:, :3] - want[:, :3]).max() > 0.5
