@@ -257,10 +257,10 @@ def rhs_terms(provider, t, r, n, beta):
     direction freezes) and the flag is 1.0; a nan |g| keeps the flag 0.0.
     """
     kin = provider.sample(r, t).kin
-    # _rates runs first, so a negative p1hat raises NegativePressure before the sqrt
-    rates = _rates(kin, *n, beta) + (math.sqrt(2.0 * kin[3]), kin[3])
     bx, by, bz, gn = gradient_normal(kin)
-    return rates + (bx, by, bz, float(gn == 0.0))
+    # _rates runs before the sqrt, so a negative p1hat raises NegativePressure first
+    return _rates(kin, *n, beta) + (math.sqrt(2.0 * kin[3]), kin[3],
+                                    bx, by, bz, 1.0 if gn == 0.0 else 0.0)
 
 
 def stage_eval(provider, t, x, y, z, nx, ny, nz, beta):

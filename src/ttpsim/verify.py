@@ -147,9 +147,9 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     operand's scale even where the projections themselves are tiny, so the
     residual is normalized by |Omega x n| + |db/dt| + |dg/dt|/|g|, where
     dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|, with b and
-    |g| from :func:`_random_states`.  Points with
-    degenerate gradient are skipped; a point where either term or the
-    normalizer is not finite raises ValidationError.
+    |g| from :func:`_random_states`.  Points with degenerate gradient are
+    skipped; a point where either term or the normalizer is not finite
+    raises ValidationError.
     """
     def scalars(state):
         s, b, gn, r, n = state
