@@ -85,14 +85,21 @@ def seed_tangent_circle(spec, provider):
     return states
 
 
+_UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # cov_u's upper triangle, row by row
+
+
 def _moments(Vv, U):
-    """mean_v, mean_u and the upper triangle of cov_u over (N, 3) rows (population 1/N)."""
-    mean_v = Vv.mean(axis=0)
-    mean_u = U.mean(axis=0)
-    D = U - mean_u
-    cov = D.T @ D / len(U)
-    cov = 0.5 * (cov + cov.T)
-    return (*mean_v, *mean_u, *cov[np.triu_indices(3)])
+    """mean_v, mean_u and the upper triangle of cov_u over (N, 3) rows (population 1/N).
+
+    Every sum is numpy's pairwise ``sum`` of one contiguous column; a
+    covariance entry sums the elementwise product of two columns of
+    D = U - mean_u, so cov_u is symmetric as computed."""
+    n = len(U)
+    V, U = Vv.T.copy(), U.T.copy()  # one contiguous row per component
+    mean_v = [c.sum() / n for c in V]
+    mean_u = [c.sum() / n for c in U]
+    D = [c - m for c, m in zip(U, mean_u)]
+    return (*mean_v, *mean_u, *((D[i] * D[j]).sum() / n for i, j in _UPPER))
 
 
 class EnsembleHistory(Table):
@@ -166,10 +173,8 @@ def evolve_ensemble(states, provider, config, stride=1):
             reason = f"no_survivors: all particles stopped before t = {t0 + idx * config.dt!r}"
             break
         rows = np.array([tr.table[j] for tr in alive])
-        # contiguous (N, 3) operands keep the summation order of the moments
         with np.errstate(over="ignore", invalid="ignore"):  # the row is checked below
-            row = (rows[0, t], len(alive), *_moments(np.ascontiguousarray(rows[:, v]),
-                                                    np.ascontiguousarray(rows[:, u])))
+            row = (rows[0, t], len(alive), *_moments(rows[:, v], rows[:, u]))
         if not all(map(math.isfinite, row)):
             reason = f"non_finite_state: the moments at t = {float(rows[0, t])!r}"
             break

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError
-from .kinetics import cross, gradient_normal, rhs_terms, stage_eval
+from .kinetics import cross, dot3, gradient_normal, rhs_terms, stage_eval
 
 TANGENCY_TOL = 1e-8
 
@@ -225,11 +225,10 @@ def _project_tangent(n, b):
     when the tangential part's squared norm overflows; the caller then keeps
     n, whose record is not finite.
     """
-    n, b = np.array(n), np.array(b)
-    m = n - (n @ b) * b
-    mx, my, mz = m.tolist()
+    d = dot3(n, b)
+    mx, my, mz = (x - d * c for x, c in zip(n, b))
     nm = math.sqrt(mx * mx + my * my + mz * mz)
-    return None if not 1e-12 <= nm < math.inf else tuple((m / nm).tolist())
+    return None if not 1e-12 <= nm < math.inf else (mx / nm, my / nm, mz / nm)
 
 
 def _seed_triples(state0):
@@ -288,7 +287,7 @@ def integrate_trajectory(state0, provider, config):
     r, n = _seed_triples(state0)
     ev = rhs_terms(provider, t0, r, n, beta)
     # ev[8:11] is b, zero where degenerate
-    if (ndb := abs(n[0] * ev[8] + n[1] * ev[9] + n[2] * ev[10])) > TANGENCY_TOL:
+    if (ndb := abs(dot3(n, ev[8:11]))) > TANGENCY_TOL:
         raise InitialTangencyViolation(f"|n0 . b| = {ndb:.3e} exceeds {TANGENCY_TOL:g}; "
                                        "project it with tangent_seed ([particle] "
                                        "project_initial = true) or seed tangentially")
@@ -299,12 +298,13 @@ def integrate_trajectory(state0, provider, config):
     k = 0  # records written
     t = t0
     while True:
-        # record the current state from its evaluation; n_dot_b comes after the loop
+        # record the current state from its evaluation; b and n . b are zero where degenerate
         wx, wy, wz, _, _, _, v_th, p1, bx, by, bz, degenerate = ev
         nx, ny, nz = n
         bu = beta * v_th
         row = (t, *r, nx, ny, nz, bu * nx, bu * ny, bu * nz, wx, wy, wz, v_th, p1,
-               bx, by, bz, 0.0, abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0), degenerate)
+               bx, by, bz, 0.0 if degenerate else nx * bx + ny * by + nz * bz,
+               abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0), degenerate)
         if not all(map(math.isfinite, row)):  # the fields or |n|^2 overflow
             if not k:
                 raise ValidationError(f"the seed record at r = {r}, n = {n}, t = {t!r} "
@@ -343,17 +343,11 @@ def integrate_trajectory(state0, provider, config):
     if k <= n_steps:  # a run that stopped early copies its rows, so the unused rows can be freed
         table = table[:k].copy()
     traj = Trajectory(table)
-    col = Trajectory.INDEX
-    # np.vecdot rounds like a per-row n @ b; the golden outputs pin these bytes
-    ndb = np.vecdot(table[:, col["n"]], table[:, col["b"]], out=table[:, col["n_dot_b"]])
-    degenerate = table[:, col["degenerate"]]
-    if flagged := int(np.count_nonzero(degenerate)):
-        ndb[degenerate != 0.0] = 0.0
     traj.summary = InvariantSummary(
         steps=k - 1,
-        max_norm_err=float(table[:, col["norm_err"]].max()),
-        max_abs_n_dot_b=float(np.abs(ndb).max()),
-        degenerate_steps=flagged,
+        max_norm_err=float(traj.norm_err.max()),
+        max_abs_n_dot_b=float(np.abs(traj.n_dot_b).max()),
+        degenerate_steps=int(np.count_nonzero(traj.degenerate)),
         terminated_early=bool(reason),
         termination_reason=reason,
     )

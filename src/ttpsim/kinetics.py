@@ -113,34 +113,31 @@ def omega_decomposed(sample, state):
     Their sum is recorded as ``omega_decomposed`` together with the residual
     against the direct route.  The residual is generically nonzero (the
     decomposition is not an identity for the particle-path derivative) and
-    is reported as a diagnostic only.
+    is reported as a diagnostic only.  b and |g| are :func:`gradient_normal`'s.
     """
     direct = omega_direct(sample, state)  # first: it raises DegenerateGradient where b is undefined
-    kin, g, gradV = sample.kin, sample.grad_p1hat, sample.gradV
-    gn = norm3(g)  # numpy's rounding, which the reported residuals were written with
-    if gn < math.inf:
-        b = tuple(c / gn for c in kin[4:7])
-    else:  # |g|^2 overflowed
-        *b, gn = gradient_normal(kin)
-    # numpy keeps the products whose fused rounding reaches the outputs; the rest is on floats
-    bv = np.array(b)
-    HV = (sample.hess_p1hat @ sample.V).tolist()
+    kin, dV = sample.kin, sample.dV
+    *b, gn = gradient_normal(kin)
+    g, V = kin[4:7], kin[0:3]
+    rows, cols = (dV[0:3], dV[3:6], dV[6:9]), (dV[0::3], dV[1::3], dV[2::3])
+    HV = hess_dot(kin, V)
 
     gdot_fluid = [d + h for d, h in zip(kin[13:16], HV)]
-    s = float(bv @ gdot_fluid)
+    s = dot3(b, gdot_fluid)
     term_convective = cross(b, [(d - s * c) / gn for d, c in zip(gdot_fluid, b)])
 
-    xi = sample.xi
-    s = float(bv @ xi)
-    term_vorticity = [-(x - s * c) for x, c in zip(xi.tolist(), b)]
+    xi = sample.xi.tolist()
+    s = dot3(b, xi)
+    term_vorticity = [-(x - s * c) for x, c in zip(xi, b)]
 
-    grad_gV = [h + v for h, v in zip(HV, (gradV @ g).tolist())]  # gradient of (g . V)
-    g_dot_nabla_V = (gradV.T @ g).tolist()                          # (g . grad) V
+    grad_gV = [h + dot3(row, g) for h, row in zip(HV, rows)]  # gradient of (g . V)
+    g_dot_nabla_V = [dot3(col, g) for col in cols]             # (g . grad) V
     term_pv = [(p - m) / gn for p, m in zip(cross(b, grad_gV), cross(b, g_dot_nabla_V))]
 
-    total = np.array([c + v + p for c, v, p in zip(term_convective, term_vorticity, term_pv)])
-    return OmegaBreakdown(direct, total, np.array(term_convective), np.array(term_vorticity),
-                          np.array(term_pv), residual=norm3(direct - total))
+    total = [c + v + p for c, v, p in zip(term_convective, term_vorticity, term_pv)]
+    return OmegaBreakdown(direct, np.array(total), np.array(term_convective),
+                          np.array(term_vorticity), np.array(term_pv),
+                          residual=norm3([d - c for d, c in zip(direct.tolist(), total)]))
 
 
 def cross(a, b):
@@ -156,31 +153,21 @@ def cross(a, b):
     return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
+def dot3(a, b):
+    """a . b of two float triples, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def hess_dot(kin, v):
+    """H v for the Hessian H of ``kin`` and a float triple v: one :func:`dot3` per row."""
+    Hxx, Hxy, Hxz, Hyy, Hyz, Hzz = kin[7:13]
+    return dot3((Hxx, Hxy, Hxz), v), dot3((Hxy, Hyy, Hyz), v), dot3((Hxz, Hyz, Hzz), v)
+
+
 def norm3(v):
-    """|v| of a 3-sequence of floats as ``np.linalg.norm`` rounds it, or inf where |v|^2 overflows.
-
-    ``np.linalg.norm`` of a float vector is ``sqrt(v . v)``; this is the same
-    dot and a correctly rounded square root, without the wrapper.  The
-    overflow is decided on Python floats first, so numpy never warns.
-    """
-    v = np.asarray(v, dtype=float)
-    x, y, z = v.tolist()
-    return math.inf if x * x + y * y + z * z == math.inf else math.sqrt(v.dot(v))
-
-
-def norm3_rows(v):
-    """:func:`norm3` of each row of a (k, 3) float array or a sequence of triples, as a (k,) array.
-
-    Bit for bit: ``np.vecdot`` rounds each row's dot as ``v.dot(v)`` does,
-    and a row is inf where its float sum of squares overflows, summed in
-    norm3's order.  That sum is taken under ``np.errstate``, so numpy never
-    warns.
-    """
-    v = np.asarray(v, dtype=float).reshape(-1, 3)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = v * v
-        return np.where(sq[:, 0] + sq[:, 1] + sq[:, 2] == math.inf, math.inf,
-                        np.sqrt(np.vecdot(v, v)))
+    """|v| of a 3-sequence of floats: the root of their sum of squares, inf where it overflows."""
+    x, y, z = map(float, v)
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def gradient_normal(kin):

@@ -16,33 +16,37 @@ never asserted; the term-by-term decomposition is a documented diagnostic.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
 from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
-from .kinetics import (TtpState, _rates, cross, gradient_normal, norm3, norm3_rows,
+from .kinetics import (TtpState, _rates, cross, dot3, gradient_normal, hess_dot, norm3,
                        omega_decomposed, omega_direct, state_rhs)
 from .ensemble import tangent_frame
 
 _TINY = 1e-300
 _ORACLE_TOL = 1e-10  # the largest |n0 . r_hat| of a seed with a rigid-rotation closed form
 _DRIFT_FLOOR = 1e-13  # |n . b| is dimensionless: drifts at or below this are rounding
-# points per chunk of a pointwise study, and rows per block of its random draws: numpy's
-# per-call cost is shared by a chunk's stacked products and by a block's draw
+# rows per block of a pointwise study's random draws and per list of its points: numpy's
+# per-call cost is shared by a block
 _CHUNK = 64
-_HESSIAN = [7, 8, 9, 8, 10, 11, 9, 11, 12]  # kin entries of the Hessian, row by row
 
 
 def fit_order(steps, errors):
-    """Least-squares slope of log(error) against log(step)."""
-    steps = np.asarray(steps, dtype=float)
-    errors = np.asarray(errors, dtype=float)
-    if len(steps) < 2 or np.any(errors <= 0.0):
-        return float("nan")
-    return float(np.polyfit(np.log(steps), np.log(errors), 1)[0])
+    """Least-squares slope of log(error) against log(step), in closed form.
+
+    Its sums are ``math.fsum``'s, exactly rounded.  nan for fewer than two
+    points, equal step sizes or an error that is not positive."""
+    if len(steps) < 2 or not all(e > 0.0 for e in errors):
+        return math.nan
+    x = [math.log(s) for s in steps]
+    y = [math.log(e) for e in errors]
+    xm, ym = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    sxx = math.fsum((a - xm) * (a - xm) for a in x)
+    return math.fsum((a - xm) * (b - ym) for a, b in zip(x, y)) / sxx if sxx > 0.0 else math.nan
 
 
 def _median(values):
@@ -63,7 +67,7 @@ def _or_nan(stat, column):
 
 
 def _random_interior_points(provider, count, rng):
-    """``count`` random points of the reference box, drawn now; float triples made per chunk."""
+    """``count`` random points of the reference box, drawn now; float triples made per block."""
     try:
         u = rng.random((count, 3))
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
@@ -87,28 +91,6 @@ def _rows(draw):
         yield from draw().tolist()
 
 
-def _chunks(items, evaluate):
-    """``evaluate`` of each of ``items`` in point order, as one list per chunk of ``_CHUNK``.
-
-    A chunk stops at the first exception, whether ``evaluate`` or ``items``
-    raised it.  The results before it are yielded and the exception is
-    raised when the next chunk is asked for, so a caller that checks each
-    chunk reports the first failure in point order.
-    """
-    items = iter(items)
-    while True:
-        done = []
-        try:
-            for x in islice(items, _CHUNK):
-                done.append(evaluate(x))
-        except Exception:  # any failure: raised once the caller has checked the earlier points
-            yield done
-            raise
-        yield done
-        if len(done) < _CHUNK:
-            return
-
-
 def _random_states(provider, count, seed, t):
     """(sample, b, |g|, r, n) of each random point with a non-degenerate gradient, in point order.
 
@@ -118,20 +100,18 @@ def _random_states(provider, count, seed, t):
     A sample that raises is raised at its point; DegenerateGradient is raised
     if no point is kept.
     """
-    def unit_vectors():
-        v = rng.normal(size=(_CHUNK, 3))
-        return v / norm3_rows(v)[:, None]
-
     rng = np.random.default_rng(seed)
     points = _random_interior_points(provider, count, rng)
-    directions = _rows(unit_vectors)
+    directions = _rows(lambda: rng.normal(size=(_CHUNK, 3)))
     kept = 0
     for r in points:
         s = provider.sample(r, t)
         *b, gn = gradient_normal(s.kin)
         if gn != 0.0:
             kept += 1
-            yield s, b, gn, r, tuple(next(directions))
+            v = next(directions)
+            nrm = norm3(v)
+            yield s, b, gn, r, (v[0] / nrm, v[1] / nrm, v[2] / nrm)
     if kept == 0:
         raise DegenerateGradient("no non-degenerate states found")
 
@@ -151,32 +131,18 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     skipped; a point where either term or the normalizer is not finite
     raises ValidationError.
     """
-    def scalars(state):
-        s, b, gn, r, n = state
+    worst = 0.0
+    for s, b, gn, r, n in _random_states(provider, n_states, seed, t):
         w = _rates(s.kin, *n, beta)[:3]  # V + u
         omxn = cross(omega_direct(s, TtpState(t=t, r=r, n=n, beta=beta)).tolist(), n)
-        return s.kin, gn, b, r, n, w, omxn
-
-    worst = 0.0
-    for done in _chunks(_random_states(provider, n_states, seed, t), scalars):
-        if done:
-            kin, gn, b, r, n, w, omxn = zip(*done)
-            K, b, n, omxn = np.array(kin), np.array(b), np.array(n), np.array(omxn)
-            gn = np.array(gn)[:, None]
-            # numpy keeps H w, the dots and the norms, whose fused rounding reaches the residual;
-            # one stacked call per product rounds each point as its own call did
-            with np.errstate(over="ignore", invalid="ignore"):  # each point is checked below
-                H = np.ascontiguousarray(K[:, _HESSIAN]).reshape(-1, 3, 3)
-                gdot = K[:, 13:16] + np.matmul(H, np.array(w)[:, :, None])[:, :, 0]
-                rate_scale = norm3_rows(gdot / gn)
-                bdot = (gdot - np.vecdot(b, gdot)[:, None] * b) / gn
-                t1, t2 = np.vecdot(omxn, b).tolist(), np.vecdot(n, bdot).tolist()
-                denom = (norm3_rows(omxn) + norm3_rows(bdot) + rate_scale).tolist()
-            for p, a, c, d in zip(r, t1, t2, denom):
-                d = max(d, _TINY)
-                if not all(map(math.isfinite, (a, c, d))):
-                    raise ValidationError(f"non-finite cancellation terms at r = {p}")
-                worst = max(worst, abs(a + c) / d)
+        gdot = [d + h for d, h in zip(s.kin[13:16], hess_dot(s.kin, w))]
+        sb = dot3(b, gdot)
+        bdot = [(d - sb * c) / gn for d, c in zip(gdot, b)]
+        t1, t2 = dot3(omxn, b), dot3(n, bdot)
+        denom = max(norm3(omxn) + norm3(bdot) + norm3([d / gn for d in gdot]), _TINY)
+        if not all(map(math.isfinite, (t1, t2, denom))):
+            raise ValidationError(f"non-finite cancellation terms at r = {r}")
+        worst = max(worst, abs(t1 + t2) / denom)
     return worst
 
 
@@ -236,11 +202,15 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     failure in point order is raised, and the k-th point past the degenerate
     and g_min tests takes the k-th random angle (:func:`_rows`).
     """
-    def evaluate(r):
+    rng = np.random.default_rng(seed)
+    points = _random_interior_points(provider, n_points, rng)
+    phis = _rows(lambda: rng.uniform(0.0, 2.0 * math.pi, _CHUNK))
+    rows = []
+    for r in points:
         s = provider.sample(r, t)
         *b, gn = gradient_normal(s.kin)
-        if gn == 0.0 or norm3(s.kin[4:7]) <= g_min:
-            return None
+        if gn == 0.0 or gn <= g_min:
+            continue
         phi = next(phis)
         e1, e2 = (e.tolist() for e in tangent_frame(b))
         n = [math.cos(phi) * x + math.sin(phi) * y for x, y in zip(e1, e2)]
@@ -250,31 +220,16 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
         bp = gradient_normal(provider.sample(tuple(x + h * v for x, v in zip(r, w)), t + h).kin)
         bm = gradient_normal(provider.sample(tuple(x - h * v for x, v in zip(r, w)), t - h).kin)
         if bp[3] == 0.0 or bm[3] == 0.0:
-            return None
+            continue
         om_fd = cross(b, [(x - y) / (2.0 * h) for x, y in zip(bp[:3], bm[:3])])
         br = omega_decomposed(s, TtpState(t=t, r=r, n=n, beta=beta))
-        return r, br.omega_direct, om_fd, br.residual
-
-    rng = np.random.default_rng(seed)
-    points = _random_interior_points(provider, n_points, rng)
-    phis = _rows(lambda: rng.uniform(0.0, 2.0 * math.pi, _CHUNK))
-    rows = []
-    # each row is checked for finiteness; this also covers omega_decomposed's products
-    with np.errstate(over="ignore", invalid="ignore"):
-        for done in _chunks(points, evaluate):
-            done = [d for d in done if d is not None]  # None: a skipped point
-            if done:
-                r, direct, om_fd, residual = zip(*done)
-                direct = np.array(direct)
-                om_norms = norm3_rows(direct).tolist()
-                fd_norms = norm3_rows(direct - np.array(om_fd)).tolist()
-                for p, om_norm, fd_norm, res in zip(r, om_norms, fd_norms, residual):
-                    om_norm = max(om_norm, _TINY)
-                    row = (*p, fd_norm / om_norm, res, res / om_norm)
-                    if not all(map(math.isfinite, row)):
-                        raise ValidationError(
-                            f"non-finite rotation-rate residuals at r = {row[:3]}")
-                    rows.append(row)
+        direct = br.omega_direct.tolist()
+        om_norm = max(norm3(direct), _TINY)
+        fd_norm = norm3([d - f for d, f in zip(direct, om_fd)])
+        row = (*r, fd_norm / om_norm, br.residual, br.residual / om_norm)
+        if not all(map(math.isfinite, row)):
+            raise ValidationError(f"non-finite rotation-rate residuals at r = {row[:3]}")
+        rows.append(row)
     return OmegaIdentityReport(
         provider_name=provider.name, h=h, beta=beta, seed=seed,
         requested=n_points, skipped=n_points - len(rows),
@@ -399,14 +354,14 @@ def trajectory_oracle(provider, state0):
         if R <= 0.0:
             raise NoOracle("seed on the rotation axis has no closed form")
         th0 = math.atan2(y0, x0)
-        rhat = np.array((x0 / R, y0 / R, 0.0))
-        phihat = np.array((-y0 / R, x0 / R, 0.0))
-        n0 = state0.n
-        if abs(float(n0 @ rhat)) > _ORACLE_TOL:
+        rhat = (x0 / R, y0 / R, 0.0)
+        phihat = (-y0 / R, x0 / R, 0.0)
+        n0 = state0.n.tolist()
+        if abs(dot3(n0, rhat)) > _ORACLE_TOL:
             raise NoOracle("closed form requires the seed direction tangent "
                            "to the isobaric cylinder")
-        alpha = float(n0 @ phihat)
-        gamma = float(n0[2])
+        alpha = dot3(n0, phihat)
+        gamma = n0[2]
         vth = math.sqrt(2.0 * provider.p0 + provider.c * R * R)
         thdot = provider.omega + alpha * state0.beta * vth / R
         vz = gamma * state0.beta * vth

@@ -272,12 +272,14 @@ def test_evolve_empty_rejected(taylor_green):
 # --- the stats gather, pinned against the full-table gather ----------------------------
 
 def _ref_moments(Vv, U):
-    mean_v = Vv.mean(axis=0)
-    mean_u = U.mean(axis=0)
-    D = U - mean_u
-    cov = D.T @ D / len(U)
-    cov = 0.5 * (cov + cov.T)
-    return (*mean_v, *mean_u, *cov[np.triu_indices(3)])
+    """The moments with each sum over the particles one pairwise np.sum of a contiguous column."""
+    def mean(col):
+        return np.sum(np.ascontiguousarray(col)) / len(col)
+
+    mean_u = [mean(U[:, i]) for i in range(3)]
+    D = [U[:, i] - mean_u[i] for i in range(3)]
+    cov = [mean(D[i] * D[j]) for i in range(3) for j in range(i, 3)]
+    return (*(mean(Vv[:, i]) for i in range(3)), *mean_u, *cov)
 
 
 def _ref_gather(trajectories, t0, n_steps, stride, dt):
@@ -295,8 +297,7 @@ def _ref_gather(trajectories, t0, n_steps, stride, dt):
             break
         rows = np.array([tr.table[idx] for tr in alive])
         with np.errstate(over="ignore", invalid="ignore"):
-            row = (rows[0, t], len(alive), *_ref_moments(np.ascontiguousarray(rows[:, v]),
-                                                         np.ascontiguousarray(rows[:, u])))
+            row = (rows[0, t], len(alive), *_ref_moments(rows[:, v], rows[:, u]))
         if not all(map(math.isfinite, row)):
             reason = f"non_finite_state: the moments at t = {float(rows[0, t])!r}"
             break

@@ -335,6 +335,25 @@ def test_lamb_oseen_profile_derivative_matches_decimal_reference(rc):
         assert abs(prov._dq(s) - want) <= 1e-14 * abs(want), x
 
 
+@pytest.mark.parametrize("rc", [1.0, 0.5, 2.0, 3.0, 1e-3])
+def test_lamb_oseen_profile_matches_decimal_reference(rc):
+    # q(s) = (1 - exp(-s/rc^2)) / s on both sides of its series switch at s = 1e-6 rc^2,
+    # against a 50-digit evaluation.  At and below the switch the series is correctly
+    # rounded where rc^2 is a power of 2 (the division by it is exact), and within 1 ulp
+    # otherwise; expm1 above it is within 2 ulps
+    prov = LambOseenField(rc=rc)
+    a = rc * rc
+    exact_division = math.frexp(a)[0] == 0.5
+    for f in np.linspace(0.5, 1.0, 201).tolist() + np.linspace(1.0, 10.0, 181)[1:].tolist():
+        s = f * 1e-6 * a
+        with localcontext() as ctx:
+            ctx.prec = 50
+            S, A = Decimal(s), Decimal(a)
+            want = float((1 - (-S / A).exp()) / S)
+        bound = 2.0 if s > 1e-6 * a else 0.0 if exact_division else 1.0
+        assert abs(prov._q(s) - want) <= bound * math.ulp(want), f
+
+
 def test_taylor_green_decay_factor_overflow_is_out_of_domain():
     prov = TaylorGreenField(nu=1e160)
     prov.sample((1.0, 2.0, 3.0), 0.0)

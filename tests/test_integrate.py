@@ -124,7 +124,9 @@ def test_summary_recomputed_from_table(field):
         prov, st = RigidRotationField(), _state((0.0, 0.6, 0.8), beta=0.7, r=(1.5, 0, 0))
     traj = integrate_trajectory(st, prov, IntegratorConfig(dt=0.05, t_end=1.0))
     flagged = traj.degenerate != 0.0
-    ndb = np.array([0.0 if f else float(n @ b) for n, b, f in zip(traj.n, traj.b, flagged)])
+    # n . b summed left to right on floats, the order the records are written in
+    ndb = np.array([0.0 if f else n[0] * b[0] + n[1] * b[1] + n[2] * b[2]
+                    for n, b, f in zip(traj.n.tolist(), traj.b.tolist(), flagged)])
     assert traj.n_dot_b.tobytes() == ndb.tobytes()
     assert traj.summary == InvariantSummary(
         steps=len(traj) - 1, max_norm_err=float(np.max(traj.norm_err)),
@@ -303,6 +305,17 @@ def test_domain_exit_terminates_early(tmp_path):
     # the early stop copies its rows; no view keeps the 101-row table alive
     assert traj.table.base is None
     assert traj.table.nbytes == len(traj) * 21 * 8
+
+
+def test_a_run_that_stops_in_its_last_step_keeps_exactly_its_records():
+    # x = t crosses the box face x = 1/sqrt(3) during the last of 6 steps: the table holds
+    # the 6 records before it, all written, and no unused row
+    prov = UniformGradientField(V0x=1.0, V0y=0.0, V0z=0.0, p0=2.0, gx=0.0, gy=0.0, gz=1.0)
+    traj = integrate_trajectory(_state((0, 1, 0), beta=0.0), prov,
+                                IntegratorConfig(dt=0.1, t_end=0.6))
+    assert traj.summary.termination_reason.startswith("out_of_domain: ")
+    assert len(traj) == 6 and traj.summary.steps == 5
+    assert np.all(np.isfinite(traj.table)) and traj.t.tolist() == [0.1 * k for k in range(6)]
 
 
 def test_negative_pressure_mid_run_terminates_early():
@@ -529,7 +542,9 @@ def test_symmetry_maps_the_run_bit_for_bit(provider, r0, sym, image_provider, st
                          ids=["rigid_rotation", "lamb_oseen"])
 def test_quarter_turn_maps_the_ensemble_moments_bit_for_bit(provider, r0, method):
     # the image seed circle is the turned circle, so mean_v and mean_u map by the turn R and
-    # the covariance as R C R^T; that includes _moments' numpy sums and D^T D
+    # the covariance as R C R^T; that includes _moments' numpy sums of products.  A sum that
+    # cancels exactly is +0.0 whatever the signs of its terms, so a covariance entry that R
+    # negates is compared up to the sign of a zero (+ 0.0 turns -0.0 into 0.0)
     config = IntegratorConfig(dt=0.01, t_end=0.5, method=method)
     base, image = (evolve_ensemble(seed_tangent_circle(EnsembleSpec(r0=r, count=16, beta=0.8),
                                                        provider), provider, config, stride=10)[1]
@@ -538,7 +553,7 @@ def test_quarter_turn_maps_the_ensemble_moments_bit_for_bit(provider, r0, method
     assert image.table[:, :2].tobytes() == base.table[:, :2].tobytes()  # t and n_effective
     assert image.mean_v.tobytes() == _quarter_turn(base.mean_v).tobytes()
     assert image.mean_u.tobytes() == _quarter_turn(base.mean_u).tobytes()
-    assert image.cov_u.tobytes() == _turned_covariance(base.cov_u).tobytes()
+    assert (image.cov_u + 0.0).tobytes() == (_turned_covariance(base.cov_u) + 0.0).tobytes()
 
 
 @pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])

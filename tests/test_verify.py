@@ -48,6 +48,13 @@ def test_fit_order_zero_errors_nan():
     assert math.isnan(fit_order([1e-3, 5e-4], [0.0, 0.0]))
 
 
+def test_fit_order_of_two_points_is_their_slope_and_of_one_point_nan():
+    # log 2^-k is k log 2 exactly for these k, so the slope through the two points is 4 exactly
+    assert fit_order([0.25, 0.5], [2.0 ** -8, 2.0 ** -4]) == 4.0
+    assert math.isnan(fit_order([0.5], [2.0 ** -4]))
+    assert math.isnan(fit_order([0.5, 0.5], [2.0 ** -4, 2.0 ** -3]))  # equal steps: no slope
+
+
 # --- cancellation ------------------------------------------------------------
 
 @pytest.mark.parametrize("provider", smooth_nonlinear_providers(),
@@ -229,9 +236,9 @@ def test_drift_rigid_rotation_naive_protected_by_symmetry():
 @pytest.mark.parametrize("rc", [1e4, 1e-4])
 def test_drift_at_rounding_floor_fits_no_order(rc):
     # the drifts are rounding (|n . b| <= 1e-13 is unit-free), so no slope is
-    # fitted to them: at rc = 1e4 it would read -0.463, at rc = 1e-4 -0.000
+    # fitted to them: at rc = 1e4 it would read -0.292, at rc = 1e-4 0.000
     prov = LambOseenField(rc=rc)
-    r0 = np.array((0.6, -0.3, 0.1)) * rc
+    r0 = np.array((0.3, 0.4, 0.0)) * rc  # a seed whose drift is not exactly 0 at either rc
     e1, _ = tangent_frame(isobaric_normal(prov.sample(r0, 0.0)))
     study = tangency_drift_study(prov, _state(e1, beta=0.8, r=r0),
                                  IntegratorConfig(dt=0.01, t_end=0.08), [0.04, 0.02, 0.01])
