@@ -30,9 +30,9 @@ from .ensemble import tangent_frame
 _TINY = 1e-300
 _ORACLE_TOL = 1e-10  # the largest |n0 . r_hat| of a seed with a rigid-rotation closed form
 _DRIFT_FLOOR = 1e-13  # |n . b| is dimensionless: drifts at or below this are rounding
-# rows per block of a pointwise study's random draws and per list of its points: numpy's
-# per-call cost is shared by a block
-_CHUNK = 64
+# rows per block of a pointwise study's random draws, and of its points turned into float
+# triples: numpy's per-call cost is shared by a block
+_BLOCK = 64
 
 
 def fit_order(steps, errors):
@@ -75,8 +75,8 @@ def _random_interior_points(provider, count, rng):
     lo, hi = provider.reference_box
     shrink = 0.02
     pts = lo + (hi - lo) * (shrink + (1.0 - 2.0 * shrink) * u)
-    return chain.from_iterable(map(tuple, pts[i:i + _CHUNK].tolist())
-                               for i in range(0, count, _CHUNK))
+    return chain.from_iterable(map(tuple, pts[i:i + _BLOCK].tolist())
+                               for i in range(0, count, _BLOCK))
 
 
 def _rows(draw):
@@ -102,7 +102,7 @@ def _random_states(provider, count, seed, t):
     """
     rng = np.random.default_rng(seed)
     points = _random_interior_points(provider, count, rng)
-    directions = _rows(lambda: rng.normal(size=(_CHUNK, 3)))
+    directions = _rows(lambda: rng.normal(size=(_BLOCK, 3)))
     kept = 0
     for r in points:
         s = provider.sample(r, t)
@@ -204,7 +204,7 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     """
     rng = np.random.default_rng(seed)
     points = _random_interior_points(provider, n_points, rng)
-    phis = _rows(lambda: rng.uniform(0.0, 2.0 * math.pi, _CHUNK))
+    phis = _rows(lambda: rng.uniform(0.0, 2.0 * math.pi, _BLOCK))
     rows = []
     for r in points:
         s = provider.sample(r, t)

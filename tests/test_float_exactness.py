@@ -246,7 +246,7 @@ class _FlatWest(RigidRotationField):
 
 
 def _skip_cases():
-    """(provider, g_min) pairs: the default g_min, then cases that skip points inside chunks."""
+    """(provider, g_min) pairs: the default g_min, then cases that skip points inside blocks."""
     return [pytest.param(p, 1e-3, id=_id(p)) for p in _providers()] + [
         pytest.param(TaylorGreenField(nu=0.3), 0.05, id="taylor_green_gmin0.05"),
         pytest.param(RigidRotationField(), 1.0, id="rigid_rotation_gmin1"),
@@ -257,9 +257,9 @@ def _skip_cases():
 @pytest.mark.parametrize("provider, g_min", _skip_cases())
 @pytest.mark.parametrize("count", [1, 63, 64, 65, 200])
 def test_pointwise_studies_match_numpy_reference(provider, g_min, count):
-    # the counts straddle the edges of the studies' point chunks; the last three cases skip
-    # points inside a chunk and across its edges, so the k-th random draw goes to the k-th
-    # kept point, not to the k-th point
+    # the counts straddle the edges of the studies' blocks of 64 points and draws; the last
+    # three cases skip points inside a block and across its edges, so the k-th random draw
+    # goes to the k-th kept point, not to the k-th point
     args = (provider, count, count % 7, 0.7, 0.25)
     rep = omega_identity_sweep(provider, count, count % 7, 1e-5, 0.7, 0.25, g_min)
     table, skipped = _ref_omega_identity_sweep(provider, count, count % 7, 1e-5, 0.7, 0.25, g_min)
