@@ -88,18 +88,30 @@ def seed_tangent_circle(spec, provider):
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # cov_u's upper triangle, row by row
 
 
+def _odd_sum(c):
+    """numpy's pairwise ``sum`` of c; a sum that cancels exactly takes the sign of c's
+    first nonzero term (+0.0 if it has none), so ``_odd_sum(-c) == -_odd_sum(c)`` bit
+    for bit, zeros included."""
+    s = c.sum()
+    if s == 0.0:
+        nonzero = np.flatnonzero(c)
+        s = math.copysign(0.0, c[nonzero[0]]) if len(nonzero) else 0.0
+    return s
+
+
 def _moments(Vv, U):
     """mean_v, mean_u and the upper triangle of cov_u over (N, 3) rows (population 1/N).
 
-    Every sum is numpy's pairwise ``sum`` of one contiguous column; a
-    covariance entry sums the elementwise product of two columns of
-    D = U - mean_u, so cov_u is symmetric as computed."""
+    Every sum is ``_odd_sum`` of one contiguous column; a covariance entry
+    sums the elementwise product of two columns of D = U - mean_u, so cov_u
+    is symmetric as computed, and a sign flip of one component flips the
+    moments it enters bit for bit."""
     n = len(U)
     V, U = Vv.T.copy(), U.T.copy()  # one contiguous row per component
-    mean_v = [c.sum() / n for c in V]
-    mean_u = [c.sum() / n for c in U]
+    mean_v = [_odd_sum(c) / n for c in V]
+    mean_u = [_odd_sum(c) / n for c in U]
     D = [c - m for c, m in zip(U, mean_u)]
-    return (*mean_v, *mean_u, *((D[i] * D[j]).sum() / n for i, j in _UPPER))
+    return (*mean_v, *mean_u, *(_odd_sum(D[i] * D[j]) / n for i, j in _UPPER))
 
 
 class EnsembleHistory(Table):

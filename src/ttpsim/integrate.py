@@ -254,7 +254,7 @@ def tangent_seed(state0, provider):
     """
     r, n = _seed_triples(state0)
     bx, by, bz, gn = gradient_normal(provider.sample(r, float(state0.t)).kin)
-    if gn == 0.0 or not abs(n[0] * bx + n[1] * by + n[2] * bz) > TANGENCY_TOL:
+    if gn == 0.0 or not abs(dot3(n, (bx, by, bz))) > TANGENCY_TOL:
         return state0  # a NaN n . b stays as it is
     if (n := _project_tangent(n, (bx, by, bz))) is None:
         raise InitialTangencyViolation("initial direction is parallel to the isobaric normal; "

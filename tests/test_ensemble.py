@@ -13,6 +13,7 @@ from ttpsim import (DegenerateGradient, EmptyEnsemble, EnsembleHistory, Ensemble
                     UniformField, UniformGradientField, ValidationError, evolve_ensemble,
                     integrate_trajectory, isobaric_normal, seed_tangent_circle,
                     tangent_frame, thermal_velocity)
+from ttpsim.ensemble import _odd_sum
 
 
 def _spec(r0, **kw):
@@ -269,12 +270,23 @@ def test_evolve_empty_rejected(taylor_green):
         evolve_ensemble([], taylor_green, IntegratorConfig(dt=0.1, t_end=1.0))
 
 
+@pytest.mark.parametrize("c, want", [([0.0, -0.5, 0.25, 0.25], "-0.0"),
+                                     ([0.0, 0.5, -0.25, -0.25], "0.0"),
+                                     ([-0.0, 0.0], "0.0"), ([0.5, 0.25], "0.75")])
+def test_an_exact_cancellation_takes_the_sign_of_the_first_nonzero_term(c, want):
+    # so a sign flip of a column maps every moment it enters bit for bit, zeros included
+    c = np.array(c)
+    assert repr(float(_odd_sum(c))) == want
+    if c.any():  # a column of zeros alone sums to +0.0 either way
+        assert repr(float(_odd_sum(-c))) == repr(-float(_odd_sum(c)))
+
+
 # --- the stats gather, pinned against the full-table gather ----------------------------
 
 def _ref_moments(Vv, U):
-    """The moments with each sum over the particles one pairwise np.sum of a contiguous column."""
+    """The moments with each sum over the particles one _odd_sum of a contiguous column."""
     def mean(col):
-        return np.sum(np.ascontiguousarray(col)) / len(col)
+        return _odd_sum(np.ascontiguousarray(col)) / len(col)
 
     mean_u = [mean(U[:, i]) for i in range(3)]
     D = [U[:, i] - mean_u[i] for i in range(3)]

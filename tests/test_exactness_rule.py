@@ -25,8 +25,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "ttpsim"
 
 # attributes whose numpy function, or array method, calls BLAS or LAPACK
-BLAS_ATTRIBUTES = frozenset(("dot", "vecdot", "matmul", "linalg", "polyfit", "tensordot",
-                             "inner"))
+BLAS_ATTRIBUTES = frozenset(("dot", "vdot", "vecdot", "matmul", "matvec", "vecmat", "linalg",
+                             "polyfit", "tensordot", "inner", "cov", "corrcoef"))
 GRID_REASON = ("the tricubic contraction of GridField._fields is the one BLAS site: "
                "np.einsum would make it kernel-independent but costs about 18% of the grid "
                "workload's particle_steps_per_s, past its 0.15 bound")
@@ -70,7 +70,8 @@ def blas_sites(source):
     "a @ b", "a @= b", "x.dot(y)", "np.dot(x, y)", "np.vecdot(a, b)", "np.matmul(a, b)",
     "np.linalg.norm(v)", "np.polyfit(x, y, 1)", "np.tensordot(a, b)", "np.inner(a, b)",
     "np.einsum('ij,j', a, b, optimize=True)", "from numpy.linalg import norm",
-    "from numpy import dot"])
+    "from numpy import dot", "np.vdot(a, b)", "np.cov(x)", "np.corrcoef(x)",
+    "np.matvec(A, x)", "np.vecmat(x, A)", "from numpy import cov"])
 def test_the_guard_sees_each_blas_construct(source):
     assert len(blas_sites(f"class K:\n    def f(self):\n        {source}\n")) == 1
 

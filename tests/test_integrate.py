@@ -542,9 +542,8 @@ def test_symmetry_maps_the_run_bit_for_bit(provider, r0, sym, image_provider, st
                          ids=["rigid_rotation", "lamb_oseen"])
 def test_quarter_turn_maps_the_ensemble_moments_bit_for_bit(provider, r0, method):
     # the image seed circle is the turned circle, so mean_v and mean_u map by the turn R and
-    # the covariance as R C R^T; that includes _moments' numpy sums of products.  A sum that
-    # cancels exactly is +0.0 whatever the signs of its terms, so a covariance entry that R
-    # negates is compared up to the sign of a zero (+ 0.0 turns -0.0 into 0.0)
+    # the covariance as R C R^T; that includes _moments' sums of products, and the sign of a
+    # sum that cancels exactly
     config = IntegratorConfig(dt=0.01, t_end=0.5, method=method)
     base, image = (evolve_ensemble(seed_tangent_circle(EnsembleSpec(r0=r, count=16, beta=0.8),
                                                        provider), provider, config, stride=10)[1]
@@ -553,7 +552,7 @@ def test_quarter_turn_maps_the_ensemble_moments_bit_for_bit(provider, r0, method
     assert image.table[:, :2].tobytes() == base.table[:, :2].tobytes()  # t and n_effective
     assert image.mean_v.tobytes() == _quarter_turn(base.mean_v).tobytes()
     assert image.mean_u.tobytes() == _quarter_turn(base.mean_u).tobytes()
-    assert (image.cov_u + 0.0).tobytes() == (_turned_covariance(base.cov_u) + 0.0).tobytes()
+    assert image.cov_u.tobytes() == _turned_covariance(base.cov_u).tobytes()
 
 
 @pytest.mark.parametrize("method", ["rk4_rodrigues", "rk4_naive"])
