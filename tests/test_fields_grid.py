@@ -411,3 +411,82 @@ def test_tricubic_simulate_samples_once_per_record(tmp_path, monkeypatch):
                    f"t_end = {steps * 0.02!r}\n\n[output]\ndirectory = {tmp_path / 'out'}\n")
     assert main(["simulate", str(cfg)]) == 0
     assert calls == {"sample": steps + 2, "sample_kinetic": 3 * steps}
+
+
+# --- reference: the Hermite slice-and-matmul contraction ------------------------
+
+def _ref_cubic_basis(s, h):
+    """Cubic Hermite basis (v0, s0, v1, s1) rows: values, d/dx, d^2/dx^2; slopes scaled by h."""
+    s2 = s * s
+    s3 = s2 * s
+    hh = h * h
+    return (2.0 * s3 - 3.0 * s2 + 1.0, s3 - 2.0 * s2 + s, -2.0 * s3 + 3.0 * s2, s3 - s2,
+            (6.0 * s2 - 6.0 * s) / h, (3.0 * s2 - 4.0 * s + 1.0) / h,
+            (-6.0 * s2 + 6.0 * s) / h, (3.0 * s2 - 2.0 * s) / h,
+            (12.0 * s - 6.0) / hh, (6.0 * s - 4.0) / hh,
+            (-12.0 * s + 6.0) / hh, (6.0 * s - 2.0) / hh)
+
+
+def _ref_linear_basis(s, h):
+    return 1.0 - s, s, -1.0 / h, 1.0 / h, 0.0, 0.0
+
+
+def _ref_contraction(g, r):
+    """The 22 kernel outputs (kin[0:13], then dV) by the slice, transpose and two matmuls.
+
+    Tests may call BLAS; the exactness guard scans src/ only.
+    """
+    (i, j, k), (fx, fy, fz) = g._locate(r)
+    w = 2 * g._nodes.shape[1]
+    basis = _ref_cubic_basis if w == 4 else _ref_linear_basis
+    C = g._nodes[..., i:i + 2, j:j + 2, k:k + 2].transpose(
+        0, 4, 1, 5, 2, 6, 3).reshape(4 * w * w, w)
+    dx, dy, dz = g.spacing.tolist()
+    B = np.array((*basis(fx, dx), *basis(fy, dy), *basis(fz, dz))).reshape(3, 3, w)
+    C = B[1] @ (C @ B[2].T).reshape(4, w, w, 3)
+    X, Y, Z, P = (B[0] @ C.reshape(4, w, 9)).reshape(4, 3, 3, 3).tolist()
+    return (X[0][0][0], Y[0][0][0], Z[0][0][0], P[0][0][0],
+            P[1][0][0], P[0][1][0], P[0][0][1],
+            P[2][0][0], P[1][1][0], P[1][0][1], P[0][2][0], P[0][1][1], P[0][0][2],
+            X[1][0][0], Y[1][0][0], Z[1][0][0],
+            X[0][1][0], Y[0][1][0], Z[0][1][0],
+            X[0][0][1], Y[0][0][1], Z[0][0][1])
+
+
+@pytest.fixture(scope="module")
+def reference_grids(tmp_path_factory):
+    """{name: path} of the 24^3 Taylor-Green grid and the ridge grid of the golden cases."""
+    from golden.regenerate import write_ridge_grid
+
+    d = tmp_path_factory.mktemp("grids")
+    h = 2.0 * math.pi / 23.0
+    write_grid(d / "tg24.grid", TaylorGreenField(), (0.0, 0.0, 0.0), (h, h, h), (24, 24, 24))
+    write_ridge_grid(d / "ridge.grid")
+    return {"taylor_green_24": d / "tg24.grid", "ridge": d / "ridge.grid"}
+
+
+@pytest.mark.parametrize("interpolation", ["tricubic", "trilinear"])
+@pytest.mark.parametrize("name", ["taylor_green_24", "ridge"])
+def test_kernel_matches_the_matmul_contraction(reference_grids, name, interpolation):
+    # tolerance: 1e-12 of the field's scale, max |nodal value| / h^order for each scalar
+    g = load_grid(reference_grids[name], interpolation=interpolation)
+    h = float(g.spacing.min())
+    V, P = np.abs(g._nodes[:3, 0, 0, 0]).max(), np.abs(g._nodes[3, 0, 0, 0]).max()
+    tol = 1e-12 * np.array((V, V, V, P) + (P / h,) * 3 + (P / h ** 2,) * 6 + (V / h,) * 9)
+    lo, hi = g.domain_bounds
+    checked = 0
+    for r in lo + (hi - lo) * np.random.default_rng(27).random((300, 3)):
+        p = tuple(r.tolist())
+        want = np.array(_ref_contraction(g, p))
+        if abs(want[3]) <= tol[3]:
+            continue  # at the sign change of p1hat either side may be taken
+        if want[3] < 0.0:
+            with pytest.raises(NegativePressure):
+                g.sample(p, 0.0)
+            continue
+        s = g.sample(p, 0.0)
+        err = np.abs(np.array(s.kin[:13] + s.dV) - want)
+        assert np.all(err <= tol), (p, (err / tol).max())
+        assert s.kin[13:] == (0.0, 0.0, 0.0)
+        checked += 1
+    assert checked > 250
