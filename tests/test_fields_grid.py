@@ -258,25 +258,66 @@ def test_tricubic_c1_across_cell_faces(tmp_path):
         assert np.max(np.abs(sl.grad_p1hat - sh.grad_p1hat)) < 1e-6
 
 
+def _bytes(s):
+    return np.array(s.kin + s.dV).tobytes()
+
+
 def test_concurrent_sampling_consistent(tmp_path):
-    # providers are immutable after construction; unsynchronized sampling
-    # from many threads must give bit-identical results to serial calls
+    # unsynchronized sampling from many threads must give the bytes of serial
+    # calls; the threads visit more cells than the cell cache holds, so clears
+    # race with fills, and the cache never exceeds its bound
     from concurrent.futures import ThreadPoolExecutor
+
+    from ttpsim.fields.grid import _CELLS_CACHED
 
     p = RigidRotationField(omega=1.0, p0=0.5, c=1.0)
     path = _write_sampled(tmp_path, p, (-2, -2, -2), (0.25, 0.25, 0.25),
                           (17, 17, 17))
-    g = load_grid(path)
     rng = np.random.default_rng(8)
-    pts = -1.5 + 3.0 * rng.random((64, 3))
-    serial = [g.sample(r, 0.0) for r in pts]
+    pts = -1.9 + 3.8 * rng.random((2000, 3))
+    g = load_grid(path)
+    serial = [_bytes(g.sample(r, 0.0)) for r in pts]
+    assert len({g._locate(r)[0] for r in pts}) > 2 * _CELLS_CACHED
+    g = load_grid(path)
     with ThreadPoolExecutor(max_workers=8) as ex:
-        threaded = list(ex.map(lambda r: g.sample(r, 0.0), pts))
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.V, b.V)
-        assert np.array_equal(a.grad_p1hat, b.grad_p1hat)
-        assert np.array_equal(a.hess_p1hat, b.hess_p1hat)
-        assert a.p1hat == b.p1hat
+        threaded = list(ex.map(lambda r: (_bytes(g.sample(r, 0.0)), len(g._cells)), pts))
+    assert [b for b, _ in threaded] == serial
+    assert max(n for _, n in threaded) <= _CELLS_CACHED
+
+
+def _taylor_green_grid(n, interpolation):
+    """Steady Taylor-Green (A = k = p0 = 1) on n^3 nodes over [0, 2 pi]^3."""
+    ax = np.linspace(0.0, 2.0 * np.pi, n)
+    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
+    V = np.stack((np.sin(X) * np.cos(Y) * np.cos(Z), -np.cos(X) * np.sin(Y) * np.cos(Z),
+                  np.zeros_like(X)), axis=-1)
+    p1 = 1.0 + ((np.cos(2 * Z) + 2.0) * (np.cos(2 * X) + np.cos(2 * Y)) - 2.0) / 16.0
+    return GridField.from_axes(ax, ax, ax, V, p1, interpolation=interpolation)
+
+
+@pytest.mark.parametrize("interpolation", ["tricubic", "trilinear"])
+def test_samples_do_not_depend_on_the_cell_cache(interpolation):
+    # the same bytes from a fresh provider, from a warm cache, and after more
+    # cells than the bound were sampled, which clears the cache
+    from ttpsim.fields.grid import _CELLS_CACHED
+
+    n = 11  # 1000 cells
+    g = _taylor_green_grid(n, interpolation)
+    lo, hi = g.domain_bounds
+    pts = [tuple(r.tolist()) for r in lo + (hi - lo) * np.random.default_rng(5).random((30, 3))]
+
+    def both(g, p):
+        return _bytes(g.sample(p, 0.0)), g.sample_kinetic(p, 0.0)
+
+    fresh = [both(_taylor_green_grid(n, interpolation), p) for p in pts]
+    assert [both(g, p) for p in pts] == fresh
+    assert [both(g, p) for p in pts] == fresh  # every cell now cached
+    sizes = []
+    for c in np.ndindex(n - 1, n - 1, n - 1):
+        g.sample_kinetic(tuple((g.origin + (np.array(c) + 0.5) * g.spacing).tolist()), 0.0)
+        sizes.append(len(g._cells))
+    assert max(sizes) == _CELLS_CACHED and min(sizes[_CELLS_CACHED:]) < _CELLS_CACHED
+    assert [both(g, p) for p in pts] == fresh
 
 
 def test_grid_provider_descriptor(tmp_path):
