@@ -4,10 +4,10 @@ Which kernel OpenBLAS picks (``OPENBLAS_CORETYPE`` chooses one per process)
 decides how ``@``, ``.dot`` and the other BLAS-backed numpy products round,
 so an output built from them depends on the CPU.  Outputs are built from
 Python floats and elementwise numpy in a written order instead.  The guard
-walks ``src/ttpsim`` with ``ast`` and fails on any BLAS-backed construct
-outside the one allowed site; the kernel test reruns the golden cases and
-the exact-symmetry tests in child processes under two other kernels.  On a
-host whose BLAS ignores the variable, the children still run every case.
+walks ``src/ttpsim`` with ``ast`` and fails on any BLAS-backed construct;
+the kernel test reruns the golden cases and the exact-symmetry tests in
+child processes under three other kernels.  On a host whose BLAS ignores the
+variable, the children still run every case.
 """
 
 import ast
@@ -27,11 +27,6 @@ SRC = ROOT / "src" / "ttpsim"
 # attributes whose numpy function, or array method, calls BLAS or LAPACK
 BLAS_ATTRIBUTES = frozenset(("dot", "vdot", "vecdot", "matmul", "matvec", "vecmat", "linalg",
                              "polyfit", "tensordot", "inner", "cov", "corrcoef"))
-GRID_REASON = ("the tricubic contraction of GridField._fields is the one BLAS site: "
-               "np.einsum would make it kernel-independent but costs about 18% of the grid "
-               "workload's particle_steps_per_s, past its 0.15 bound")
-# (file under src/ttpsim, function) -> why it may call BLAS
-ALLOWED = {("fields/grid.py", "GridField._fields"): GRID_REASON}
 
 
 def _blas_construct(node):
@@ -82,17 +77,13 @@ def test_the_guard_passes_elementwise_code(source):
     assert blas_sites(source) == []
 
 
-def test_no_blas_call_outside_the_grid_contraction():
-    found, allowed_seen = [], set()
+def test_no_blas_call_in_src():
+    found = []
     for path in sorted(SRC.rglob("*.py")):
         name = path.relative_to(SRC).as_posix()
         for scope, line, what in blas_sites(path.read_text(encoding="utf-8")):
-            if (name, scope) in ALLOWED:
-                allowed_seen.add((name, scope))
-            else:
-                found.append(f"{name}:{line} in {scope or '<module>'}: {what}")
+            found.append(f"{name}:{line} in {scope or '<module>'}: {what}")
     assert found == []
-    assert allowed_seen == set(ALLOWED)  # an allowance whose site is gone must go too
 
 
 # --- the outputs under other OpenBLAS kernels -----------------------------------
@@ -120,13 +111,10 @@ def _outcomes(kernel):
 
 
 def _kernel_cases():
-    for kernel in ("Haswell", "Nehalem"):
+    for kernel in ("Haswell", "Nehalem", "Prescott"):
         for name in sorted(CASES):
-            marks = ()
-            if kernel == "Nehalem" and name.startswith("simulate_grid"):
-                marks = pytest.mark.xfail(strict=False, reason=GRID_REASON)
             yield pytest.param(kernel, f"tests/test_golden.py::test_golden_case[{name}]",
-                               marks=marks, id=f"{kernel}-{name}")
+                               id=f"{kernel}-{name}")
         for test in SYMMETRY_TESTS:
             yield pytest.param(kernel, test, id=f"{kernel}-{test.rpartition('::')[2]}")
 
