@@ -37,6 +37,8 @@ CASES = {
     "simulate_taylor_green": ("simulate", []),
     "simulate_lamb_oseen": ("simulate", []),
     "simulate_grid": ("simulate", []),
+    # the same grid, trilinear: the path crosses a y face, where grad p1hat jumps
+    "simulate_grid_trilinear": ("simulate", []),
     "ensemble_lamb_oseen": ("ensemble", []),
     # every particle leaves the domain before t_end: the stats stop with a reason
     "ensemble_uniform_gradient_stopped": ("ensemble", []),
@@ -80,6 +82,7 @@ def write_ridge_grid(path):
 
 # case directory -> writer of its grid file, for configs with a {grid} placeholder
 GRIDS = {"simulate_grid": write_taylor_green_grid,
+         "simulate_grid_trilinear": write_taylor_green_grid,
          "simulate_grid_negative_pressure": write_ridge_grid}
 
 
