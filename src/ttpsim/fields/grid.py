@@ -65,14 +65,15 @@ def _bezier_terms(table):
     its terms, from ``starts[m]``; ``C`` is the cell's [scalar, x, y, z slot] data.
     """
     T = np.array(table, dtype=float)
-    K = np.stack([np.kron(np.kron(T[ox], T[oy]), T[oz]) for _, ox, oy, oz in _OUTPUTS])
-    K = K.reshape(-1, K.shape[2])  # [(output, control point), (x, y, z) slot]
+    s, x, y, z = np.array(_OUTPUTS).T  # K: the Kronecker product of the three axis tables
+    K = (T[x][:, :, None, None, :, None, None] * T[y][:, None, :, None, None, :, None]
+         * T[z][:, None, None, :, None, None, :]).reshape(-1, T.shape[1] ** 3)
     keep = K != 0.0
     keep[:, 0] |= ~keep.any(axis=1)  # an all-zero row keeps one zero term
     w3 = K.shape[1]
     row, col = np.nonzero(keep)
-    scalar = np.array([s for s, *_ in _OUTPUTS])[row // w3]
-    return scalar * w3 + col, K[row, col], row // w3, np.flatnonzero(np.diff(row, prepend=-1))
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    return s[row // w3] * w3 + col, K[row, col], row // w3, starts
 
 
 _TERMS = {4: _bezier_terms(_CUBIC), 2: _bezier_terms(_LINEAR)}

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -279,8 +280,14 @@ def test_concurrent_sampling_consistent(tmp_path):
     serial = [_bytes(g.sample(r, 0.0)) for r in pts]
     assert len({g._locate(r)[0] for r in pts}) > 2 * _CELLS_CACHED
     g = load_grid(path)
-    with ThreadPoolExecutor(max_workers=8) as ex:
-        threaded = list(ex.map(lambda r: (_bytes(g.sample(r, 0.0)), len(g._cells)), pts))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            threaded = list(ex.map(lambda r: (_bytes(g.sample(r, 0.0)), len(g._cells)), pts,
+                                   timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     assert [b for b, _ in threaded] == serial
     assert max(n for _, n in threaded) <= _CELLS_CACHED
 
