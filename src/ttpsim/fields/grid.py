@@ -61,8 +61,8 @@ _CELLS_CACHED = 512  # cells whose rows a provider keeps: 5.8 MB of tricubic row
 def _bezier_terms(table):
     """A cell's Hermite data to its Bezier rows, as terms for ``np.add.reduceat``.
 
-    Entry m of the flat rows [output, control point] sums ``coef * C[slot]`` over
-    its terms, from ``starts[m]``; ``C`` is the cell's [scalar, x, y, z slot] data.
+    Entry m of the flat rows [output, control point] sums ``coef * C[slot]`` over its
+    terms, from ``starts[m]``, of output ``out``; ``C`` is the cell's [scalar, x, y, z slot] data.
     """
     T = np.array(table, dtype=float)
     s, x, y, z = np.array(_OUTPUTS).T  # K: the Kronecker product of the three axis tables
@@ -232,7 +232,7 @@ class GridField(FieldProvider):
         else:
             x, y, z = (gx, fx), (gy, fy), (gz, fz)
         weights = np.multiply.outer([a * b for a in x for b in y], z).ravel()
-        v = (rows[:22 if full else 13] * weights).sum(axis=1).tolist()
+        v = ((rows if full else rows[:13]) * weights).sum(axis=1).tolist()
         if v[3] < 0.0:
             raise NegativePressure(
                 f"interpolated p1hat = {v[3]:g} < 0 at {tuple(float(c) for c in r)}")

@@ -292,31 +292,23 @@ def test_concurrent_sampling_consistent(tmp_path):
     assert max(n for _, n in threaded) <= _CELLS_CACHED
 
 
-def _taylor_green_grid(n, interpolation):
-    """Steady Taylor-Green (A = k = p0 = 1) on n^3 nodes over [0, 2 pi]^3."""
-    ax = np.linspace(0.0, 2.0 * np.pi, n)
-    X, Y, Z = np.meshgrid(ax, ax, ax, indexing="ij")
-    V = np.stack((np.sin(X) * np.cos(Y) * np.cos(Z), -np.cos(X) * np.sin(Y) * np.cos(Z),
-                  np.zeros_like(X)), axis=-1)
-    p1 = 1.0 + ((np.cos(2 * Z) + 2.0) * (np.cos(2 * X) + np.cos(2 * Y)) - 2.0) / 16.0
-    return GridField.from_axes(ax, ax, ax, V, p1, interpolation=interpolation)
-
-
 @pytest.mark.parametrize("interpolation", ["tricubic", "trilinear"])
-def test_samples_do_not_depend_on_the_cell_cache(interpolation):
+def test_samples_do_not_depend_on_the_cell_cache(tmp_path, interpolation):
     # the same bytes from a fresh provider, from a warm cache, and after more
     # cells than the bound were sampled, which clears the cache
     from ttpsim.fields.grid import _CELLS_CACHED
 
     n = 11  # 1000 cells
-    g = _taylor_green_grid(n, interpolation)
+    path = _write_sampled(tmp_path, TaylorGreenField(), (0, 0, 0), (2 * np.pi / (n - 1),) * 3,
+                          (n, n, n))
+    g = load_grid(path, interpolation=interpolation)
     lo, hi = g.domain_bounds
     pts = [tuple(r.tolist()) for r in lo + (hi - lo) * np.random.default_rng(5).random((30, 3))]
 
     def both(g, p):
         return _bytes(g.sample(p, 0.0)), g.sample_kinetic(p, 0.0)
 
-    fresh = [both(_taylor_green_grid(n, interpolation), p) for p in pts]
+    fresh = [both(load_grid(path, interpolation=interpolation), p) for p in pts]
     assert [both(g, p) for p in pts] == fresh
     assert [both(g, p) for p in pts] == fresh  # every cell now cached
     sizes = []
