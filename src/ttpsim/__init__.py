@@ -8,8 +8,8 @@ and the rotation-rate pseudo-vector driving the direction's evolution.
 """
 
 from .errors import (DegenerateGradient, EmptyEnsemble, InitialTangencyViolation,
-                     NegativePressure, NoOracle, NonUniformSpacing, NotFound,
-                     OutOfDomain, ParseError, TtpsimError, ValidationError)
+                     NegativePressure, NoOracle, NotFound, OutOfDomain, ParseError,
+                     TtpsimError, ValidationError)
 from .fields import (DerivativeResiduals, FieldProvider, FluidSample, create_provider,
                      fd_verify_derivatives, provider_parameters)
 from .fields.analytic import (LambOseenField, RigidRotationField, TaylorGreenField,

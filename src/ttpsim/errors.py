@@ -13,10 +13,6 @@ class NegativePressure(TtpsimError):
     """Kinetic pressure evaluated below zero."""
 
 
-class NonUniformSpacing(TtpsimError):
-    """Grid axes are not uniformly spaced."""
-
-
 class NotFound(TtpsimError):
     """Requested name is absent from the provider registry."""
 

@@ -8,8 +8,8 @@ writes that math once, in one kernel ``_fields``; :class:`FieldProvider`
 builds ``sample`` and ``sample_kinetic`` on top of it.  Providers are
 immutable after construction and the kernel is a pure function, so instances
 may be shared freely across threads.  The one mutable state is the grid
-provider's cache of per-cell Bezier rows: a lock guards its fills and clears,
-and no result depends on what it holds.
+provider's cache of per-cell Bezier rows, a thread-safe ``functools.lru_cache``;
+no result depends on what it holds.
 """
 
 import inspect

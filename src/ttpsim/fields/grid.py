@@ -8,10 +8,12 @@ cell's Hermite block into Bezier control points: one row of w^3 (w = 4
 tricubic, 2 trilinear) for each of the kernel's 22 outputs.  A sample is
 those rows times the tensor product of the per-axis Bernstein weights,
 summed row by row: elementwise numpy, no BLAS call.  A provider keeps the
-rows of at most ``_CELLS_CACHED`` cells and empties the cache when it is
-full; no result depends on it.  All derivatives returned are exact
-derivatives of the interpolant.  Grids are steady, so ``dt_grad_p1hat`` is
-identically zero.
+rows of the ``_CELLS_CACHED`` most recently used cells in a thread-safe
+``functools.lru_cache``; no result depends on it.  All derivatives returned
+are exact derivatives of the interpolant.  Grids are steady, so
+``dt_grad_p1hat`` is identically zero.  ``GridField`` checks every value of
+a grid, so that no cell build or sample can overflow; ``load_grid`` checks
+only the file's form.
 
 File format (text, version 1)::
 
@@ -23,12 +25,12 @@ File format (text, version 1)::
     <nx*ny*nz records, x-fastest, each "Vx Vy Vz p1hat">
 """
 
+import functools
 import math
-import threading
 
 import numpy as np
 
-from ..errors import NegativePressure, NonUniformSpacing, ParseError, ValidationError
+from ..errors import NegativePressure, ParseError, ValidationError
 from . import FieldProvider
 
 
@@ -138,58 +140,59 @@ class GridField(FieldProvider):
         if p1hat.shape != V.shape[:3]:
             raise ValidationError("p1hat shape must match V grid shape")
         self.origin = np.asarray(origin, dtype=float)
-        self.spacing = np.asarray(spacing, dtype=float)
-        if np.any(self.spacing <= 0.0):
-            raise ValidationError("spacing must be positive")
+        self.spacing = h = np.asarray(spacing, dtype=float)
         self.dims = np.array(p1hat.shape)
-        min_nodes = interpolation_min_nodes(interpolation)
-        if np.any(self.dims < min_nodes):
-            raise ValidationError(
-                f"{interpolation} interpolation needs at least {min_nodes} nodes per axis")
+        with np.errstate(all="ignore"):  # what overflows here is rejected below
+            hi = self.origin + (self.dims - 1) * h
+            if not np.all(np.isfinite((self.origin, h, hi))):
+                raise ValidationError("origin and spacing must be finite, and so must "
+                                      "the far corner origin + (dims - 1) spacing")
+            if np.any(h <= 0.0):
+                raise ValidationError("spacing must be positive")
+            if not (np.isfinite(V).all() and np.isfinite(p1hat).all()):
+                raise ValidationError("V or p1hat contains a non-finite value")
+            min_nodes = interpolation_min_nodes(interpolation)
+            if np.any(self.dims < min_nodes):
+                raise ValidationError(
+                    f"{interpolation} interpolation needs at least {min_nodes} nodes per axis")
+            if interpolation == "tricubic":
+                self._nodes = _hermite_nodes(V, p1hat, h)
+            else:
+                nodes = np.concatenate((np.moveaxis(V, 3, 0), p1hat[None]))
+                self._nodes = nodes[:, None, None, None]  # values only, no slope slots
+            n = self._nodes.shape[1]
+            w = self._width = 2 * n  # Bezier control points per axis
+            index, coef, out, starts = _TERMS[w]
+            inv = np.stack((np.ones(3), 1.0 / h, 1.0 / (h * h)))  # [derivative order, axis]
+            ox, oy, oz = np.array(_OUTPUTS)[:, 1:].T
+            coef = coef * (inv[ox, 0] * inv[oy, 1] * inv[oz, 2])[out]
+        largest = max(-float(self._nodes.min()), float(self._nodes.max()))  # NaN stays NaN
+        if not math.isfinite(largest):
+            raise ValidationError("nodal derivative estimates, scaled by the spacing, overflow")
+        if not np.all(np.isfinite(coef)):
+            raise ValidationError("spacing too small: the kernel's 1/h^2 coefficients overflow")
+        # |row entry| <= largest * sum |coef|, and a sample is a convex sum of row entries
+        if largest * float(np.add.reduceat(np.abs(coef), starts).max()) > np.finfo(float).max / 2:
+            raise ValidationError(f"nodal data too large to interpolate (max |value| {largest:g})")
         self.interpolation = interpolation
-        hi = self.origin + (self.dims - 1) * self.spacing
-        self.domain_bounds = (self.origin.copy(), hi)
-        self.reference_box = self.domain_bounds
-        if interpolation == "tricubic":
-            self._nodes = _hermite_nodes(V, p1hat, self.spacing)
-        else:
-            nodes = np.concatenate((np.moveaxis(V, 3, 0), p1hat[None]))
-            self._nodes = nodes[:, None, None, None]  # values only, no slope slots
+        self.domain_bounds = self.reference_box = (self.origin.copy(), hi)
         self._origin = tuple(self.origin.tolist())
-        self._step = tuple(self.spacing.tolist())
-        self._top = tuple(float(n - 1) for n in p1hat.shape)
+        self._step = tuple(h.tolist())
+        self._top = tuple(float(d - 1) for d in p1hat.shape)
         # a cell's Hermite block (slot 2 * corner + slope flag per axis) as one gather
-        n = self._nodes.shape[1]
-        w = self._width = 2 * n  # Bezier control points per axis
         s, a, b, c = np.indices((4, w, w, w))
         cell = np.ravel_multi_index((s, a % n, b % n, c % n, a // n, b // n, c // n),
-                                    self._nodes.shape).ravel()
-        index, coef, out, self._starts = _TERMS[w]
-        x, y, z = ((1.0, 1.0 / h, 1.0 / (h * h)) for h in self._step)
-        scale = np.array([x[ox] * y[oy] * z[oz] for _, ox, oy, oz in _OUTPUTS])
-        self._index, self._coef = cell[index], coef * scale[out]
-        self._cell_step = (int(self.dims[1] * self.dims[2]), int(self.dims[2]))
-        self._cells = {}  # cell index -> rows; a result never depends on it
-        self._cells_lock = threading.Lock()
+                                    self._nodes.shape).ravel()[index]
+        flat = self._nodes.reshape(-1)
+        si, sj = int(self.dims[1] * self.dims[2]), int(self.dims[2])
 
-    @classmethod
-    def from_axes(cls, x, y, z, V, p1hat, interpolation="tricubic"):
-        """Build from explicit axis arrays; they must be uniformly spaced, to 1e-9 relative."""
-        rtol = 1e-9
-        if np.asarray(V).shape[:3] != (len(x), len(y), len(z)):
-            raise ValidationError("V grid shape must match axis lengths")
-        axes = []
-        for arr in (x, y, z):
-            arr = np.asarray(arr, dtype=float)
-            d = np.diff(arr)
-            if len(d) == 0:
-                raise ValidationError("axes need at least 2 nodes")
-            if np.any(np.abs(d - d[0]) > rtol * abs(d[0])):
-                raise NonUniformSpacing("axis spacing varies beyond tolerance")
-            axes.append((arr[0], d[0]))
-        origin = [a[0] for a in axes]
-        spacing = [a[1] for a in axes]
-        return cls(origin, spacing, V, p1hat, interpolation=interpolation)
+        @functools.lru_cache(maxsize=_CELLS_CACHED)  # no result depends on it
+        def cell_rows(i, j, k):
+            """The cell's Bezier control points: one row of w^3 for each of the 22 outputs."""
+            C = flat[i * si + j * sj + k:].take(cell)
+            return np.add.reduceat(C * coef, starts).reshape(len(_OUTPUTS), -1)
+
+        self._cell_rows = cell_rows
 
     def _locate(self, r):
         """Cell index and offset in [0, 1] along each axis for the point r."""
@@ -206,24 +209,11 @@ class GridField(FieldProvider):
         k = min(int(qz), int(tz) - 1)
         return (i, j, k), (qx - i, qy - j, qz - k)
 
-    def _rows(self, i, j, k):
-        """The cell's Bezier control points: one row of w^3 for each of the 22 outputs."""
-        si, sj = self._cell_step
-        C = self._nodes.reshape(-1)[i * si + j * sj + k:].take(self._index)
-        rows = np.add.reduceat(C * self._coef, self._starts).reshape(len(_OUTPUTS), -1)
-        with self._cells_lock:
-            if len(self._cells) >= _CELLS_CACHED:
-                self._cells.clear()
-            self._cells[i, j, k] = rows
-        return rows
-
     def _fields(self, r, t, full):
         """The one kernel: the kinetic tuple, or with ``full`` true ``(that tuple, dV)``,
         dV being gradV row by row; grids are steady, so ``t`` is unused."""
         cell, (fx, fy, fz) = self._locate(r)
-        rows = self._cells.get(cell)
-        if rows is None:
-            rows = self._rows(*cell)
+        rows = self._cell_rows(*cell)
         gx, gy, gz = 1.0 - fx, 1.0 - fy, 1.0 - fz
         if self._width == 4:  # Bernstein weights, exactly 0 and 1 at the faces
             x = (gx * gx * gx, 3.0 * fx * gx * gx, 3.0 * fx * fx * gx, fx * fx * fx)
@@ -267,10 +257,6 @@ def load_grid(path, interpolation="tricubic"):
     spacing = header(3, "spacing", 3, float)
     if any(n <= 0 for n in dims):
         raise ParseError("dims must be positive")
-    if not all(math.isfinite(v) for v in origin + spacing):
-        raise ParseError("origin and spacing must be finite")
-    if any(d <= 0.0 for d in spacing):
-        raise ParseError("spacing must be positive")
     if lines[4].split() != ["fields", "V", "p1hat"]:
         raise ParseError(f"line 5: expected 'fields V p1hat', got {lines[4].rstrip()!r}")
 
@@ -282,8 +268,6 @@ def load_grid(path, interpolation="tricubic"):
     except ValueError:
         raise ParseError("payload contains a non-numeric token") from None
     del tokens  # free the strings before the nodal arrays are built
-    if not np.all(np.isfinite(values)):
-        raise ParseError("payload contains a non-finite value")
     records = values.reshape(n, 4)
     # file order is x-fastest: reshape to (nz, ny, nx) then transpose
     V = records[:, 0:3].reshape(dims[2], dims[1], dims[0], 3).transpose(2, 1, 0, 3)

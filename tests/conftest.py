@@ -97,7 +97,7 @@ def edge_run_breaches(argv, out_dir, t_last, label):
     """Run ``cli.main(argv)`` writing to out_dir; how it breaks the edge contract, as messages.
 
     No exception escapes, the exit code is 0, 2 or 3, and a failure prints
-    ``error:``.  A simulate or ensemble run that exits 0 writes only finite
+    one ``error:`` line and nothing else to stderr.  A simulate or ensemble run that exits 0 writes only finite
     numbers, and its last row is at ``t_last`` or it says it terminated
     early.  A verify run that exits 0 writes only finite CSVs, and its
     divergence line holds no nan or inf.
@@ -110,7 +110,8 @@ def edge_run_breaches(argv, out_dir, t_last, label):
     except Exception as exc:  # noqa: BLE001 - every escape is a breach
         return [f"{label}, {command}: {exc!r}"]
     out, err = out.getvalue(), err.getvalue()
-    if code not in (0, 2, 3) or (code != 0 and "error:" not in err):
+    if code not in (0, 2, 3) or (code != 0 and not (err.startswith("error: ")
+                                                    and err.count("\n") == 1)):
         return [f"{label}, {command}: exit {code} {err!r}"]
     if code != 0:
         return []

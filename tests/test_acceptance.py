@@ -177,7 +177,7 @@ def test_c7_derivative_integrity():
         Vy = np.broadcast_to(X[:, :, None], (n, n, n))
         V = np.stack((Vx, Vy, np.zeros((n, n, n))), axis=-1)
         p1 = np.broadcast_to((0.5 + 0.5 * (X**2 + Y**2))[:, :, None], (n, n, n))
-        grid = GridField.from_axes(ax, ax, ax, V, np.array(p1))
+        grid = GridField((ax[0],) * 3, (ax[1] - ax[0],) * 3, V, np.array(p1))
         s = grid.sample(np.array((1.0, 0.0, 0.0)), 0.0)
         xi_err = float(np.max(np.abs(s.xi - np.array((0.0, 0.0, 2.0)))))
         assert xi_err <= 1e-6, f"gridded vorticity error {xi_err:.3e}"

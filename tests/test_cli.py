@@ -843,6 +843,46 @@ def test_edge_value_sweep_exits_cleanly(tmp_path, provider):
     assert not bad
 
 
+def _smooth_record(m):
+    """Record m of a 4^3 grid: a field with a non-degenerate pressure gradient."""
+    i, j, k = m % 4, m // 4 % 4, m // 16
+    return 0.1 * j, -0.1 * i, 0.05, 1.0 + 0.1 * i + 0.05 * j * j + 0.02 * k
+
+
+# name: (spacing, record m -> (Vx, Vy, Vz, p1hat)) of a 4^3 grid file at the origin
+GRID_EDGE_FILES = {
+    **{f"spacing {h!r}": (h, _smooth_record) for h in (1e-320, 1e-200, 1e-160, 1e160, 1e200)},
+    "payload alternating +-1.7e308": (1.0, lambda m: (1.7e308 * (-1) ** m,) * 4),
+    "payload constant 1e308": (1.0, lambda m: (1e308,) * 4),
+    "control": (1.0, _smooth_record),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("interpolation", ["tricubic", "trilinear"])
+def test_grid_edge_value_files_exit_cleanly(tmp_path, interpolation):
+    # a grid whose spacing or data overflow the interpolant exits 2 with one error: line
+    # (it ended in ZeroDivisionError, or warned); any other runs with finite output
+    out_dir = tmp_path / "out"
+    bad = []
+    for name, (h, record) in GRID_EDGE_FILES.items():
+        grid = tmp_path / "edge.ttpgrid"
+        grid.write_text(f"TTPGRID 1\ndims 4 4 4\norigin 0 0 0\nspacing {h!r} {h!r} {h!r}\n"
+                        "fields V p1hat\n"
+                        + "".join(" ".join(map(repr, record(m))) + "\n" for m in range(64)))
+        cfgp = _write(tmp_path, f"[field]\ngrid = {grid}\ninterpolation = {interpolation}\n"
+                                f"[particle]\nr0 = {1.5 * h!r} {1.5 * h!r} {1.5 * h!r}\n"
+                                "auto_tangent = true\nbeta = 0.1\n"
+                                "[integrator]\ndt = 0.01\nt_end = 0.08\n"
+                                f"[output]\ndirectory = {out_dir}\n")
+        for command in (["simulate"], ["verify", "--points", "5"]):
+            shutil.rmtree(out_dir, ignore_errors=True)
+            bad += edge_run_breaches([command[0], cfgp, *command[1:]], out_dir, 0.08, name)
+        if name == "control":  # it ran: the sweep is not vacuous
+            assert (out_dir / "verify_report.txt").exists()
+    assert not bad
+
+
 TAYLOR_GREEN = ("[field]\nname = taylor_green\nk = {k}\n[particle]\nr0 = 2.1 3.3 1.7\n"
                 "auto_tangent = true\n[integrator]\ndt = 0.01\nt_end = 0.08\n[ensemble]\n"
                 "count = 4\n[output]\ndirectory = {out}\n")

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script runs to completion against the current package, warning nothing."""
 
 import os
 import pathlib
@@ -16,6 +16,9 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # the warning filters pyproject.toml gives pytest
+    argv = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning", str(demo)]
+    proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

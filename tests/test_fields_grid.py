@@ -7,9 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from ttpsim import (GridField, NegativePressure, NonUniformSpacing, OutOfDomain,
-                    ParseError, RigidRotationField, TaylorGreenField, UniformField,
-                    ValidationError, load_grid, write_grid)
+from ttpsim import (GridField, NegativePressure, OutOfDomain, ParseError, RigidRotationField,
+                    TaylorGreenField, UniformField, ValidationError, load_grid, write_grid)
 
 
 def _write_sampled(tmp_path, provider, origin, spacing, dims, name="field.grid"):
@@ -129,7 +128,7 @@ def test_negative_pressure_detected():
     p1 = np.full((n, n, n), 1e-4)
     p1[3] = 0.0
     p1[4] = 0.0
-    g = GridField.from_axes(ax, ax, ax, V, p1)
+    g = GridField((ax[0],) * 3, (ax[1] - ax[0],) * 3, V, p1)
     r = (0.5 * (ax[3] + ax[4]), 0.5, 0.5)
     with pytest.raises(NegativePressure):
         # between the two zero planes the nodal slopes force an undershoot
@@ -138,21 +137,20 @@ def test_negative_pressure_detected():
         g.sample_kinetic(r, 0.0)
 
 
-def test_nonuniform_axis_rejected():
-    ax = np.array((0.0, 1.0, 2.5, 3.0))
-    V = np.zeros((4, 4, 4, 3))
-    p1 = np.ones((4, 4, 4))
-    with pytest.raises(NonUniformSpacing):
-        GridField.from_axes(ax, np.linspace(0, 3, 4), np.linspace(0, 3, 4), V, p1)
-
-
 def test_too_small_grid_rejected():
-    ax = np.linspace(0, 1, 3)
     V = np.zeros((3, 3, 3, 3))
     p1 = np.ones((3, 3, 3))
     with pytest.raises(ValidationError):
-        GridField.from_axes(ax, ax, ax, V, p1, interpolation="tricubic")
-    GridField.from_axes(ax, ax, ax, V, p1, interpolation="trilinear")
+        GridField((0.0,) * 3, (0.5,) * 3, V, p1, interpolation="tricubic")
+    GridField((0.0,) * 3, (0.5,) * 3, V, p1, interpolation="trilinear")
+
+
+@pytest.mark.parametrize("origin, spacing", [((0.0, 0.0, 0.0), (np.nan, 1.0, 1.0)),
+                                             ((np.inf, 0.0, 0.0), (1.0, 1.0, 1.0))])
+def test_non_finite_origin_or_spacing_rejected(origin, spacing):
+    # both were accepted, and every sample then raised OutOfDomain
+    with pytest.raises(ValidationError, match="must be finite"):
+        GridField(origin, spacing, np.zeros((4, 4, 4, 3)), np.ones((4, 4, 4)))
 
 
 def test_parse_errors(tmp_path):
@@ -185,29 +183,29 @@ def test_parse_errors(tmp_path):
         non_finite.write_text(
             "TTPGRID 1\ndims 2 2 2\norigin 0 0 0\nspacing 1 1 1\nfields V p1hat\n"
             + "0 0 0 1\n" * 7 + f"0 {token} 0 1\n")
-        with pytest.raises(ParseError, match="non-finite"):
+        with pytest.raises(ValidationError, match="non-finite"):
             load_grid(non_finite)
 
     bad_spacing = tmp_path / "f.grid"
     bad_spacing.write_text(
         "TTPGRID 1\ndims 2 2 2\norigin 0 0 0\nspacing 1 nan 1\nfields V p1hat\n"
         + "0 0 0 1\n" * 8)
-    with pytest.raises(ParseError, match="finite"):
+    with pytest.raises(ValidationError, match="finite"):
         load_grid(bad_spacing)
 
     good_header = ["TTPGRID 1", "dims 2 2 2", "origin 0 0 0", "spacing 1 1 1", "fields V p1hat"]
-    for i, (line_no, line, payload, message) in enumerate((
-            (0, "TTPGRID 2", "0 0 0 1\n" * 8, "bad magic line 'TTPGRID 2'"),
-            (1, "dims 2 2 x", "0 0 0 1\n" * 8, "line 2: could not parse dims values"),
-            (1, "dims 0 2 2", "", "dims must be positive"),
-            (3, "spacing 1 0 1", "0 0 0 1\n" * 8, "spacing must be positive"),
-            (None, None, "0 0 0 1\n" * 7 + "0 0 0 one\n", "non-numeric token"))):
+    for i, (line_no, line, payload, error, message) in enumerate((
+            (0, "TTPGRID 2", "0 0 0 1\n" * 8, ParseError, "bad magic line 'TTPGRID 2'"),
+            (1, "dims 2 2 x", "0 0 0 1\n" * 8, ParseError, "line 2: could not parse dims values"),
+            (1, "dims 0 2 2", "", ParseError, "dims must be positive"),
+            (3, "spacing 1 0 1", "0 0 0 1\n" * 8, ValidationError, "spacing must be positive"),
+            (None, None, "0 0 0 1\n" * 7 + "0 0 0 one\n", ParseError, "non-numeric token"))):
         header = list(good_header)
         if line_no is not None:
             header[line_no] = line
         bad = tmp_path / f"g{i}.grid"
         bad.write_text("\n".join(header) + "\n" + payload)
-        with pytest.raises(ParseError, match=re.escape(message)):
+        with pytest.raises(error, match=re.escape(message)):
             load_grid(bad)
 
 
@@ -265,7 +263,7 @@ def _bytes(s):
 
 def test_concurrent_sampling_consistent(tmp_path):
     # unsynchronized sampling from many threads must give the bytes of serial
-    # calls; the threads visit more cells than the cell cache holds, so clears
+    # calls; the threads visit more cells than the cell cache holds, so evictions
     # race with fills, and the cache never exceeds its bound
     from concurrent.futures import ThreadPoolExecutor
 
@@ -284,8 +282,9 @@ def test_concurrent_sampling_consistent(tmp_path):
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as ex:
-            threaded = list(ex.map(lambda r: (_bytes(g.sample(r, 0.0)), len(g._cells)), pts,
-                                   timeout=120))
+            threaded = list(ex.map(
+                lambda r: (_bytes(g.sample(r, 0.0)), g._cell_rows.cache_info().currsize), pts,
+                timeout=120))
     finally:
         sys.setswitchinterval(interval)
     assert [b for b, _ in threaded] == serial
@@ -295,7 +294,7 @@ def test_concurrent_sampling_consistent(tmp_path):
 @pytest.mark.parametrize("interpolation", ["tricubic", "trilinear"])
 def test_samples_do_not_depend_on_the_cell_cache(tmp_path, interpolation):
     # the same bytes from a fresh provider, from a warm cache, and after more
-    # cells than the bound were sampled, which clears the cache
+    # cells than the bound were sampled, which evicts the least recently used
     from ttpsim.fields.grid import _CELLS_CACHED
 
     n = 11  # 1000 cells
@@ -311,11 +310,19 @@ def test_samples_do_not_depend_on_the_cell_cache(tmp_path, interpolation):
     fresh = [both(load_grid(path, interpolation=interpolation), p) for p in pts]
     assert [both(g, p) for p in pts] == fresh
     assert [both(g, p) for p in pts] == fresh  # every cell now cached
-    sizes = []
-    for c in np.ndindex(n - 1, n - 1, n - 1):
-        g.sample_kinetic(tuple((g.origin + (np.array(c) + 0.5) * g.spacing).tolist()), 0.0)
-        sizes.append(len(g._cells))
-    assert max(sizes) == _CELLS_CACHED and min(sizes[_CELLS_CACHED:]) < _CELLS_CACHED
+
+    def centre(c):
+        return tuple((g.origin + (np.array(c) + 0.5) * g.spacing).tolist())
+
+    cells = list(np.ndindex(n - 1, n - 1, n - 1))
+    for c in cells:
+        g.sample_kinetic(centre(c), 0.0)
+    swept = g._cell_rows.cache_info()
+    assert swept.currsize == _CELLS_CACHED
+    g.sample_kinetic(centre(cells[-1]), 0.0)  # the most recently used cell is kept
+    assert g._cell_rows.cache_info().hits == swept.hits + 1
+    g.sample_kinetic(centre(cells[0]), 0.0)  # the least recently used is gone
+    assert g._cell_rows.cache_info().misses == swept.misses + 1
     assert [both(g, p) for p in pts] == fresh
 
 

@@ -327,7 +327,7 @@ def test_negative_pressure_mid_run_terminates_early():
     V = np.zeros(X.shape + (3,))
     V[..., 0] = 1.0
     p1 = 1e-3 + np.exp(-((X - 0.5) / 0.06) ** 2) + 0.01 * Y
-    g = GridField.from_axes(x, x, x, V, p1)
+    g = GridField((x[0],) * 3, (x[1] - x[0],) * 3, V, p1)
     cfg = IntegratorConfig(dt=1e-3, t_end=0.8)
     seed = tangent_seed(_state((0, 0, 1.0), beta=0.01, r=(0.1, 0.5, 0.5)), g)
     traj = integrate_trajectory(seed, g, cfg)

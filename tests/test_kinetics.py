@@ -295,7 +295,7 @@ def _taylor_green_grid():
     for idx in np.ndindex(9, 9, 9):
         s = tg.sample(ax[list(idx)], 0.0)
         V[idx], p1[idx] = s.V, s.p1hat
-    return GridField.from_axes(ax, ax, ax, V, p1)
+    return GridField((ax[0],) * 3, (ax[1] - ax[0],) * 3, V, p1)
 
 
 @pytest.mark.parametrize("provider", all_builtin_providers() + [_taylor_green_grid()],
