@@ -181,15 +181,15 @@ class GridField(FieldProvider):
         self._top = tuple(float(d - 1) for d in p1hat.shape)
         # a cell's Hermite block (slot 2 * corner + slope flag per axis) as one gather
         s, a, b, c = np.indices((4, w, w, w))
-        cell = np.ravel_multi_index((s, a % n, b % n, c % n, a // n, b // n, c // n),
-                                    self._nodes.shape).ravel()[index]
+        gather = np.ravel_multi_index((s, a % n, b % n, c % n, a // n, b // n, c // n),
+                                      self._nodes.shape).ravel()[index]
         flat = self._nodes.reshape(-1)
         si, sj = int(self.dims[1] * self.dims[2]), int(self.dims[2])
 
         @functools.lru_cache(maxsize=_CELLS_CACHED)  # no result depends on it
         def cell_rows(i, j, k):
             """The cell's Bezier control points: one row of w^3 for each of the 22 outputs."""
-            C = flat[i * si + j * sj + k:].take(cell)
+            C = flat[i * si + j * sj + k:].take(gather)
             return np.add.reduceat(C * coef, starts).reshape(len(_OUTPUTS), -1)
 
         self._cell_rows = cell_rows

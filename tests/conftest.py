@@ -97,10 +97,10 @@ def edge_run_breaches(argv, out_dir, t_last, label):
     """Run ``cli.main(argv)`` writing to out_dir; how it breaks the edge contract, as messages.
 
     No exception escapes, the exit code is 0, 2 or 3, and a failure prints
-    one ``error:`` line and nothing else to stderr.  A simulate or ensemble run that exits 0 writes only finite
-    numbers, and its last row is at ``t_last`` or it says it terminated
-    early.  A verify run that exits 0 writes only finite CSVs, and its
-    divergence line holds no nan or inf.
+    one ``error:`` line and nothing else to stderr.  A simulate or ensemble
+    run that exits 0 writes only finite numbers, and its last row is at
+    ``t_last`` or it says it terminated early.  A verify run that exits 0
+    writes only finite CSVs, and its divergence line holds no nan or inf.
     """
     command = argv[0]
     out, err = io.StringIO(), io.StringIO()
