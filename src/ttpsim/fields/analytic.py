@@ -115,8 +115,8 @@ class TaylorGreenField(FieldProvider):
     is the classical cellular form shifted to positivity,
     p1hat = p0 + (A^2/16) [(cos 2kz + 2)(cos 2kx + cos 2ky) - 2] F(t)^2,
     which requires p0 > A^2 / 2.  Sampling where F(t)^2 is not finite (t < 0
-    with a large nu), or at a finite r where a phase k x, k y or k z
-    overflows, raises OutOfDomain.
+    with a large nu), or where a phase k x, k y or k z is not finite (a huge
+    k or r, or an r that is not finite), raises OutOfDomain.
     """
 
     name = "taylor_green"
@@ -150,8 +150,6 @@ class TaylorGreenField(FieldProvider):
             sy, cy = math.sin(k * y), math.cos(k * y)
             sz, cz = math.sin(k * z), math.cos(k * z)
         except ValueError:  # math.sin(inf)
-            if not all(map(math.isfinite, (x, y, z))):
-                raise  # a position that is not finite is the caller's non-finite state
             raise OutOfDomain("Taylor-Green phase k r is not finite at "
                               f"r = {(float(x), float(y), float(z))}") from None
         s2x, c2x = 2.0 * sx * cx, 1.0 - 2.0 * sx * sx

@@ -165,15 +165,18 @@ class GridField(FieldProvider):
             index, coef, out, starts = _TERMS[w]
             inv = np.stack((np.ones(3), 1.0 / h, 1.0 / (h * h)))  # [derivative order, axis]
             ox, oy, oz = np.array(_OUTPUTS)[:, 1:].T
-            coef = coef * (inv[ox, 0] * inv[oy, 1] * inv[oz, 2])[out]
+            scaled = coef * (inv[ox, 0] * inv[oy, 1] * inv[oz, 2])[out]
+            coef = np.where(coef == 0.0, coef, scaled)  # a zero stays zero, not 0 * inf
+            # |row entry| <= max |nodal datum| * coef_sum; a sample is a convex sum of them
+            coef_sum = float(np.add.reduceat(np.abs(coef), starts).max())
         largest = max(-float(self._nodes.min()), float(self._nodes.max()))  # NaN stays NaN
         if not math.isfinite(largest):
             raise ValidationError("nodal derivative estimates, scaled by the spacing, overflow")
-        if not np.all(np.isfinite(coef)):
+        if not math.isfinite(coef_sum):
             raise ValidationError("spacing too small: the kernel's 1/h^2 coefficients overflow")
-        # |row entry| <= largest * sum |coef|, and a sample is a convex sum of row entries
-        if largest * float(np.add.reduceat(np.abs(coef), starts).max()) > np.finfo(float).max / 2:
-            raise ValidationError(f"nodal data too large to interpolate (max |value| {largest:g})")
+        if largest * coef_sum > np.finfo(float).max / 2:
+            raise ValidationError(f"nodal data too large to interpolate (max |value| {largest:g}, "
+                                  f"largest coefficient sum {coef_sum:g})")
         self.interpolation = interpolation
         self.domain_bounds = self.reference_box = (self.origin.copy(), hi)
         self._origin = tuple(self.origin.tolist())

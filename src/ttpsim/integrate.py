@@ -134,14 +134,14 @@ class Trajectory(Table):
 def _rot_s(nx, ny, nz, tx, ty, tz):
     """Rodrigues rotation of (nx, ny, nz) by the rotation vector (tx, ty, tz).
 
-    Exact axis-angle rotation; the result is renormalized to absorb
-    last-ulp rounding, so the norm never random-walks.
+    Exact axis-angle rotation, renormalized to absorb last-ulp rounding so
+    the norm never random-walks; an angle that is not finite gives nan.
     """
     angle = math.sqrt(tx * tx + ty * ty + tz * tz)
     if angle == 0.0:
         return nx, ny, nz
     kx, ky, kz = tx / angle, ty / angle, tz / angle
-    c, s = math.cos(angle), math.sin(angle)
+    c, s = (math.cos(angle), math.sin(angle)) if angle < math.inf else (math.nan, math.nan)
     dot = (kx * nx + ky * ny + kz * nz) * (1.0 - c)
     ox = nx * c + (ky * nz - kz * ny) * s + kx * dot
     oy = ny * c + (kz * nx - kx * nz) * s + ky * dot
@@ -187,7 +187,8 @@ def _advance(provider, t, r, n, beta, dt, k1, act, rate):
     :func:`stage_eval` returns them.  Stage i's direction increment is
     d_i = rate(theta_i, Omega_i, m_i); stage i + 1 sits at r + c_i a_i with
     direction act(n, theta_{i+1} = c_i d_i), and the step ends at
-    act(n, dt/6 (d1 + 2 (d2 + d3) + d4)).  Returns the new (r, n).
+    act(n, dt/6 (d1 + 2 (d2 + d3) + d4)).  Returns the new (r, n).  A stage
+    position that is not finite is never sampled: the step returns it as r.
     """
     rx, ry, rz = r
     nx, ny, nz = n
@@ -201,8 +202,10 @@ def _advance(provider, t, r, n, beta, dt, k1, act, rate):
     for c in (0.5 * dt, 0.5 * dt, dt):
         tx, ty, tz = c * dx, c * dy, c * dz
         mx, my, mz = act(nx, ny, nz, tx, ty, tz)
-        ax, ay, az, ox, oy, oz = stage_eval(provider, t + c, rx + c * ax, ry + c * ay,
-                                            rz + c * az, mx, my, mz, beta)
+        px, py, pz = rx + c * ax, ry + c * ay, rz + c * az
+        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
+            return (px, py, pz), (mx, my, mz)
+        ax, ay, az, ox, oy, oz = stage_eval(provider, t + c, px, py, pz, mx, my, mz, beta)
         dx, dy, dz = rate(tx, ty, tz, ox, oy, oz, mx, my, mz)
         if c < dt:  # stages 2 and 3; the last one's rates stay in (ax, ..., dz)
             sax, say, saz = sax + ax, say + ay, saz + az
@@ -268,12 +271,12 @@ def integrate_trajectory(state0, provider, config):
     The initial direction must satisfy the tangency constraint |n . b| <=
     1e-8 at the seed point (vacuous where b is degenerate), else
     InitialTangencyViolation; :func:`tangent_seed` projects a seed onto it.
-    Domain exit, a negative interpolated pressure, or a state or record that
-    is not finite, after the seed point ends the trajectory early with a
-    recorded reason.  A seed state or seed record that is not finite, or a
-    horizon whose record table cannot be allocated, raises ValidationError
-    before any step.  The loop runs on Python floats, one table row per
-    record.
+    After the seed point, domain exit, a negative interpolated pressure, or a
+    step or record that is not finite ends the trajectory early with a
+    recorded reason; no field is sampled at a position that is not finite.
+    A seed state or seed record that is not finite, or a horizon whose
+    record table cannot be allocated, raises ValidationError before any
+    step.  The loop runs on Python floats, one table row per record.
     """
     t0 = float(state0.t)
     n_steps = step_count(t0, config.t_end, config.dt)
@@ -316,19 +319,15 @@ def integrate_trajectory(state0, provider, config):
         if k > n_steps:
             break
         try:
-            try:
-                r, n = _advance(provider, t, r, n, beta, config.dt, ev[:6], act, rate)
-            except (ValueError, OverflowError) as err:  # a stage value overflowed in math
-                reason = f"non_finite_state: the step from r = {r}, n = {n}, t = {t!r} ({err})"
-                break
+            r1, n1 = _advance(provider, t, r, n, beta, config.dt, ev[:6], act, rate)
             if config.renormalize_every and k % config.renormalize_every == 0:
-                nrm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+                nrm = math.sqrt(n1[0] * n1[0] + n1[1] * n1[1] + n1[2] * n1[2])
                 if nrm < math.inf:  # else |n|^2 overflowed: keep n, whose record is not finite
-                    n = tuple(x / nrm for x in n)
-            t = t0 + k * config.dt
-            if not all(map(math.isfinite, r + n)):
-                reason = f"non_finite_state: r = {r}, n = {n} at t = {t!r}"
+                    n1 = tuple(x / nrm for x in n1)
+            if not all(map(math.isfinite, r1 + n1)):
+                reason = f"non_finite_state: the step from r = {r}, n = {n}, t = {t!r}"
                 break
+            r, n, t = r1, n1, t0 + k * config.dt
             ev = rhs_terms(provider, t, r, n, beta)
             if reproject and k % reproject == 0 and not ev[11]:  # not degenerate
                 proj = _project_tangent(n, ev[8:11])  # b

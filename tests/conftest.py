@@ -82,6 +82,16 @@ EDGE_SEEDS = {"uniform": "r0 = 0 0 0\nn0 = 0 0 1",
               "lamb_oseen": "r0 = 0.6 -0.3 0.1\nauto_tangent = true"}
 
 
+def spy_positions(provider, seen):
+    """provider, with its sample and sample_kinetic appending each position they get to seen."""
+    for name in ("sample", "sample_kinetic"):
+        def spy(r, t, method=getattr(provider, name)):
+            seen.append(tuple(map(float, r)))
+            return method(r, t)
+        setattr(provider, name, spy)
+    return provider
+
+
 def verify_non_finite(out_dir, label):
     """The non-finite values in a verify run's CSVs and divergence line, as messages."""
     bad = [f"{label}, verify: non-finite {csv.name}" for csv in sorted(out_dir.glob("*.csv"))

@@ -19,7 +19,7 @@ from ttpsim.cli import (SCHEMA, STATS_COLUMNS, TRAJECTORY_COLUMNS, build_initial
                         build_provider, main, parse_config, print_config)
 from ttpsim.fields.analytic import PROVIDERS
 
-from conftest import EDGE_SEEDS, edge_run_breaches, verify_non_finite
+from conftest import EDGE_SEEDS, edge_run_breaches, spy_positions, verify_non_finite
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -515,42 +515,53 @@ def test_undecodable_file_exit2_names_it(tmp_path, capsys, kind):
     assert f"byte 0xe9 at offset {offset}" in err
 
 
-@pytest.mark.parametrize("field, particle, integrator, final_time", [
+@pytest.mark.parametrize("field, particle, integrator, final_time, form", [
     # far too large a step: the state overflows to nan at t = 235
-    ("rigid_rotation", "r0 = 1 0 0.2\nn0 = 0 0.6 0.8\nbeta = 5", "dt = 5\nt_end = 2000", 230.0),
+    ("rigid_rotation", "r0 = 1 0 0.2\nn0 = 0 0.6 0.8\nbeta = 5", "dt = 5\nt_end = 2000", 230.0,
+     "step"),
     # rk4_naive lets |n| grow; at t = 23 the state is finite but |n|^2 overflows
     ("taylor_green", "r0 = 1 2 3\nauto_tangent = true",
-     "dt = 1\nt_end = 400\nmethod = rk4_naive", 22.0),
-    # the step from t = 6 takes math.sin of an overflowed stage position
+     "dt = 1\nt_end = 400\nmethod = rk4_naive", 22.0, "record"),
+    # a stage position of the step from t = 6 overflows
     ("taylor_green", "r0 = 2.1 3.3 1.7\nauto_tangent = true",
-     "dt = 2\nt_end = 800\nmethod = rk4_naive", 6.0),
+     "dt = 2\nt_end = 800\nmethod = rk4_naive", 6.0, "step"),
     # |n| reaches 2e172 after the step from t = 4; its square overflows at renormalization
     ("taylor_green", "r0 = 2.1 3.3 1.7\nauto_tangent = true",
-     "dt = 4\nt_end = 800\nmethod = rk4_naive\nrenormalize_every = 2", 4.0),
+     "dt = 4\nt_end = 800\nmethod = rk4_naive\nrenormalize_every = 2", 4.0, "record"),
     # the same run projected onto the tangent plane instead: the projection's norm overflows
     ("taylor_green", "r0 = 2.1 3.3 1.7\nauto_tangent = true",
-     "dt = 4\nt_end = 800\nmethod = rk4_naive\nproject_tangency_every = 2", 4.0),
+     "dt = 4\nt_end = 800\nmethod = rk4_naive\nproject_tangency_every = 2", 4.0, "record"),
+    # the first stage position overflows to x = inf, outside the domain too (it was out_of_domain)
+    ("uniform_gradient\nV0x = 1e308", "r0 = 0.1 0 0\nauto_tangent = true",
+     "dt = 10\nt_end = 20", 0.0, "step"),
 ], ids=["state_nan", "record_overflow", "stage_overflow", "renormalize_overflow",
-        "projection_overflow"])
-def test_simulate_non_finite_state_terminates_early(tmp_path, capsys, field, particle,
-                                                    integrator, final_time):
-    # the run stops with a reason instead of writing nan or inf rows
+        "projection_overflow", "stage_overflow_bounded"])
+def test_simulate_non_finite_state_terminates_early(tmp_path, capsys, monkeypatch, field,
+                                                    particle, integrator, final_time, form):
+    # the run stops with a reason instead of writing nan or inf rows, and the field is
+    # never sampled at a position that is not finite
+    seen = []
+    monkeypatch.setattr("ttpsim.cli.build_provider",
+                        lambda cfg: spy_positions(build_provider(cfg), seen))
     out = tmp_path / "out"
     text = (f"[field]\nname = {field}\n\n[particle]\n{particle}\n\n"
             f"[integrator]\n{integrator}\n\n[output]\ndirectory = {out}\n")
     assert main(["simulate", _write(tmp_path, text)]) == 0
+    assert seen and all(map(math.isfinite, sum(seen, ())))
 
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
 
     summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
     assert summary["terminated_early"] is True
-    assert summary["termination_reason"].startswith("non_finite_state: ")
+    prefix = {"step": "non_finite_state: the step from r = ",
+              "record": "non_finite_state: the record at r = "}[form]
+    assert summary["termination_reason"].startswith(prefix)
     assert summary["final_time"] == final_time
     lines = (out / "trajectory.csv").read_text().splitlines()
     assert len(lines) == 1 + summary["steps"] + 1
     assert not any("nan" in line or "inf" in line for line in lines[1:])
-    assert "terminated early (non_finite_state: " in capsys.readouterr().out
+    assert f"terminated early ({prefix}" in capsys.readouterr().out
 
 
 def test_simulate_missing_config_exit2(tmp_path):
@@ -851,7 +862,8 @@ def _smooth_record(m):
 
 # name: (spacing, record m -> (Vx, Vy, Vz, p1hat)) of a 4^3 grid file at the origin
 GRID_EDGE_FILES = {
-    **{f"spacing {h!r}": (h, _smooth_record) for h in (1e-320, 1e-200, 1e-160, 1e160, 1e200)},
+    **{f"spacing {h!r}": (h, _smooth_record)
+       for h in (1e-320, 1e-200, 1e-160, 1e-154, 1e160, 1e200)},
     "payload alternating +-1.7e308": (1.0, lambda m: (1.7e308 * (-1) ** m,) * 4),
     "payload constant 1e308": (1.0, lambda m: (1e308,) * 4),
     "control": (1.0, _smooth_record),

@@ -17,7 +17,9 @@ def test_demo_runs(demo, tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     # the warning filters pyproject.toml gives pytest
-    argv = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::UserWarning", str(demo)]
+    flags = ("UserWarning", "RuntimeWarning", "DeprecationWarning", "PendingDeprecationWarning",
+             "FutureWarning")
+    argv = [sys.executable, *(f"-Werror::{w}" for w in flags), str(demo)]
     proc = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -363,6 +363,16 @@ def test_taylor_green_decay_factor_overflow_is_out_of_domain():
         prov.sample_kinetic((1.0, 2.0, 3.0), -1e-100)
 
 
+def test_taylor_green_phase_that_is_not_finite_is_out_of_domain():
+    # at a position that is not finite it re-raised math.sin's bare ValueError
+    prov = TaylorGreenField(k=4.0)
+    for r in [(math.inf, 0.0, 0.0), (0.0, 0.0, -math.inf), (1e308, 2.0, 3.0)]:  # 4e308 = inf
+        with pytest.raises(OutOfDomain, match="phase k r is not finite"):
+            prov.sample(r, 0.0)
+        with pytest.raises(OutOfDomain, match="phase k r is not finite"):
+            prov.sample_kinetic(r, 0.0)
+
+
 def test_uniform_gradient_outside_box_is_out_of_domain():
     prov = UniformGradientField()  # the box |r|_inf <= 1 / sqrt(3)
     for r in [(0.0, math.nan, 0.0), (0.0, 0.0, 0.6)]:

@@ -153,6 +153,18 @@ def test_non_finite_origin_or_spacing_rejected(origin, spacing):
         GridField(origin, spacing, np.zeros((4, 4, 4, 3)), np.ones((4, 4, 4)))
 
 
+@pytest.mark.parametrize("spacing", [(1e-160, 1.0, 1.0), (1.0, 1e-160, 1.0), (1.0, 1.0, 1e-160)])
+def test_trilinear_grid_with_one_tiny_spacing_samples_finite_values(spacing):
+    # the all-zero xx row's placeholder term, 0 * 1/h^2 = nan, was rejected as a spacing
+    # too small, though no nonzero coefficient overflows
+    i, j, k = np.indices((4, 4, 4)).astype(float)
+    V = np.stack((0.1 * j, -0.1 * i, 0.05 + 0.0 * k), axis=-1)
+    g = GridField((0.0,) * 3, spacing, V, 1.0 + 0.1 * i + 0.05 * j * j + 0.02 * k,
+                  interpolation="trilinear")
+    s = g.sample(tuple(1.5 * x for x in spacing), 0.0)
+    assert np.all(np.isfinite(s.kin)) and np.all(np.isfinite(s.dV))
+
+
 def test_parse_errors(tmp_path):
     bad_magic = tmp_path / "a.grid"
     bad_magic.write_text("TTPGRID 2\ndims 2 2 2\n")

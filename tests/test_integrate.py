@@ -52,6 +52,12 @@ def test_rotate_norm_preserved_random():
         assert abs(np.linalg.norm(out) - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("theta", [(math.inf, 0.0, 0.0), (1e200, -1e200, 0.0)])
+def test_rotate_by_an_angle_that_is_not_finite_gives_a_direction_that_is_not(theta):
+    # an infinite angle raised ValueError from math.cos; a step now stops on the direction
+    assert not any(map(math.isfinite, _rot_s(0.6, 0.8, 0.0, *theta)))
+
+
 # --- single step -------------------------------------------------------------
 
 def test_step_constant_rhs_exact(uniform):
