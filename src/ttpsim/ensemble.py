@@ -23,7 +23,8 @@ from .kinetics import TtpState, cross, isobaric_normal, norm3
 class EnsembleSpec:
     """Seeding recipe for a tangent-circle ensemble at one point.
 
-    ``r0`` is kept as given (any 3-sequence); seeding converts it.
+    ``r0`` is kept as given (any 3-sequence; another shape raises
+    ValidationError); seeding converts it.
     """
 
     r0: tuple
@@ -34,6 +35,8 @@ class EnsembleSpec:
     beta: float = 1.0
 
     def __post_init__(self):
+        if np.shape(self.r0) != (3,):
+            raise ValidationError(f"r0 must have 3 components, got shape {np.shape(self.r0)}")
         if self.count < 1:
             raise ValidationError("count must be >= 1")
         if self.sampling not in ("equispaced_circle", "random_circle"):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGradient, NegativePressure
+from .errors import DegenerateGradient, NegativePressure, ValidationError
 
 # |grad p1hat| at or below this is degenerate: b, and so tangency, is undefined there
 EPS_GRAD = 1e-10
@@ -38,8 +38,9 @@ _EPS_GRAD2 = EPS_GRAD * EPS_GRAD  # compared against |grad p1hat|^2
 class TtpState:
     """Reduced particle state.
 
-    ``n`` must be a unit vector (the integrator maintains the norm to
-    rounding); ``beta`` is constant along a trajectory.
+    ``r`` and ``n`` are float arrays of shape (3,); another shape raises
+    ValidationError.  ``n`` must be a unit vector (the integrator maintains
+    the norm to rounding); ``beta`` is constant along a trajectory.
     """
 
     t: float
@@ -50,6 +51,9 @@ class TtpState:
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
         self.n = np.asarray(self.n, dtype=float)
+        for name, v in (("r", self.r), ("n", self.n)):
+            if v.shape != (3,):
+                raise ValidationError(f"{name} must have 3 components, got shape {v.shape}")
 
 
 @dataclass(slots=True)

@@ -16,7 +16,6 @@ never asserted; the term-by-term decomposition is a documented diagnostic.
 
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -66,8 +65,18 @@ def _or_nan(stat, column):
     return stat(values) if values else math.nan
 
 
-def _random_interior_points(provider, count, rng):
-    """``count`` random points of the reference box, drawn now; float triples made per block."""
+def _kept_points(provider, count, seed, t, draw, g_min=0.0):
+    """(sample, b, |g|, r, row) of each kept random point of the reference box, in point order.
+
+    The ``count`` points are drawn first, in one block, and turned into float
+    triples per block.  A point is kept unless :func:`gradient_normal`'s |g|
+    is 0 or at most ``g_min``.  The k-th kept point takes the k-th row of
+    successive ``draw(rng)`` blocks, each drawn when needed: a block draw
+    gives the numbers of as many single draws, and nothing else draws from
+    ``rng`` after the points, so that row is the k-th single draw wherever
+    the skipped points fall.  A sample that raises is raised at its point.
+    """
+    rng = np.random.default_rng(seed)
     try:
         u = rng.random((count, 3))
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
@@ -75,43 +84,29 @@ def _random_interior_points(provider, count, rng):
     lo, hi = provider.reference_box
     shrink = 0.02
     pts = lo + (hi - lo) * (shrink + (1.0 - 2.0 * shrink) * u)
-    return chain.from_iterable(map(tuple, pts[i:i + _BLOCK].tolist())
-                               for i in range(0, count, _BLOCK))
-
-
-def _rows(draw):
-    """The rows of successive ``draw()`` blocks, one at a time; each block is drawn when needed.
-
-    A study takes one row per kept point, after its points are drawn.  A
-    block draw gives the numbers of as many single draws, and nothing draws
-    from a study's generator after its rows, so the k-th kept point takes
-    the numbers of the k-th single draw, wherever the skipped points fall.
-    """
-    while True:
-        yield from draw().tolist()
+    blocks = range(0, count, _BLOCK)
+    rows = (row for _ in blocks for row in draw(rng).tolist())
+    for r in (tuple(r) for i in blocks for r in pts[i:i + _BLOCK].tolist()):
+        s = provider.sample(r, t)
+        *b, gn = gradient_normal(s.kin)
+        if gn == 0.0 or gn <= g_min:  # a nan |g| is kept
+            continue
+        yield s, b, gn, r, next(rows)
 
 
 def _random_states(provider, count, seed, t):
     """(sample, b, |g|, r, n) of each random point with a non-degenerate gradient, in point order.
 
-    ``b`` and |g| are :func:`gradient_normal`'s, so |g| is finite where
-    |g|^2 overflows; ``b``, ``r`` and the random unit ``n`` are float
-    triples; the k-th kept point takes the k-th random direction (:func:`_rows`).
-    A sample that raises is raised at its point; DegenerateGradient is raised
-    if no point is kept.
+    The points are :func:`_kept_points`' and ``n`` is its row of normal draws
+    made unit; ``b``, ``r`` and ``n`` are float triples.  DegenerateGradient
+    is raised if no point is kept.
     """
-    rng = np.random.default_rng(seed)
-    points = _random_interior_points(provider, count, rng)
-    directions = _rows(lambda: rng.normal(size=(_BLOCK, 3)))
     kept = 0
-    for r in points:
-        s = provider.sample(r, t)
-        *b, gn = gradient_normal(s.kin)
-        if gn != 0.0:
-            kept += 1
-            v = next(directions)
-            nrm = norm3(v)
-            yield s, b, gn, r, (v[0] / nrm, v[1] / nrm, v[2] / nrm)
+    for s, b, gn, r, v in _kept_points(provider, count, seed, t,
+                                       lambda rng: rng.normal(size=(_BLOCK, 3))):
+        kept += 1
+        nrm = norm3(v)
+        yield s, b, gn, r, (v[0] / nrm, v[1] / nrm, v[2] / nrm)
     if kept == 0:
         raise DegenerateGradient("no non-degenerate states found")
 
@@ -200,18 +195,11 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     counted; a point whose V + u or residuals are not finite raises
     ValidationError.  Points are evaluated whole and in order, so the first
     failure in point order is raised, and the k-th point past the degenerate
-    and g_min tests takes the k-th random angle (:func:`_rows`).
+    and g_min tests takes the k-th random angle (:func:`_kept_points`).
     """
-    rng = np.random.default_rng(seed)
-    points = _random_interior_points(provider, n_points, rng)
-    phis = _rows(lambda: rng.uniform(0.0, 2.0 * math.pi, _BLOCK))
     rows = []
-    for r in points:
-        s = provider.sample(r, t)
-        *b, gn = gradient_normal(s.kin)
-        if gn == 0.0 or gn <= g_min:
-            continue
-        phi = next(phis)
+    for s, b, _, r, phi in _kept_points(provider, n_points, seed, t,
+                                        lambda rng: rng.uniform(0.0, 2.0 * math.pi, _BLOCK), g_min):
         e1, e2 = (e.tolist() for e in tangent_frame(b))
         n = [math.cos(phi) * x + math.sin(phi) * y for x, y in zip(e1, e2)]
         w = _rates(s.kin, *n, beta)[:3]  # V + u

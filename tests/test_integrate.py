@@ -1,6 +1,7 @@
 """Stepper and trajectory integration tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,21 @@ def test_tangent_seed_keeps_a_tangent_or_degenerate_seed(rigid, uniform):
     assert tangent_seed(st, rigid) is st
     st = _state((0.8, 0.6, 0.0), r=(1.0, 0, 0))
     assert tangent_seed(st, uniform) is st  # b is degenerate everywhere
+
+
+@pytest.mark.parametrize("make, name, shape", [
+    (lambda: TtpState(t=0.0, r=(1.0, 0.2), n=(0.0, 1.0, 0.0), beta=1.0), "r", (2,)),
+    (lambda: TtpState(t=0.0, r=(1.0, 0.2, 0.0, 0.0), n=(0.0, 1.0, 0.0), beta=1.0), "r", (4,)),
+    (lambda: TtpState(t=0.0, r=(1.0, 0.2, 0.0), n=(0.0, 1.0), beta=1.0), "n", (2,)),
+    (lambda: TtpState(t=0.0, r=((1.0,), (0.2,), (0.0,)), n=(0.0, 1.0, 0.0), beta=1.0), "r", (3, 1)),
+    (lambda: EnsembleSpec(r0=(1.0, 0.2)), "r0", (2,)),
+], ids=["r2", "r4", "n2", "r3x1", "r0_2"])
+def test_a_seed_vector_without_3_components_is_validation_error(make, name, shape):
+    # integrate_trajectory, tangent_seed and seed_tangent_circle used to end in a bare
+    # ValueError, IndexError or TypeError on these; the seed is now rejected when built
+    with pytest.raises(ValidationError, match=f"^{name} must have 3 components, "
+                                              f"got shape {re.escape(str(shape))}$"):
+        make()
 
 
 @pytest.mark.parametrize("r, n", [

@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from ttpsim import (EPS_GRAD, DegenerateGradient, FluidSample, GridField,
+from ttpsim import (EPS_GRAD, DegenerateGradient, FluidSample, GridField, LambOseenField,
                     NegativePressure, RigidRotationField, TaylorGreenField, TtpState,
                     UniformGradientField, isobaric_normal, omega_decomposed, omega_direct,
                     relative_velocity, state_rhs, thermal_velocity)
 from ttpsim.kinetics import _rates, cross, gradient_normal, rhs_terms, stage_eval
 
 from conftest import all_builtin_providers, interior_points
+from test_float_exactness import _tricubic_grid
 
 
 def _sample_with(grad, p1=1.0, V=(0, 0, 0), hess=None):
@@ -202,6 +203,43 @@ def test_decomposition_residual_reported_not_asserted():
         assert np.isfinite(br.residual)
         vals.append(br.residual)
     assert len(vals) > 30  # sweep produced data; no threshold on the values
+
+
+def _route_split_cases():
+    return [pytest.param(RigidRotationField(), 0.0, id="rigid_rotation"),
+            pytest.param(TaylorGreenField(nu=0.13), 0.1, id="taylor_green"),
+            pytest.param(LambOseenField(), 0.0, id="lamb_oseen"),
+            pytest.param(UniformGradientField(), 0.0, id="uniform_gradient"),
+            pytest.param(_tricubic_grid(), 0.0, id="grid_tricubic")]
+
+
+@pytest.mark.parametrize("provider, t", _route_split_cases())
+def test_route_split_residual_has_its_closed_form(provider, t):
+    # omega_direct - omega_decomposed = b x H (u - V) / |g| + 2 (1 - bb) xi, for any unit n:
+    # the pressure-velocity term repeats the convective term's H V and the vorticity term's
+    # -(1 - bb) xi, and no term carries the relative velocity's b x H u / |g|
+    rng = np.random.default_rng(30)
+    checked = 0
+    for r in interior_points(provider, 300, seed=30):
+        n = rng.normal(size=3)
+        st = TtpState(t=t, r=r, n=n / np.linalg.norm(n), beta=float(rng.uniform(0.1, 2.0)))
+        s = provider.sample(r, t)
+        *b, gn = gradient_normal(s.kin)
+        if gn == 0.0:
+            continue
+        b = np.array(b)
+        u = relative_velocity(st, s)
+        split = (np.cross(b, s.hess_p1hat @ (u - s.V)) / gn
+                 + 2.0 * (s.xi - b * np.dot(b, s.xi)))
+        br = omega_decomposed(s, st)
+        scale = max(np.linalg.norm(br.omega_direct), np.linalg.norm(br.omega_decomposed))
+        remainder = np.linalg.norm(br.omega_direct - br.omega_decomposed - split)
+        assert remainder <= 1e-12 * scale, f"r = {r}: {remainder:.3e} of {scale:.3e}"
+        if isinstance(provider, UniformGradientField):  # H = 0, xi = 0 and dt g = 0
+            assert not br.omega_direct.any() and not br.omega_decomposed.any()
+            assert not split.any()
+        checked += 1
+    assert checked == 300
 
 
 # --- cancellation identity -----------------------------------------------------------

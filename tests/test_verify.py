@@ -133,6 +133,15 @@ def test_sweep_skips_degenerate_points():
     assert len(rep.res_fd) + rep.skipped == 50
 
 
+def test_sweep_g_min_bound_is_inclusive():
+    # |grad p1hat| = 0.5 exactly at every point: g_min = 0.5 skips them all, the float below keeps all
+    prov = UniformGradientField(gx=0.5, gy=0.0, gz=0.0)
+    at = omega_identity_sweep(prov, n_points=8, g_min=0.5)
+    below = omega_identity_sweep(prov, n_points=8, g_min=math.nextafter(0.5, 0.0))
+    assert (len(at), at.skipped) == (0, 8)
+    assert (len(below), below.skipped) == (8, 0)
+
+
 def test_sweep_deterministic_under_fixed_seed():
     prov = TaylorGreenField(A=1.0, k=1.0, nu=0.3, p0=1.0)
     r1 = omega_identity_sweep(prov, n_points=40, seed=12, h=1e-5)
