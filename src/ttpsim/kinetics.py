@@ -51,9 +51,9 @@ class TtpState:
     def __post_init__(self):
         self.r = np.asarray(self.r, dtype=float)
         self.n = np.asarray(self.n, dtype=float)
-        for name, v in (("r", self.r), ("n", self.n)):
-            if v.shape != (3,):
-                raise ValidationError(f"{name} must have 3 components, got shape {v.shape}")
+        if self.r.shape != (3,) or self.n.shape != (3,):
+            name, v = ("r", self.r) if self.r.shape != (3,) else ("n", self.n)
+            raise ValidationError(f"{name} must have 3 components, got shape {v.shape}")
 
 
 @dataclass(slots=True)

@@ -97,9 +97,9 @@ def _kept_points(provider, count, seed, t, draw, g_min=0.0):
 def _random_states(provider, count, seed, t):
     """(sample, b, |g|, r, n) of each random point with a non-degenerate gradient, in point order.
 
-    The points are :func:`_kept_points`' and ``n`` is its row of normal draws
-    made unit; ``b``, ``r`` and ``n`` are float triples.  DegenerateGradient
-    is raised if no point is kept.
+    The points kept by :func:`_kept_points`; ``n`` is the point's row of
+    normal draws, made unit.  ``b``, ``r`` and ``n`` are float triples.
+    DegenerateGradient is raised if no point is kept.
     """
     kept = 0
     for s, b, gn, r, v in _kept_points(provider, count, seed, t,

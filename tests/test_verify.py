@@ -134,7 +134,8 @@ def test_sweep_skips_degenerate_points():
 
 
 def test_sweep_g_min_bound_is_inclusive():
-    # |grad p1hat| = 0.5 exactly at every point: g_min = 0.5 skips them all, the float below keeps all
+    # |grad p1hat| = 0.5 exactly at every point: g_min = 0.5 skips them all, and the float
+    # below 0.5 keeps them all
     prov = UniformGradientField(gx=0.5, gy=0.0, gz=0.0)
     at = omega_identity_sweep(prov, n_points=8, g_min=0.5)
     below = omega_identity_sweep(prov, n_points=8, g_min=math.nextafter(0.5, 0.0))
