@@ -86,12 +86,13 @@ def _kept_points(provider, count, seed, t, draw, g_min=0.0):
     pts = lo + (hi - lo) * (shrink + (1.0 - 2.0 * shrink) * u)
     blocks = range(0, count, _BLOCK)
     rows = (row for _ in blocks for row in draw(rng).tolist())
-    for r in (tuple(r) for i in blocks for r in pts[i:i + _BLOCK].tolist()):
-        s = provider.sample(r, t)
-        *b, gn = gradient_normal(s.kin)
-        if gn == 0.0 or gn <= g_min:  # a nan |g| is kept
-            continue
-        yield s, b, gn, r, next(rows)
+    for i in blocks:
+        for r in map(tuple, pts[i:i + _BLOCK].tolist()):
+            s = provider.sample(r, t)
+            *b, gn = gradient_normal(s.kin)
+            if gn == 0.0 or gn <= g_min:  # a nan |g| is kept
+                continue
+            yield s, b, gn, r, next(rows)
 
 
 def _random_states(provider, count, seed, t):
