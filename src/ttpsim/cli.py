@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateGradient, NotFound, ParseError, TtpsimError, ValidationError
+from .errors import NotFound, ParseError, TtpsimError, ValidationError
 from .fields import create_provider, fd_verify_derivatives, provider_parameters
 from .fields.analytic import PROVIDERS
 from .fields.grid import interpolation_min_nodes, load_grid
@@ -260,10 +260,7 @@ def build_initial_state(cfg, provider):
     r0 = np.array(p.r0, dtype=float)
     t0 = cfg.t0
     if p.auto_tangent:
-        b = isobaric_normal(provider.sample(r0, t0))
-        if b is None:
-            raise DegenerateGradient("pressure gradient degenerate at the seed point")
-        n0, _ = tangent_frame(b)
+        n0, _ = tangent_frame(isobaric_normal(provider.sample(r0, t0)))
     else:
         n0 = np.array(p.n0, dtype=float)
         n0 = n0 / norm3(n0)
@@ -301,22 +298,14 @@ def write_stats_csv(history, path):
 
 # --- subcommands ----------------------------------------------------------------
 
-def _outdir(cfg):
-    d = cfg.output.directory
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
-def cmd_simulate(cfg):
-    d = _outdir(cfg)
-    provider = build_provider(cfg)
+def cmd_simulate(cfg, provider, directory):
     state0 = build_initial_state(cfg, provider)
     traj = integrate_trajectory(state0, provider, cfg.integrator)
-    write_trajectory_csv(traj, os.path.join(d, "trajectory.csv"))
+    write_trajectory_csv(traj, os.path.join(directory, "trajectory.csv"))
     s = traj.summary
     summary = asdict(s) | {"final_time": float(traj.t[-1]),
                            "final_position": traj.r[-1].tolist()}
-    with open(os.path.join(d, "summary.json"), "w", encoding="ascii") as fh:
+    with open(os.path.join(directory, "summary.json"), "w", encoding="ascii") as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(f"simulate: {s.steps} steps, max | |n|-1 | = {s.max_norm_err:.3e}, "
@@ -327,13 +316,11 @@ def cmd_simulate(cfg):
     return 0
 
 
-def cmd_ensemble(cfg):
-    d = _outdir(cfg)
-    provider = build_provider(cfg)
+def cmd_ensemble(cfg, provider, directory):
     states = seed_tangent_circle(cfg.ensemble, provider)
     trajectories, history = evolve_ensemble(states, provider, cfg.integrator,
                                             stride=cfg.output.stride)
-    write_stats_csv(history, os.path.join(d, "stats.csv"))
+    write_stats_csv(history, os.path.join(directory, "stats.csv"))
     final = f", final n_effective = {int(history.n_effective[-1])}" if len(history) else ""
     print(f"ensemble: {cfg.ensemble.count} particles, {len(history)} output times{final}")
     stopped = Counter(tr.summary.termination_reason.partition(":")[0]
@@ -346,9 +333,7 @@ def cmd_ensemble(cfg):
     return 0
 
 
-def cmd_verify(cfg, points=100, seed=0):
-    provider = build_provider(cfg)
-    d = _outdir(cfg)
+def cmd_verify(cfg, provider, directory, points=100, seed=0):
     pointwise = {"seed": seed, "beta": cfg.particle.beta, "t": cfg.t0}
     dt0 = cfg.integrator.dt
     dts = [4.0 * dt0, 2.0 * dt0, dt0]
@@ -387,10 +372,10 @@ def cmd_verify(cfg, points=100, seed=0):
             text, csv = f"{label} skipped: {err}", None
         parts.append(text)
         if csv:
-            _write_csv(os.path.join(d, csv[0]), *csv[1:])
+            _write_csv(os.path.join(directory, csv[0]), *csv[1:])
 
     text = "\n\n".join(parts) + "\n"
-    with open(os.path.join(d, "verify_report.txt"), "w", encoding="ascii") as fh:
+    with open(os.path.join(directory, "verify_report.txt"), "w", encoding="ascii") as fh:
         fh.write(text)
     print(text, end="")
     return 0
@@ -443,18 +428,13 @@ def main(argv=None):
         prog="ttpsim",
         description="Thermal tracer particle simulation and verification")
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)  # what every run subcommand takes
+    config.add_argument("config")
+    config.add_argument("--print-config", action="store_true")
 
-    p_sim = sub.add_parser("simulate", help="integrate one trajectory")
-    p_sim.add_argument("config")
-    p_sim.add_argument("--print-config", action="store_true")
-
-    p_ens = sub.add_parser("ensemble", help="evolve an ensemble and emit stats")
-    p_ens.add_argument("config")
-    p_ens.add_argument("--print-config", action="store_true")
-
-    p_ver = sub.add_parser("verify", help="run verification sweeps and studies")
-    p_ver.add_argument("config")
-    p_ver.add_argument("--print-config", action="store_true")
+    sub.add_parser("simulate", parents=[config], help="integrate one trajectory")
+    sub.add_parser("ensemble", parents=[config], help="evolve an ensemble and emit stats")
+    p_ver = sub.add_parser("verify", parents=[config], help="run verification sweeps and studies")
     p_ver.add_argument("--points", type=_flag(int, lambda v: v >= 1, ">= 1"), default=100)
     p_ver.add_argument("--seed", type=_flag(int, lambda v: v >= 0, ">= 0"), default=0)
 
@@ -473,12 +453,13 @@ def main(argv=None):
         if args.print_config:
             print(print_config(cfg), end="")
             return 0
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "ensemble":
-            return cmd_ensemble(cfg)
+        provider = build_provider(cfg)  # first, so a config error leaves no directory behind
+        directory = cfg.output.directory
+        os.makedirs(directory, exist_ok=True)
         if args.command == "verify":
-            return cmd_verify(cfg, points=args.points, seed=args.seed)
+            return cmd_verify(cfg, provider, directory, points=args.points, seed=args.seed)
+        run = cmd_simulate if args.command == "simulate" else cmd_ensemble
+        return run(cfg, provider, directory)
     except (ParseError, ValidationError, NotFound, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -16,15 +16,15 @@ import numpy as np
 
 from .errors import DegenerateGradient, EmptyEnsemble, ValidationError
 from .integrate import Table, Trajectory, integrate_trajectory, step_count
-from .kinetics import TtpState, cross, isobaric_normal, norm3
+from .kinetics import TtpState, _seed_vector, cross, isobaric_normal, norm3
 
 
 @dataclass(slots=True)
 class EnsembleSpec:
     """Seeding recipe for a tangent-circle ensemble at one point.
 
-    ``r0`` is kept as given (any 3-sequence; another shape raises
-    ValidationError); seeding converts it.
+    ``r0`` is kept as given, if it keeps the seed-vector rule
+    (``kinetics._seed_vector``); seeding converts it.
     """
 
     r0: tuple
@@ -35,8 +35,7 @@ class EnsembleSpec:
     beta: float = 1.0
 
     def __post_init__(self):
-        if np.shape(self.r0) != (3,):
-            raise ValidationError(f"r0 must have 3 components, got shape {np.shape(self.r0)}")
+        _seed_vector("r0", self.r0)
         if self.count < 1:
             raise ValidationError("count must be >= 1")
         if self.sampling not in ("equispaced_circle", "random_circle"):
@@ -49,8 +48,12 @@ def tangent_frame(b):
     """Deterministic right-handed orthonormal frame (e1, e2, b).
 
     e1 = normalize(a x b) with a = z_hat unless |b . z_hat| > 0.9, in which
-    case a = x_hat; e2 = b x e1.
+    case a = x_hat; e2 = b x e1.  ``b`` is None where the gradient is
+    degenerate, as :func:`isobaric_normal` gives it; no tangent plane exists
+    there, so None raises DegenerateGradient.
     """
+    if b is None:
+        raise DegenerateGradient("pressure gradient degenerate at the seed point")
     b = np.asarray(b, dtype=float).tolist()
     e1 = cross((0.0, 0.0, 1.0) if abs(b[2]) <= 0.9 else (1.0, 0.0, 0.0), b)
     nrm = norm3(e1)
@@ -67,11 +70,7 @@ def seed_tangent_circle(spec, provider):
     A count whose angles cannot be drawn raises ValidationError.
     """
     r0 = np.asarray(spec.r0, dtype=float)
-    s = provider.sample(r0, spec.t0)
-    b = isobaric_normal(s)
-    if b is None:
-        raise DegenerateGradient("pressure gradient degenerate at the seed point")
-    e1, e2 = (e.tolist() for e in tangent_frame(b))
+    e1, e2 = (e.tolist() for e in tangent_frame(isobaric_normal(provider.sample(r0, spec.t0))))
     try:
         if spec.sampling == "equispaced_circle":
             angles = 2.0 * math.pi * np.arange(spec.count) / spec.count

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError
-from .kinetics import cross, dot3, gradient_normal, rhs_terms, stage_eval
+from .kinetics import _seed_vector, cross, dot3, gradient_normal, rhs_terms, stage_eval
 
 TANGENCY_TOL = 1e-8
 
@@ -236,8 +236,8 @@ def _project_tangent(n, b):
 
 def _seed_triples(state0):
     """(r, n) of a seed state as float triples; ValidationError unless finite with |n| = 1."""
-    r = tuple(np.asarray(state0.r, dtype=float).tolist())
-    n = tuple(np.asarray(state0.n, dtype=float).tolist())
+    r = tuple(_seed_vector("r", state0.r).tolist())
+    n = tuple(_seed_vector("n", state0.n).tolist())
     if not all(map(math.isfinite, r + n)):
         raise ValidationError(f"seed state r = {r}, n = {n} is not finite")
     nrm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])  # inf where |n|^2 overflows

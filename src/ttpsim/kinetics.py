@@ -38,9 +38,9 @@ _EPS_GRAD2 = EPS_GRAD * EPS_GRAD  # compared against |grad p1hat|^2
 class TtpState:
     """Reduced particle state.
 
-    ``r`` and ``n`` are float arrays of shape (3,); another shape raises
-    ValidationError.  ``n`` must be a unit vector (the integrator maintains
-    the norm to rounding); ``beta`` is constant along a trajectory.
+    ``r`` and ``n`` are float arrays by the seed-vector rule, :func:`_seed_vector`.
+    ``n`` must be a unit vector (the integrator maintains the norm to
+    rounding); ``beta`` is constant along a trajectory.
     """
 
     t: float
@@ -49,11 +49,19 @@ class TtpState:
     beta: float
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
-        self.n = np.asarray(self.n, dtype=float)
-        if self.r.shape != (3,) or self.n.shape != (3,):
-            name, v = ("r", self.r) if self.r.shape != (3,) else ("n", self.n)
-            raise ValidationError(f"{name} must have 3 components, got shape {v.shape}")
+        self.r = _seed_vector("r", self.r)
+        self.n = _seed_vector("n", self.n)
+
+
+def _seed_vector(name, v):
+    """The seed-vector rule: 3 numbers in shape (3,), as a float array; else ValidationError."""
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{name} must hold 3 numbers, got {v!r}") from None
+    if a.shape != (3,):
+        raise ValidationError(f"{name} must have 3 components, got shape {a.shape}")
+    return a
 
 
 @dataclass(slots=True)

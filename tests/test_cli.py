@@ -564,6 +564,18 @@ def test_simulate_non_finite_state_terminates_early(tmp_path, capsys, monkeypatc
     assert f"terminated early ({prefix}" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["simulate", "ensemble", "verify"])
+def test_missing_grid_file_exit2_creates_no_directory(tmp_path, capsys, command):
+    # the provider is built before the output directory, so a config error leaves none behind
+    out = tmp_path / "out"
+    grid = tmp_path / "absent.grid"
+    cfg = _write(tmp_path, f"[field]\ngrid = {grid}\n\n[output]\ndirectory = {out}\n")
+    assert main([command, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(grid) in err
+    assert not out.exists()
+
+
 def test_simulate_missing_config_exit2(tmp_path):
     rc = main(["simulate", str(tmp_path / "nope.cfg")])
     assert rc == 2

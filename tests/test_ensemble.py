@@ -74,6 +74,13 @@ def test_tangent_frame_accepts_any_sequence():
             np.testing.assert_array_equal(got, want, strict=True)
 
 
+def test_tangent_frame_of_a_degenerate_normal_is_degenerate_gradient():
+    # None is isobaric_normal's degenerate value; the seeding paths rely on this check
+    with pytest.raises(DegenerateGradient,
+                       match="^pressure gradient degenerate at the seed point$"):
+        tangent_frame(None)
+
+
 def test_tangent_frame_near_pole_switches_axis():
     e1, e2 = tangent_frame(np.array((0.0, 0.0, 1.0)))
     assert abs(np.linalg.norm(e1) - 1.0) < 1e-14

@@ -1,13 +1,17 @@
-"""The exactness rule: no BLAS or LAPACK call reaches an output.
+"""The exactness rule: no BLAS or LAPACK call, and no SIMD-dispatched numpy ufunc
+whose rounding varies with the CPU, reaches an output.
 
 Which kernel OpenBLAS picks (``OPENBLAS_CORETYPE`` chooses one per process)
 decides how ``@``, ``.dot`` and the other BLAS-backed numpy products round,
-so an output built from them depends on the CPU.  Outputs are built from
-Python floats and elementwise numpy in a written order instead.  The guard
-walks ``src/ttpsim`` with ``ast`` and fails on any BLAS-backed construct;
-the kernel test reruns the golden cases and the exact-symmetry tests in
-child processes under three other kernels.  On a host whose BLAS ignores the
-variable, the children still run every case.
+and which SIMD level numpy dispatches to (``NPY_DISABLE_CPU_FEATURES`` caps
+it per process) decides how ``np.exp``, ``np.log`` and the other ufuncs of
+``SIMD_UFUNCS`` round, so an output built from them depends on the CPU.
+Outputs are built from Python floats and elementwise numpy in a written
+order instead.  The guard walks ``src/ttpsim`` with ``ast`` and fails on any
+such construct; the rerun tests run the golden cases and the exact-symmetry
+tests in child processes under three other BLAS kernels and two lower numpy
+SIMD levels.  On a host whose BLAS or CPU ignores the variable, the children
+still run every case.
 """
 
 import ast
@@ -27,19 +31,27 @@ SRC = ROOT / "src" / "ttpsim"
 # attributes whose numpy function, or array method, calls BLAS or LAPACK
 BLAS_ATTRIBUTES = frozenset(("dot", "vdot", "vecdot", "matmul", "matvec", "vecmat", "linalg",
                              "polyfit", "tensordot", "inner", "cov", "corrcoef"))
+# numpy float64 ufuncs whose results differ between the X86_V4, X86_V3 and X86_V2 loops
+SIMD_UFUNCS = frozenset(("exp", "exp2", "expm1", "log", "log2", "log10", "log1p", "tan", "arcsin",
+                         "arccos", "arctan", "arctan2", "sinh", "cosh", "tanh", "cbrt", "power"))
+NUMPY = ("np", "numpy")
 
 
 def _blas_construct(node):
-    """What makes ``node`` a BLAS or LAPACK call, or None."""
+    """What makes ``node`` a BLAS or LAPACK call, or a SIMD-dispatched ufunc, or None."""
     if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
         return "@"
     if isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES:
         return f".{node.attr}"
+    if (isinstance(node, ast.Attribute) and node.attr in SIMD_UFUNCS
+            and isinstance(node.value, ast.Name) and node.value.id in NUMPY):
+        return f"{node.value.id}.{node.attr}"
     if (isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", ""))
             == "einsum" and any(k.arg == "optimize" for k in node.keywords)):
         return "einsum(optimize=...)"
     if isinstance(node, ast.ImportFrom) and (
-            "linalg" in (node.module or "") or any(a.name in BLAS_ATTRIBUTES for a in node.names)):
+            "linalg" in (node.module or "") or any(a.name in BLAS_ATTRIBUTES for a in node.names)
+            or node.module in NUMPY and any(a.name in SIMD_UFUNCS for a in node.names)):
         return f"from {node.module} import"
     return None
 
@@ -77,6 +89,20 @@ def test_the_guard_passes_elementwise_code(source):
     assert blas_sites(source) == []
 
 
+@pytest.mark.parametrize("name", sorted(SIMD_UFUNCS))
+def test_the_guard_sees_each_simd_ufunc(name):
+    for source in (f"np.{name}(x)", f"numpy.{name}(x)", f"from numpy import {name}",
+                   f"from numpy import sqrt, {name} as f"):
+        assert len(blas_sites(source)) == 1, source
+
+
+@pytest.mark.parametrize("name", sorted(SIMD_UFUNCS))
+def test_the_guard_passes_the_same_name_outside_numpy(name):
+    for source in (f"math.{name}(x)", f"from math import {name}", f"{name}(x)",
+                   f"rng.{name}(x)", f"np.random.{name}(x)"):
+        assert blas_sites(source) == [], source
+
+
 def test_no_blas_call_in_src():
     found = []
     for path in sorted(SRC.rglob("*.py")):
@@ -86,7 +112,7 @@ def test_no_blas_call_in_src():
     assert found == []
 
 
-# --- the outputs under other OpenBLAS kernels -----------------------------------
+# --- the outputs under other OpenBLAS kernels and numpy SIMD levels ------------------
 
 SYMMETRY_TESTS = tuple(
     f"tests/test_integrate.py::{name}" for name in (
@@ -94,10 +120,16 @@ SYMMETRY_TESTS = tuple(
         "test_quarter_turn_maps_the_ensemble_moments_bit_for_bit"))
 
 
+# NPY_DISABLE_CPU_FEATURES of each lower numpy SIMD level: every feature above it
+SIMD_LEVELS = {"X86_V3": "AVX512_SPR AVX512_ICL X86_V4",
+               "X86_V2": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+
+
 @functools.cache
-def _outcomes(kernel):
-    """{test id: PASSED, FAILED or ERROR} of the golden and symmetry tests under ``kernel``."""
-    env = dict(os.environ, OPENBLAS_CORETYPE=kernel)
+def _outcomes(variable, value):
+    """{test id: PASSED, FAILED or ERROR} of the golden and symmetry tests with
+    the environment variable ``variable`` set to ``value``."""
+    env = dict(os.environ, **{variable: value})
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
          "tests/test_golden.py::test_golden_case", *SYMMETRY_TESTS],
@@ -110,17 +142,27 @@ def _outcomes(kernel):
     return outcomes
 
 
-def _kernel_cases():
-    for kernel in ("Haswell", "Nehalem", "Prescott"):
+def _rerun_cases(settings):
+    for setting in settings:
         for name in sorted(CASES):
-            yield pytest.param(kernel, f"tests/test_golden.py::test_golden_case[{name}]",
-                               id=f"{kernel}-{name}")
+            yield pytest.param(setting, f"tests/test_golden.py::test_golden_case[{name}]",
+                               id=f"{setting}-{name}")
         for test in SYMMETRY_TESTS:
-            yield pytest.param(kernel, test, id=f"{kernel}-{test.rpartition('::')[2]}")
+            yield pytest.param(setting, test, id=f"{setting}-{test.rpartition('::')[2]}")
 
 
-@pytest.mark.parametrize("kernel, test", _kernel_cases())
-def test_outputs_do_not_depend_on_the_blas_kernel(kernel, test):
+def _assert_passed(variable, value, test):
     # a golden id names one case; a symmetry test name covers each of its cases
-    got = {k: v for k, v in _outcomes(kernel).items() if k == test or k.startswith(test + "[")}
+    got = {k: v for k, v in _outcomes(variable, value).items()
+           if k == test or k.startswith(test + "[")}
     assert got and set(got.values()) == {"PASSED"}, got
+
+
+@pytest.mark.parametrize("kernel, test", _rerun_cases(("Haswell", "Nehalem", "Prescott")))
+def test_outputs_do_not_depend_on_the_blas_kernel(kernel, test):
+    _assert_passed("OPENBLAS_CORETYPE", kernel, test)
+
+
+@pytest.mark.parametrize("level, test", _rerun_cases(SIMD_LEVELS))
+def test_outputs_do_not_depend_on_the_numpy_simd_level(level, test):
+    _assert_passed("NPY_DISABLE_CPU_FEATURES", SIMD_LEVELS[level], test)

@@ -275,6 +275,21 @@ def test_a_seed_vector_without_3_components_is_validation_error(make, name, shap
         make()
 
 
+@pytest.mark.parametrize("vector", [((1.0, 2.0), 3.0), ("a", "b", "c")],
+                         ids=["ragged", "non_numeric"])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: TtpState(t=0.0, r=v, n=(0.0, 1.0, 0.0), beta=1.0), "r"),
+    (lambda v: TtpState(t=0.0, r=(1.0, 0.2, 0.0), n=v, beta=1.0), "n"),
+    (lambda v: EnsembleSpec(r0=v), "r0"),
+], ids=["r", "n", "r0"])
+def test_a_seed_vector_that_is_not_3_numbers_is_validation_error(make, name, vector):
+    # numpy's conversion error used to escape as a bare ValueError, and EnsembleSpec
+    # took ("a", "b", "c") as it was
+    with pytest.raises(ValidationError,
+                       match=f"^{name} must hold 3 numbers, got {re.escape(repr(vector))}$"):
+        make(vector)
+
+
 @pytest.mark.parametrize("r, n", [
     ((1.0, 0.0, 0.0), (math.nan, 0.0, 0.0)),
     ((math.inf, 0.0, 0.0), (0.0, 1.0, 0.0)),
