@@ -258,13 +258,11 @@ def build_provider(cfg):
 def build_initial_state(cfg, provider):
     p = cfg.particle
     r0 = np.array(p.r0, dtype=float)
-    t0 = cfg.t0
     if p.auto_tangent:
-        n0, _ = tangent_frame(isobaric_normal(provider.sample(r0, t0)))
+        n0, _ = tangent_frame(isobaric_normal(provider.sample(r0, cfg.t0)))
     else:
-        n0 = np.array(p.n0, dtype=float)
-        n0 = n0 / norm3(n0)
-    state0 = TtpState(t=t0, r=r0, n=n0, beta=p.beta)
+        n0 = np.array(p.n0) / norm3(p.n0)
+    state0 = TtpState(t=cfg.t0, r=r0, n=n0, beta=p.beta)
     return tangent_seed(state0, provider) if p.project_initial else state0
 
 

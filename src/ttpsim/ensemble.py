@@ -56,9 +56,8 @@ def tangent_frame(b):
         raise DegenerateGradient("pressure gradient degenerate at the seed point")
     b = np.asarray(b, dtype=float).tolist()
     e1 = cross((0.0, 0.0, 1.0) if abs(b[2]) <= 0.9 else (1.0, 0.0, 0.0), b)
-    nrm = norm3(e1)
-    e1 = [c / nrm for c in e1]
-    return np.array(e1), np.array(cross(b, e1))
+    e1 = np.array(e1) / norm3(e1)
+    return e1, np.array(cross(b, e1.tolist()))
 
 
 def seed_tangent_circle(spec, provider):
@@ -67,24 +66,22 @@ def seed_tangent_circle(spec, provider):
     Equispaced sampling uses angles 2 pi k / N in the deterministic tangent
     frame; random sampling draws i.i.d. uniform angles from the seeded
     generator, so a fixed seed reproduces the ensemble bit-identically.
-    A count whose angles cannot be drawn raises ValidationError.
+    One array pass forms every direction cos(a) e1 + sin(a) e2; a count whose
+    angles or directions cannot be allocated raises ValidationError.
     """
     r0 = np.asarray(spec.r0, dtype=float)
-    e1, e2 = (e.tolist() for e in tangent_frame(isobaric_normal(provider.sample(r0, spec.t0))))
+    e1, e2 = tangent_frame(isobaric_normal(provider.sample(r0, spec.t0)))
     try:
         if spec.sampling == "equispaced_circle":
             angles = 2.0 * math.pi * np.arange(spec.count) / spec.count
         else:
             angles = np.random.default_rng(spec.seed).uniform(0.0, 2.0 * math.pi, spec.count)
+        directions = np.cos(angles)[:, None] * e1 + np.sin(angles)[:, None] * e2
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
-        angles = ()
-    if len(angles) < spec.count:  # np.arange of 2**63 or more is empty
+        directions = ()
+    if len(directions) < spec.count:  # np.arange of 2**63 or more is empty
         raise ValidationError(f"cannot draw {spec.count} seed angles; lower count")
-    states = []
-    for a in angles.tolist():
-        n = [math.cos(a) * x + math.sin(a) * y for x, y in zip(e1, e2)]
-        states.append(TtpState(t=spec.t0, r=r0.copy(), n=n, beta=spec.beta))
-    return states
+    return [TtpState(t=spec.t0, r=r0.copy(), n=n, beta=spec.beta) for n in directions]
 
 
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # cov_u's upper triangle, row by row
@@ -168,9 +165,7 @@ def evolve_ensemble(states, provider, config, stride=1):
         raise ValidationError("the ensemble's states must share one time")
     check_stride(stride)
     n_steps = step_count(t0, config.t_end, config.dt)
-    out_idx = list(range(0, n_steps + 1, stride))
-    if out_idx[-1] != n_steps:
-        out_idx.append(n_steps)
+    out_idx = [*range(0, n_steps, stride), n_steps]
     trajectories = []
     for st in states:  # one particle's full table is alive at a time
         full = integrate_trajectory(st, provider, config)
@@ -182,13 +177,12 @@ def evolve_ensemble(states, provider, config, stride=1):
     t, v, u = (Trajectory.INDEX[name] for name in ("t", "v", "u"))
     reason, j = "", 0
     for idx in out_idx:  # row j of each trajectory is output time j
-        alive = [tr for tr in trajectories if len(tr) > j]
-        if not alive:  # no row to read t from: compute it as integrate_trajectory does
+        rows = np.array([tr.table[j] for tr in trajectories if len(tr) > j])
+        if not len(rows):  # no row to read t from: compute it as integrate_trajectory does
             reason = f"no_survivors: all particles stopped before t = {t0 + idx * config.dt!r}"
             break
-        rows = np.array([tr.table[j] for tr in alive])
         with np.errstate(over="ignore", invalid="ignore"):  # the row is checked below
-            row = (rows[0, t], len(alive), *_moments(rows[:, v], rows[:, u]))
+            row = (rows[0, t], len(rows), *_moments(rows[:, v], rows[:, u]))
         if not all(map(math.isfinite, row)):
             reason = f"non_finite_state: the moments at t = {float(rows[0, t])!r}"
             break

@@ -54,9 +54,15 @@ class TtpState:
 
 
 def _seed_vector(name, v):
-    """The seed-vector rule: 3 numbers in shape (3,), as a float array; else ValidationError."""
+    """The seed-vector rule: 3 numbers in shape (3,), as a float array; else ValidationError.
+
+    A bool, string or complex vector is rejected before numpy converts it; a mixed
+    (True, 2.0, 3.0) is promoted to float by numpy itself and is accepted."""
     try:
-        a = np.asarray(v, dtype=float)
+        a = np.asarray(v)
+        if a.dtype.kind in "bUSc":  # bool, str, bytes, complex
+            raise TypeError
+        a = a.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must hold 3 numbers, got {v!r}") from None
     if a.shape != (3,):

@@ -201,8 +201,8 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     rows = []
     for s, b, _, r, phi in _kept_points(provider, n_points, seed, t,
                                         lambda rng: rng.uniform(0.0, 2.0 * math.pi, _BLOCK), g_min):
-        e1, e2 = (e.tolist() for e in tangent_frame(b))
-        n = [math.cos(phi) * x + math.sin(phi) * y for x, y in zip(e1, e2)]
+        e1, e2 = tangent_frame(b)
+        n = (math.cos(phi) * e1 + math.sin(phi) * e2).tolist()
         w = _rates(s.kin, *n, beta)[:3]  # V + u
         if not all(map(math.isfinite, w)):  # nor is the stencil r +- h w
             raise ValidationError(f"V + u is not finite at r = {r}")

@@ -34,10 +34,12 @@ def test_tangent_frame_right_handed():
         np.testing.assert_allclose(np.cross(e1, e2), b, atol=1e-14)
 
 
+@pytest.mark.parametrize("count", [1, 2, 23, 1024])
 @pytest.mark.parametrize("sampling", ["equispaced_circle", "random_circle"])
-def test_seed_directions_are_cos_e1_plus_sin_e2(taylor_green, sampling):
-    # each direction is cos(a) e1 + sin(a) e2 in the tangent frame, bit for bit
-    spec = _spec((2.1, 3.3, 1.7), count=23, sampling=sampling, seed=5)
+def test_seed_directions_are_cos_e1_plus_sin_e2(taylor_green, sampling, count):
+    # each direction is cos(a) e1 + sin(a) e2 in the tangent frame, bit for bit: the
+    # one array pass over numpy's cos and sin gives libm's scalar numbers
+    spec = _spec((2.1, 3.3, 1.7), count=count, sampling=sampling, seed=5)
     e1, e2 = tangent_frame(isobaric_normal(taylor_green.sample(spec.r0, spec.t0)))
     if sampling == "equispaced_circle":
         angles = 2.0 * math.pi * np.arange(spec.count) / spec.count
@@ -50,19 +52,24 @@ def test_seed_directions_are_cos_e1_plus_sin_e2(taylor_green, sampling):
 
 
 @pytest.mark.parametrize("sampling", ["equispaced_circle", "random_circle"])
-def test_seed_angles_out_of_memory_is_validation_error(taylor_green, monkeypatch, sampling):
-    # numpy raises MemoryError where it cannot allocate the angles; stubbed here,
-    # since a count numpy would really try to allocate must not run in a test
+@pytest.mark.parametrize("count, stubbed", [(10**12, "angles"), (16, "directions")])
+def test_seed_angles_out_of_memory_is_validation_error(taylor_green, monkeypatch, sampling,
+                                                       count, stubbed):
+    # numpy raises MemoryError where it cannot allocate the angles or the directions;
+    # stubbed here, since a count numpy would really try to allocate must not run in a test
     def out_of_memory(*args, **kwargs):
         raise MemoryError("stub")
 
     class Generator:
         uniform = staticmethod(out_of_memory)
 
-    monkeypatch.setattr(np, "arange", out_of_memory)
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
-    spec = _spec((2.1, 3.3, 1.7), count=10**12, sampling=sampling)
-    with pytest.raises(ValidationError, match="^cannot draw 1000000000000 seed angles"):
+    if stubbed == "angles":
+        monkeypatch.setattr(np, "arange", out_of_memory)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
+    else:
+        monkeypatch.setattr(np, "cos", out_of_memory)
+    spec = _spec((2.1, 3.3, 1.7), count=count, sampling=sampling)
+    with pytest.raises(ValidationError, match=f"^cannot draw {count} seed angles"):
         seed_tangent_circle(spec, taylor_green)
 
 

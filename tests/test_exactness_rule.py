@@ -8,10 +8,13 @@ it per process) decides how ``np.exp``, ``np.log`` and the other ufuncs of
 ``SIMD_UFUNCS`` round, so an output built from them depends on the CPU.
 Outputs are built from Python floats and elementwise numpy in a written
 order instead.  The guard walks ``src/ttpsim`` with ``ast`` and fails on any
-such construct; the rerun tests run the golden cases and the exact-symmetry
-tests in child processes under three other BLAS kernels and two lower numpy
-SIMD levels.  On a host whose BLAS or CPU ignores the variable, the children
-still run every case.
+such construct; the rerun tests run the golden cases, the exact-symmetry tests
+and the seed-direction test in child processes under three other BLAS kernels
+and two lower numpy SIMD levels.  ``np.sin`` and ``np.cos`` are outside
+``SIMD_UFUNCS``: their float64 loops gave libm's numbers at all three levels
+(numpy 2.4.6, x86-64), and the seed-direction test, which seeds through them
+and compares with ``math``, pins that.  On a host whose BLAS or CPU ignores
+the variable, the children still run every case.
 """
 
 import ast
@@ -114,10 +117,10 @@ def test_no_blas_call_in_src():
 
 # --- the outputs under other OpenBLAS kernels and numpy SIMD levels ------------------
 
-SYMMETRY_TESTS = tuple(
-    f"tests/test_integrate.py::{name}" for name in (
-        "test_symmetry_maps_the_run_bit_for_bit",
-        "test_quarter_turn_maps_the_ensemble_moments_bit_for_bit"))
+RERUN_TESTS = (
+    "tests/test_integrate.py::test_symmetry_maps_the_run_bit_for_bit",
+    "tests/test_integrate.py::test_quarter_turn_maps_the_ensemble_moments_bit_for_bit",
+    "tests/test_ensemble.py::test_seed_directions_are_cos_e1_plus_sin_e2")
 
 
 # NPY_DISABLE_CPU_FEATURES of each lower numpy SIMD level: every feature above it
@@ -127,12 +130,12 @@ SIMD_LEVELS = {"X86_V3": "AVX512_SPR AVX512_ICL X86_V4",
 
 @functools.cache
 def _outcomes(variable, value):
-    """{test id: PASSED, FAILED or ERROR} of the golden and symmetry tests with
+    """{test id: PASSED, FAILED or ERROR} of the golden and RERUN_TESTS tests with
     the environment variable ``variable`` set to ``value``."""
     env = dict(os.environ, **{variable: value})
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
-         "tests/test_golden.py::test_golden_case", *SYMMETRY_TESTS],
+         "tests/test_golden.py::test_golden_case", *RERUN_TESTS],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     outcomes = {}
     for line in proc.stdout.splitlines():
@@ -147,12 +150,12 @@ def _rerun_cases(settings):
         for name in sorted(CASES):
             yield pytest.param(setting, f"tests/test_golden.py::test_golden_case[{name}]",
                                id=f"{setting}-{name}")
-        for test in SYMMETRY_TESTS:
+        for test in RERUN_TESTS:
             yield pytest.param(setting, test, id=f"{setting}-{test.rpartition('::')[2]}")
 
 
 def _assert_passed(variable, value, test):
-    # a golden id names one case; a symmetry test name covers each of its cases
+    # a golden id names one case; a RERUN_TESTS name covers each of its cases
     got = {k: v for k, v in _outcomes(variable, value).items()
            if k == test or k.startswith(test + "[")}
     assert got and set(got.values()) == {"PASSED"}, got

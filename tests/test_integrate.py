@@ -275,8 +275,9 @@ def test_a_seed_vector_without_3_components_is_validation_error(make, name, shap
         make()
 
 
-@pytest.mark.parametrize("vector", [((1.0, 2.0), 3.0), ("a", "b", "c")],
-                         ids=["ragged", "non_numeric"])
+@pytest.mark.parametrize("vector", [((1.0, 2.0), 3.0), ("a", "b", "c"), ("1", "2", "3e0"),
+                                    (True, False, False)],
+                         ids=["ragged", "non_numeric", "numeric_strings", "booleans"])
 @pytest.mark.parametrize("make, name", [
     (lambda v: TtpState(t=0.0, r=v, n=(0.0, 1.0, 0.0), beta=1.0), "r"),
     (lambda v: TtpState(t=0.0, r=(1.0, 0.2, 0.0), n=v, beta=1.0), "n"),
@@ -284,7 +285,8 @@ def test_a_seed_vector_without_3_components_is_validation_error(make, name, shap
 ], ids=["r", "n", "r0"])
 def test_a_seed_vector_that_is_not_3_numbers_is_validation_error(make, name, vector):
     # numpy's conversion error used to escape as a bare ValueError, and EnsembleSpec
-    # took ("a", "b", "c") as it was
+    # took ("a", "b", "c") as it was; numpy converts numeric strings and booleans to
+    # floats, but they are not numbers
     with pytest.raises(ValidationError,
                        match=f"^{name} must hold 3 numbers, got {re.escape(repr(vector))}$"):
         make(vector)
