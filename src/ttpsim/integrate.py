@@ -189,6 +189,8 @@ def _advance(provider, t, r, n, beta, dt, k1, act, rate):
     direction act(n, theta_{i+1} = c_i d_i), and the step ends at
     act(n, dt/6 (d1 + 2 (d2 + d3) + d4)).  Returns the new (r, n).  A stage
     position that is not finite is never sampled: the step returns it as r.
+    The test is ``(px - px) + (py - py) + (pz - pz) != 0.0``: ``x - x`` is
+    exactly 0.0 for a finite float and nan for inf or nan.
     """
     rx, ry, rz = r
     nx, ny, nz = n
@@ -203,7 +205,7 @@ def _advance(provider, t, r, n, beta, dt, k1, act, rate):
         tx, ty, tz = c * dx, c * dy, c * dz
         mx, my, mz = act(nx, ny, nz, tx, ty, tz)
         px, py, pz = rx + c * ax, ry + c * ay, rz + c * az
-        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
+        if (px - px) + (py - py) + (pz - pz) != 0.0:  # not finite
             return (px, py, pz), (mx, my, mz)
         ax, ay, az, ox, oy, oz = stage_eval(provider, t + c, px, py, pz, mx, my, mz, beta)
         dx, dy, dz = rate(tx, ty, tz, ox, oy, oz, mx, my, mz)
@@ -276,7 +278,10 @@ def integrate_trajectory(state0, provider, config):
     recorded reason; no field is sampled at a position that is not finite.
     A seed state or seed record that is not finite, or a horizon whose
     record table cannot be allocated, raises ValidationError before any
-    step.  The loop runs on Python floats, one table row per record.
+    step.  The loop runs on Python floats, one table row per record, and
+    builds the summary as rows arrive.  A record or step is finite when the
+    sum of its values is; only a sum that is not finite, which finite terms
+    can reach by overflow, tests each value.
     """
     t0 = float(state0.t)
     n_steps = step_count(t0, config.t_end, config.dt)
@@ -296,19 +301,23 @@ def integrate_trajectory(state0, provider, config):
                                        "project_initial = true) or seed tangentially")
 
     act, rate = METHODS[config.method]
-    reproject = config.project_tangency_every
+    dt, renormalize, reproject = config.dt, config.renormalize_every, config.project_tangency_every
     reason = ""
     k = 0  # records written
+    max_norm_err = max_abs_n_dot_b = 0.0  # the summary, built as rows arrive
+    degenerate_steps = 0
     t = t0
     while True:
         # record the current state from its evaluation; b and n . b are zero where degenerate
         wx, wy, wz, _, _, _, v_th, p1, bx, by, bz, degenerate = ev
+        rx, ry, rz = r
         nx, ny, nz = n
         bu = beta * v_th
-        row = (t, *r, nx, ny, nz, bu * nx, bu * ny, bu * nz, wx, wy, wz, v_th, p1,
-               bx, by, bz, 0.0 if degenerate else nx * bx + ny * by + nz * bz,
-               abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0), degenerate)
-        if not all(map(math.isfinite, row)):  # the fields or |n|^2 overflow
+        n_dot_b = 0.0 if degenerate else nx * bx + ny * by + nz * bz
+        norm_err = abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0)
+        row = (t, rx, ry, rz, nx, ny, nz, bu * nx, bu * ny, bu * nz, wx, wy, wz, v_th, p1,
+               bx, by, bz, n_dot_b, norm_err, degenerate)
+        if not (math.isfinite(sum(row)) or all(map(math.isfinite, row))):  # fields or |n|^2
             if not k:
                 raise ValidationError(f"the seed record at r = {r}, n = {n}, t = {t!r} "
                                       "is not finite")
@@ -316,18 +325,24 @@ def integrate_trajectory(state0, provider, config):
             break
         table[k] = row
         k += 1
+        if norm_err > max_norm_err:
+            max_norm_err = norm_err
+        if abs(n_dot_b) > max_abs_n_dot_b:
+            max_abs_n_dot_b = abs(n_dot_b)
+        if degenerate:
+            degenerate_steps += 1
         if k > n_steps:
             break
         try:
-            r1, n1 = _advance(provider, t, r, n, beta, config.dt, ev[:6], act, rate)
-            if config.renormalize_every and k % config.renormalize_every == 0:
+            r1, n1 = _advance(provider, t, r, n, beta, dt, ev[:6], act, rate)
+            if renormalize and k % renormalize == 0:
                 nrm = math.sqrt(n1[0] * n1[0] + n1[1] * n1[1] + n1[2] * n1[2])
                 if nrm < math.inf:  # else |n|^2 overflowed: keep n, whose record is not finite
                     n1 = tuple(x / nrm for x in n1)
-            if not all(map(math.isfinite, r1 + n1)):
+            if not (math.isfinite(sum(r1) + sum(n1)) or all(map(math.isfinite, r1 + n1))):
                 reason = f"non_finite_state: the step from r = {r}, n = {n}, t = {t!r}"
                 break
-            r, n, t = r1, n1, t0 + k * config.dt
+            r, n, t = r1, n1, t0 + k * dt
             ev = rhs_terms(provider, t, r, n, beta)
             if reproject and k % reproject == 0 and not ev[11]:  # not degenerate
                 proj = _project_tangent(n, ev[8:11])  # b
@@ -342,12 +357,6 @@ def integrate_trajectory(state0, provider, config):
     if k <= n_steps:  # a run that stopped early copies its rows, so the unused rows can be freed
         table = table[:k].copy()
     traj = Trajectory(table)
-    traj.summary = InvariantSummary(
-        steps=k - 1,
-        max_norm_err=float(traj.norm_err.max()),
-        max_abs_n_dot_b=float(np.abs(traj.n_dot_b).max()),
-        degenerate_steps=int(np.count_nonzero(traj.degenerate)),
-        terminated_early=bool(reason),
-        termination_reason=reason,
-    )
+    traj.summary = InvariantSummary(k - 1, max_norm_err, max_abs_n_dot_b, degenerate_steps,
+                                    bool(reason), reason)
     return traj

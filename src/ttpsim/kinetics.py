@@ -56,12 +56,13 @@ class TtpState:
 def _seed_vector(name, v):
     """The seed-vector rule: 3 numbers in shape (3,), as a float array; else ValidationError.
 
-    A bool, string or complex vector is rejected before numpy converts it; a mixed
-    (True, 2.0, 3.0) is promoted to float by numpy itself and is accepted."""
+    A bool, string or complex vector, or one holding None (which numpy turns into
+    nan), is rejected before numpy converts it; a mixed (True, 2.0, 3.0) is
+    promoted to float by numpy itself and is accepted."""
     try:
         a = np.asarray(v)
-        if a.dtype.kind in "bUSc":  # bool, str, bytes, complex
-            raise TypeError
+        if a.dtype.kind in "bUSc" or a.dtype.kind == "O" and any(x is None for x in a.flat):
+            raise TypeError  # bool, str, bytes, complex; None in an object vector
         a = a.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{name} must hold 3 numbers, got {v!r}") from None

@@ -2,9 +2,11 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
+from conftest import spy_positions
 
 from ttpsim import (EnsembleSpec, FieldProvider, InitialTangencyViolation, IntegratorConfig,
                     LambOseenField, RigidRotationField, TaylorGreenField, TtpState, UniformField,
@@ -276,8 +278,8 @@ def test_a_seed_vector_without_3_components_is_validation_error(make, name, shap
 
 
 @pytest.mark.parametrize("vector", [((1.0, 2.0), 3.0), ("a", "b", "c"), ("1", "2", "3e0"),
-                                    (True, False, False)],
-                         ids=["ragged", "non_numeric", "numeric_strings", "booleans"])
+                                    (True, False, False), (None, 1.0, 2.0)],
+                         ids=["ragged", "non_numeric", "numeric_strings", "booleans", "none"])
 @pytest.mark.parametrize("make, name", [
     (lambda v: TtpState(t=0.0, r=v, n=(0.0, 1.0, 0.0), beta=1.0), "r"),
     (lambda v: TtpState(t=0.0, r=(1.0, 0.2, 0.0), n=v, beta=1.0), "n"),
@@ -286,7 +288,7 @@ def test_a_seed_vector_without_3_components_is_validation_error(make, name, shap
 def test_a_seed_vector_that_is_not_3_numbers_is_validation_error(make, name, vector):
     # numpy's conversion error used to escape as a bare ValueError, and EnsembleSpec
     # took ("a", "b", "c") as it was; numpy converts numeric strings and booleans to
-    # floats, but they are not numbers
+    # floats, and None to nan, but they are not numbers
     with pytest.raises(ValidationError,
                        match=f"^{name} must hold 3 numbers, got {re.escape(repr(vector))}$"):
         make(vector)
@@ -357,19 +359,29 @@ def test_a_run_that_stops_in_its_last_step_keeps_exactly_its_records():
     assert np.all(np.isfinite(traj.table)) and traj.t.tolist() == [0.1 * k for k in range(6)]
 
 
-def test_negative_pressure_mid_run_terminates_early():
-    # the tricubic interpolant of a narrow pressure ridge overshoots below
-    # zero on its upstream flank (near x = 0.2885); the run keeps what it has
-    from ttpsim import GridField, NegativePressure
+def _ridge_grid():
+    """A grid whose tricubic interpolant of a narrow pressure ridge overshoots below
+    zero on its upstream flank (near x = 0.2885)."""
+    from ttpsim import GridField
     x = np.linspace(0.0, 1.0, 12)
     X, Y, _ = np.meshgrid(x, x, x, indexing="ij")
     V = np.zeros(X.shape + (3,))
     V[..., 0] = 1.0
     p1 = 1e-3 + np.exp(-((X - 0.5) / 0.06) ** 2) + 0.01 * Y
-    g = GridField((x[0],) * 3, (x[1] - x[0],) * 3, V, p1)
-    cfg = IntegratorConfig(dt=1e-3, t_end=0.8)
+    return GridField((x[0],) * 3, (x[1] - x[0],) * 3, V, p1)
+
+
+def _negative_pressure_run():
+    g = _ridge_grid()
     seed = tangent_seed(_state((0, 0, 1.0), beta=0.01, r=(0.1, 0.5, 0.5)), g)
-    traj = integrate_trajectory(seed, g, cfg)
+    return integrate_trajectory(seed, g, IntegratorConfig(dt=1e-3, t_end=0.8))
+
+
+def test_negative_pressure_mid_run_terminates_early():
+    # the run keeps what it has before the interpolated pressure turns negative
+    from ttpsim import NegativePressure
+    g = _ridge_grid()
+    traj = _negative_pressure_run()
     assert traj.summary.terminated_early
     assert traj.summary.termination_reason.startswith("negative_pressure: ")
     assert 1 < len(traj) < 801
@@ -378,7 +390,69 @@ def test_negative_pressure_mid_run_terminates_early():
     assert 0.25 < traj.r[-1][0] < 0.2885
     with pytest.raises(NegativePressure):  # at the seed point it is still an error
         seed = tangent_seed(_state((0, 0, 1.0), beta=0.01, r=(0.2885, 0.5, 0.5)), g)
-        integrate_trajectory(seed, g, cfg)
+        integrate_trajectory(seed, g, IntegratorConfig(dt=1e-3, t_end=0.8))
+
+
+def _taylor_green_run(r0, scale=1.0, **config):
+    """A Taylor-Green run seeded along scale e1 of tangent_frame at r0, as auto_tangent
+    seeds with scale 1."""
+    from ttpsim import isobaric_normal, tangent_frame
+    tg = TaylorGreenField()
+    e1, _ = tangent_frame(isobaric_normal(tg.sample(np.array(r0), 0.0)))
+    return integrate_trajectory(TtpState(t=0.0, r=r0, n=scale * e1, beta=1.0), tg,
+                                IntegratorConfig(**config))
+
+
+@pytest.mark.parametrize("run, reason", [
+    (lambda: integrate_trajectory(
+        _state((0, 1, 0), beta=0.0),
+        UniformGradientField(V0x=1.0, V0y=0.0, V0z=0.0, p0=2.0, gx=0.0, gy=0.0, gz=1.0),
+        IntegratorConfig(dt=0.1, t_end=0.6)), "out_of_domain: "),
+    # the simulate_taylor_green_non_finite golden case's run
+    (lambda: _taylor_green_run((2.1, 3.3, 1.7), dt=2.0, t_end=800.0, method="rk4_naive"),
+     "non_finite_state: "),
+    (_negative_pressure_run, "negative_pressure: "),
+    (lambda: _taylor_green_run((0.3, 1.1, 0.7), dt=0.05, t_end=2.0, method="rk4_naive",
+                               renormalize_every=3), ""),
+    # |n0| = 1 + 2^-40 is a unit vector to 1e-9; the rotations after it keep |n| at
+    # rounding, so the seed record holds the largest | |n| - 1 |
+    (lambda: _taylor_green_run((0.3, 1.1, 0.7), 1.0 + 2.0 ** -40, dt=0.05, t_end=2.0,
+                               project_tangency_every=2), ""),
+    # degenerate at every record
+    (lambda: integrate_trajectory(_state((0, 1, 0)), UniformField(),
+                                  IntegratorConfig(dt=0.1, t_end=0.5)), ""),
+], ids=["out_of_domain", "non_finite_state", "negative_pressure", "rk4_naive_renormalized",
+        "projected", "degenerate"])
+def test_summary_built_as_rows_arrive_is_the_tables_reduction(run, reason):
+    # the loop keeps the summary's maxima and count as it writes each row; they must
+    # be the numpy reductions over the returned table, bit for bit (repr tells -0.0
+    # and a numpy scalar apart)
+    traj = run()
+    assert traj.summary.termination_reason.startswith(reason)
+    assert traj.summary.terminated_early == bool(reason)
+    expected = InvariantSummary(
+        steps=len(traj) - 1,
+        max_norm_err=float(traj.norm_err.max()),
+        max_abs_n_dot_b=float(np.abs(traj.n_dot_b).max()),
+        degenerate_steps=int(np.count_nonzero(traj.degenerate)),
+        terminated_early=traj.summary.terminated_early,
+        termination_reason=traj.summary.termination_reason)
+    assert repr(traj.summary) == repr(expected)
+
+
+def test_finite_values_whose_sum_overflows_do_not_stop_a_run():
+    # rx + ry overflows in every record, stage and step: the record and step tests sum
+    # their values first, and must then test each value, not stop the run; every stage
+    # is still sampled
+    seen = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate_trajectory(_state((0, 1, 0), r=(1.7e308, 1.7e308, 0.0)),
+                                    spy_positions(UniformField(V0x=1.0, V0y=1.0, p0=0.5), seen),
+                                    IntegratorConfig(dt=0.01, t_end=0.05))
+    assert not traj.summary.terminated_early and traj.summary.steps == 5 and len(traj) == 6
+    assert len(seen) == 6 + 5 * 3  # one sample per record, three per step
+    assert traj.r[-1].tolist() == [1.7e308, 1.7e308, 0.0]
 
 
 class _SwirlField(FieldProvider):
