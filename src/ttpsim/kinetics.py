@@ -61,7 +61,8 @@ def _seed_vector(name, v):
     promoted to float by numpy itself and is accepted."""
     try:
         a = np.asarray(v)
-        if a.dtype.kind in "bUSc" or a.dtype.kind == "O" and any(x is None for x in a.flat):
+        kind = a.dtype.kind  # one test for a float or int vector, as every seed state is
+        if kind in "bUScO" and (kind != "O" or any(x is None for x in a.flat)):
             raise TypeError  # bool, str, bytes, complex; None in an object vector
         a = a.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
