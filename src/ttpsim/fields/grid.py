@@ -27,6 +27,7 @@ File format (text, version 1)::
 
 import functools
 import math
+import warnings
 
 import numpy as np
 
@@ -234,17 +235,24 @@ class GridField(FieldProvider):
 
 
 def load_grid(path, interpolation="tricubic"):
-    """Parse a TTPGRID file into a :class:`GridField`."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [fh.readline() for _ in range(5)]
-            tokens = fh.read().split()  # the payload, split once
-    except UnicodeDecodeError:
-        raise ParseError.undecodable(path, "ascii") from None
+    """Parse a TTPGRID file into a :class:`GridField`.
+
+    The file is read as bytes and must be ASCII.  The five header lines end
+    in LF or CRLF.  The payload is parsed in one numpy text pass
+    (``np.fromstring``, correctly rounded like ``float``): reals separated by
+    ASCII whitespace, with no ``_`` digit separators and no hex.  A grid that
+    cannot be allocated raises ``ValidationError`` naming its dims.
+    """
+    with open(path, "rb") as fh:
+        lines = [fh.readline() for _ in range(5)]
+        payload = fh.read()
+    if not (b"".join(lines).isascii() and payload.isascii()):
+        raise ParseError.undecodable(path, "ascii")
+    lines = [line.decode("ascii") for line in lines]
+    if lines[0].strip() != "TTPGRID 1":  # a file whose lines end in a lone CR is one line
+        raise ParseError(f"bad magic line {lines[0].rstrip()[:40]!r}, expected 'TTPGRID 1'")
     if not lines[4]:
         raise ParseError("grid file truncated: header incomplete")
-    if lines[0].strip() != "TTPGRID 1":
-        raise ParseError(f"bad magic line {lines[0].rstrip()!r}, expected 'TTPGRID 1'")
 
     def header(line_no, keyword, count, conv):
         parts = lines[line_no].split()
@@ -255,7 +263,7 @@ def load_grid(path, interpolation="tricubic"):
         except ValueError:
             raise ParseError(f"line {line_no + 1}: could not parse {keyword} values") from None
 
-    dims = header(1, "dims", 3, int)
+    nx, ny, nz = dims = header(1, "dims", 3, int)
     origin = header(2, "origin", 3, float)
     spacing = header(3, "spacing", 3, float)
     if any(n <= 0 for n in dims):
@@ -263,19 +271,24 @@ def load_grid(path, interpolation="tricubic"):
     if lines[4].split() != ["fields", "V", "p1hat"]:
         raise ParseError(f"line 5: expected 'fields V p1hat', got {lines[4].rstrip()!r}")
 
-    n = dims[0] * dims[1] * dims[2]
-    if len(tokens) != 4 * n:
-        raise ParseError(f"value count mismatch: expected {4 * n} reals, found {len(tokens)}")
     try:
-        values = np.array(tokens, dtype=float)
-    except ValueError:
-        raise ParseError("payload contains a non-numeric token") from None
-    del tokens  # free the strings before the nodal arrays are built
-    records = values.reshape(n, 4)
-    # file order is x-fastest: reshape to (nz, ny, nx) then transpose
-    V = records[:, 0:3].reshape(dims[2], dims[1], dims[0], 3).transpose(2, 1, 0, 3)
-    p1 = records[:, 3].reshape(dims[2], dims[1], dims[0]).transpose(2, 1, 0)
-    return GridField(origin, spacing, V.copy(), p1.copy(), interpolation=interpolation)
+        try:
+            with warnings.catch_warnings():  # an older numpy warns and returns what it read
+                warnings.simplefilter("error", DeprecationWarning)
+                # numpy reads an all-whitespace text as [-1.0]
+                values = np.fromstring(b"" if payload.isspace() else payload, sep=" ")
+        except (ValueError, DeprecationWarning):
+            raise ParseError("payload contains a non-numeric token") from None
+        if values.size != 4 * nx * ny * nz:
+            raise ParseError(f"value count mismatch: expected {4 * nx * ny * nz} reals, "
+                             f"found {values.size}")
+        # file order is x-fastest: reshape to (nz, ny, nx) then transpose
+        records = values.reshape(nz, ny, nx, 4).transpose(2, 1, 0, 3)
+        V, p1 = records[..., :3].copy(), records[..., 3].copy()
+        del values, records  # free the flat array before the nodal data are built
+        return GridField(origin, spacing, V, p1, interpolation=interpolation)
+    except MemoryError:
+        raise ValidationError(f"cannot allocate a {nx} x {ny} x {nz} grid") from None
 
 
 def write_grid(path, provider, origin, spacing, dims, t=0.0):

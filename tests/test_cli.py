@@ -515,6 +515,27 @@ def test_undecodable_file_exit2_names_it(tmp_path, capsys, kind):
     assert f"byte 0xe9 at offset {offset}" in err
 
 
+@pytest.mark.parametrize("stubbed", ["fromstring", "_hermite_nodes"])
+def test_unallocatable_grid_exit2(tmp_path, capsys, monkeypatch, stubbed):
+    # numpy raises MemoryError where it cannot hold the payload or the nodal data;
+    # stubbed here, since a grid numpy would really try to allocate must not run in a test
+    from ttpsim import UniformField, write_grid
+    from ttpsim.fields import grid
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("stub")
+
+    path = tmp_path / "u.grid"
+    write_grid(path, UniformField(), (0, 0, 0), (0.5, 0.5, 0.5), (4, 5, 6))
+    monkeypatch.setattr(np if stubbed == "fromstring" else grid, stubbed, out_of_memory)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[field]\ngrid = {path}\n\n[integrator]\ndt = 0.1\nt_end = 0.1\n"
+                   f"\n[output]\ndirectory = {tmp_path / 'o'}\n")
+    assert main(["simulate", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: cannot allocate a 4 x 5 x 6 grid\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("field, particle, integrator, final_time, form", [
     # far too large a step: the state overflows to nan at t = 235
     ("rigid_rotation", "r0 = 1 0 0.2\nn0 = 0 0.6 0.8\nbeta = 5", "dt = 5\nt_end = 2000", 230.0,

@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ def test_parse_errors(tmp_path):
     with pytest.raises(ParseError):
         load_grid(bad_fields)
 
-    for i, token in enumerate(("nan", "inf", "-inf")):
+    for i, token in enumerate(("nan", "inf", "-inf", "nan(1)")):
         non_finite = tmp_path / f"e{i}.grid"
         non_finite.write_text(
             "TTPGRID 1\ndims 2 2 2\norigin 0 0 0\nspacing 1 1 1\nfields V p1hat\n"
@@ -219,6 +220,102 @@ def test_parse_errors(tmp_path):
         bad.write_text("\n".join(header) + "\n" + payload)
         with pytest.raises(error, match=re.escape(message)):
             load_grid(bad)
+
+
+_HEADER = b"TTPGRID 1\ndims 2 2 2\norigin 0 0 0\nspacing 1 1 1\nfields V p1hat\n"
+
+
+@pytest.mark.parametrize("payload, message", [
+    *((b"0 0 0 1\n" * 7 + b"0 0 0 " + token + b"\n", "payload contains a non-numeric token")
+      for token in (b"one", b"1.5abc", b"1,5", b"0x10", b"1.5-2.5", b"1_0", b"1\x1c2")),
+    (b"0 0 0 1\n" * 7, "value count mismatch: expected 32 reals, found 28"),
+    (b"0 0 0 1\n" * 9, "value count mismatch: expected 32 reals, found 36"),
+    (b"", "value count mismatch: expected 32 reals, found 0"),
+    (b" \t\r\n\n ", "value count mismatch: expected 32 reals, found 0"),
+    # a bad token is reported before a wrong count
+    (b"0 0 0 1\n" * 3 + b"0 0 0 one\n", "payload contains a non-numeric token")],
+    ids=["one", "1.5abc", "1,5", "0x10", "1.5-2.5", "1_0", "1x1c2", "too_few", "too_many",
+         "empty", "whitespace_only", "bad_token_and_count"])
+def test_payload_errors(tmp_path, payload, message):
+    path = tmp_path / "p.grid"
+    path.write_bytes(_HEADER + payload)
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        load_grid(path)
+
+
+@pytest.mark.parametrize("where", ["header", "payload"])
+def test_non_ascii_byte_names_its_offset(tmp_path, where):
+    payload = b"0 0 0 1\n" * 8
+    if where == "header":
+        data = _HEADER.replace(b"fields", b"fi\xe9lds")
+        offset = data.index(b"\xe9")
+    else:
+        data = _HEADER + payload[:-1] + b"\xe9\n"
+        offset = len(_HEADER) + len(payload) - 1
+    path = tmp_path / "u.grid"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=re.escape(f"byte 0xe9 at offset {offset} is not ascii")):
+        load_grid(path)
+
+
+def test_line_ends_lf_crlf_and_lone_cr(tmp_path):
+    lines = [b"TTPGRID 1", b"dims 2 2 2", b"origin 0 0 0", b"spacing 1 1 1", b"fields V p1hat"]
+    lines += [b"0 0 0 1"] * 8
+    path = tmp_path / "e.grid"
+    nodes = []
+    for eol in (b"\n", b"\r\n"):
+        path.write_bytes(eol.join(lines) + eol)
+        nodes.append(load_grid(path, "trilinear")._nodes.tobytes())
+    assert nodes[0] == nodes[1]
+    path.write_bytes(b"\r".join(lines) + b"\r")  # read as one line
+    with pytest.raises(ParseError, match=re.escape("bad magic line 'TTPGRID 1\\rdims 2 2 2")):
+        load_grid(path)
+
+
+def test_numpy_that_warns_on_a_bad_token_is_parse_error(tmp_path, monkeypatch):
+    # numpy releases older than the ValueError warn and return the values read before the token
+    def fromstring(text, dtype=float, sep=""):
+        warnings.warn("string or file could not be read to its end due to unmatched data",
+                      DeprecationWarning)
+        return np.zeros(32)
+
+    path = tmp_path / "w.grid"
+    path.write_bytes(_HEADER + b"0 0 0 1\n" * 8 + b"junk\n")
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    with pytest.raises(ParseError, match="^payload contains a non-numeric token$"):
+        load_grid(path)
+
+
+def _format_payload(values, fmt, rng):
+    """The values as text, with mixed whitespace, split records and no final newline."""
+    seps = [" ", "\t", "   ", " \t ", "\r\n", "\n", "\n\n"]
+    words = [fmt(v) for v in values.tolist()]
+    gaps = rng.choice(seps, size=len(words)).tolist()
+    return "".join(w + g for w, g in zip(words, gaps))[:-len(gaps[-1])]
+
+
+@pytest.mark.parametrize("fmt, eol", [(lambda v: "%.17g" % v, "\n"), (repr, "\r\n")],
+                         ids=["g17_lf", "repr_crlf"])
+@pytest.mark.parametrize("interpolation", ["tricubic", "trilinear"])
+def test_payload_parse_is_bit_identical_to_float(tmp_path, fmt, eol, interpolation):
+    rng = np.random.default_rng(34)
+    dims = (4, 5, 6)
+    n = dims[0] * dims[1] * dims[2]
+    values = rng.normal(size=4 * n) * 10.0 ** rng.integers(-30, 30, size=4 * n)
+    values[rng.choice(4 * n, size=40, replace=False)] = rng.choice(
+        [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1.23e-310, 4.9e-322], size=40)
+    payload = _format_payload(values, fmt, rng)
+    header = ["TTPGRID 1", "dims 4 5 6", "origin -1 0.5 2", "spacing 0.25 0.5 0.125",
+              "fields V p1hat"]
+    path = tmp_path / "r.grid"
+    path.write_bytes((eol.join(header) + eol + payload).encode("ascii"))
+
+    reference = np.array(payload.split(), dtype=float)
+    assert reference.tobytes() == values.tobytes()  # -0.0 and subnormals round-trip
+    records = reference.reshape(6, 5, 4, 4).transpose(2, 1, 0, 3)
+    expected = GridField((-1, 0.5, 2), (0.25, 0.5, 0.125), records[..., :3], records[..., 3],
+                         interpolation=interpolation)
+    assert load_grid(path, interpolation)._nodes.tobytes() == expected._nodes.tobytes()
 
 
 def test_x_fastest_ordering(tmp_path):
