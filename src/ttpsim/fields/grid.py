@@ -237,11 +237,12 @@ class GridField(FieldProvider):
 def load_grid(path, interpolation="tricubic"):
     """Parse a TTPGRID file into a :class:`GridField`.
 
-    The file is read as bytes and must be ASCII.  The five header lines end
-    in LF or CRLF.  The payload is parsed in one numpy text pass
-    (``np.fromstring``, correctly rounded like ``float``): reals separated by
-    ASCII whitespace, with no ``_`` digit separators and no hex.  A grid that
-    cannot be allocated raises ``ValidationError`` naming its dims.
+    The file is read as bytes and must be ASCII; its five header lines end
+    in LF or CRLF (a lone CR ends no line).  The payload is parsed in one
+    numpy text pass (``np.fromstring``, correctly rounded like ``float``):
+    reals separated by ASCII whitespace, with no ``_`` digit separators and
+    no hex.  A grid that cannot be allocated raises ``ValidationError``
+    naming its dims.
     """
     with open(path, "rb") as fh:
         lines = [fh.readline() for _ in range(5)]
