@@ -286,7 +286,7 @@ def load_grid(path, interpolation="tricubic"):
         # file order is x-fastest: reshape to (nz, ny, nx) then transpose
         records = values.reshape(nz, ny, nx, 4).transpose(2, 1, 0, 3)
         V, p1 = records[..., :3].copy(), records[..., 3].copy()
-        del values, records  # free the flat array before the nodal data are built
+        del payload, values, records  # free the text and the flat array before the nodal data
         return GridField(origin, spacing, V, p1, interpolation=interpolation)
     except MemoryError:
         raise ValidationError(f"cannot allocate a {nx} x {ny} x {nz} grid") from None

@@ -166,7 +166,7 @@ def test_trilinear_grid_with_one_tiny_spacing_samples_finite_values(spacing):
     assert np.all(np.isfinite(s.kin)) and np.all(np.isfinite(s.dV))
 
 
-def test_parse_errors(tmp_path):
+def test_parse_errors(tmp_path, monkeypatch):
     bad_magic = tmp_path / "a.grid"
     bad_magic.write_text("TTPGRID 2\ndims 2 2 2\n")
     with pytest.raises(ParseError):
@@ -212,7 +212,14 @@ def test_parse_errors(tmp_path):
             (1, "dims 2 2 x", "0 0 0 1\n" * 8, ParseError, "line 2: could not parse dims values"),
             (1, "dims 0 2 2", "", ParseError, "dims must be positive"),
             (3, "spacing 1 0 1", "0 0 0 1\n" * 8, ValidationError, "spacing must be positive"),
-            (None, None, "0 0 0 1\n" * 7 + "0 0 0 one\n", ParseError, "non-numeric token"))):
+            *((None, None, "0 0 0 1\n" * 7 + f"0 0 0 {token}\n", ParseError,
+               "payload contains a non-numeric token")
+              for token in ("one", "1.5abc", "1,5", "0x10", "1.5-2.5", "1_0", "1\x1c2")),
+            # a bad token is reported before a wrong count
+            (None, None, "0 0 0 1\n" * 3 + "0 0 0 one\n", ParseError, "non-numeric token"),
+            (None, None, "0 0 0 1\n" * 9, ParseError, "expected 32 reals, found 36"),
+            (None, None, "", ParseError, "expected 32 reals, found 0"),
+            (None, None, " \t\r\n\n ", ParseError, "expected 32 reals, found 0"))):
         header = list(good_header)
         if line_no is not None:
             header[line_no] = line
@@ -221,41 +228,29 @@ def test_parse_errors(tmp_path):
         with pytest.raises(error, match=re.escape(message)):
             load_grid(bad)
 
-
-_HEADER = b"TTPGRID 1\ndims 2 2 2\norigin 0 0 0\nspacing 1 1 1\nfields V p1hat\n"
-
-
-@pytest.mark.parametrize("payload, message", [
-    *((b"0 0 0 1\n" * 7 + b"0 0 0 " + token + b"\n", "payload contains a non-numeric token")
-      for token in (b"one", b"1.5abc", b"1,5", b"0x10", b"1.5-2.5", b"1_0", b"1\x1c2")),
-    (b"0 0 0 1\n" * 7, "value count mismatch: expected 32 reals, found 28"),
-    (b"0 0 0 1\n" * 9, "value count mismatch: expected 32 reals, found 36"),
-    (b"", "value count mismatch: expected 32 reals, found 0"),
-    (b" \t\r\n\n ", "value count mismatch: expected 32 reals, found 0"),
-    # a bad token is reported before a wrong count
-    (b"0 0 0 1\n" * 3 + b"0 0 0 one\n", "payload contains a non-numeric token")],
-    ids=["one", "1.5abc", "1,5", "0x10", "1.5-2.5", "1_0", "1x1c2", "too_few", "too_many",
-         "empty", "whitespace_only", "bad_token_and_count"])
-def test_payload_errors(tmp_path, payload, message):
-    path = tmp_path / "p.grid"
-    path.write_bytes(_HEADER + payload)
-    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-        load_grid(path)
-
-
-@pytest.mark.parametrize("where", ["header", "payload"])
-def test_non_ascii_byte_names_its_offset(tmp_path, where):
+    header = b"TTPGRID 1\ndims 2 2 2\norigin 0 0 0\nspacing 1 1 1\nfields V p1hat\n"
     payload = b"0 0 0 1\n" * 8
-    if where == "header":
-        data = _HEADER.replace(b"fields", b"fi\xe9lds")
-        offset = data.index(b"\xe9")
-    else:
-        data = _HEADER + payload[:-1] + b"\xe9\n"
-        offset = len(_HEADER) + len(payload) - 1
-    path = tmp_path / "u.grid"
-    path.write_bytes(data)
-    with pytest.raises(ParseError, match=re.escape(f"byte 0xe9 at offset {offset} is not ascii")):
-        load_grid(path)
+    for i, data in enumerate((header.replace(b"fields", b"fi\xe9lds"),
+                              header + payload[:-1] + b"\xe9\n")):
+        bad = tmp_path / f"u{i}.grid"
+        bad.write_bytes(data)
+        message = f"byte 0xe9 at offset {data.index(0xe9)} is not ascii text"
+        with pytest.raises(ParseError, match=re.escape(message)):
+            load_grid(bad)
+
+    # numpy releases older than the ValueError warn and return the values read before the token
+    def fromstring(text, dtype=float, sep=""):
+        warnings.warn("string or file could not be read to its end due to unmatched data",
+                      DeprecationWarning)
+        return np.zeros(32)
+
+    bad = tmp_path / "w.grid"
+    bad.write_bytes(header + payload + b"junk\n")
+    monkeypatch.setattr(np, "fromstring", fromstring)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # as outside the test run
+        with pytest.raises(ParseError, match="^payload contains a non-numeric token$"):
+            load_grid(bad, "trilinear")
 
 
 def test_line_ends_lf_crlf_and_lone_cr(tmp_path):
@@ -269,20 +264,6 @@ def test_line_ends_lf_crlf_and_lone_cr(tmp_path):
     assert nodes[0] == nodes[1]
     path.write_bytes(b"\r".join(lines) + b"\r")  # read as one line
     with pytest.raises(ParseError, match=re.escape("bad magic line 'TTPGRID 1\\rdims 2 2 2")):
-        load_grid(path)
-
-
-def test_numpy_that_warns_on_a_bad_token_is_parse_error(tmp_path, monkeypatch):
-    # numpy releases older than the ValueError warn and return the values read before the token
-    def fromstring(text, dtype=float, sep=""):
-        warnings.warn("string or file could not be read to its end due to unmatched data",
-                      DeprecationWarning)
-        return np.zeros(32)
-
-    path = tmp_path / "w.grid"
-    path.write_bytes(_HEADER + b"0 0 0 1\n" * 8 + b"junk\n")
-    monkeypatch.setattr(np, "fromstring", fromstring)
-    with pytest.raises(ParseError, match="^payload contains a non-numeric token$"):
         load_grid(path)
 
 
