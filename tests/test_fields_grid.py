@@ -280,8 +280,7 @@ def _format_payload(values, fmt, rng):
 @pytest.mark.parametrize("interpolation", ["tricubic", "trilinear"])
 def test_payload_parse_is_bit_identical_to_float(tmp_path, fmt, eol, interpolation):
     rng = np.random.default_rng(34)
-    dims = (4, 5, 6)
-    n = dims[0] * dims[1] * dims[2]
+    n = 4 * 5 * 6
     values = rng.normal(size=4 * n) * 10.0 ** rng.integers(-30, 30, size=4 * n)
     values[rng.choice(4 * n, size=40, replace=False)] = rng.choice(
         [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1.23e-310, 4.9e-322], size=40)
