@@ -20,14 +20,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import NotFound, ParseError, TtpsimError, ValidationError
-from .fields import create_provider, fd_verify_derivatives, provider_parameters
-from .fields.analytic import PROVIDERS
+from .fields import fd_verify_derivatives
+from .fields.analytic import PROVIDERS, create_provider, provider_parameters
 from .fields.grid import interpolation_min_nodes, load_grid
 from .integrate import (IntegratorConfig, Trajectory, integrate_trajectory, step_count,
                         tangent_seed)
-from .kinetics import TtpState, isobaric_normal, norm3
+from .kinetics import TtpState, isobaric_normal, norm3, tangent_frame
 from .ensemble import (EnsembleHistory, EnsembleSpec, check_stride, evolve_ensemble,
-                       seed_tangent_circle, tangent_frame)
+                       seed_tangent_circle)
 from . import verify as verify_mod
 
 TRAJECTORY_COLUMNS = Trajectory.COLUMNS

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGradient, EmptyEnsemble, ValidationError
+from .errors import EmptyEnsemble, ValidationError
 from .integrate import Table, Trajectory, integrate_trajectory, step_count
-from .kinetics import TtpState, _seed_vector, cross, isobaric_normal, norm3
+from .kinetics import TtpState, _seed_vector, isobaric_normal, tangent_frame
 
 
 @dataclass(slots=True)
@@ -42,22 +42,6 @@ class EnsembleSpec:
             raise ValidationError(f"unknown sampling {self.sampling!r}")
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
-
-
-def tangent_frame(b):
-    """Deterministic right-handed orthonormal frame (e1, e2, b).
-
-    e1 = normalize(a x b) with a = z_hat unless |b . z_hat| > 0.9, in which
-    case a = x_hat; e2 = b x e1.  ``b`` is None where the gradient is
-    degenerate, as :func:`isobaric_normal` gives it; no tangent plane exists
-    there, so None raises DegenerateGradient.
-    """
-    if b is None:
-        raise DegenerateGradient("pressure gradient degenerate at the seed point")
-    b = np.asarray(b, dtype=float).tolist()
-    e1 = cross((0.0, 0.0, 1.0) if abs(b[2]) <= 0.9 else (1.0, 0.0, 0.0), b)
-    e1 = np.array(e1) / norm3(e1)
-    return e1, np.array(cross(b, e1.tolist()))
 
 
 def seed_tangent_circle(spec, provider):
@@ -113,6 +97,7 @@ def _moments(Vv, U):
     return (*mean_v, *mean_u, *(_odd_sum(D[i] * D[j]) / n for i, j in _UPPER))
 
 
+@dataclass(eq=False)
 class EnsembleHistory(Table):
     """Stats time series over an evolving ensemble of ``count`` seeded particles.
 
@@ -127,10 +112,9 @@ class EnsembleHistory(Table):
               ("cov_u", "cov_uxx,cov_uxy,cov_uxz,cov_uyy,cov_uyz,cov_uzz"))
     FLAGS = ("n_effective",)
 
-    def __init__(self, table, count, termination_reason=""):
-        super().__init__(table)
-        self.count = count
-        self.termination_reason = termination_reason
+    table: np.ndarray
+    count: int
+    termination_reason: str = ""
 
     @property
     def excluded(self):
@@ -152,7 +136,8 @@ def evolve_ensemble(states, provider, config, stride=1):
     n_effective + excluded equals the seeded count at every output time.
     The stats stop before the first output time that no particle reaches
     (``no_survivors``) or whose moments are not finite (``non_finite_state``),
-    and the history records why.
+    and the history records why.  Output times that cannot be allocated
+    raise ValidationError before any particle runs.
 
     Returns (trajectories, EnsembleHistory).  Each trajectory holds only the
     particle's records at the output times it reached, with the whole run's
@@ -165,13 +150,16 @@ def evolve_ensemble(states, provider, config, stride=1):
         raise ValidationError("the ensemble's states must share one time")
     check_stride(stride)
     n_steps = step_count(t0, config.t_end, config.dt)
-    out_idx = [*range(0, n_steps, stride), n_steps]
+    try:
+        out_idx = [*range(0, n_steps, stride), n_steps]
+    except (MemoryError, OverflowError):  # OverflowError: beyond a list's largest length
+        raise ValidationError(f"cannot allocate {(n_steps - 1) // stride + 2} output times; "
+                              "shorten the horizon, lengthen dt or raise stride") from None
     trajectories = []
     for st in states:  # one particle's full table is alive at a time
         full = integrate_trajectory(st, provider, config)
-        tr = Trajectory(full.table[out_idx[:bisect_left(out_idx, len(full))]])
-        tr.summary = full.summary
-        trajectories.append(tr)
+        rows = full.table[out_idx[:bisect_left(out_idx, len(full))]]
+        trajectories.append(Trajectory(rows, full.summary))
 
     table = np.empty((len(out_idx), EnsembleHistory.WIDTH))
     t, v, u = (Trajectory.INDEX[name] for name in ("t", "v", "u"))

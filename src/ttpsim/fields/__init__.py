@@ -1,4 +1,4 @@
-"""Prescribed fluid fields.
+"""Prescribed fluid fields: the provider contract and its derivative audit.
 
 A field provider evaluates, at any admissible (r, t), the full set of local
 fluid data the particle kinetics consume: velocity and its gradient,
@@ -9,15 +9,15 @@ builds ``sample`` and ``sample_kinetic`` on top of it.  Providers are
 immutable after construction and the kernel is a pure function, so instances
 may be shared freely across threads.  The one mutable state is the grid
 provider's cache of per-cell Bezier rows, a thread-safe ``functools.lru_cache``;
-no result depends on what it holds.
+no result depends on what it holds.  The registry of named providers lives in
+``fields.analytic``, next to them: this module imports no provider.
 """
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NotFound, OutOfDomain
+from ..errors import OutOfDomain
 
 
 @dataclass(slots=True)
@@ -91,7 +91,7 @@ class FieldProvider:
     here on top of it.  ``reference_box`` is a finite box used by
     verification sweeps to draw sample points when the domain itself is
     unbounded.  A provider's parameters are its constructor's keyword
-    arguments (see :func:`provider_parameters`).
+    arguments (see ``fields.analytic.provider_parameters``).
     """
 
     name = "provider"
@@ -135,28 +135,6 @@ class FieldProvider:
                 f"lo={tuple(float(c) for c in lo)} hi={tuple(float(c) for c in hi)}"
                 + (f" with margin {margin}" if margin else "")
             )
-
-
-# --- registry -------------------------------------------------------------
-
-def _provider_class(name):
-    from .analytic import PROVIDERS  # analytic imports this module
-
-    try:
-        return PROVIDERS[name]
-    except KeyError:
-        raise NotFound(f"no provider registered under name {name!r}") from None
-
-
-def provider_parameters(name):
-    """Parameter names and defaults of a registered provider.  Raises NotFound."""
-    return {p.name: p.default
-            for p in inspect.signature(_provider_class(name)).parameters.values()}
-
-
-def create_provider(name, **params):
-    """Instantiate a registered provider with keyword parameters."""
-    return _provider_class(name)(**params)
 
 
 # --- finite-difference derivative audit ------------------------------------

@@ -4,15 +4,16 @@ Velocity fields follow standard benchmark forms.  Kinetic-pressure fields
 are chosen per provider as smooth positive scalars with an almost-everywhere
 nonvanishing gradient; the particle dynamics only consume p1hat through its
 gradient direction and the thermal speed, so any such choice is admissible.
-Each provider documents its own choice.
+Each provider documents its own choice.  ``PROVIDERS`` is the provider registry;
+it backs :func:`create_provider` and :func:`provider_parameters`.
 """
 
+import inspect
 import math
 
 import numpy as np
 
-from ..errors import OutOfDomain, ValidationError
-from ..kinetics import norm3
+from ..errors import NotFound, OutOfDomain, ValidationError
 from . import FieldProvider
 
 _ZERO_DV = (0.0,) * 9
@@ -57,7 +58,8 @@ class UniformGradientField(FieldProvider):
         self.V0 = (float(V0x), float(V0y), float(V0z))
         self.p0 = float(p0)
         self.g = (float(gx), float(gy), float(gz))
-        gnorm = norm3(self.g)  # inf where |g|^2 overflows
+        x, y, z = self.g
+        gnorm = math.sqrt(x * x + y * y + z * z)  # inf where |g|^2 overflows
         if not 0.0 < gnorm < math.inf:
             raise ValidationError(f"|g| = {gnorm:g} must be nonzero and finite")
         if p0 <= 0.0:
@@ -254,3 +256,20 @@ class LambOseenField(FieldProvider):
 PROVIDERS = {cls.name: cls for cls in (UniformField, UniformGradientField,
                                        RigidRotationField, TaylorGreenField,
                                        LambOseenField)}
+
+
+def _provider_class(name):
+    try:
+        return PROVIDERS[name]
+    except KeyError:
+        raise NotFound(f"no provider registered under name {name!r}") from None
+
+
+def provider_parameters(name):
+    """Parameter names and defaults of a registered provider.  Raises NotFound."""
+    return {p.name: p.default for p in inspect.signature(_provider_class(name)).parameters.values()}
+
+
+def create_provider(name, **params):
+    """Instantiate a registered provider with keyword parameters."""
+    return _provider_class(name)(**params)

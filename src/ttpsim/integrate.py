@@ -85,6 +85,7 @@ class Table:
     the integer-valued columns.  A subclass gets ``COLUMNS`` (the CSV header),
     ``WIDTH``, ``FLAG_COLUMNS`` (the flag columns' indices) and, for each name, a
     read-only view of ``table``: one column, or ``(m, w)`` for w header fields.
+    Subclasses are ``@dataclass(eq=False)``s with a ``table`` field (no array ``==``).
     """
 
     LAYOUT = ()
@@ -100,9 +101,6 @@ class Table:
         cls.COLUMNS = ",".join(fields for _, fields in cls.LAYOUT)
         cls.FLAG_COLUMNS = tuple(cls.INDEX[name] for name in cls.FLAGS)
 
-    def __init__(self, table):
-        self.table = table
-
     def __len__(self):
         return len(self.table)
 
@@ -114,6 +112,7 @@ class Table:
         return view
 
 
+@dataclass(eq=False)
 class Trajectory(Table):
     """Recorded states: ``table`` holds one row per record in COLUMNS order.
 
@@ -128,7 +127,9 @@ class Trajectory(Table):
               ("n_dot_b", "n_dot_b"), ("norm_err", "norm_err"),
               ("degenerate", "degenerate_flag"))
     FLAGS = ("degenerate",)
-    summary = None  # the InvariantSummary, set once the run ends
+
+    table: np.ndarray
+    summary: InvariantSummary = None  # the run's InvariantSummary
 
 
 def _rot_s(nx, ny, nz, tx, ty, tz):
@@ -356,7 +357,5 @@ def integrate_trajectory(state0, provider, config):
 
     if k <= n_steps:  # a run that stopped early copies its rows, so the unused rows can be freed
         table = table[:k].copy()
-    traj = Trajectory(table)
-    traj.summary = InvariantSummary(k - 1, max_norm_err, max_abs_n_dot_b, degenerate_steps,
-                                    bool(reason), reason)
-    return traj
+    return Trajectory(table, InvariantSummary(k - 1, max_norm_err, max_abs_n_dot_b,
+                                              degenerate_steps, bool(reason), reason))

@@ -20,6 +20,7 @@ Two routes to Omega are implemented: the direct one above, and a literal
 term-by-term decomposition (convective part, tangential-vorticity part,
 pressure-velocity part) retained as a diagnostic.  The two disagree by a
 finite residual that is reported, never asserted; see ``omega_decomposed``.
+Seeds and sweeps take n from :func:`tangent_frame`, the tangent plane's frame.
 """
 
 import math
@@ -100,6 +101,22 @@ def isobaric_normal(sample):
     """
     bx, by, bz, gn = gradient_normal(sample.kin)
     return None if gn == 0.0 else np.array((bx, by, bz))
+
+
+def tangent_frame(b):
+    """Deterministic right-handed orthonormal frame (e1, e2, b).
+
+    e1 = normalize(a x b) with a = z_hat unless |b . z_hat| > 0.9, in which
+    case a = x_hat; e2 = b x e1.  ``b`` is None where the gradient is
+    degenerate, as :func:`isobaric_normal` gives it; no tangent plane exists
+    there, so None raises DegenerateGradient.
+    """
+    if b is None:
+        raise DegenerateGradient("pressure gradient degenerate at the seed point")
+    b = np.asarray(b, dtype=float).tolist()
+    e1 = cross((0.0, 0.0, 1.0) if abs(b[2]) <= 0.9 else (1.0, 0.0, 0.0), b)
+    e1 = np.array(e1) / norm3(e1)
+    return e1, np.array(cross(b, e1.tolist()))
 
 
 def relative_velocity(state, sample):

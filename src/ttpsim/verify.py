@@ -23,8 +23,7 @@ from .errors import DegenerateGradient, NoOracle, ValidationError
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
 from .kinetics import (TtpState, _rates, cross, dot3, gradient_normal, hess_dot, norm3,
-                       omega_decomposed, omega_direct, state_rhs)
-from .ensemble import tangent_frame
+                       omega_decomposed, omega_direct, state_rhs, tangent_frame)
 
 _TINY = 1e-300
 _ORACLE_TOL = 1e-10  # the largest |n0 . r_hat| of a seed with a rigid-rotation closed form
@@ -142,7 +141,7 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     return worst
 
 
-@dataclass
+@dataclass(eq=False)
 class OmegaIdentityReport(Table):
     """Residuals of the rotation-rate identity over a random point sweep.
 
@@ -160,9 +159,9 @@ class OmegaIdentityReport(Table):
     beta: float
     seed: int
     requested: int
-    skipped: int
     table: np.ndarray
 
+    skipped = property(lambda self: self.requested - len(self))
     max_fd = property(lambda self: _or_nan(max, self.res_fd))
     median_fd = property(lambda self: _or_nan(_median, self.res_fd))
     max_split_rel = property(lambda self: _or_nan(max, self.res_split_rel))
@@ -220,8 +219,7 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
             raise ValidationError(f"non-finite rotation-rate residuals at r = {row[:3]}")
         rows.append(row)
     return OmegaIdentityReport(
-        provider_name=provider.name, h=h, beta=beta, seed=seed,
-        requested=n_points, skipped=n_points - len(rows),
+        provider_name=provider.name, h=h, beta=beta, seed=seed, requested=n_points,
         table=np.array(rows, dtype=float).reshape(-1, OmegaIdentityReport.WIDTH))
 
 

@@ -396,6 +396,15 @@ def test_unallocatable_horizon_exit2(tmp_path, capsys):
     assert main(["simulate", _write(tmp_path, text)]) == 2
     assert "cannot allocate the table of 100000000000001 records" in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+    # ensemble rejects its output times (1e14 list slots; a list of 1e300 overflows its
+    # length) before any particle runs
+    for horizon, times in (("dt = 1e-10\nt_end = 10000", 10**14 + 1),
+                           ("dt = 1\nt_end = 1e300", int(1e300) + 1)):
+        ens = RIGID_SIM.format(out=out).replace("dt = 0.001\nt_end = 0.5", horizon)
+        assert main(["ensemble", _write(tmp_path, ens + "\n[ensemble]\ncount = 2\n")]) == 2
+        assert capsys.readouterr().err == (f"error: cannot allocate {times} output times; "
+                                           "shorten the horizon, lengthen dt or raise stride\n")
+        assert not (out / "stats.csv").exists()
     # verify runs its pointwise checks and reports both order studies skipped
     assert main(["verify", _write(tmp_path, text), "--points", "5"]) == 0
     report = (out / "verify_report.txt").read_text()
