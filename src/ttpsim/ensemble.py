@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyEnsemble, ValidationError
+from .errors import EmptyEnsemble, ValidationError, check_count
 from .integrate import Table, Trajectory, integrate_trajectory, step_count
 from .kinetics import TtpState, _seed_vector, isobaric_normal, tangent_frame
 
@@ -24,7 +24,9 @@ class EnsembleSpec:
     """Seeding recipe for a tangent-circle ensemble at one point.
 
     ``r0`` is kept as given, if it keeps the seed-vector rule
-    (``kinetics._seed_vector``); seeding converts it.
+    (``kinetics._seed_vector``); seeding converts it.  ``count`` (>= 1) and
+    ``seed`` (>= 0) keep the count rule (``errors.check_count``) and are kept
+    as ints: a float, bool or string count raises ValidationError.
     """
 
     r0: tuple
@@ -36,12 +38,10 @@ class EnsembleSpec:
 
     def __post_init__(self):
         _seed_vector("r0", self.r0)
-        if self.count < 1:
-            raise ValidationError("count must be >= 1")
+        self.count = check_count("count", self.count, 1)
         if self.sampling not in ("equispaced_circle", "random_circle"):
             raise ValidationError(f"unknown sampling {self.sampling!r}")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        self.seed = check_count("seed", self.seed, 0)
 
 
 def seed_tangent_circle(spec, provider):
@@ -50,8 +50,10 @@ def seed_tangent_circle(spec, provider):
     Equispaced sampling uses angles 2 pi k / N in the deterministic tangent
     frame; random sampling draws i.i.d. uniform angles from the seeded
     generator, so a fixed seed reproduces the ensemble bit-identically.
-    One array pass forms every direction cos(a) e1 + sin(a) e2; a count whose
-    angles or directions cannot be allocated raises ValidationError.
+    One array pass forms every direction cos(a) e1 + sin(a) e2, and each
+    state's ``r`` and ``n`` are its own rows of two (count, 3) arrays, which
+    the seed-vector rule takes as they are; a count whose angles, directions
+    or positions cannot be allocated raises ValidationError.
     """
     r0 = np.asarray(spec.r0, dtype=float)
     e1, e2 = tangent_frame(isobaric_normal(provider.sample(r0, spec.t0)))
@@ -61,11 +63,12 @@ def seed_tangent_circle(spec, provider):
         else:
             angles = np.random.default_rng(spec.seed).uniform(0.0, 2.0 * math.pi, spec.count)
         directions = np.cos(angles)[:, None] * e1 + np.sin(angles)[:, None] * e2
+        positions = np.full((len(directions), 3), r0)
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
         directions = ()
     if len(directions) < spec.count:  # np.arange of 2**63 or more is empty
         raise ValidationError(f"cannot draw {spec.count} seed angles; lower count")
-    return [TtpState(t=spec.t0, r=r0.copy(), n=n, beta=spec.beta) for n in directions]
+    return [TtpState(t=spec.t0, r=r, n=n, beta=spec.beta) for r, n in zip(positions, directions)]
 
 
 _UPPER = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))  # cov_u's upper triangle, row by row
@@ -122,9 +125,8 @@ class EnsembleHistory(Table):
 
 
 def check_stride(stride):
-    """Reject a stats output stride below one step."""
-    if stride < 1:
-        raise ValidationError("stride must be >= 1")
+    """The stats output stride in steps, as an int, by the count rule: an integer >= 1."""
+    return check_count("stride", stride, 1)
 
 
 def evolve_ensemble(states, provider, config, stride=1):
@@ -148,7 +150,7 @@ def evolve_ensemble(states, provider, config, stride=1):
     t0 = float(states[0].t)
     if any(st.t != t0 for st in states):
         raise ValidationError("the ensemble's states must share one time")
-    check_stride(stride)
+    stride = check_stride(stride)
     n_steps = step_count(t0, config.t_end, config.dt)
     try:
         out_idx = [*range(0, n_steps, stride), n_steps]

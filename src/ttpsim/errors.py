@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the count rule that raises one."""
+
+import operator
 
 
 class TtpsimError(Exception):
@@ -51,3 +53,22 @@ class ParseError(TtpsimError):
 
 class ValidationError(TtpsimError):
     """Structurally valid input with an invalid value."""
+
+
+def check_count(name, value, low, note=""):
+    """The count rule: ``value`` as an int, if it is an integer >= ``low``; else ValidationError.
+
+    An integer is what ``operator.index`` takes (int, numpy integers, 0-d integer
+    arrays), except a bool.  A float, even 2.0, a string or None raises
+    ``name must be an integer``; an integer below ``low`` raises
+    ``name must be >= low`` followed by ``note``.
+    """
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValidationError(f"{name} must be >= {low}{note}")
+    return count

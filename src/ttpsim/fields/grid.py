@@ -27,7 +27,6 @@ File format (text, version 1)::
 
 import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -273,12 +272,9 @@ def load_grid(path, interpolation="tricubic"):
         raise ParseError(f"line 5: expected 'fields V p1hat', got {lines[4].rstrip()!r}")
 
     try:
-        try:
-            with warnings.catch_warnings():  # an older numpy warns and returns what it read
-                warnings.simplefilter("error", DeprecationWarning)
-                # numpy reads an all-whitespace text as [-1.0]
-                values = np.fromstring(b"" if payload.isspace() else payload, sep=" ")
-        except (ValueError, DeprecationWarning):
+        try:  # numpy reads an all-whitespace text as [-1.0]
+            values = np.fromstring(b"" if payload.isspace() else payload, sep=" ")
+        except ValueError:
             raise ParseError("payload contains a non-numeric token") from None
         if values.size != 4 * nx * ny * nz:
             raise ParseError(f"value count mismatch: expected {4 * nx * ny * nz} reals, "

@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError
+from .errors import (InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError,
+                     check_count)
 from .kinetics import _seed_vector, cross, dot3, gradient_normal, rhs_terms, stage_eval
 
 TANGENCY_TOL = 1e-8
@@ -26,7 +27,9 @@ TANGENCY_TOL = 1e-8
 class IntegratorConfig:
     """Fixed-step integration settings.
 
-    ``renormalize_every`` / ``project_tangency_every`` of 0 mean never.
+    ``renormalize_every`` / ``project_tangency_every`` are step counts by the
+    count rule (``errors.check_count``): integers >= 0, kept as ints, where 0
+    means never; a float, bool or string raises ValidationError.
     Tangency re-projection is off by default: the drift of n . b is itself
     a diagnostic of the evolution law and projection would hide it.
     """
@@ -46,8 +49,7 @@ class IntegratorConfig:
         if self.method not in METHODS:
             raise ValidationError(f"unknown method {self.method!r}")
         for name in ("renormalize_every", "project_tangency_every"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be >= 0 (0 means never)")
+            setattr(self, name, check_count(name, getattr(self, name), 0, " (0 means never)"))
 
 
 def step_count(t0, t_end, dt):

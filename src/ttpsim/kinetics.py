@@ -33,6 +33,7 @@ from .errors import DegenerateGradient, NegativePressure, ValidationError
 # |grad p1hat| at or below this is degenerate: b, and so tangency, is undefined there
 EPS_GRAD = 1e-10
 _EPS_GRAD2 = EPS_GRAD * EPS_GRAD  # compared against |grad p1hat|^2
+_FLOAT = np.dtype(float)  # numpy's cached native float64 dtype, which its float arrays carry
 
 
 @dataclass(slots=True)
@@ -57,9 +58,14 @@ class TtpState:
 def _seed_vector(name, v):
     """The seed-vector rule: 3 numbers in shape (3,), as a float array; else ValidationError.
 
-    A bool, string or complex vector, or one holding None (which numpy turns into
-    nan), is rejected before numpy converts it; a mixed (True, 2.0, 3.0) is
-    promoted to float by numpy itself and is accepted."""
+    An ``np.ndarray`` of native float64 in shape (3,), contiguous or not, writeable
+    or not, already meets the rule and is returned as it is, before any conversion:
+    it is the object the conversion would return.  A bool, string or complex
+    vector, or one holding None (which numpy turns into nan), is rejected before
+    numpy converts it; a mixed (True, 2.0, 3.0) is promoted to float by numpy
+    itself and is accepted."""
+    if type(v) is np.ndarray and v.shape == (3,) and v.dtype is _FLOAT:
+        return v
     try:
         a = np.asarray(v)
         kind = a.dtype.kind  # one test for a float or int vector, as every seed state is

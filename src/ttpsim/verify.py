@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGradient, NoOracle, ValidationError
+from .errors import DegenerateGradient, NoOracle, ValidationError, check_count
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
 from .kinetics import (TtpState, _rates, cross, dot3, gradient_normal, hess_dot, norm3,
@@ -124,8 +124,9 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|, with b and
     |g| from :func:`_random_states`.  Points with degenerate gradient are
     skipped; a point where either term or the normalizer is not finite
-    raises ValidationError.
+    raises ValidationError, as does an ``n_states`` that is not an integer >= 1.
     """
+    n_states = check_count("n_states", n_states, 1)
     worst = 0.0
     for s, b, gn, r, n in _random_states(provider, n_states, seed, t):
         w = _rates(s.kin, *n, beta)[:3]  # V + u
@@ -195,8 +196,10 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     counted; a point whose V + u or residuals are not finite raises
     ValidationError.  Points are evaluated whole and in order, so the first
     failure in point order is raised, and the k-th point past the degenerate
-    and g_min tests takes the k-th random angle (:func:`_kept_points`).
+    and g_min tests takes the k-th random angle (:func:`_kept_points`).  An
+    ``n_points`` that is not an integer >= 1 raises ValidationError.
     """
+    n_points = check_count("n_points", n_points, 1)
     rows = []
     for s, b, _, r, phi in _kept_points(provider, n_points, seed, t,
                                         lambda rng: rng.uniform(0.0, 2.0 * math.pi, _BLOCK), g_min):
@@ -230,8 +233,10 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     asserted invariant measure; its divergence (estimated here by central
     differences in each coordinate) is emitted as a diagnostic.  Returns
     (max |div|, median |div|, states evaluated); a state whose divergence is
-    not finite raises ValidationError.
+    not finite, or an ``n_states`` that is not an integer >= 1, raises
+    ValidationError.
     """
+    n_states = check_count("n_states", n_states, 1)
     h = 1e-6
     divs = []
     for _, _, _, p, n in _random_states(provider, n_states, seed, t):

@@ -52,11 +52,13 @@ def test_seed_directions_are_cos_e1_plus_sin_e2(taylor_green, sampling, count):
 
 
 @pytest.mark.parametrize("sampling", ["equispaced_circle", "random_circle"])
-@pytest.mark.parametrize("count, stubbed", [(10**12, "angles"), (16, "directions")])
+@pytest.mark.parametrize("count, stubbed", [(10**12, "angles"), (16, "directions"),
+                                            (16, "positions")])
 def test_seed_angles_out_of_memory_is_validation_error(taylor_green, monkeypatch, sampling,
                                                        count, stubbed):
-    # numpy raises MemoryError where it cannot allocate the angles or the directions;
-    # stubbed here, since a count numpy would really try to allocate must not run in a test
+    # numpy raises MemoryError where it cannot allocate the angles, the directions or the
+    # positions; stubbed here, since a count numpy would really try to allocate must not
+    # run in a test
     def out_of_memory(*args, **kwargs):
         raise MemoryError("stub")
 
@@ -66,11 +68,31 @@ def test_seed_angles_out_of_memory_is_validation_error(taylor_green, monkeypatch
     if stubbed == "angles":
         monkeypatch.setattr(np, "arange", out_of_memory)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
-    else:
+    elif stubbed == "directions":
         monkeypatch.setattr(np, "cos", out_of_memory)
+    else:
+        monkeypatch.setattr(np, "full", out_of_memory)
     spec = _spec((2.1, 3.3, 1.7), count=count, sampling=sampling)
     with pytest.raises(ValidationError, match=f"^cannot draw {count} seed angles"):
         seed_tangent_circle(spec, taylor_green)
+
+
+@pytest.mark.parametrize("count", [1, 2, 1024])
+@pytest.mark.parametrize("sampling", ["equispaced_circle", "random_circle"])
+def test_each_seeded_position_is_its_own_row(taylor_green, sampling, count):
+    # the positions are the rows of one (count, 3) array, as the directions are; a write
+    # into one state's r reaches no other state and not the spec
+    spec = _spec((2.1, 3.3, 1.7), count=count, sampling=sampling, seed=5)
+    states = seed_tangent_circle(spec, taylor_green)
+    positions = states[0].r.base
+    assert positions.shape == (count, 3) and positions.dtype == np.dtype(float)
+    for k, st in enumerate(states):
+        assert st.r.base is positions and st.r.tobytes() == positions[k].tobytes()
+        assert st.r.tobytes() == spec.r0.tobytes()
+    states[-1].r[:] = -1.0
+    assert spec.r0.tolist() == [2.1, 3.3, 1.7]
+    assert all(st.r.tolist() == [2.1, 3.3, 1.7] for st in states[:-1])
+    assert not np.shares_memory(states[0].r, spec.r0)
 
 
 def test_tangent_frame_accepts_any_sequence():

@@ -3,7 +3,6 @@
 import math
 import re
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -166,7 +165,7 @@ def test_trilinear_grid_with_one_tiny_spacing_samples_finite_values(spacing):
     assert np.all(np.isfinite(s.kin)) and np.all(np.isfinite(s.dV))
 
 
-def test_parse_errors(tmp_path, monkeypatch):
+def test_parse_errors(tmp_path):
     bad_magic = tmp_path / "a.grid"
     bad_magic.write_text("TTPGRID 2\ndims 2 2 2\n")
     with pytest.raises(ParseError):
@@ -237,20 +236,6 @@ def test_parse_errors(tmp_path, monkeypatch):
         message = f"byte 0xe9 at offset {data.index(0xe9)} is not ascii text"
         with pytest.raises(ParseError, match=re.escape(message)):
             load_grid(bad)
-
-    # numpy releases older than the ValueError warn and return the values read before the token
-    def fromstring(text, dtype=float, sep=""):
-        warnings.warn("string or file could not be read to its end due to unmatched data",
-                      DeprecationWarning)
-        return np.zeros(32)
-
-    bad = tmp_path / "w.grid"
-    bad.write_bytes(header + payload + b"junk\n")
-    monkeypatch.setattr(np, "fromstring", fromstring)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # as outside the test run
-        with pytest.raises(ParseError, match="^payload contains a non-numeric token$"):
-            load_grid(bad, "trilinear")
 
 
 def test_line_ends_lf_crlf_and_lone_cr(tmp_path):

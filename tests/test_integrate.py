@@ -10,10 +10,11 @@ from conftest import spy_positions
 
 from ttpsim import (EnsembleSpec, FieldProvider, InitialTangencyViolation, IntegratorConfig,
                     LambOseenField, RigidRotationField, TaylorGreenField, TtpState, UniformField,
-                    UniformGradientField, ValidationError, evolve_ensemble, integrate_trajectory,
+                    UniformGradientField, ValidationError, cancellation_check, evolve_ensemble,
+                    integrate_trajectory, omega_identity_sweep, reduced_divergence_report,
                     seed_tangent_circle, tangent_seed, trajectory_oracle)
 from ttpsim.integrate import InvariantSummary, _rot_s
-from ttpsim.kinetics import stage_eval
+from ttpsim.kinetics import _seed_vector, stage_eval
 
 
 def _state(n, beta=1.0, r=(0, 0, 0), t=0.0):
@@ -294,6 +295,50 @@ def test_a_seed_vector_that_is_not_3_numbers_is_validation_error(make, name, vec
         make(vector)
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    lambda: np.array((1.0, -2.5, 3.0)),
+    lambda: np.arange(9.0)[::3],
+    lambda: np.arange(12.0).reshape(3, 4)[:, 1],
+    lambda: _read_only(np.array((0.0, 1.0, 0.0))),
+    lambda: np.full((5, 3), 0.5)[2],
+], ids=["contiguous", "strided", "column", "read_only", "row"])
+def test_a_float64_seed_vector_is_taken_as_it_is(make):
+    v = make()
+    assert _seed_vector("r", v) is v
+    state = TtpState(t=0.0, r=v, n=v, beta=1.0)
+    assert state.r is v and state.n is v
+
+
+@pytest.mark.parametrize("v", [
+    np.array((1.0, 2.0, 3.0), dtype=np.float32),
+    np.array((1, 2, 3)),
+    np.array((1.0, 2.0, 3.0), dtype=">f8"),
+    np.array((1.0, 2.0, 3.0), dtype=np.float16)[::1],
+], ids=["float32", "int", "byte_swapped", "float16"])
+def test_another_seed_vector_array_is_converted(v):
+    # the rule converts these to a new native float64 array of the same values
+    a = _seed_vector("r", v)
+    assert a is not v and a.dtype == np.dtype(float) and a.dtype.isnative
+    np.testing.assert_array_equal(a, v.astype(float), strict=True)
+
+
+@pytest.mark.parametrize("v, message", [
+    (np.array(((1.0, 2.0, 3.0),)), "r must have 3 components, got shape (1, 3)"),
+    (np.zeros(4), "r must have 3 components, got shape (4,)"),
+    (np.array(7.0), "r must have 3 components, got shape ()"),
+    (np.array((True, False, True)), "r must hold 3 numbers, got array([ True, False,  True])"),
+    (np.array((1j, 0, 0)), "r must hold 3 numbers, got array([0.+1.j, 0.+0.j, 0.+0.j])"),
+], ids=["row_1x3", "four", "scalar", "bool", "complex"])
+def test_another_seed_vector_array_is_rejected(v, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        _seed_vector("r", v)
+
+
 @pytest.mark.parametrize("r, n", [
     ((1.0, 0.0, 0.0), (math.nan, 0.0, 0.0)),
     ((math.inf, 0.0, 0.0), (0.0, 1.0, 0.0)),
@@ -565,6 +610,57 @@ def test_config_validation():
                 {"t_end": math.inf}):
         with pytest.raises(ValidationError, match="finite"):
             IntegratorConfig(**bad)
+
+
+def _evolve(stride):
+    rigid = RigidRotationField()
+    return evolve_ensemble([_state((0, 1, 0), r=(1.0, 0, 0))], rigid,
+                           IntegratorConfig(dt=0.1, t_end=0.2), stride=stride)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: EnsembleSpec(r0=(1, 0, 0), count=1.5), "count must be an integer, got 1.5"),
+    (lambda: EnsembleSpec(r0=(1, 0, 0), count=2.0), "count must be an integer, got 2.0"),
+    (lambda: EnsembleSpec(r0=(1, 0, 0), count=True), "count must be an integer, got True"),
+    (lambda: EnsembleSpec(r0=(1, 0, 0), count="3"), "count must be an integer, got '3'"),
+    (lambda: EnsembleSpec(r0=(1, 0, 0), count=0), "count must be >= 1"),
+    (lambda: EnsembleSpec(r0=(1, 0, 0), sampling="random_circle", seed=1.5),
+     "seed must be an integer, got 1.5"),
+    (lambda: _evolve(1.5), "stride must be an integer, got 1.5"),
+    (lambda: _evolve("2"), "stride must be an integer, got '2'"),
+    (lambda: _evolve(np.bool_(True)), "stride must be an integer, got np.True_"),
+    (lambda: _evolve(0), "stride must be >= 1"),
+    (lambda: IntegratorConfig(renormalize_every=1.5),
+     "renormalize_every must be an integer, got 1.5"),
+    (lambda: IntegratorConfig(renormalize_every=None),
+     "renormalize_every must be an integer, got None"),
+    (lambda: IntegratorConfig(project_tangency_every="1"),
+     "project_tangency_every must be an integer, got '1'"),
+    (lambda: IntegratorConfig(renormalize_every=-1),
+     "renormalize_every must be >= 0 (0 means never)"),
+    (lambda: omega_identity_sweep(RigidRotationField(), n_points=1.5),
+     "n_points must be an integer, got 1.5"),
+    (lambda: omega_identity_sweep(RigidRotationField(), n_points=0), "n_points must be >= 1"),
+    (lambda: cancellation_check(RigidRotationField(), n_states="3"),
+     "n_states must be an integer, got '3'"),
+    (lambda: reduced_divergence_report(RigidRotationField(), n_states=True),
+     "n_states must be an integer, got True"),
+], ids=["count_float", "count_whole_float", "count_bool", "count_str", "count_zero",
+        "seed_float", "stride_float", "stride_str", "stride_numpy_bool", "stride_zero",
+        "renormalize_float", "renormalize_none", "project_str", "renormalize_negative",
+        "points_float", "points_zero", "states_str", "states_bool"])
+def test_the_count_rule(call, message):
+    # one rule for every count: an integer by operator.index, not a bool, at least a bound;
+    # a float count used to be rounded up or run as given, and a string ended in TypeError
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_numpy_integer_count_is_kept_as_an_int():
+    spec = EnsembleSpec(r0=(1, 0, 0), count=np.int64(3), seed=np.array(2))
+    config = IntegratorConfig(renormalize_every=np.uint8(2), project_tangency_every=np.int32(0))
+    counts = (spec.count, spec.seed, config.renormalize_every, config.project_tangency_every)
+    assert counts == (3, 2, 2, 0) and all(type(c) is int for c in counts)
 
 
 def test_records_expose_fields(rigid):

@@ -8,9 +8,9 @@ import pytest
 from ttpsim import (IntegratorConfig, LambOseenField, NoOracle, RigidRotationField,
                     TaylorGreenField, TtpState, UniformField,
                     UniformGradientField, ValidationError, cancellation_check,
-                    convergence_study, fit_order, isobaric_normal, omega_identity_sweep,
-                    reduced_divergence_report, tangency_drift_study, tangent_frame,
-                    trajectory_oracle)
+                    convergence_study, fit_order, integrate_trajectory, isobaric_normal,
+                    omega_identity_sweep, reduced_divergence_report, tangency_drift_study,
+                    tangent_frame, trajectory_oracle)
 
 from conftest import smooth_nonlinear_providers
 
@@ -199,6 +199,59 @@ def test_reduced_divergence_uniform_gradient_zero():
     dmax, dmed, n = reduced_divergence_report(prov, n_states=20, seed=3, beta=1.0)
     # |div| = |n_z| / v_th <= 1/sqrt(2 p_min) = 1 for this box
     assert dmax <= 1.0 + 1e-6
+
+
+def _divergence(s, n, beta):
+    """The phase-space divergence of (dr/dt, dn/dt) on R^3 x S^2 at a sample s and a direction n:
+
+    div = tr(gradV) + beta (n . g) / v_th + beta v_th ((n . g) tr H - n . H g) / |g|^2,
+
+    with g = grad p1hat, H its Hessian and v_th = sqrt(2 p1hat); the last term is
+    n . curl_n Omega."""
+    g, H = s.grad_p1hat, s.hess_p1hat
+    v_th = math.sqrt(2.0 * s.p1hat)
+    ng = n @ g
+    return (np.trace(s.gradV) + beta * ng / v_th
+            + beta * v_th * (ng * np.trace(H) - n @ H @ g) / (g @ g))
+
+
+@pytest.mark.parametrize("provider, r0", [
+    (TaylorGreenField(A=1.0, k=1.0, nu=0.0, p0=1.0), (2.1, 3.3, 1.7)),
+    (LambOseenField(Gamma=1.0, rc=1.0, W=0.5, p0=1.0, pa=0.5), (0.8, 0.3, 0.2)),
+], ids=["taylor_green", "lamb_oseen"])
+def test_liouville_along_a_trajectory(provider, r0):
+    # d ln J / dt = div along each trajectory, J the Jacobian of the flow map on
+    # R^3 x S^2.  J comes from five copies displaced by 3e-9 from a tangent seed,
+    # along the r axes and along b x n0 and b, each run to T = 1 next to the base
+    # run; the displacements are read in (x, y, z) and in an orthonormal frame of
+    # the sphere's tangent plane at n, before and after
+    beta, eps = 0.5, 3e-9
+    config = IntegratorConfig(dt=1e-3, t_end=1.0)
+    r0 = np.array(r0)
+    b = isobaric_normal(provider.sample(r0, 0.0))
+    n0 = tangent_frame(b)[0]
+    seeds = [(r0 + eps * e, n0) for e in np.eye(3)]
+    seeds += [(r0, (n0 + eps * d) / np.linalg.norm(n0 + eps * d)) for d in (np.cross(b, n0), b)]
+
+    def displacements(r, n, r_base, n_base, frame):
+        return [*(r - r_base), *((n - n_base) @ np.array(frame).T)]
+
+    base = integrate_trajectory(_state(n0, beta, r0), provider, config)
+    frame0, frame1 = (np.cross(b, n0), b), tangent_frame(base.n[-1])
+    start, end = [], []
+    for r, n in seeds:
+        run = integrate_trajectory(_state(n, beta, r), provider, config)
+        assert len(run) == len(base) == 1001
+        start.append(displacements(r, n, r0, n0, frame0))
+        end.append(displacements(run.r[-1], run.n[-1], base.r[-1], base.n[-1], frame1))
+    ln_j = math.log(abs(np.linalg.det(end) / np.linalg.det(start)))
+
+    divs = [_divergence(provider.sample(r, t), n, beta)
+            for t, r, n in zip(base.t.tolist(), base.r, base.n)]
+    integral = np.trapezoid(divs, base.t)
+    # the displaced copies carry about 1e-14 of rounding after 1000 steps: a few
+    # 1e-6 in ln J at this displacement, on Taylor-Green and on Lamb-Oseen alike
+    assert abs(ln_j - integral) <= 2e-5, (ln_j, integral)
 
 
 # --- drift study ------------------------------------------------------------------
