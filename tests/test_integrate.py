@@ -318,7 +318,7 @@ def test_a_float64_seed_vector_is_taken_as_it_is(make):
     np.array((1.0, 2.0, 3.0), dtype=np.float32),
     np.array((1, 2, 3)),
     np.array((1.0, 2.0, 3.0), dtype=">f8"),
-    np.array((1.0, 2.0, 3.0), dtype=np.float16)[::1],
+    np.array((1.0, 2.0, 3.0), dtype=np.float16),
 ], ids=["float32", "int", "byte_swapped", "float16"])
 def test_another_seed_vector_array_is_converted(v):
     # the rule converts these to a new native float64 array of the same values
