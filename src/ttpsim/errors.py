@@ -1,5 +1,7 @@
-"""Exception hierarchy shared across the package, and the count rule that raises one."""
+"""Exception hierarchy shared across the package, and the count and real-number rules."""
 
+import math
+import numbers
 import operator
 
 
@@ -72,3 +74,20 @@ def check_count(name, value, low, note=""):
     if count < low:
         raise ValidationError(f"{name} must be >= {low}{note}")
     return count
+
+
+def check_real(name, value):
+    """The real-number rule: ``value`` as a float, if it is a finite real; else ValidationError.
+
+    A real number is a ``numbers.Real`` (int, float, numpy integer and floating
+    scalars), except a bool.  A string, None, a complex number, an array, or a
+    value that is not finite raises ``name must be a finite real number``.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an int beyond the largest float
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise ValidationError(f"{name} must be a finite real number, got {value!r}")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ..errors import NotFound, OutOfDomain, ValidationError
+from ..errors import NotFound, OutOfDomain, ValidationError, check_real
 from . import FieldProvider
 
 _ZERO_DV = (0.0,) * 9
@@ -124,29 +124,37 @@ class TaylorGreenField(FieldProvider):
     name = "taylor_green"
 
     def __init__(self, A=1.0, k=1.0, nu=0.0, p0=1.0):
+        A, k, nu, p0 = map(check_real, ("A", "k", "nu", "p0"), (A, k, nu, p0))
         if k <= 0.0:
             raise ValidationError("k must be > 0")
         if nu < 0.0:
             raise ValidationError("nu must be >= 0")
         if p0 <= 0.5 * A * A:
             raise ValidationError("p0 must exceed A^2/2 to keep p1hat positive")
-        self.A = float(A)
-        self.k = float(k)
-        self.nu = float(nu)
-        self.p0 = float(p0)
-        self.time_dependent = self.nu > 0.0
-        L = 2.0 * math.pi / self.k
+        self.A, self.k, self.nu, self.p0 = A, k, nu, p0
+        self.time_dependent = nu > 0.0
+        L = 2.0 * math.pi / k
         if L == math.inf:
-            raise ValidationError(f"k = {self.k:g} is too small: its period 2 pi / k overflows")
+            raise ValidationError(f"k = {k:g} is too small: its period 2 pi / k overflows")
         self.reference_box = (np.zeros(3), np.full(3, L))
+        # a steady field's time-only factors, computed once; None: computed at each sample
+        self._steady = None if self.time_dependent else self._time_factors(0.0)
 
-    def _fields(self, r, t, full):
+    def _time_factors(self, t):
+        """(A F, w, 2 k w, 4 k^2 w, lam, A k F) at t, with F = F(t), w = (A^2/16) F^2 and
+        lam = d/dt of F^2 divided by F^2.  OutOfDomain where F(t)^2 is not finite."""
         A, k, nu = self.A, self.k, self.nu
-        x, y, z = r[0], r[1], r[2]
         F = math.exp(min(-2.0 * nu * k * k * t, 709.0)) if nu > 0.0 else 1.0
         F2 = F * F
         if not math.isfinite(F2):
             raise OutOfDomain(f"Taylor-Green decay factor F(t)^2 is not finite at t = {t!r}")
+        w = A * A / 16.0 * F2
+        return A * F, w, 2.0 * k * w, 4.0 * k * k * w, -4.0 * nu * k * k, A * k * F
+
+    def _fields(self, r, t, full):
+        AF, w, kw2, kw4, lam, Ak = self._steady or self._time_factors(t)
+        k = self.k
+        x, y, z = r[0], r[1], r[2]
         try:
             sx, cx = math.sin(k * x), math.cos(k * x)
             sy, cy = math.sin(k * y), math.cos(k * y)
@@ -157,22 +165,16 @@ class TaylorGreenField(FieldProvider):
         s2x, c2x = 2.0 * sx * cx, 1.0 - 2.0 * sx * sx
         s2y, c2y = 2.0 * sy * cy, 1.0 - 2.0 * sy * sy
         s2z, c2z = 2.0 * sz * cz, 1.0 - 2.0 * sz * sz
-        AF = A * F
-        w = A * A / 16.0 * F2
         czz = c2z + 2.0
         cxy = c2x + c2y
         p1 = self.p0 + w * (czz * cxy - 2.0)
-        kw2 = 2.0 * k * w
         gx, gy, gz = -kw2 * s2x * czz, -kw2 * s2y * czz, -kw2 * s2z * cxy
-        kw4 = 4.0 * k * k * w
-        lam = -4.0 * nu * k * k  # d/dt of F^2 divided by F^2
         kin = (AF * sx * cy * cz, -AF * cx * sy * cz, 0.0, p1, gx, gy, gz,
                -kw4 * c2x * czz, 0.0, kw4 * s2x * s2z,
                -kw4 * c2y * czz, kw4 * s2y * s2z, -kw4 * c2z * cxy,
                lam * gx, lam * gy, lam * gz)
         if not full:
             return kin
-        Ak = A * k * F
         return kin, (Ak * cx * cy * cz, Ak * sx * sy * cz, 0.0,
                      -Ak * sx * sy * cz, -Ak * cx * cy * cz, 0.0,
                      -Ak * sx * cy * sz, Ak * cx * sy * sz, 0.0)
@@ -194,25 +196,24 @@ class LambOseenField(FieldProvider):
     name = "lamb_oseen"
 
     def __init__(self, Gamma=1.0, rc=1.0, W=0.5, p0=1.0, pa=0.5):
+        Gamma, W, p0, pa = map(check_real, ("Gamma", "W", "p0", "pa"), (Gamma, W, p0, pa))
         if rc <= 0.0:
             raise ValidationError("rc must be > 0")
+        rc = float(rc)
         a = rc * rc
         if not (math.isfinite(8.0 * a) and a * a > 0.0 and math.isfinite(1.0 / (a * a))):
             raise ValidationError(f"rc = {rc:g} is outside about [8.64e-78, 4.74e153], "
                                   "where 1/rc^4 and 8 rc^2 are finite")
         if not 0.0 <= pa < p0:
             raise ValidationError("need 0 <= pa < p0 for positive pressure")
-        self.Gamma = float(Gamma)
-        self.rc = float(rc)
-        self.W = float(W)
-        self.p0 = float(p0)
-        self.pa = float(pa)
-        L = 2.0 * self.rc
+        self.Gamma, self.rc, self.W, self.p0, self.pa = Gamma, rc, W, p0, pa
+        self._G, self._a = Gamma / (2.0 * math.pi), a  # G = Gamma / (2 pi), a = rc^2
+        L = 2.0 * rc
         self.reference_box = (np.array((-L, -L, -L)), np.array((L, L, L)))
 
     def _q(self, s):
         """q(s) = (1 - exp(-s/rc^2)) / s, smooth through s = 0."""
-        a = self.rc * self.rc
+        a = self._a
         if s > 1e-6 * a:
             return -math.expm1(-s / a) / s
         sa = s / a  # series in s/a; relative truncation error below 1e-24 here
@@ -221,7 +222,7 @@ class LambOseenField(FieldProvider):
     def _dq(self, s):
         """dq/ds.  Up to s = rc^2 / 2, where the closed form's numerator cancels
         to about (s/rc^2)^2 / 2, it is a Horner series in s/rc^2 instead."""
-        a = self.rc * self.rc
+        a = self._a
         if s > 0.5 * a:
             E = math.exp(-s / a)
             return (s * E / a - (1.0 - E)) / (s * s)
@@ -233,9 +234,8 @@ class LambOseenField(FieldProvider):
     def _fields(self, r, t, full):
         x, y = r[0], r[1]
         s = x * x + y * y
-        G = self.Gamma / (2.0 * math.pi)
+        G, a = self._G, self._a
         q = self._q(s)
-        a = self.rc * self.rc
         E = math.exp(-s / a)
         p1 = self.p0 - self.pa * E
         w = 2.0 * self.pa * E / a

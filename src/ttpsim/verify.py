@@ -73,9 +73,10 @@ def _kept_points(provider, count, seed, t, draw, g_min=0.0):
     successive ``draw(rng)`` blocks, each drawn when needed: a block draw
     gives the numbers of as many single draws, and nothing else draws from
     ``rng`` after the points, so that row is the k-th single draw wherever
-    the skipped points fall.  A sample that raises is raised at its point.
+    the skipped points fall.  A sample that raises is raised at its point; a
+    ``seed`` that is not an integer >= 0 raises ValidationError (the count rule).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     try:
         u = rng.random((count, 3))
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
@@ -124,7 +125,8 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|, with b and
     |g| from :func:`_random_states`.  Points with degenerate gradient are
     skipped; a point where either term or the normalizer is not finite
-    raises ValidationError, as does an ``n_states`` that is not an integer >= 1.
+    raises ValidationError, as does an ``n_states`` that is not an integer >= 1
+    or a ``seed`` that is not an integer >= 0.
     """
     n_states = check_count("n_states", n_states, 1)
     worst = 0.0
@@ -197,7 +199,8 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     ValidationError.  Points are evaluated whole and in order, so the first
     failure in point order is raised, and the k-th point past the degenerate
     and g_min tests takes the k-th random angle (:func:`_kept_points`).  An
-    ``n_points`` that is not an integer >= 1 raises ValidationError.
+    ``n_points`` that is not an integer >= 1, or a ``seed`` that is not an
+    integer >= 0, raises ValidationError.
     """
     n_points = check_count("n_points", n_points, 1)
     rows = []
@@ -233,8 +236,8 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     asserted invariant measure; its divergence (estimated here by central
     differences in each coordinate) is emitted as a diagnostic.  Returns
     (max |div|, median |div|, states evaluated); a state whose divergence is
-    not finite, or an ``n_states`` that is not an integer >= 1, raises
-    ValidationError.
+    not finite, an ``n_states`` that is not an integer >= 1, or a ``seed``
+    that is not an integer >= 0, raises ValidationError.
     """
     n_states = check_count("n_states", n_states, 1)
     h = 1e-6

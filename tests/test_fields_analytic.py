@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -285,6 +286,33 @@ def test_create_provider_with_params():
 def test_provider_parameter_validation():
     with pytest.raises(ValidationError):
         TaylorGreenField(A=2.0, p0=1.0)  # p0 <= A^2/2
+
+
+@pytest.mark.parametrize("cls, param, value", [
+    (TaylorGreenField, "k", math.nan), (TaylorGreenField, "nu", math.nan),
+    (TaylorGreenField, "A", math.nan), (TaylorGreenField, "p0", math.inf),
+    (TaylorGreenField, "A", -math.inf), (TaylorGreenField, "k", "1"),
+    (TaylorGreenField, "nu", True), (TaylorGreenField, "p0", None),
+    (TaylorGreenField, "A", 1j), (TaylorGreenField, "k", np.array([1.0])),
+    (TaylorGreenField, "k", 10**400),
+    (LambOseenField, "Gamma", math.inf), (LambOseenField, "W", math.nan),
+    (LambOseenField, "p0", math.inf), (LambOseenField, "pa", math.nan),
+    (LambOseenField, "W", "0.5"), (LambOseenField, "Gamma", np.True_),
+])
+def test_the_real_number_rule(cls, param, value):
+    # a check such as k <= 0.0 is False for nan, so these parameters were accepted
+    # silently, or ended in a bare TypeError
+    message = f"{param} must be a finite real number, got {value!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        cls(**{param: value})
+
+
+def test_numpy_real_parameters_are_kept_as_floats():
+    tg = TaylorGreenField(A=np.float32(0.5), k=np.int64(2), nu=np.float64(0.1), p0=1)
+    lo = LambOseenField(Gamma=np.int32(2), W=np.float16(0.25), p0=np.uint8(3), pa=np.float64(1))
+    values = (tg.A, tg.k, tg.nu, tg.p0, lo.Gamma, lo.W, lo.p0, lo.pa)
+    assert values == (0.5, 2.0, 0.1, 1.0, 2.0, 0.25, 3.0, 1.0)
+    assert all(type(v) is float for v in values)
 
 
 @pytest.mark.parametrize("g", [(0.0, 0.0, 0.0), (0.0, 0.0, 1e160), (-1e300, 0.0, 0.0)])

@@ -9,12 +9,13 @@ import pytest
 from conftest import spy_positions
 
 from ttpsim import (EnsembleSpec, FieldProvider, InitialTangencyViolation, IntegratorConfig,
-                    LambOseenField, RigidRotationField, TaylorGreenField, TtpState, UniformField,
-                    UniformGradientField, ValidationError, cancellation_check, evolve_ensemble,
-                    integrate_trajectory, omega_identity_sweep, reduced_divergence_report,
-                    seed_tangent_circle, tangent_seed, trajectory_oracle)
+                    LambOseenField, RigidRotationField, TaylorGreenField, Trajectory, TtpState,
+                    UniformField, UniformGradientField, ValidationError, cancellation_check,
+                    evolve_ensemble, integrate_trajectory, isobaric_normal, omega_identity_sweep,
+                    reduced_divergence_report, seed_tangent_circle, tangent_frame, tangent_seed,
+                    trajectory_oracle)
 from ttpsim.integrate import InvariantSummary, _rot_s
-from ttpsim.kinetics import _seed_vector, stage_eval
+from ttpsim.kinetics import _seed_vector, rhs_terms, stage_eval
 
 
 def _state(n, beta=1.0, r=(0, 0, 0), t=0.0):
@@ -483,6 +484,56 @@ def test_summary_built_as_rows_arrive_is_the_tables_reduction(run, reason):
         terminated_early=traj.summary.terminated_early,
         termination_reason=traj.summary.termination_reason)
     assert repr(traj.summary) == repr(expected)
+
+
+def _record(provider, t, r, n, beta):
+    """One record at (t, r, n), in Trajectory.COLUMNS order, from its rhs_terms."""
+    wx, wy, wz, _, _, _, v_th, p1, bx, by, bz, degenerate = rhs_terms(provider, t, r, n, beta)
+    nx, ny, nz = n
+    bu = beta * v_th
+    n_dot_b = 0.0 if degenerate else nx * bx + ny * by + nz * bz
+    norm_err = abs(math.sqrt(nx * nx + ny * ny + nz * nz) - 1.0)
+    return (t, *r, *n, bu * nx, bu * ny, bu * nz, wx, wy, wz, v_th, p1, bx, by, bz, n_dot_b,
+            norm_err, degenerate)
+
+
+@pytest.mark.parametrize("provider, state, config, reason", [
+    (TaylorGreenField(nu=0.13), (0.3, 1.1, 0.7), dict(dt=0.05, t_end=2.0), ""),
+    (TaylorGreenField(), (0.3, 1.1, 0.7), dict(dt=0.05, t_end=2.0, method="rk4_naive"), ""),
+    # the direction freezes where the gradient is degenerate, so n and u keep their -0.0s
+    (UniformField(), ((-0.0, 1.0, -0.0), 1.0, (-0.0, 0.0, 0.0)), dict(dt=0.1, t_end=0.5), ""),
+    (UniformGradientField(), ((0, 1, 0), 0.0), dict(dt=0.1, t_end=0.6), "out_of_domain: "),
+    (_ridge_grid(), ((0, 0, 1.0), 0.01, (0.1, 0.5, 0.5)), dict(dt=1e-3, t_end=0.8),
+     "negative_pressure: "),
+    # the simulate_taylor_green_non_finite golden case's run
+    (TaylorGreenField(), (2.1, 3.3, 1.7), dict(dt=2.0, t_end=800.0, method="rk4_naive"),
+     "non_finite_state: "),
+], ids=["rk4_rodrigues", "rk4_naive", "negative_zero", "out_of_domain", "negative_pressure",
+        "non_finite_state"])
+def test_record_table_is_the_row_by_row_array(provider, state, config, reason):
+    # each record is packed into its row of the preallocated table; the table must be
+    # the C-contiguous float64 array that np.array builds from the same records, byte
+    # for byte, and own its memory, also after a run that stopped early copied its rows
+    if isinstance(provider, TaylorGreenField):  # seeded along e1 of tangent_frame at r
+        e1, _ = tangent_frame(isobaric_normal(provider.sample(np.array(state), 0.0)))
+        state0 = TtpState(t=0.0, r=state, n=e1, beta=1.0)
+    else:
+        state0 = _state(*state)
+    if reason == "negative_pressure: ":
+        state0 = tangent_seed(state0, provider)
+    traj = integrate_trajectory(state0, provider, IntegratorConfig(**config))
+    assert traj.summary.termination_reason.startswith(reason)
+    assert traj.summary.terminated_early == bool(reason)
+    dt, beta = config["dt"], state0.beta
+    assert traj.t.tolist() == [0.0 + k * dt for k in range(len(traj))]
+    expected = np.array([_record(provider, t, tuple(rn[:3]), tuple(rn[3:]), beta)
+                         for t, *rn in traj.table[:, :7].tolist()])
+    table = traj.table
+    assert table.dtype == np.float64 and table.flags.c_contiguous and table.base is None
+    assert table.shape == (len(expected), Trajectory.WIDTH) and len(expected) > 1
+    assert table.tobytes() == expected.tobytes()
+    if isinstance(provider, UniformField):
+        assert np.any(np.signbit(table) & (table == 0.0))
 
 
 def test_finite_values_whose_sum_overflows_do_not_stop_a_run():

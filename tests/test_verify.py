@@ -1,6 +1,7 @@
 """Verification campaign tests: sweeps, order studies, oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,26 @@ def test_random_points_out_of_memory_is_validation_error(monkeypatch, study):
     monkeypatch.setattr(np.random, "default_rng", lambda seed: Generator())
     with pytest.raises(ValidationError, match="^cannot allocate 1000000000000 random points$"):
         study(RigidRotationField(), 10**12)
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    ("3", "seed must be an integer, got '3'"),
+    (-1, "seed must be >= 0"),
+    (True, "seed must be an integer, got True"),
+], ids=["float", "str", "negative", "bool"])
+@pytest.mark.parametrize("study", [omega_identity_sweep, cancellation_check,
+                                   reduced_divergence_report])
+def test_random_points_seed_is_a_count(study, seed, message):
+    # the seed of the random points takes the count rule: a float or string seed
+    # ended in numpy's bare TypeError, a negative one in ValueError, and True ran as 1
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        study(RigidRotationField(), 10, seed=seed)
+
+
+def test_random_points_numpy_integer_seed_draws_as_its_int():
+    a = cancellation_check(RigidRotationField(), 10, seed=np.int64(4))
+    assert a == cancellation_check(RigidRotationField(), 10, seed=4)
 
 
 # --- fit_order ---------------------------------------------------------------
