@@ -137,19 +137,23 @@ class TaylorGreenField(FieldProvider):
         if L == math.inf:
             raise ValidationError(f"k = {k:g} is too small: its period 2 pi / k overflows")
         self.reference_box = (np.zeros(3), np.full(3, L))
-        # a steady field's time-only factors, computed once; None: computed at each sample
+        # the parameter-only left operands of _time_factors' products: a product is taken
+        # left to right, so (2.0 * k) * w is 2.0 * k * w bit for bit.  A steady field's
+        # time factors are computed once; None: at each sample
+        self._c = (-2.0 * nu * k * k, A * A / 16.0, 2.0 * k, 4.0 * k * k, -4.0 * nu * k * k, A * k)
         self._steady = None if self.time_dependent else self._time_factors(0.0)
 
     def _time_factors(self, t):
-        """(A F, w, 2 k w, 4 k^2 w, lam, A k F) at t, with F = F(t), w = (A^2/16) F^2 and
-        lam = d/dt of F^2 divided by F^2.  OutOfDomain where F(t)^2 is not finite."""
-        A, k, nu = self.A, self.k, self.nu
-        F = math.exp(min(-2.0 * nu * k * k * t, 709.0)) if nu > 0.0 else 1.0
+        """(A F, w, 2 k w, 4 k^2 w, lam, A k F) at t, with F = F(t) (1 where nu = 0),
+        w = (A^2/16) F^2 and lam = -4 nu k^2, the rate of F^2 over F^2.  OutOfDomain
+        where F(t)^2 is not finite."""
+        d, A16, k2, k4, lam, Ak = self._c
+        F = math.exp(min(d * t, 709.0)) if self.time_dependent else 1.0
         F2 = F * F
         if not math.isfinite(F2):
             raise OutOfDomain(f"Taylor-Green decay factor F(t)^2 is not finite at t = {t!r}")
-        w = A * A / 16.0 * F2
-        return A * F, w, 2.0 * k * w, 4.0 * k * k * w, -4.0 * nu * k * k, A * k * F
+        w = A16 * F2
+        return self.A * F, w, k2 * w, k4 * w, lam, Ak * F
 
     def _fields(self, r, t, full):
         AF, w, kw2, kw4, lam, Ak = self._steady or self._time_factors(t)
