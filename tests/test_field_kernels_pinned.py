@@ -125,10 +125,11 @@ NOT_FINITE = [(math.inf, 0.0, 0.0), (0.0, math.nan, 1.0), (1e308, 2.0, 3.0), (0.
                          ids=["default", "negative_A", "small_k"])
 @pytest.mark.parametrize("nu", [0.0, -0.0, 0.13, 1e160])
 def test_taylor_green_kernel_is_pinned(nu, shape):
-    # random points of the reference box, and points whose phase k r is not finite
+    # random points of the reference box, and points whose phase k r is not finite; at
+    # the later times -2 nu k^2 t is large, so F(t) shows any change in its last bit
     prov = TaylorGreenField(nu=nu, **shape)
     _assert_pinned(prov, _taylor_green, _box_points(prov, 40, seed=11) + NOT_FINITE,
-                   TIMES + (0.25, -1e-5, 3.0))
+                   TIMES + (0.25, -1e-5, 3.0, 37.0, 400.0, 3e8))
 
 
 def test_taylor_green_decay_overflow_is_raised_before_the_phase():
