@@ -105,7 +105,7 @@ def test_both_n0_and_auto_tangent_rejected(tmp_path):
 
 def test_zero_dt_rejected(tmp_path):
     text = MINIMAL + "\n[integrator]\ndt = 0\n"
-    with pytest.raises(ValidationError, match="dt must be positive"):
+    with pytest.raises(ValidationError, match="^dt must be > 0$"):
         parse_config(_write(tmp_path, text))
 
 

@@ -8,9 +8,11 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from ttpsim import (LambOseenField, NotFound, OutOfDomain, TaylorGreenField, UniformField,
-                    UniformGradientField, ValidationError, create_provider,
-                    fd_verify_derivatives, provider_parameters)
+from ttpsim import (EnsembleSpec, IntegratorConfig, LambOseenField, NotFound, OutOfDomain,
+                    RigidRotationField, TaylorGreenField, TtpState, UniformField,
+                    UniformGradientField, ValidationError, cancellation_check, create_provider,
+                    fd_verify_derivatives, integrate_trajectory, omega_identity_sweep,
+                    provider_parameters, reduced_divergence_report)
 from ttpsim.fields.analytic import PROVIDERS
 
 from conftest import all_builtin_providers, interior_points, smooth_nonlinear_providers
@@ -278,6 +280,16 @@ def test_registry_unknown_name():
         create_provider("nonexistent")
 
 
+@pytest.mark.parametrize("name", [[], {}, {"uniform"}, np.array("uniform")])
+def test_registry_unhashable_name(name):
+    # an unhashable name used to end in a bare TypeError: unhashable type
+    message = f"no provider registered under name {name!r}"
+    with pytest.raises(NotFound, match=f"^{re.escape(message)}$"):
+        create_provider(name)
+    with pytest.raises(NotFound, match=f"^{re.escape(message)}$"):
+        provider_parameters(name)
+
+
 def test_create_provider_with_params():
     p = create_provider("rigid_rotation", omega=2.0)
     assert p.omega == 2.0
@@ -286,6 +298,28 @@ def test_create_provider_with_params():
 def test_provider_parameter_validation():
     with pytest.raises(ValidationError):
         TaylorGreenField(A=2.0, p0=1.0)  # p0 <= A^2/2
+
+
+def ensemble_spec(**kw):
+    return EnsembleSpec(r0=(1.0, 0.0, 0.0), **kw)
+
+
+def seed_state(**kw):
+    """A 2-step rigid-rotation run from a tangent seed state with ``kw`` as its t or beta."""
+    state = TtpState(**({"t": 0.0, "r": (1.0, 0.0, 0.0), "n": (0.0, 0.0, 1.0), "beta": 1.0} | kw))
+    return integrate_trajectory(state, RigidRotationField(), IntegratorConfig(dt=0.1, t_end=0.2))
+
+
+def cancellation(**kw):
+    return cancellation_check(RigidRotationField(), n_states=2, **kw)
+
+
+def divergence(**kw):
+    return reduced_divergence_report(RigidRotationField(), n_states=2, **kw)
+
+
+def sweep(**kw):
+    return omega_identity_sweep(RigidRotationField(), n_points=2, **kw)
 
 
 @pytest.mark.parametrize("cls, param, value", [
@@ -298,6 +332,26 @@ def test_provider_parameter_validation():
     (LambOseenField, "Gamma", math.inf), (LambOseenField, "W", math.nan),
     (LambOseenField, "p0", math.inf), (LambOseenField, "pa", math.nan),
     (LambOseenField, "W", "0.5"), (LambOseenField, "Gamma", np.True_),
+    # nan for every other provider parameter
+    *((cls, param, math.nan) for cls in (UniformField, UniformGradientField, RigidRotationField)
+      for param in provider_parameters(cls.name)),
+    (TaylorGreenField, "p0", math.nan), (LambOseenField, "Gamma", math.nan),
+    (LambOseenField, "p0", math.nan), (LambOseenField, "rc", math.nan),
+    (LambOseenField, "rc", math.inf), (LambOseenField, "rc", "1"),
+    (UniformField, "p0", "1"), (UniformField, "V0y", None), (UniformGradientField, "gz", -math.inf),
+    (UniformGradientField, "p0", False), (RigidRotationField, "omega", "1"),
+    (RigidRotationField, "c", np.array(1.0)),
+    (IntegratorConfig, "dt", "0.1"), (IntegratorConfig, "dt", None),
+    (IntegratorConfig, "dt", math.nan), (IntegratorConfig, "t_end", math.inf),
+    (IntegratorConfig, "t_end", True),
+    (ensemble_spec, "t0", math.nan), (ensemble_spec, "t0", "0"),
+    (ensemble_spec, "beta", math.inf), (ensemble_spec, "beta", None),
+    (seed_state, "t", "0"), (seed_state, "t", math.nan), (seed_state, "beta", "x"),
+    (seed_state, "beta", None), (seed_state, "beta", math.inf),
+    (cancellation, "beta", math.nan), (cancellation, "t", "0"),
+    (divergence, "beta", None), (divergence, "t", math.inf),
+    (sweep, "beta", "0.5"), (sweep, "t", math.nan), (sweep, "h", math.nan),
+    (sweep, "h", None), (sweep, "g_min", math.nan), (sweep, "g_min", np.True_),
 ])
 def test_the_real_number_rule(cls, param, value):
     # a check such as k <= 0.0 is False for nan, so these parameters were accepted
@@ -305,6 +359,21 @@ def test_the_real_number_rule(cls, param, value):
     message = f"{param} must be a finite real number, got {value!r}"
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         cls(**{param: value})
+
+
+@pytest.mark.parametrize("call, param, value, bound", [
+    (TaylorGreenField, "k", 0, "> 0"), (TaylorGreenField, "nu", -1e-300, ">= 0"),
+    (RigidRotationField, "c", -0.0, "> 0"), (RigidRotationField, "p0", -1.0, ">= 0"),
+    (UniformField, "p0", -5e-324, ">= 0"), (UniformGradientField, "p0", 0.0, "> 0"),
+    (LambOseenField, "rc", -1.0, "> 0"), (IntegratorConfig, "dt", 0, "> 0"),
+    (IntegratorConfig, "dt", -0.5, "> 0"), (sweep, "h", 0.0, "> 0"),
+    (sweep, "g_min", -1e-3, ">= 0"),
+])
+def test_the_real_number_rule_bounds(call, param, value, bound):
+    # each bound is written once, in errors.check_real; dt = 0 read "dt must be positive"
+    # and h = 0 ended in a ZeroDivisionError
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{param} must be {bound}')}$"):
+        call(**{param: value})
 
 
 def test_numpy_real_parameters_are_kept_as_floats():
@@ -322,7 +391,7 @@ def test_uniform_gradient_norm_must_be_nonzero_and_finite(g):
 
 
 @pytest.mark.parametrize("rc", [1e-300, 1e-160, 1e-100, 1.25e-78, 5e-78, 8e-78, 4.8e153, 1e154,
-                                1.35e154, math.inf, math.nan])
+                                1.35e154])
 def test_lamb_oseen_core_radius_outside_representable_range(rc):
     # 1/rc^4, the scale of the Hessian and the profile's derivative near the axis,
     # overflows, or 8 rc^2, x^2 + y^2 at the reference box's corners, does

@@ -663,6 +663,14 @@ def test_config_validation():
             IntegratorConfig(**bad)
 
 
+@pytest.mark.parametrize("method", [[], {}, ["rk4_naive"], None, "euler"])
+def test_unknown_method_rejected(method):
+    # an unhashable method used to end in a bare TypeError: unhashable type
+    message = f"unknown method {method!r}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        IntegratorConfig(method=method)
+
+
 def _evolve(stride):
     rigid = RigidRotationField()
     return evolve_ensemble([_state((0, 1, 0), r=(1.0, 0, 0))], rigid,

@@ -24,12 +24,14 @@ import pytest
 from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
-from ttpsim import (IntegratorConfig, LambOseenField, RigidRotationField, TaylorGreenField,
-                    TtpState, UniformField, UniformGradientField, integrate_trajectory,
-                    isobaric_normal, tangent_frame)
+from ttpsim import (EnsembleSpec, IntegratorConfig, LambOseenField, RigidRotationField,
+                    TaylorGreenField, TtpState, UniformField, UniformGradientField,
+                    create_provider, evolve_ensemble, integrate_trajectory, isobaric_normal,
+                    seed_tangent_circle, tangent_frame, tangent_seed)
 from ttpsim import ValidationError, provider_parameters
 from ttpsim.cli import SCHEMA, build_provider, parse_config
 from ttpsim.errors import TtpsimError
+from ttpsim.fields.analytic import PROVIDERS
 from ttpsim.integrate import step_count
 
 from conftest import EDGE_SEEDS, edge_run_breaches
@@ -220,3 +222,67 @@ def test_cli_fuzz_keeps_the_edge_contract(run):
         _steer(str(cfg), sections)
         assert edge_run_breaches([command[0], str(cfg), *command[1:]], out_dir, t_last,
                                  text) == []
+
+
+# --- the library's argument rules over the public signatures -----------------------------------
+
+_WILD = st.sampled_from((math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, -5e-324, -0.0,
+                         "1", "nan", None, True, False, np.True_, np.float64(math.nan),
+                         np.float32(0.5), np.int64(2), np.uint8(3), np.array(1.0),
+                         np.array(math.inf))) | _real(-4, 4)
+# a seed time that a run of dt = 0.5 to t_end = 1.0 takes in 2 steps, when it is not wild
+_TIME = st.sampled_from((0, 0.0, -0.0, 5e-324, np.float64(0.0), np.int64(0))) | _WILD
+
+
+def _finite_records(table):
+    assert table.dtype == np.float64 and np.all(np.isfinite(table))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(sorted(PROVIDERS)), st.data())
+def test_public_signatures_raise_or_run_finite(name, data):
+    # each provider, IntegratorConfig, EnsembleSpec and a 2-step integrate_trajectory (and
+    # evolve_ensemble) either raise a TtpsimError or give finite results: no bare TypeError,
+    # no nan slipping through a negated comparison
+    params = {key: data.draw(st.just(default) | _WILD, label=key)
+              for key, default in provider_parameters(name).items()}
+    dt, t_end = data.draw(_WILD, label="dt"), data.draw(_WILD, label="t_end")
+    t, beta = data.draw(_TIME, label="t"), data.draw(_WILD, label="beta")
+    try:
+        config = IntegratorConfig(dt=dt, t_end=t_end)
+    except TtpsimError:
+        pass
+    else:
+        assert type(config.dt) is type(config.t_end) is float
+        assert 0.0 < config.dt < math.inf and math.isfinite(config.t_end)
+    try:
+        spec = EnsembleSpec(r0=(0.25, 0.5, 0.125), t0=t, count=2, beta=beta)
+    except TtpsimError:
+        spec = None
+    else:
+        assert type(spec.t0) is type(spec.beta) is float
+        assert math.isfinite(spec.t0) and math.isfinite(spec.beta)
+    try:
+        provider = create_provider(name, **params)
+    except TtpsimError:
+        return
+    run = IntegratorConfig(dt=0.5, t_end=1.0)
+    try:
+        state = tangent_seed(TtpState(t=t, r=(0.25, 0.5, 0.125), n=(0.6, 0.0, 0.8), beta=beta),
+                             provider)
+        traj = integrate_trajectory(state, provider, run)
+    except TtpsimError:
+        pass
+    else:
+        _finite_records(traj.table)
+        assert len(traj) == traj.summary.steps + 1
+        assert traj.summary.terminated_early or traj.summary.steps == step_count(t, 1.0, 0.5)
+    if spec is not None:
+        try:
+            trajectories, history = evolve_ensemble(seed_tangent_circle(spec, provider),
+                                                    provider, run)
+        except TtpsimError:
+            return
+        for tr in trajectories:
+            _finite_records(tr.table)
+        _finite_records(history.table)
