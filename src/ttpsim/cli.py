@@ -19,15 +19,14 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import NotFound, ParseError, TtpsimError, ValidationError
+from .errors import NotFound, ParseError, TtpsimError, ValidationError, check_count
 from .fields import fd_verify_derivatives
 from .fields.analytic import PROVIDERS, create_provider, provider_parameters
 from .fields.grid import interpolation_min_nodes, load_grid
 from .integrate import (IntegratorConfig, Trajectory, integrate_trajectory, step_count,
                         tangent_seed)
 from .kinetics import TtpState, isobaric_normal, norm3, tangent_frame
-from .ensemble import (EnsembleHistory, EnsembleSpec, check_stride, evolve_ensemble,
-                       seed_tangent_circle)
+from .ensemble import EnsembleHistory, EnsembleSpec, evolve_ensemble, seed_tangent_circle
 from . import verify as verify_mod
 
 TRAJECTORY_COLUMNS = Trajectory.COLUMNS
@@ -97,7 +96,7 @@ class OutputConfig:
     stride: int = 1
 
     def __post_init__(self):
-        check_stride(self.stride)
+        check_count("stride", self.stride, 1)
 
 
 @dataclass

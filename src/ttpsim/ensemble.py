@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyEnsemble, ValidationError, check_count
+from .errors import EmptyEnsemble, ValidationError, check_count, check_real
 from .integrate import Table, Trajectory, integrate_trajectory, step_count
 from .kinetics import TtpState, _seed_vector, isobaric_normal, tangent_frame
 
@@ -24,9 +24,10 @@ class EnsembleSpec:
     """Seeding recipe for a tangent-circle ensemble at one point.
 
     ``r0`` is kept as given, if it keeps the seed-vector rule
-    (``kinetics._seed_vector``); seeding converts it.  ``count`` (>= 1) and
-    ``seed`` (>= 0) keep the count rule (``errors.check_count``) and are kept
-    as ints: a float, bool or string count raises ValidationError.
+    (``kinetics._seed_vector``); seeding converts it.  ``t0`` and ``beta`` are
+    kept as floats by the real-number rule (``errors.check_real``), ``count``
+    (>= 1) and ``seed`` (>= 0) as ints by the count rule (``errors.check_count``):
+    a float, bool or string count raises ValidationError.
     """
 
     r0: tuple
@@ -38,10 +39,12 @@ class EnsembleSpec:
 
     def __post_init__(self):
         _seed_vector("r0", self.r0)
+        self.t0 = check_real("t0", self.t0)
         self.count = check_count("count", self.count, 1)
         if self.sampling not in ("equispaced_circle", "random_circle"):
             raise ValidationError(f"unknown sampling {self.sampling!r}")
         self.seed = check_count("seed", self.seed, 0)
+        self.beta = check_real("beta", self.beta)
 
 
 def seed_tangent_circle(spec, provider):
@@ -124,11 +127,6 @@ class EnsembleHistory(Table):
         return self.count - self.n_effective
 
 
-def check_stride(stride):
-    """The stats output stride in steps, as an int, by the count rule: an integer >= 1."""
-    return check_count("stride", stride, 1)
-
-
 def evolve_ensemble(states, provider, config, stride=1):
     """Advance each particle independently; compute stats every ``stride`` steps.
 
@@ -150,7 +148,7 @@ def evolve_ensemble(states, provider, config, stride=1):
     t0 = float(states[0].t)
     if any(st.t != t0 for st in states):
         raise ValidationError("the ensemble's states must share one time")
-    stride = check_stride(stride)
+    stride = check_count("stride", stride, 1)
     n_steps = step_count(t0, config.t_end, config.dt)
     try:
         out_idx = [*range(0, n_steps, stride), n_steps]

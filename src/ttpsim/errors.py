@@ -76,18 +76,23 @@ def check_count(name, value, low, note=""):
     return count
 
 
-def check_real(name, value):
-    """The real-number rule: ``value`` as a float, if it is a finite real; else ValidationError.
+def check_real(name, value, low=None, strict=False):
+    """The real-number rule: ``value`` as a float, if a finite real in range; else ValidationError.
 
     A real number is a ``numbers.Real`` (int, float, numpy integer and floating
     scalars), except a bool.  A string, None, a complex number, an array, or a
-    value that is not finite raises ``name must be a finite real number``.
+    value that is not finite raises ``name must be a finite real number``; a
+    value below ``low``, or equal to it where ``strict``, raises
+    ``name must be >= low`` (``> low``).
     """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    x = value
+    if type(x) is not float:  # a float, the common case, skips the ABC check
         try:
-            x = float(value)
+            x = float(x) if isinstance(x, numbers.Real) and not isinstance(x, bool) else math.nan
         except OverflowError:  # an int beyond the largest float
             x = math.inf
-        if math.isfinite(x):
-            return x
-    raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+    if low is not None and (x < low or strict and x == low):
+        raise ValidationError(f"{name} must be {'>' if strict else '>='} {low:g}")
+    return x

@@ -33,10 +33,8 @@ class UniformField(FieldProvider):
     name = "uniform"
 
     def __init__(self, V0x=1.0, V0y=0.0, V0z=0.0, p0=0.5):
-        if p0 < 0.0:
-            raise ValidationError("p0 must be >= 0")
-        self.V0 = (float(V0x), float(V0y), float(V0z))
-        self.p0 = float(p0)
+        self.V0 = tuple(map(check_real, ("V0x", "V0y", "V0z"), (V0x, V0y, V0z)))
+        self.p0 = check_real("p0", p0, 0.0)
         self._kin = self.V0 + (self.p0,) + (0.0,) * 12  # the same at every (r, t)
 
     def _fields(self, r, t, full):
@@ -55,15 +53,12 @@ class UniformGradientField(FieldProvider):
     name = "uniform_gradient"
 
     def __init__(self, V0x=1.0, V0y=0.0, V0z=0.0, p0=2.0, gx=0.0, gy=0.0, gz=1.0):
-        self.V0 = (float(V0x), float(V0y), float(V0z))
-        self.p0 = float(p0)
-        self.g = (float(gx), float(gy), float(gz))
-        x, y, z = self.g
+        self.V0 = tuple(map(check_real, ("V0x", "V0y", "V0z"), (V0x, V0y, V0z)))
+        self.g = x, y, z = tuple(map(check_real, ("gx", "gy", "gz"), (gx, gy, gz)))
         gnorm = math.sqrt(x * x + y * y + z * z)  # inf where |g|^2 overflows
         if not 0.0 < gnorm < math.inf:
             raise ValidationError(f"|g| = {gnorm:g} must be nonzero and finite")
-        if p0 <= 0.0:
-            raise ValidationError("p0 must be > 0")
+        self.p0 = check_real("p0", p0, 0.0, strict=True)
         # p1hat >= p0/2 everywhere inside the box |r|_inf <= L
         L = self.p0 / (2.0 * math.sqrt(3.0) * gnorm)
         self.domain_bounds = (np.full(3, -L), np.full(3, L))
@@ -90,13 +85,9 @@ class RigidRotationField(FieldProvider):
     reference_box = (np.array((-2.0, -2.0, -1.0)), np.array((2.0, 2.0, 1.0)))
 
     def __init__(self, omega=1.0, p0=0.5, c=1.0):
-        if p0 < 0.0:
-            raise ValidationError("p0 must be >= 0")
-        if c <= 0.0:
-            raise ValidationError("c must be > 0")
-        self.omega = float(omega)
-        self.p0 = float(p0)
-        self.c = float(c)
+        self.omega = check_real("omega", omega)
+        self.p0 = check_real("p0", p0, 0.0)
+        self.c = check_real("c", c, 0.0, strict=True)
 
     def _fields(self, r, t, full):
         x, y = r[0], r[1]
@@ -124,11 +115,8 @@ class TaylorGreenField(FieldProvider):
     name = "taylor_green"
 
     def __init__(self, A=1.0, k=1.0, nu=0.0, p0=1.0):
-        A, k, nu, p0 = map(check_real, ("A", "k", "nu", "p0"), (A, k, nu, p0))
-        if k <= 0.0:
-            raise ValidationError("k must be > 0")
-        if nu < 0.0:
-            raise ValidationError("nu must be >= 0")
+        A, k = check_real("A", A), check_real("k", k, 0.0, strict=True)
+        nu, p0 = check_real("nu", nu, 0.0), check_real("p0", p0)
         if p0 <= 0.5 * A * A:
             raise ValidationError("p0 must exceed A^2/2 to keep p1hat positive")
         self.A, self.k, self.nu, self.p0 = A, k, nu, p0
@@ -201,9 +189,7 @@ class LambOseenField(FieldProvider):
 
     def __init__(self, Gamma=1.0, rc=1.0, W=0.5, p0=1.0, pa=0.5):
         Gamma, W, p0, pa = map(check_real, ("Gamma", "W", "p0", "pa"), (Gamma, W, p0, pa))
-        if rc <= 0.0:
-            raise ValidationError("rc must be > 0")
-        rc = float(rc)
+        rc = check_real("rc", rc, 0.0, strict=True)
         a = rc * rc
         if not (math.isfinite(8.0 * a) and a * a > 0.0 and math.isfinite(1.0 / (a * a))):
             raise ValidationError(f"rc = {rc:g} is outside about [8.64e-78, 4.74e153], "
@@ -265,7 +251,7 @@ PROVIDERS = {cls.name: cls for cls in (UniformField, UniformGradientField,
 def _provider_class(name):
     try:
         return PROVIDERS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise NotFound(f"no provider registered under name {name!r}") from None
 
 

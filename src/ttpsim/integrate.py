@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (InitialTangencyViolation, NegativePressure, OutOfDomain, ValidationError,
-                     check_count)
+                     check_count, check_real)
 from .kinetics import _seed_vector, cross, dot3, gradient_normal, rhs_terms, stage_eval
 
 TANGENCY_TOL = 1e-8
@@ -28,9 +28,11 @@ TANGENCY_TOL = 1e-8
 class IntegratorConfig:
     """Fixed-step integration settings.
 
-    ``renormalize_every`` / ``project_tangency_every`` are step counts by the
-    count rule (``errors.check_count``): integers >= 0, kept as ints, where 0
-    means never; a float, bool or string raises ValidationError.
+    ``dt`` (> 0) and ``t_end`` are kept as floats by the real-number rule
+    (``errors.check_real``).  ``renormalize_every`` / ``project_tangency_every``
+    are step counts by the count rule (``errors.check_count``): integers >= 0,
+    kept as ints, where 0 means never; a float, bool or string raises
+    ValidationError.
     Tangency re-projection is off by default: the drift of n . b is itself
     a diagnostic of the evolution law and projection would hide it.
     """
@@ -42,12 +44,9 @@ class IntegratorConfig:
     project_tangency_every: int = 0
 
     def __post_init__(self):
-        for name in ("dt", "t_end"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if self.dt <= 0.0:
-            raise ValidationError("dt must be positive")
-        if self.method not in METHODS:
+        self.dt = check_real("dt", self.dt, 0.0, strict=True)
+        self.t_end = check_real("t_end", self.t_end)
+        if not isinstance(self.method, str) or self.method not in METHODS:  # str: hashable
             raise ValidationError(f"unknown method {self.method!r}")
         for name in ("renormalize_every", "project_tangency_every"):
             setattr(self, name, check_count(name, getattr(self, name), 0, " (0 means never)"))
@@ -243,8 +242,10 @@ def _project_tangent(n, b):
     return None if not 1e-12 <= nm < math.inf else (mx / nm, my / nm, mz / nm)
 
 
-def _seed_triples(state0):
-    """(r, n) of a seed state as float triples; ValidationError unless finite with |n| = 1."""
+def _seed(state0):
+    """(t, r, n, beta) of a seed state, with r and n as float triples; ValidationError unless
+    t and beta keep the real-number rule and r and n are finite with |n| = 1."""
+    t, beta = check_real("t", state0.t), check_real("beta", state0.beta)
     r = tuple(_seed_vector("r", state0.r).tolist())
     n = tuple(_seed_vector("n", state0.n).tolist())
     if not all(map(math.isfinite, r + n)):
@@ -252,7 +253,7 @@ def _seed_triples(state0):
     nrm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])  # inf where |n|^2 overflows
     if not abs(nrm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
         raise ValidationError(f"|n0| = {nrm:.12g} is not a unit vector")
-    return r, n
+    return t, r, n, beta
 
 
 def tangent_seed(state0, provider):
@@ -261,11 +262,11 @@ def tangent_seed(state0, provider):
     Where |n . b| > 1e-8, n is projected onto the plane orthogonal to b and
     renormalized; otherwise, or where b is degenerate, state0 is returned as
     it is.  Raises InitialTangencyViolation where n is parallel to b, and
-    ValidationError, before any sample, where the seed is not finite or n is
-    not a unit vector.
+    ValidationError, before any sample, where the seed's t or beta is not a
+    finite real, its r or n is not finite or n is not a unit vector.
     """
-    r, n = _seed_triples(state0)
-    bx, by, bz, gn = gradient_normal(provider.sample(r, float(state0.t)).kin)
+    t, r, n, _ = _seed(state0)
+    bx, by, bz, gn = gradient_normal(provider.sample(r, t).kin)
     if gn == 0.0 or not abs(dot3(n, (bx, by, bz))) > TANGENCY_TOL:
         return state0  # a NaN n . b stays as it is
     if (n := _project_tangent(n, (bx, by, bz))) is None:
@@ -291,7 +292,7 @@ def integrate_trajectory(state0, provider, config):
     is finite when the sum of its values is; only a sum that is not finite,
     which finite terms can reach by overflow, tests each value.
     """
-    t0 = float(state0.t)
+    t0, r, n, beta = _seed(state0)
     n_steps = step_count(t0, config.t_end, config.dt)
     try:
         table = np.empty((n_steps + 1, Trajectory.WIDTH))
@@ -299,8 +300,6 @@ def integrate_trajectory(state0, provider, config):
         raise ValidationError(f"cannot allocate the table of {n_steps + 1} records; "
                               "shorten the horizon or lengthen dt") from None
 
-    beta = float(state0.beta)
-    r, n = _seed_triples(state0)
     ev = rhs_terms(provider, t0, r, n, beta)
     # ev[8:11] is b, zero where degenerate
     if (ndb := abs(dot3(n, ev[8:11]))) > TANGENCY_TOL:

@@ -12,6 +12,9 @@ Three kinds of check live here:
 
 The residual between the two rotation-rate routes is always reported and
 never asserted; the term-by-term decomposition is a documented diagnostic.
+The pointwise studies take ``n_points`` and ``n_states`` (>= 1) and ``seed``
+(>= 0) by the count rule, and ``beta``, ``t``, ``h`` (> 0) and ``g_min``
+(>= 0) by the real-number rule, so a bad argument raises ValidationError.
 """
 
 import math
@@ -19,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateGradient, NoOracle, ValidationError, check_count
+from .errors import DegenerateGradient, NoOracle, ValidationError, check_count, check_real
 from .fields.analytic import RigidRotationField, UniformField
 from .integrate import Table, integrate_trajectory
 from .kinetics import (TtpState, _rates, cross, dot3, gradient_normal, hess_dot, norm3,
@@ -73,10 +76,10 @@ def _kept_points(provider, count, seed, t, draw, g_min=0.0):
     successive ``draw(rng)`` blocks, each drawn when needed: a block draw
     gives the numbers of as many single draws, and nothing else draws from
     ``rng`` after the points, so that row is the k-th single draw wherever
-    the skipped points fall.  A sample that raises is raised at its point; a
-    ``seed`` that is not an integer >= 0 raises ValidationError (the count rule).
+    the skipped points fall.  A sample that raises is raised at its point.
     """
     rng = np.random.default_rng(check_count("seed", seed, 0))
+    t = check_real("t", t)
     try:
         u = rng.random((count, 3))
     except (MemoryError, ValueError):  # ValueError: beyond numpy's largest array
@@ -125,10 +128,10 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|, with b and
     |g| from :func:`_random_states`.  Points with degenerate gradient are
     skipped; a point where either term or the normalizer is not finite
-    raises ValidationError, as does an ``n_states`` that is not an integer >= 1
-    or a ``seed`` that is not an integer >= 0.
+    raises ValidationError.
     """
     n_states = check_count("n_states", n_states, 1)
+    beta = check_real("beta", beta)
     worst = 0.0
     for s, b, gn, r, n in _random_states(provider, n_states, seed, t):
         w = _rates(s.kin, *n, beta)[:3]  # V + u
@@ -198,11 +201,11 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     counted; a point whose V + u or residuals are not finite raises
     ValidationError.  Points are evaluated whole and in order, so the first
     failure in point order is raised, and the k-th point past the degenerate
-    and g_min tests takes the k-th random angle (:func:`_kept_points`).  An
-    ``n_points`` that is not an integer >= 1, or a ``seed`` that is not an
-    integer >= 0, raises ValidationError.
+    and g_min tests takes the k-th random angle (:func:`_kept_points`).
     """
     n_points = check_count("n_points", n_points, 1)
+    h, g_min = check_real("h", h, 0.0, strict=True), check_real("g_min", g_min, 0.0)
+    beta = check_real("beta", beta)
     rows = []
     for s, b, _, r, phi in _kept_points(provider, n_points, seed, t,
                                         lambda rng: rng.uniform(0.0, 2.0 * math.pi, _BLOCK), g_min):
@@ -236,10 +239,10 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
     asserted invariant measure; its divergence (estimated here by central
     differences in each coordinate) is emitted as a diagnostic.  Returns
     (max |div|, median |div|, states evaluated); a state whose divergence is
-    not finite, an ``n_states`` that is not an integer >= 1, or a ``seed``
-    that is not an integer >= 0, raises ValidationError.
+    not finite raises ValidationError.
     """
     n_states = check_count("n_states", n_states, 1)
+    beta = check_real("beta", beta)
     h = 1e-6
     divs = []
     for _, _, _, p, n in _random_states(provider, n_states, seed, t):
