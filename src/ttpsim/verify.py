@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateGradient, NoOracle, ValidationError, check_count, check_real
 from .fields.analytic import RigidRotationField, UniformField
-from .integrate import Table, integrate_trajectory
+from .integrate import Table, _seed, integrate_trajectory
 from .kinetics import (TtpState, _rates, cross, dot3, gradient_normal, hess_dot, norm3,
                        omega_decomposed, omega_direct, state_rhs, tangent_frame)
 
@@ -333,13 +333,14 @@ def trajectory_oracle(provider, state0):
     Rigid rotation: for a seed direction tangent to the isobaric cylinder,
     the orbit is a helix at fixed radius traversed at constant angular rate
     omega + alpha beta v_th(R) / R, where alpha is the azimuthal component
-    of the direction; the direction co-rotates.
+    of the direction; the direction co-rotates.  The seed is read as
+    :func:`integrate_trajectory` reads it.
     """
+    t0, r, n0, beta = _seed(state0)
     # exact type checks: a subclass overriding sample() voids the closed form
     if type(provider) is UniformField:
-        kin = provider.sample(state0.r, state0.t).kin
-        w = np.array(_rates(kin, *state0.n.tolist(), state0.beta)[:3])  # V + u
-        r0, n0, t0 = state0.r.copy(), state0.n.copy(), state0.t
+        w = np.array(_rates(provider.sample(r, t0).kin, *n0, beta)[:3])  # V + u
+        r0, n0 = np.array(r), np.array(n0)
 
         def _uniform(t):
             return r0 + (t - t0) * w, n0.copy()
@@ -347,23 +348,21 @@ def trajectory_oracle(provider, state0):
         return _uniform
 
     if type(provider) is RigidRotationField:
-        x0, y0, z0 = (float(c) for c in state0.r)
+        x0, y0, z0 = r
         R = math.hypot(x0, y0)
         if R <= 0.0:
             raise NoOracle("seed on the rotation axis has no closed form")
         th0 = math.atan2(y0, x0)
         rhat = (x0 / R, y0 / R, 0.0)
         phihat = (-y0 / R, x0 / R, 0.0)
-        n0 = state0.n.tolist()
         if abs(dot3(n0, rhat)) > _ORACLE_TOL:
             raise NoOracle("closed form requires the seed direction tangent "
                            "to the isobaric cylinder")
         alpha = dot3(n0, phihat)
         gamma = n0[2]
         vth = math.sqrt(2.0 * provider.p0 + provider.c * R * R)
-        thdot = provider.omega + alpha * state0.beta * vth / R
-        vz = gamma * state0.beta * vth
-        t0 = state0.t
+        thdot = provider.omega + alpha * beta * vth / R
+        vz = gamma * beta * vth
 
         def _helix(t):
             th = th0 + thdot * (t - t0)

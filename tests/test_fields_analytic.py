@@ -12,7 +12,7 @@ from ttpsim import (EnsembleSpec, IntegratorConfig, LambOseenField, NotFound, Ou
                     RigidRotationField, TaylorGreenField, TtpState, UniformField,
                     UniformGradientField, ValidationError, cancellation_check, create_provider,
                     fd_verify_derivatives, integrate_trajectory, omega_identity_sweep,
-                    provider_parameters, reduced_divergence_report)
+                    provider_parameters, reduced_divergence_report, trajectory_oracle)
 from ttpsim.fields.analytic import PROVIDERS
 
 from conftest import all_builtin_providers, interior_points, smooth_nonlinear_providers
@@ -304,10 +304,18 @@ def ensemble_spec(**kw):
     return EnsembleSpec(r0=(1.0, 0.0, 0.0), **kw)
 
 
+def _tangent_state(**kw):
+    """A rigid-rotation seed state, tangent, with ``kw`` as its t or beta."""
+    return TtpState(**({"t": 0.0, "r": (1.0, 0.0, 0.0), "n": (0.0, 0.0, 1.0), "beta": 1.0} | kw))
+
+
 def seed_state(**kw):
-    """A 2-step rigid-rotation run from a tangent seed state with ``kw`` as its t or beta."""
-    state = TtpState(**({"t": 0.0, "r": (1.0, 0.0, 0.0), "n": (0.0, 0.0, 1.0), "beta": 1.0} | kw))
-    return integrate_trajectory(state, RigidRotationField(), IntegratorConfig(dt=0.1, t_end=0.2))
+    return integrate_trajectory(_tangent_state(**kw), RigidRotationField(),
+                                IntegratorConfig(dt=0.1, t_end=0.2))
+
+
+def oracle(**kw):
+    return trajectory_oracle(RigidRotationField(), _tangent_state(**kw))
 
 
 def cancellation(**kw):
@@ -337,7 +345,7 @@ def sweep(**kw):
       for param in provider_parameters(cls.name)),
     (TaylorGreenField, "p0", math.nan), (LambOseenField, "Gamma", math.nan),
     (LambOseenField, "p0", math.nan), (LambOseenField, "rc", math.nan),
-    (LambOseenField, "rc", math.inf), (LambOseenField, "rc", "1"),
+    (LambOseenField, "rc", math.inf), (LambOseenField, "rc", "1"), (LambOseenField, "rc", True),
     (UniformField, "p0", "1"), (UniformField, "V0y", None), (UniformGradientField, "gz", -math.inf),
     (UniformGradientField, "p0", False), (RigidRotationField, "omega", "1"),
     (RigidRotationField, "c", np.array(1.0)),
@@ -348,6 +356,7 @@ def sweep(**kw):
     (ensemble_spec, "beta", math.inf), (ensemble_spec, "beta", None),
     (seed_state, "t", "0"), (seed_state, "t", math.nan), (seed_state, "beta", "x"),
     (seed_state, "beta", None), (seed_state, "beta", math.inf),
+    (oracle, "t", "0"), (oracle, "beta", "x"),
     (cancellation, "beta", math.nan), (cancellation, "t", "0"),
     (divergence, "beta", None), (divergence, "t", math.inf),
     (sweep, "beta", "0.5"), (sweep, "t", math.nan), (sweep, "h", math.nan),
