@@ -1,8 +1,8 @@
 """Pinned bytes of the pointwise diagnostics.
 
-``omega_decomposed`` and the three pointwise studies of ``verify`` are
-compared bit for bit against test-local copies written point by point with
-numpy 3-vectors, whose dot products and norms are float sums written left
+``omega_decomposed``, ``tangent_frame`` and the three pointwise studies of
+``verify`` are compared bit for bit against test-local copies written point
+by point with numpy 3-vectors, whose dot products and norms are float sums written left
 to right (``_dot``, ``_ref_norm3``), never a BLAS call, so the bytes do not
 depend on the BLAS kernel.  The studies must report the first failure in
 point order.  ``norm3`` is compared with the float sum of squares and
@@ -21,8 +21,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ttpsim import (DegenerateGradient, GridField, LambOseenField, NegativePressure,
+from ttpsim import (DegenerateGradient, FluidSample, GridField, LambOseenField, NegativePressure,
                     OmegaBreakdown, OutOfDomain, RigidRotationField, TaylorGreenField, TtpState,
                     UniformField, UniformGradientField, ValidationError, cancellation_check,
                     isobaric_normal, omega_decomposed, omega_direct, omega_identity_sweep,
@@ -74,6 +76,16 @@ def _ref_omega_decomposed(sample, state):
                           _ref_norm3(direct - total))
 
 
+def _ref_tangent_frame(b):
+    """tangent_frame as first written: e1 normalised as a numpy array, then e2 = b x e1."""
+    if b is None:
+        raise DegenerateGradient("pressure gradient degenerate at the seed point")
+    b = np.asarray(b, dtype=float).tolist()
+    e1 = np.cross((0.0, 0.0, 1.0) if abs(b[2]) <= 0.9 else (1.0, 0.0, 0.0), b)
+    e1 = e1 / _ref_norm3(e1)
+    return e1, np.cross(b, e1)
+
+
 def _ref_points(provider, count, rng):
     lo, hi = provider.reference_box
     return lo + (hi - lo) * (0.02 + (1.0 - 2.0 * 0.02) * rng.random((count, 3)))
@@ -119,7 +131,7 @@ def _ref_omega_identity_sweep(provider, n_points, seed, h, beta, t, g_min=1e-3):
         if b is None or _ref_norm3(s.grad_p1hat) <= g_min:
             skipped += 1
             continue
-        e1, e2 = tangent_frame(b)
+        e1, e2 = _ref_tangent_frame(b)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         st = TtpState(t=t, r=q, n=math.cos(phi) * e1 + math.sin(phi) * e2, beta=beta)
         w = s.V + relative_velocity(st, s)
@@ -216,6 +228,72 @@ def test_omega_decomposed_bytes_match_numpy_reference(provider):
         assert type(got.residual) is float and got.residual == want.residual
         checked += 1
     assert checked == (0 if isinstance(provider, UniformField) else 300)
+
+
+# signed zeros, subnormals, the edges of the squares' range and mixed magnitudes: a sum
+# re-associated in the per-component formulas shows on such components
+_COMPONENTS = (st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.5e-308, -1e-310, 1e300, -1e300,
+                                1.0, -1.0))
+               | st.floats(-1e300, 1e300) | st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _samples(draw):
+    kin = [draw(_COMPONENTS) for _ in range(16)]
+    kin[3] = abs(kin[3])  # p1hat >= 0, else both routes raise NegativePressure first
+    n = [draw(st.floats(-1.0, 1.0)) for _ in range(3)]
+    state = TtpState(t=0.0, r=(0.0, 0.0, 0.0), n=n, beta=draw(st.floats(0.0, 2.0)))
+    return FluidSample(tuple(kin), tuple(draw(_COMPONENTS) for _ in range(9))), state
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_samples())
+def test_omega_decomposed_bytes_match_numpy_reference_on_edge_components(drawn):
+    sample, state = drawn
+    if gradient_normal(sample.kin)[3] == 0.0:
+        for route in (omega_decomposed, _ref_omega_decomposed):
+            with pytest.raises(DegenerateGradient):
+                route(sample, state)
+        return
+    got = omega_decomposed(sample, state)
+    with np.errstate(all="ignore"):  # the numpy copy warns where a product overflows
+        want = _ref_omega_decomposed(sample, state)
+    for name in _FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert type(got.residual) is float and _bits(got.residual) == _bits(want.residual)
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / _ref_norm3(v)
+
+
+def _frame_normals():
+    """Unit normals on both sides of tangent_frame's |b_z| <= 0.9 switch and on it, with signed zeros."""
+    rng = np.random.default_rng(21)
+    normals = [_unit(v) for v in rng.normal(size=(400, 3))]
+    normals += [_unit(v) for v in rng.normal(size=(200, 3)) * (0.1, 0.1, 1.0)]  # mostly |b_z| > 0.9
+    for bz in (0.9, -0.9):
+        rho = math.sqrt(1.0 - bz * bz)
+        normals += [np.array((rho, 0.0, bz)), np.array((-0.0, -rho, bz)),
+                    np.array((rho * math.cos(1.0), rho * math.sin(1.0), bz))]
+    normals += [np.array(v) for v in ((0.0, 0.0, 1.0), (-0.0, 0.0, -1.0), (0.0, -0.0, 1.0),
+                                      (1.0, -0.0, 0.0), (-0.0, -1.0, -0.0), (0.6, -0.0, -0.8),
+                                      (-0.8, 0.6, -0.0))]
+    return normals
+
+
+def test_tangent_frame_bytes_match_numpy_reference():
+    normals = _frame_normals()
+    assert sum(abs(b[2]) <= 0.9 for b in normals) > 200 and sum(abs(b[2]) > 0.9 for b in normals) > 200
+    for b in normals:
+        for arg in (b, tuple(b.tolist()), b.tolist()):
+            got, want = tangent_frame(arg), _ref_tangent_frame(arg)
+            for g, w in zip(got, want):
+                assert type(g) is np.ndarray and g.tobytes() == w.tobytes(), b
+    for frame in (tangent_frame, _ref_tangent_frame):
+        with pytest.raises(DegenerateGradient):
+            frame(None)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
