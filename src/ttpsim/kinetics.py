@@ -113,16 +113,18 @@ def tangent_frame(b):
     """Deterministic right-handed orthonormal frame (e1, e2, b).
 
     e1 = normalize(a x b) with a = z_hat unless |b . z_hat| > 0.9, in which
-    case a = x_hat; e2 = b x e1.  ``b`` is None where the gradient is
-    degenerate, as :func:`isobaric_normal` gives it; no tangent plane exists
-    there, so None raises DegenerateGradient.
+    case a = x_hat; e2 = b x e1; both on float triples, each made an array
+    once.  ``b`` is None where the gradient is degenerate, as
+    :func:`isobaric_normal` gives it; no tangent plane exists there, so None
+    raises DegenerateGradient.
     """
     if b is None:
         raise DegenerateGradient("pressure gradient degenerate at the seed point")
     b = np.asarray(b, dtype=float).tolist()
-    e1 = cross((0.0, 0.0, 1.0) if abs(b[2]) <= 0.9 else (1.0, 0.0, 0.0), b)
-    e1 = np.array(e1) / norm3(e1)
-    return e1, np.array(cross(b, e1.tolist()))
+    x, y, z = cross((0.0, 0.0, 1.0) if abs(b[2]) <= 0.9 else (1.0, 0.0, 0.0), b)
+    m = norm3((x, y, z))
+    e1 = x / m, y / m, z / m
+    return np.array(e1), np.array(cross(b, e1))
 
 
 def relative_velocity(state, sample):
@@ -157,30 +159,31 @@ def omega_decomposed(sample, state):
     against the direct route.  The residual is generically nonzero (the
     decomposition is not an identity for the particle-path derivative) and
     is reported as a diagnostic only.  b and |g| are :func:`gradient_normal`'s.
+    Each term is summed left to right per component on the floats of
+    ``sample.kin`` and ``sample.dV``, and made an array at return.
     """
     direct = omega_direct(sample, state)  # first: it raises DegenerateGradient where b is undefined
-    kin, dV = sample.kin, sample.dV
+    kin, d = sample.kin, sample.dV
     *b, gn = gradient_normal(kin)
-    g, V = kin[4:7], kin[0:3]
-    rows, cols = (dV[0:3], dV[3:6], dV[6:9]), (dV[0::3], dV[1::3], dV[2::3])
-    HV = hess_dot(kin, V)
+    (bx, by, bz), (gx, gy, gz), (hx, hy, hz) = b, kin[4:7], hess_dot(kin, kin[0:3])  # b, g, H V
+    fx, fy, fz = kin[13] + hx, kin[14] + hy, kin[15] + hz  # dt g + H V
+    s = bx * fx + by * fy + bz * fz
+    term_convective = cross(b, ((fx - s * bx) / gn, (fy - s * by) / gn, (fz - s * bz) / gn))
 
-    gdot_fluid = [d + h for d, h in zip(kin[13:16], HV)]
-    s = dot3(b, gdot_fluid)
-    term_convective = cross(b, [(d - s * c) / gn for d, c in zip(gdot_fluid, b)])
+    xx, xy, xz = d[5] - d[7], d[6] - d[2], d[1] - d[3]  # xi, the curl of V
+    s = bx * xx + by * xy + bz * xz
+    term_vorticity = -(xx - s * bx), -(xy - s * by), -(xz - s * bz)
 
-    xi = sample.xi.tolist()
-    s = dot3(b, xi)
-    term_vorticity = [-(x - s * c) for x, c in zip(xi, b)]
-
-    grad_gV = [h + dot3(row, g) for h, row in zip(HV, rows)]  # gradient of (g . V)
-    g_dot_nabla_V = [dot3(col, g) for col in cols]             # (g . grad) V
+    grad_gV = (hx + (d[0] * gx + d[1] * gy + d[2] * gz), hy + (d[3] * gx + d[4] * gy + d[5] * gz),
+               hz + (d[6] * gx + d[7] * gy + d[8] * gz))  # gradient of (g . V)
+    g_dot_nabla_V = (d[0] * gx + d[3] * gy + d[6] * gz, d[1] * gx + d[4] * gy + d[7] * gz,
+                     d[2] * gx + d[5] * gy + d[8] * gz)  # (g . grad) V
     term_pv = [(p - m) / gn for p, m in zip(cross(b, grad_gV), cross(b, g_dot_nabla_V))]
 
     total = [c + v + p for c, v, p in zip(term_convective, term_vorticity, term_pv)]
     return OmegaBreakdown(direct, np.array(total), np.array(term_convective),
                           np.array(term_vorticity), np.array(term_pv),
-                          residual=norm3([d - c for d, c in zip(direct.tolist(), total)]))
+                          residual=norm3([o - c for o, c in zip(direct.tolist(), total)]))
 
 
 def cross(a, b):

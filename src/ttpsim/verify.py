@@ -125,22 +125,22 @@ def cancellation_check(provider, n_states=1000, seed=0, beta=1.0, t=0.0):
     projections of the normal-rate vector (dg/dt)/|g| and round at that
     operand's scale even where the projections themselves are tiny, so the
     residual is normalized by |Omega x n| + |db/dt| + |dg/dt|/|g|, where
-    dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|, with b and
-    |g| from :func:`_random_states`.  Points with degenerate gradient are
-    skipped; a point where either term or the normalizer is not finite
-    raises ValidationError.
+    dg/dt = dt g + H (V + u) and db/dt = (1 - bb) dg/dt / |g|: float triples,
+    with b and |g| from :func:`_random_states`, and a TtpState of float64
+    arrays.  Points with degenerate gradient are skipped; a point where
+    either term or the normalizer is not finite raises ValidationError.
     """
     n_states = check_count("n_states", n_states, 1)
     beta = check_real("beta", beta)
     worst = 0.0
     for s, b, gn, r, n in _random_states(provider, n_states, seed, t):
-        w = _rates(s.kin, *n, beta)[:3]  # V + u
-        omxn = cross(omega_direct(s, TtpState(t=t, r=r, n=n, beta=beta)).tolist(), n)
-        gdot = [d + h for d, h in zip(s.kin[13:16], hess_dot(s.kin, w))]
-        sb = dot3(b, gdot)
-        bdot = [(d - sb * c) / gn for d, c in zip(gdot, b)]
+        (bx, by, bz), (hx, hy, hz) = b, hess_dot(s.kin, _rates(s.kin, *n, beta)[:3])  # H (V + u)
+        omxn = cross(omega_direct(s, TtpState(t, np.array(r), np.array(n), beta)).tolist(), n)
+        gx, gy, gz = s.kin[13] + hx, s.kin[14] + hy, s.kin[15] + hz  # dg/dt
+        sb = bx * gx + by * gy + bz * gz
+        bdot = (gx - sb * bx) / gn, (gy - sb * by) / gn, (gz - sb * bz) / gn
         t1, t2 = dot3(omxn, b), dot3(n, bdot)
-        denom = max(norm3(omxn) + norm3(bdot) + norm3([d / gn for d in gdot]), _TINY)
+        denom = max(norm3(omxn) + norm3(bdot) + norm3((gx / gn, gy / gn, gz / gn)), _TINY)
         if not all(map(math.isfinite, (t1, t2, denom))):
             raise ValidationError(f"non-finite cancellation terms at r = {r}")
         worst = max(worst, abs(t1 + t2) / denom)
@@ -193,15 +193,17 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
                          g_min=1e-3):
     """Compare the direct rotation rate against a path finite difference.
 
-    At each kept point the isobaric normal is evaluated at (r +/- h w,
-    t +/- h) with w = V + u frozen at the center; the centered difference
-    approximates db/dt along the particle path to O(h^2) and b x (that)
-    approximates the rotation rate.  Points with a degenerate gradient, with
-    |grad p1hat| <= g_min or with degenerate displaced stencils are skipped and
-    counted; a point whose V + u or residuals are not finite raises
-    ValidationError.  Points are evaluated whole and in order, so the first
-    failure in point order is raised, and the k-th point past the degenerate
-    and g_min tests takes the k-th random angle (:func:`_kept_points`).
+    At each kept point n = cos(phi) e1 + sin(phi) e2 and the isobaric normal
+    is evaluated at (r +/- h w, t +/- h) with w = V + u frozen at the center,
+    all on float triples; the centered difference approximates db/dt along
+    the particle path to O(h^2) and b x (that) approximates the rotation
+    rate.  A point's TtpState is built from float64 arrays.  Points with a
+    degenerate gradient, with |grad p1hat| <= g_min or with degenerate
+    displaced stencils are skipped and counted; a point whose V + u or
+    residuals are not finite raises ValidationError.  Points are evaluated
+    whole and in order, so the first failure in point order is raised, and
+    the k-th point past the degenerate and g_min tests takes the k-th random
+    angle (:func:`_kept_points`).
     """
     n_points = check_count("n_points", n_points, 1)
     h, g_min = check_real("h", h, 0.0, strict=True), check_real("g_min", g_min, 0.0)
@@ -209,17 +211,18 @@ def omega_identity_sweep(provider, n_points=100, seed=0, h=1e-5, beta=0.5, t=0.0
     rows = []
     for s, b, _, r, phi in _kept_points(provider, n_points, seed, t,
                                         lambda rng: rng.uniform(0.0, 2.0 * math.pi, _BLOCK), g_min):
-        e1, e2 = tangent_frame(b)
-        n = (math.cos(phi) * e1 + math.sin(phi) * e2).tolist()
-        w = _rates(s.kin, *n, beta)[:3]  # V + u
-        if not all(map(math.isfinite, w)):  # nor is the stencil r +- h w
+        (e1x, e1y, e1z), (e2x, e2y, e2z) = (e.tolist() for e in tangent_frame(b))
+        c, sn = math.cos(phi), math.sin(phi)
+        n = c * e1x + sn * e2x, c * e1y + sn * e2y, c * e1z + sn * e2z
+        (x, y, z), (wx, wy, wz) = r, _rates(s.kin, *n, beta)[:3]  # r, V + u
+        if not all(map(math.isfinite, (wx, wy, wz))):  # nor is the stencil r +- h w
             raise ValidationError(f"V + u is not finite at r = {r}")
-        bp = gradient_normal(provider.sample(tuple(x + h * v for x, v in zip(r, w)), t + h).kin)
-        bm = gradient_normal(provider.sample(tuple(x - h * v for x, v in zip(r, w)), t - h).kin)
+        bp = gradient_normal(provider.sample((x + h * wx, y + h * wy, z + h * wz), t + h).kin)
+        bm = gradient_normal(provider.sample((x - h * wx, y - h * wy, z - h * wz), t - h).kin)
         if bp[3] == 0.0 or bm[3] == 0.0:
             continue
-        om_fd = cross(b, [(x - y) / (2.0 * h) for x, y in zip(bp[:3], bm[:3])])
-        br = omega_decomposed(s, TtpState(t=t, r=r, n=n, beta=beta))
+        om_fd = cross(b, [(p - m) / (2.0 * h) for p, m in zip(bp[:3], bm[:3])])
+        br = omega_decomposed(s, TtpState(t, np.array(r), np.array(n), beta))
         direct = br.omega_direct.tolist()
         om_norm = max(norm3(direct), _TINY)
         fd_norm = norm3([d - f for d, f in zip(direct, om_fd)])
@@ -237,19 +240,23 @@ def reduced_divergence_report(provider, n_states=100, seed=0, beta=1.0, t=0.0):
 
     The six-dimensional vector field (dr/dt, dn/dt) on (r, n) space has no
     asserted invariant measure; its divergence (estimated here by central
-    differences in each coordinate) is emitted as a diagnostic.  Returns
-    (max |div|, median |div|, states evaluated); a state whose divergence is
-    not finite raises ValidationError.
+    differences in each coordinate, at 12 displaced points per state that keep
+    every other component as it is, -0.0 included) is emitted as a
+    diagnostic.  Returns (max |div|, median |div|, states evaluated); a state
+    whose divergence is not finite raises ValidationError.
     """
     n_states = check_count("n_states", n_states, 1)
     beta = check_real("beta", beta)
     h = 1e-6
     divs = []
     for _, _, _, p, n in _random_states(provider, n_states, seed, t):
+        (x, y, z), (nx, ny, nz) = p, n
         div = 0.0
-        for i in range(3):
-            # v +/- h e_i; the other components are v's own (adding 0.0 would turn -0.0 into 0.0)
-            rp, rm, n_p, n_m = (v[:i] + (v[i] + d,) + v[i + 1:] for v in (p, n) for d in (h, -h))
+        # r, n +/- h e_i; the other components stay as they are (+ 0.0 would turn -0.0 to 0.0)
+        for i, (rp, rm, n_p, n_m) in enumerate((
+                ((x + h, y, z), (x - h, y, z), (nx + h, ny, nz), (nx - h, ny, nz)),
+                ((x, y + h, z), (x, y - h, z), (nx, ny + h, nz), (nx, ny - h, nz)),
+                ((x, y, z + h), (x, y, z - h), (nx, ny, nz + h), (nx, ny, nz - h)))):
             dp, dm = state_rhs(provider, t, rp, n, beta), state_rhs(provider, t, rm, n, beta)
             div += (dp[i] - dm[i]) / (2.0 * h)
             dp, dm = state_rhs(provider, t, p, n_p, beta), state_rhs(provider, t, p, n_m, beta)
